@@ -1,22 +1,39 @@
 //! Optimal-transport oracle family.
 //!
-//! Three independent implementations of the same quantity are played
-//! against each other: the closed-form sorted-quantile 1-D Wasserstein
-//! distance, the Jonker–Volgenant Hungarian assignment solver, and an
-//! exhaustive permutation enumeration (Heap's algorithm, n ≤ 8). On top of
-//! the differential checks, metric axioms (symmetry, triangle inequality,
-//! identity) are asserted for the quantile implementation, and the
-//! entropic Sinkhorn value is required to upper-bound the exact optimum
-//! (its transport plan is feasible, so it can never beat the optimum by
-//! more than its numerical slack).
+//! Independent implementations of the same quantity are played against
+//! each other:
+//!
+//! * every case: the closed-form sorted-quantile 1-D Wasserstein distance,
+//!   the LAPJV assignment solver and an exhaustive permutation enumeration
+//!   (Heap's algorithm, n ≤ 7), the metric axioms of the quantile
+//!   distance, and the entropic Sinkhorn value as an upper bound of the
+//!   exact optimum (its plan is feasible, so it can never beat the optimum
+//!   by more than its numerical slack);
+//! * `seed % 3 == 0`: LAPJV against the retired e-maxx Hungarian solver,
+//!   kept here as a private reference, on clouds of up to 64 points in 2-D
+//!   and 3-D: random clouds, clouds from zero-width boxes, and integer-grid
+//!   clouds under squared distance, whose integer costs tie everywhere.
+//!   Totals must be bit-identical;
+//! * `seed % 3 == 1`: the objective-only evaluation. `capped_distances`
+//!   must return `evaluate`'s `w_goal` and `w_unsafe.min(cap)` bit for bit,
+//!   and `None` exactly when the flowpipe meets the unsafe set, at caps
+//!   placed on both sides of the Jensen skip threshold;
+//! * `seed % 3 == 2`: a cost matrix with NaN and infinite entries. The
+//!   solver must terminate and return a permutation.
 
 use super::{case_rng, CaseOutcome, Family};
+use dwv_geom::{HalfSpace, Region};
+use dwv_interval::arbitrary::f64_in;
+use dwv_interval::IntervalBox;
 use dwv_metrics::arbitrary::{cloud, cloud_1d};
 use dwv_metrics::ot::{
     brute_force_assignment, euclidean_cost, hungarian, sinkhorn, wasserstein_1d,
 };
+use dwv_metrics::WassersteinMetric;
+use dwv_reach::Flowpipe;
 
-/// Quantile vs Hungarian vs exhaustive-permutation transport costs.
+/// Quantile vs LAPJV vs exhaustive-permutation transport costs, plus the
+/// large-cloud, objective-only and hostile-input checks.
 pub struct WassersteinFamily;
 
 impl Family for WassersteinFamily {
@@ -29,90 +46,377 @@ impl Family for WassersteinFamily {
     }
 
     fn oracle(&self) -> &'static str {
-        "exhaustive assignment enumeration and the exact 1-D quantile formula"
+        "exhaustive assignment enumeration, the exact 1-D quantile formula, \
+         a reference Hungarian solver and the full metric evaluation"
     }
 
-    #[allow(clippy::too_many_lines)]
     fn check(&self, seed: u64, size: u8) -> CaseOutcome {
         let mut rng = case_rng(self.id(), seed);
         let mut next = || rng.next_u64();
-        let n = 2 + (next() as usize) % 6;
-        let mag = 1.0 + f64::from(size);
-        let tol = super::oracle_tol(mag) * n as f64;
-
-        // --- 1-D: quantile formula vs assignment solvers -----------------
-        let a = cloud_1d(&mut next, n, mag);
-        let b = cloud_1d(&mut next, n, mag);
-        let w_quantile = wasserstein_1d(&a, &b);
-        let pts_a: Vec<Vec<f64>> = a.iter().map(|&v| vec![v]).collect();
-        let pts_b: Vec<Vec<f64>> = b.iter().map(|&v| vec![v]).collect();
-        let cost = euclidean_cost(&pts_a, &pts_b);
-        let (_, total) = hungarian(&cost);
-        let w_hungarian = total / n as f64;
-        let w_brute = brute_force_assignment(&cost) / n as f64;
-        if (w_quantile - w_brute).abs() > tol {
-            return CaseOutcome::Violation(format!(
-                "1-D quantile W1 = {w_quantile:e} disagrees with exhaustive optimum {w_brute:e}"
-            ));
+        let result = small_oracles(&mut next, size).and_then(|()| match seed % 3 {
+            0 => large_differential(&mut next, size),
+            1 => capped_invariant(&mut next, size),
+            _ => hostile_matrix(&mut next),
+        });
+        match result {
+            Ok(()) => CaseOutcome::Pass,
+            Err(msg) => CaseOutcome::Violation(msg),
         }
-        if (w_hungarian - w_brute).abs() > tol {
-            return CaseOutcome::Violation(format!(
-                "Hungarian W1 = {w_hungarian:e} disagrees with exhaustive optimum {w_brute:e}"
-            ));
-        }
-
-        // --- metric axioms ------------------------------------------------
-        let w_ba = wasserstein_1d(&b, &a);
-        if (w_quantile - w_ba).abs() > tol {
-            return CaseOutcome::Violation(format!(
-                "W1 asymmetric: d(a,b) = {w_quantile:e}, d(b,a) = {w_ba:e}"
-            ));
-        }
-        if wasserstein_1d(&a, &a) > tol {
-            return CaseOutcome::Violation("W1(a, a) is not zero".to_owned());
-        }
-        let c = cloud_1d(&mut next, n, mag);
-        let w_ac = wasserstein_1d(&a, &c);
-        let w_cb = wasserstein_1d(&c, &b);
-        if w_quantile > w_ac + w_cb + tol {
-            return CaseOutcome::Violation(format!(
-                "triangle inequality fails: d(a,b) = {w_quantile:e} > {:e}",
-                w_ac + w_cb
-            ));
-        }
-
-        // --- multi-dimensional: Hungarian vs exhaustive -------------------
-        let dim = 2 + (next() as usize) % 2;
-        let xs = cloud(&mut next, n, dim, mag);
-        let ys = cloud(&mut next, n, dim, mag);
-        let cost_nd = euclidean_cost(&xs, &ys);
-        let (_, total_nd) = hungarian(&cost_nd);
-        let brute_nd = brute_force_assignment(&cost_nd);
-        if (total_nd - brute_nd).abs() > tol * n as f64 {
-            return CaseOutcome::Violation(format!(
-                "{dim}-D Hungarian total {total_nd:e} disagrees with exhaustive {brute_nd:e}"
-            ));
-        }
-
-        // --- Sinkhorn upper-bounds the exact optimum ----------------------
-        // The entropic plan is only feasible (hence >= the optimum) at
-        // convergence, and convergence speed scales with epsilon relative to
-        // the cost magnitudes — so regularize *relative* to the cost scale
-        // and allow slack on the same scale. (An absolute epsilon of 0.1
-        // against costs of ~40 leaves the marginals unconverged after 300
-        // iterations and the value legitimately undercuts the optimum; seed
-        // 0x060c66b32c0661f2 in the corpus pins the recalibrated oracle.)
-        let cost_scale = cost_nd.iter().flatten().fold(0.0f64, |m, &c| m.max(c));
-        let uniform = vec![1.0 / n as f64; n];
-        let eps = 0.05 * (1.0 + cost_scale);
-        let sk = sinkhorn(&cost_nd, &uniform, &uniform, eps, 300);
-        let exact_mean = brute_nd / n as f64;
-        if sk < exact_mean - 0.05 * (1.0 + cost_scale) {
-            return CaseOutcome::Violation(format!(
-                "Sinkhorn value {sk:e} undercuts the exact optimum {exact_mean:e} \
-                 (epsilon {eps:e}, cost scale {cost_scale:e})"
-            ));
-        }
-        CaseOutcome::Pass
     }
+}
+
+/// Quantile vs assignment solvers vs exhaustive enumeration on small
+/// clouds, the quantile metric axioms, and the Sinkhorn upper bound.
+fn small_oracles(next: &mut impl FnMut() -> u64, size: u8) -> Result<(), String> {
+    let n = 2 + (next() as usize) % 6;
+    let mag = 1.0 + f64::from(size);
+    let tol = super::oracle_tol(mag) * n as f64;
+
+    // --- 1-D: quantile formula vs assignment solvers -----------------
+    let a = cloud_1d(next, n, mag);
+    let b = cloud_1d(next, n, mag);
+    let w_quantile = wasserstein_1d(&a, &b);
+    let pts_a: Vec<Vec<f64>> = a.iter().map(|&v| vec![v]).collect();
+    let pts_b: Vec<Vec<f64>> = b.iter().map(|&v| vec![v]).collect();
+    let cost = euclidean_cost(&pts_a, &pts_b);
+    let (_, total) = hungarian(&cost);
+    let w_hungarian = total / n as f64;
+    let w_brute = brute_force_assignment(&cost) / n as f64;
+    if (w_quantile - w_brute).abs() > tol {
+        return Err(format!(
+            "1-D quantile W1 = {w_quantile:e} disagrees with exhaustive optimum {w_brute:e}"
+        ));
+    }
+    if (w_hungarian - w_brute).abs() > tol {
+        return Err(format!(
+            "Hungarian W1 = {w_hungarian:e} disagrees with exhaustive optimum {w_brute:e}"
+        ));
+    }
+
+    // --- metric axioms ------------------------------------------------
+    let w_ba = wasserstein_1d(&b, &a);
+    if (w_quantile - w_ba).abs() > tol {
+        return Err(format!(
+            "W1 asymmetric: d(a,b) = {w_quantile:e}, d(b,a) = {w_ba:e}"
+        ));
+    }
+    if wasserstein_1d(&a, &a) > tol {
+        return Err("W1(a, a) is not zero".to_owned());
+    }
+    let c = cloud_1d(next, n, mag);
+    let w_ac = wasserstein_1d(&a, &c);
+    let w_cb = wasserstein_1d(&c, &b);
+    if w_quantile > w_ac + w_cb + tol {
+        return Err(format!(
+            "triangle inequality fails: d(a,b) = {w_quantile:e} > {:e}",
+            w_ac + w_cb
+        ));
+    }
+
+    // --- multi-dimensional: Hungarian vs exhaustive -------------------
+    let dim = 2 + (next() as usize) % 2;
+    let xs = cloud(next, n, dim, mag);
+    let ys = cloud(next, n, dim, mag);
+    let cost_nd = euclidean_cost(&xs, &ys);
+    let (_, total_nd) = hungarian(&cost_nd);
+    let brute_nd = brute_force_assignment(&cost_nd);
+    if (total_nd - brute_nd).abs() > tol * n as f64 {
+        return Err(format!(
+            "{dim}-D Hungarian total {total_nd:e} disagrees with exhaustive {brute_nd:e}"
+        ));
+    }
+
+    // --- Sinkhorn upper-bounds the exact optimum ----------------------
+    // The entropic plan is only feasible (hence >= the optimum) at
+    // convergence, and convergence speed scales with epsilon relative to
+    // the cost magnitudes — so regularize *relative* to the cost scale
+    // and allow slack on the same scale. (An absolute epsilon of 0.1
+    // against costs of ~40 leaves the marginals unconverged after 300
+    // iterations and the value legitimately undercuts the optimum; seed
+    // 0x060c66b32c0661f2 in the corpus pins the recalibrated oracle.)
+    let cost_scale = cost_nd.iter().flatten().fold(0.0f64, |m, &c| m.max(c));
+    let uniform = vec![1.0 / n as f64; n];
+    let eps = 0.05 * (1.0 + cost_scale);
+    let sk = sinkhorn(&cost_nd, &uniform, &uniform, eps, 300);
+    let exact_mean = brute_nd / n as f64;
+    if sk < exact_mean - 0.05 * (1.0 + cost_scale) {
+        return Err(format!(
+            "Sinkhorn value {sk:e} undercuts the exact optimum {exact_mean:e} \
+             (epsilon {eps:e}, cost scale {cost_scale:e})"
+        ));
+    }
+    Ok(())
+}
+
+/// LAPJV against the reference Hungarian solver on clouds of up to 64
+/// points; see the module docs for the three cloud shapes.
+fn large_differential(next: &mut impl FnMut() -> u64, size: u8) -> Result<(), String> {
+    let n = 1 + (next() as usize) % 64;
+    let dim = 2 + (next() as usize) % 2;
+    let mag = 1.0 + f64::from(size);
+    let (shape, cost) = match next() % 3 {
+        0 => {
+            let xs = cloud(next, n, dim, mag);
+            let ys = cloud(next, n, dim, mag);
+            ("random", euclidean_cost(&xs, &ys))
+        }
+        1 => {
+            // A reach cloud from a box that is flat along a random subset
+            // of its axes (all of them: every point coincides).
+            let flat = next();
+            let mut xs = cloud(next, n, dim, mag);
+            let first = xs[0].clone();
+            for p in &mut xs {
+                for (k, v) in p.iter_mut().enumerate() {
+                    if flat & (1 << k) != 0 || flat & 0b1000 != 0 {
+                        *v = first[k];
+                    }
+                }
+            }
+            let ys = cloud(next, n, dim, mag);
+            ("zero-width", euclidean_cost(&xs, &ys))
+        }
+        _ => {
+            // Squared distances between integer-grid points: integer costs
+            // with ties everywhere, so every optimum sums to the same bits.
+            let span = 1 + next() % 4;
+            let mut grid = || -> Vec<Vec<f64>> {
+                (0..n)
+                    .map(|_| (0..dim).map(|_| (next() % (2 * span + 1)) as f64).collect())
+                    .collect()
+            };
+            let (xs, ys) = (grid(), grid());
+            let cost = xs
+                .iter()
+                .map(|x| {
+                    ys.iter()
+                        .map(|y| x.iter().zip(y).map(|(a, b)| (a - b) * (a - b)).sum())
+                        .collect()
+                })
+                .collect();
+            ("integer-tie", cost)
+        }
+    };
+    let (assignment, total) = hungarian(&cost);
+    check_permutation(&assignment)?;
+    let mut by_column = vec![0; n];
+    for (row, &col) in assignment.iter().enumerate() {
+        by_column[col] = row;
+    }
+    let summed: f64 = by_column.iter().enumerate().map(|(j, &i)| cost[i][j]).sum();
+    if summed.to_bits() != total.to_bits() {
+        return Err(format!(
+            "{shape} {n}×{n} ({dim}-D): LAPJV total {total:e} is not its assignment's \
+             column-order cost {summed:e}"
+        ));
+    }
+    let reference = reference_hungarian(&cost);
+    if reference.to_bits() != total.to_bits() {
+        return Err(format!(
+            "{shape} {n}×{n} ({dim}-D): LAPJV total {total:e} differs from the reference \
+             Hungarian total {reference:e}"
+        ));
+    }
+    Ok(())
+}
+
+/// The objective-only evaluation against the full one on a random metric
+/// instance and flowpipe.
+fn capped_invariant(next: &mut impl FnMut() -> u64, size: u8) -> Result<(), String> {
+    let dim = 2 + (next() as usize) % 2;
+    let mag = 1.0 + f64::from(size);
+    let universe = IntervalBox::from_bounds(&vec![(-4.0 * mag, 4.0 * mag); dim]);
+    let steps = 1 + (next() as usize) % 4;
+    let flat_final = next().is_multiple_of(4);
+    let boxes: Vec<IntervalBox> = (0..steps)
+        .map(|k| random_box(next, dim, mag, flat_final && k + 1 == steps))
+        .collect();
+    let goal = Region::from_box(random_box(next, dim, mag, false));
+    let unsafe_region = match next() % 3 {
+        0 => Region::from_box(random_box(next, dim, mag, false)),
+        // The final box shifted: the clouds are translates of each other,
+        // so W₁ equals the Jensen bound up to rounding — the tightest case
+        // for the skip's margin.
+        1 => {
+            let fin = &boxes[steps - 1];
+            let shift: Vec<(f64, f64)> = (0..dim)
+                .map(|k| {
+                    let t = f64_in(next(), -mag, mag);
+                    let iv = fin.interval(k);
+                    (iv.lo() + t, iv.hi() + t)
+                })
+                .collect();
+            Region::from_box(IntervalBox::from_bounds(&shift))
+        }
+        // A half-space through the universe: rejection-sampled cloud.
+        _ => {
+            let normal: Vec<f64> = (0..dim).map(|_| f64_in(next(), -1.0, 1.0)).collect();
+            if normal.iter().all(|v| v.abs() < 1e-3) {
+                return Ok(());
+            }
+            // Through a point well inside the universe, so the rejection
+            // sampler always finds a large share of it.
+            let offset = normal
+                .iter()
+                .map(|n| n * f64_in(next(), -2.0 * mag, 2.0 * mag))
+                .sum();
+            Region::from_halfspace(HalfSpace::new(normal, offset))
+        }
+    };
+    let mut metric = WassersteinMetric::new(unsafe_region, goal, universe);
+    metric.samples = 1 + (next() as usize) % 64;
+    metric.seed = next();
+    let fp = Flowpipe::from_boxes(boxes, 0.1);
+    let full = metric.evaluate(&fp);
+    let w = full.w_unsafe;
+    // Caps on both sides of W₁: below it the skip may fire, above it (for
+    // translated clouds the Jensen bound sits within rounding of W₁) a
+    // skip would wrongly return the cap.
+    let caps = [
+        f64_in(next(), 0.0, 4.0 * mag),
+        w,
+        w * (1.0 - 1e-12),
+        w / (1.0 + 1e-9),
+        w / (1.0 + 1e-9) * (1.0 - 1e-12),
+        w / (1.0 + 2e-9),
+        w * (1.0 + f64::EPSILON),
+        w * (1.0 + 4.0 * f64::EPSILON),
+        w * (1.0 + 1e-12),
+        w * (1.0 + 1e-7),
+        w * 0.5,
+        w * 2.0,
+    ];
+    for cap in caps {
+        let got = metric.capped_distances(&fp, cap);
+        let want = (!full.intersects_unsafe).then(|| (full.w_goal, full.w_unsafe.min(cap)));
+        let same = match (got, want) {
+            (Some((g, u)), Some((wg, wu))) => {
+                g.to_bits() == wg.to_bits() && u.to_bits() == wu.to_bits()
+            }
+            (None, None) => true,
+            _ => false,
+        };
+        if !same {
+            return Err(format!(
+                "capped_distances(cap = {cap:e}) = {got:?}, but evaluate gives {want:?} \
+                 ({} samples, {dim}-D, meets unsafe: {})",
+                metric.samples, full.intersects_unsafe
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// A box inside `[-3·mag, 4·mag]^dim`, flat in every axis when `zero_width`.
+fn random_box(
+    next: &mut impl FnMut() -> u64,
+    dim: usize,
+    mag: f64,
+    zero_width: bool,
+) -> IntervalBox {
+    let bounds: Vec<(f64, f64)> = (0..dim)
+        .map(|_| {
+            let lo = f64_in(next(), -3.0 * mag, 3.0 * mag);
+            let w = if zero_width {
+                0.0
+            } else {
+                f64_in(next(), 0.0, mag)
+            };
+            (lo, lo + w)
+        })
+        .collect();
+    IntervalBox::from_bounds(&bounds)
+}
+
+/// A cost matrix with NaN and infinite entries: the solver must terminate
+/// and return a permutation.
+fn hostile_matrix(next: &mut impl FnMut() -> u64) -> Result<(), String> {
+    let n = 1 + (next() as usize) % 24;
+    let cost: Vec<Vec<f64>> = (0..n)
+        .map(|_| {
+            (0..n)
+                .map(|_| match next() % 6 {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    _ => f64_in(next(), -10.0, 10.0),
+                })
+                .collect()
+        })
+        .collect();
+    let (assignment, _) = hungarian(&cost);
+    check_permutation(&assignment).map_err(|e| format!("{n}×{n} non-finite costs: {e}"))
+}
+
+fn check_permutation(assignment: &[usize]) -> Result<(), String> {
+    let mut seen = vec![false; assignment.len()];
+    for &col in assignment {
+        match seen.get_mut(col) {
+            Some(s) if !*s => *s = true,
+            _ => return Err(format!("assignment {assignment:?} is not a permutation")),
+        }
+    }
+    Ok(())
+}
+
+/// The e-maxx Hungarian algorithm (potentials with a 1-based sentinel
+/// column, one Dijkstra round per row), the assignment solver before
+/// LAPJV. Returns the optimal total, summed in column order.
+fn reference_hungarian(cost: &[Vec<f64>]) -> f64 {
+    let n = cost.len();
+    let mut u = vec![0.0f64; n + 1];
+    let mut v = vec![0.0f64; n + 1];
+    let mut p = vec![0usize; n + 1];
+    let mut way = vec![0usize; n + 1];
+    for i in 1..=n {
+        p[0] = i;
+        let mut j0 = 0usize;
+        let mut minv = vec![f64::INFINITY; n + 1];
+        let mut used = vec![false; n + 1];
+        loop {
+            used[j0] = true;
+            let i0 = p[j0];
+            let mut delta = f64::INFINITY;
+            let mut j1 = 0usize;
+            for j in 1..=n {
+                if used[j] {
+                    continue;
+                }
+                let cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
+                if cur < minv[j] {
+                    minv[j] = cur;
+                    way[j] = j0;
+                }
+                if minv[j] < delta {
+                    delta = minv[j];
+                    j1 = j;
+                }
+            }
+            for j in 0..=n {
+                if used[j] {
+                    u[p[j]] += delta;
+                    v[j] -= delta;
+                } else {
+                    minv[j] -= delta;
+                }
+            }
+            j0 = j1;
+            if p[j0] == 0 {
+                break;
+            }
+        }
+        loop {
+            let j1 = way[j0];
+            p[j0] = p[j1];
+            j0 = j1;
+            if j0 == 0 {
+                break;
+            }
+        }
+    }
+    let mut total = 0.0;
+    for j in 1..=n {
+        total += cost[p[j] - 1][j - 1];
+    }
+    total
 }

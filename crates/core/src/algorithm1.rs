@@ -122,6 +122,8 @@ pub struct Algorithm1 {
     config: LearnConfig,
     goal_anchor: Vec<f64>,
     safety_cap: f64,
+    geometric: GeometricMetric,
+    wasserstein: WassersteinMetric,
     pool: Option<crate::parallel::WorkerPool>,
     cache: Option<std::sync::Arc<dwv_reach::ReachCache>>,
 }
@@ -139,11 +141,17 @@ impl Algorithm1 {
             .sum::<f64>()
             .sqrt();
         let safety_cap = config.safety_cap.unwrap_or(0.05 * diag);
+        let geometric = GeometricMetric::for_problem(&problem);
+        let mut wasserstein = WassersteinMetric::for_problem(&problem);
+        wasserstein.samples = config.wasserstein_samples;
+        wasserstein.seed = config.seed;
         Self {
             problem,
             config,
             goal_anchor,
             safety_cap,
+            geometric,
+            wasserstein,
             pool: None,
             cache: None,
         }
@@ -475,11 +483,11 @@ impl Algorithm1 {
         let cache_hits_so_far = || self.cache.as_ref().map_or(0, |c| c.hits());
 
         let mut calls_this_iter = 0usize;
-        let eval_ctrl = |c: &C, calls: &mut usize| -> (Evaluation, Option<Flowpipe>) {
+        // Every query but the per-iteration `current` one reads only the
+        // objective, so it takes the objective-only evaluation.
+        let objective_of = |c: &C, calls: &mut usize| -> f64 {
             *calls += 1;
-            let attempt = verify(c);
-            let ev = self.evaluate(&attempt);
-            (ev, attempt.ok())
+            self.objective(&verify(c))
         };
 
         // Cumulative per-tier bill at the start of the iteration being
@@ -503,13 +511,13 @@ impl Algorithm1 {
             Some(c) => c,
             None => {
                 let mut best = fresh(&mut rng);
-                let (mut best_ev, _) = eval_ctrl(&best, &mut calls_this_iter);
+                let mut best_draw = objective_of(&best, &mut calls_this_iter);
                 for _ in 0..2 {
                     let cand = fresh(&mut rng);
-                    let (ev, _) = eval_ctrl(&cand, &mut calls_this_iter);
-                    if ev.objective > best_ev.objective {
+                    let objective = objective_of(&cand, &mut calls_this_iter);
+                    if objective > best_draw {
                         best = cand;
-                        best_ev = ev;
+                        best_draw = objective;
                     }
                 }
                 best
@@ -529,9 +537,11 @@ impl Algorithm1 {
             let hits_before = cache_hits_so_far();
             let mut calls = std::mem::take(&mut calls_this_iter);
 
-            let (current, fp) = eval_ctrl(&controller, &mut calls);
-            let remainder_width = fp.as_ref().map_or(0.0, Flowpipe::final_width);
-            if let Some(fp) = fp {
+            calls += 1;
+            let attempt = verify(&controller);
+            let current = self.evaluate(&attempt);
+            let remainder_width = attempt.as_ref().map_or(0.0, Flowpipe::final_width);
+            if let Ok(fp) = attempt {
                 last_flowpipe = Some(fp);
             }
             if current.objective > best_objective {
@@ -632,13 +642,13 @@ impl Algorithm1 {
                     controller.set_params(&perturbed);
                 } else {
                     let mut best = fresh(&mut rng);
-                    let (mut best_ev, _) = eval_ctrl(&best, &mut calls);
+                    let mut best_draw = objective_of(&best, &mut calls);
                     for _ in 0..2 {
                         let cand = fresh(&mut rng);
-                        let (ev, _) = eval_ctrl(&cand, &mut calls);
-                        if ev.objective > best_ev.objective {
+                        let objective = objective_of(&cand, &mut calls);
+                        if objective > best_draw {
                             best = cand;
-                            best_ev = ev;
+                            best_draw = objective;
                         }
                     }
                     controller = best;
@@ -670,8 +680,7 @@ impl Algorithm1 {
                 .map(|(t, g)| t + radius * g / mag)
                 .collect();
             controller.set_params(&candidate);
-            let (cand_ev, _) = eval_ctrl(&controller, &mut calls);
-            if cand_ev.objective > current.objective {
+            if objective_of(&controller, &mut calls) > current.objective {
                 radius = (radius * 1.4).min(radius_max);
             } else {
                 controller.set_params(&theta);
@@ -746,7 +755,7 @@ impl Algorithm1 {
             let eval_one = |params: &Vec<f64>| -> f64 {
                 let mut c = scratch.clone();
                 c.set_params(params);
-                self.evaluate(&verify(&c)).objective
+                self.objective(&verify(&c))
             };
             match &self.pool {
                 Some(pool) if probes.len() > 1 => pool.map(probes, eval_one),
@@ -824,18 +833,7 @@ impl Algorithm1 {
         let alpha = self.config.alpha;
         let beta = self.config.beta;
         let cap = self.safety_cap;
-        // Shaping anchor: when overlap measures saturate (a wildly diverging
-        // closed loop fills the whole universe box), the distance from the
-        // final set's center to the goal anchor still falls toward sane
-        // parameter regions.
-        let center = fp.final_step().enclosure.center();
-        let center_dist = self
-            .goal_anchor
-            .iter()
-            .zip(&center)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt();
+        let center_dist = self.center_dist(fp);
         // Robust goal check: besides the metric's intersection criterion,
         // the core quarter of the final set (its box scaled to 25% about the
         // center) must lie inside the goal. A loose enclosure (box
@@ -847,7 +845,7 @@ impl Algorithm1 {
         let centered = self.problem.goal_region.contains_box(&core_box);
         match self.config.metric {
             MetricKind::Geometric => {
-                let d = GeometricMetric::for_problem(&self.problem).evaluate(fp);
+                let d = self.geometric.evaluate(fp);
                 let objective = if d.d_unsafe <= 0.0 {
                     alpha * d.d_unsafe - FAIL_PENALTY - center_dist
                 } else {
@@ -861,30 +859,57 @@ impl Algorithm1 {
                 }
             }
             MetricKind::Wasserstein => {
-                let mut m = WassersteinMetric::for_problem(&self.problem);
-                m.samples = self.config.wasserstein_samples;
-                m.seed = self.config.seed;
-                let d = m.evaluate(fp);
-                let objective = if d.intersects_unsafe {
-                    -FAIL_PENALTY - center_dist
-                } else {
-                    -beta * d.w_goal + alpha * d.w_unsafe.min(cap)
-                };
+                let d = self.wasserstein.evaluate(fp);
+                let capped = (!d.intersects_unsafe).then(|| (d.w_goal, d.w_unsafe.min(cap)));
                 // The reach-avoid stop criterion also demands whole-pipe
                 // safety (geometric check is exact there) and centering.
-                let reach_avoid = d.is_reach_avoid()
-                    && centered
-                    && GeometricMetric::for_problem(&self.problem)
-                        .evaluate(fp)
-                        .is_reach_avoid();
+                let reach_avoid =
+                    d.is_reach_avoid() && centered && self.geometric.evaluate(fp).is_reach_avoid();
                 Evaluation {
                     unsafe_metric: d.w_unsafe,
                     goal_metric: d.w_goal,
                     reach_avoid,
-                    objective,
+                    objective: self.wasserstein_objective(capped, center_dist),
                 }
             }
         }
+    }
+
+    /// The shaped objective alone, bitwise equal to
+    /// `self.evaluate(attempt).objective`. Under the Wasserstein metric it
+    /// skips the transports the objective cannot see (see
+    /// [`WassersteinMetric::capped_distances`]).
+    fn objective(&self, attempt: &Result<Flowpipe, ReachError>) -> f64 {
+        match (self.config.metric, attempt) {
+            (MetricKind::Wasserstein, Ok(fp)) => self.wasserstein_objective(
+                self.wasserstein.capped_distances(fp, self.safety_cap),
+                self.center_dist(fp),
+            ),
+            _ => self.evaluate(attempt).objective,
+        }
+    }
+
+    /// The Wasserstein objective from `(W(r, g), min(W(r, u), cap))`, or
+    /// from `None` when the flowpipe meets the unsafe set.
+    fn wasserstein_objective(&self, capped: Option<(f64, f64)>, center_dist: f64) -> f64 {
+        match capped {
+            Some((w_goal, w_unsafe)) => -self.config.beta * w_goal + self.config.alpha * w_unsafe,
+            None => -FAIL_PENALTY - center_dist,
+        }
+    }
+
+    /// Shaping anchor: when overlap measures saturate (a wildly diverging
+    /// closed loop fills the whole universe box), the distance from the
+    /// final set's center to the goal anchor still falls toward sane
+    /// parameter regions.
+    fn center_dist(&self, fp: &Flowpipe) -> f64 {
+        let center = fp.final_step().enclosure.center();
+        self.goal_anchor
+            .iter()
+            .zip(&center)
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum::<f64>()
+            .sqrt()
     }
 }
 

@@ -9,10 +9,9 @@
 //! * [`wasserstein`] — the Wasserstein-distance metric (Eq. 4) between the
 //!   uniform distribution on the last reach-set step and the goal / unsafe
 //!   distributions, computed by exact optimal transport on uniform point
-//!   clouds ([`ot::hungarian`]) or entropic regularization
-//!   ([`ot::sinkhorn`]);
+//!   clouds ([`ot::hungarian`]);
 //! * [`ot`] — the optimal-transport solvers themselves (exact 1-D quantile
-//!   transport, Hungarian assignment, Sinkhorn iterations).
+//!   transport, LAPJV assignment, and Sinkhorn iterations as a test oracle).
 //!
 //! # Example
 //!
@@ -44,4 +43,4 @@ pub mod ot;
 pub mod wasserstein;
 
 pub use geometric::{GeometricDistances, GeometricMetric};
-pub use wasserstein::{OtSolver, WassersteinDistances, WassersteinMetric};
+pub use wasserstein::{WassersteinDistances, WassersteinMetric};

@@ -5,8 +5,9 @@
 //!
 //! * [`wasserstein_1d`] — exact 1-D `W_p` via sorted quantile matching,
 //! * [`hungarian`] — exact assignment for equal-size uniform clouds
-//!   (Jonker–Volgenant shortest augmenting paths, `O(n³)`),
-//! * [`sinkhorn`] — entropic regularization for general weighted clouds.
+//!   (Jonker–Volgenant LAPJV, `O(n³)`; the Wasserstein metric's solver),
+//! * [`sinkhorn`] — entropic regularization for general weighted clouds,
+//!   kept as an approximate oracle for the tests.
 
 /// Exact 1-D 1-Wasserstein distance between two equal-size empirical
 /// distributions: the mean absolute difference of sorted samples.
@@ -34,9 +35,9 @@ pub fn wasserstein_1d(a: &[f64], b: &[f64]) -> f64 {
     sa.iter().zip(&sb).map(|(x, y)| (x - y).abs()).sum::<f64>() / a.len() as f64
 }
 
-/// Exact minimum-cost assignment (Hungarian / Jonker–Volgenant shortest
-/// augmenting paths). `cost` is row-major `n × n`. Returns
-/// `(assignment, total_cost)` where `assignment[row] = column`.
+/// Exact minimum-cost assignment (Jonker–Volgenant LAPJV). `cost` is
+/// row-major `n × n`. Returns `(assignment, total_cost)` where
+/// `assignment[row] = column`; the total is summed in column order.
 ///
 /// For two equal-size uniform point clouds with `cost[i][j] = d(xᵢ, yⱼ)`,
 /// `total_cost / n` is the exact 1-Wasserstein distance.
@@ -52,67 +53,201 @@ pub fn hungarian(cost: &[Vec<f64>]) -> (Vec<usize>, f64) {
         cost.iter().all(|r| r.len() == n),
         "cost matrix must be square"
     );
-    // JV algorithm with 1-based sentinel column 0.
-    let inf = f64::INFINITY;
-    let mut u = vec![0.0f64; n + 1];
-    let mut v = vec![0.0f64; n + 1];
-    let mut p = vec![0usize; n + 1]; // p[j] = row assigned to column j (1-based)
-    let mut way = vec![0usize; n + 1];
-    for i in 1..=n {
-        p[0] = i;
-        let mut j0 = 0usize;
-        let mut minv = vec![inf; n + 1];
-        let mut used = vec![false; n + 1];
-        loop {
-            used[j0] = true;
-            let i0 = p[j0];
-            let mut delta = inf;
-            let mut j1 = 0usize;
-            for j in 1..=n {
-                if used[j] {
-                    continue;
-                }
-                let cur = cost[i0 - 1][j - 1] - u[i0] - v[j];
-                if cur < minv[j] {
-                    minv[j] = cur;
-                    way[j] = j0;
-                }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
+    let flat: Vec<f64> = cost.iter().flatten().copied().collect();
+    let mut lap = Lapjv::default();
+    let total = lap.solve(&flat, n);
+    (lap.x, total)
+}
+
+/// Marks a column without an assigned row.
+const UNASSIGNED: usize = usize::MAX;
+
+/// The LAPJV assignment solver with its buffers, reusable across solves.
+///
+/// Phases, after Jonker & Volgenant (1987): column reduction in reverse
+/// column order, reduction transfer, then one Dijkstra shortest augmenting
+/// path per free row with a todo-column list and lazy price updates. The
+/// augmenting-row-reduction phase is left out: on float cost matrices it
+/// can cycle for thousands of steps, and the augmenting paths alone are
+/// exact. Every path search scans each column at most once, so the solver
+/// terminates with a permutation even on NaN or infinite entries.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Lapjv {
+    /// Column prices.
+    v: Vec<f64>,
+    /// Shortest-path distances of the current search.
+    d: Vec<f64>,
+    /// `x[row]` = assigned column.
+    x: Vec<usize>,
+    /// `y[col]` = assigned row, or [`UNASSIGNED`].
+    y: Vec<usize>,
+    /// Predecessor row of each column on the current search tree.
+    pred: Vec<usize>,
+    /// Column order of the current search: scanned, todo, then unscanned.
+    cols: Vec<usize>,
+    /// Rows left free by the reduction phases.
+    free: Vec<usize>,
+    /// How many columns chose each row in the column reduction.
+    matches: Vec<usize>,
+}
+
+impl Lapjv {
+    /// Solves the `n × n` assignment over the row-major `cost` and returns
+    /// its total, summed in column order.
+    pub(crate) fn solve(&mut self, cost: &[f64], n: usize) -> f64 {
+        assert_eq!(cost.len(), n * n, "cost matrix must be n × n");
+        let Self {
+            v,
+            d,
+            x,
+            y,
+            pred,
+            cols,
+            free,
+            matches,
+        } = self;
+        for buf in [&mut *x, &mut *y, &mut *pred, &mut *cols, &mut *matches] {
+            buf.clear();
+            buf.resize(n, 0);
+        }
+        v.clear();
+        v.resize(n, 0.0);
+        d.clear();
+        d.resize(n, 0.0);
+        let row = |i: usize| &cost[i * n..(i + 1) * n];
+
+        // Column reduction: each column's price is its cheapest entry, and
+        // the first column to pick a row keeps it.
+        for j in (0..n).rev() {
+            let mut imin = 0;
+            let mut min = cost[j];
+            for i in 1..n {
+                let c = cost[i * n + j];
+                if c < min {
+                    min = c;
+                    imin = i;
                 }
             }
-            for j in 0..=n {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
-            }
-            j0 = j1;
-            if p[j0] == 0 {
-                break;
+            v[j] = min;
+            matches[imin] += 1;
+            if matches[imin] == 1 {
+                x[imin] = j;
+                y[j] = imin;
+            } else {
+                y[j] = UNASSIGNED;
             }
         }
-        loop {
-            let j1 = way[j0];
-            p[j0] = p[j1];
-            j0 = j1;
-            if j0 == 0 {
-                break;
+
+        // Reduction transfer: a row matched once moves its slack to the
+        // price of its column; unmatched rows are left for augmentation.
+        free.clear();
+        for i in 0..n {
+            match matches[i] {
+                0 => free.push(i),
+                1 => {
+                    let j1 = x[i];
+                    let mut min = f64::INFINITY;
+                    for (j, (&c, &vj)) in row(i).iter().zip(v.iter()).enumerate() {
+                        if j != j1 && c - vj < min {
+                            min = c - vj;
+                        }
+                    }
+                    v[j1] -= min;
+                }
+                _ => {}
             }
         }
+
+        // Augmentation: a shortest alternating path from each free row.
+        for &free_row in free.iter() {
+            for (j, (dj, (&c, &vj))) in d
+                .iter_mut()
+                .zip(row(free_row).iter().zip(v.iter()))
+                .enumerate()
+            {
+                *dj = c - vj;
+                pred[j] = free_row;
+                cols[j] = j;
+            }
+            // cols[..low] are scanned, cols[low..up] are todo (at distance
+            // `min`), cols[up..] are unscanned; `last` is the scanned bound
+            // when `min` was last raised.
+            let mut low = 0;
+            let mut up = 0;
+            let mut last = 0;
+            let mut min = 0.0;
+            let end = 'search: loop {
+                if up == low {
+                    last = low;
+                    min = d[cols[up]];
+                    up += 1;
+                    let first = up;
+                    for k in first..n {
+                        let j = cols[k];
+                        let h = d[j];
+                        if h <= min {
+                            if h < min {
+                                up = low;
+                                min = h;
+                            }
+                            cols[k] = cols[up];
+                            cols[up] = j;
+                            up += 1;
+                        }
+                    }
+                    for &j in &cols[low..up] {
+                        if y[j] == UNASSIGNED {
+                            break 'search j;
+                        }
+                    }
+                }
+                let j1 = cols[low];
+                low += 1;
+                let i = y[j1];
+                let row_i = row(i);
+                let u1 = row_i[j1] - v[j1] - min;
+                let first = up;
+                for k in first..n {
+                    let j = cols[k];
+                    let v2 = row_i[j] - v[j] - u1;
+                    if v2 < d[j] {
+                        pred[j] = i;
+                        if v2 == min {
+                            if y[j] == UNASSIGNED {
+                                break 'search j;
+                            }
+                            cols[k] = cols[up];
+                            cols[up] = j;
+                            up += 1;
+                        }
+                        d[j] = v2;
+                    }
+                }
+            };
+            // Lazy price update of the columns scanned before the last
+            // raise of `min`, then flip the path.
+            for &j in &cols[..last] {
+                v[j] = v[j] + d[j] - min;
+            }
+            let mut j = end;
+            loop {
+                let i = pred[j];
+                y[j] = i;
+                let next = x[i];
+                x[i] = j;
+                if i == free_row {
+                    break;
+                }
+                j = next;
+            }
+        }
+
+        let mut total = 0.0;
+        for (j, &i) in y.iter().enumerate() {
+            total += cost[i * n + j];
+        }
+        total
     }
-    let mut assignment = vec![0usize; n];
-    let mut total = 0.0;
-    for j in 1..=n {
-        if p[j] > 0 {
-            assignment[p[j] - 1] = j - 1;
-            total += cost[p[j] - 1][j - 1];
-        }
-    }
-    (assignment, total)
 }
 
 /// Entropy-regularized optimal transport (Sinkhorn–Knopp).
@@ -292,6 +427,18 @@ mod tests {
             best = best.min(c);
         }
         assert!((total - best).abs() < 1e-9, "JV {total} vs brute {best}");
+    }
+
+    #[test]
+    fn hungarian_returns_a_permutation_on_non_finite_costs() {
+        let cost = vec![
+            vec![f64::NAN, 1.0, f64::INFINITY],
+            vec![f64::NEG_INFINITY, f64::NAN, 2.0],
+            vec![3.0, f64::INFINITY, f64::NAN],
+        ];
+        let (mut asg, _) = hungarian(&cost);
+        asg.sort_unstable();
+        assert_eq!(asg, vec![0, 1, 2]);
     }
 
     fn permutations(n: usize) -> Vec<Vec<usize>> {

@@ -183,14 +183,20 @@ impl Histogram {
         let sum = f64::from_bits(self.sum_bits.load(Ordering::Relaxed));
         let min = f64::from_bits(self.min_bits.load(Ordering::Relaxed));
         let max = f64::from_bits(self.max_bits.load(Ordering::Relaxed));
+        let min = if min.is_finite() { min } else { 0.0 };
+        let max = if max.is_finite() { max } else { 0.0 };
         let buckets: [u64; N_BUCKETS] =
             std::array::from_fn(|i| self.buckets.get(i).map_or(0, |b| b.load(Ordering::Relaxed)));
-        let quantile = |q: f64| quantile_from_buckets(&buckets, q);
+        // A bucket's representative can lie outside the samples' range (a
+        // lone sample sits anywhere in its bucket), so clamp into
+        // [min, max]. max/min rather than `clamp`: a concurrent record can
+        // leave min > max for an instant, and `clamp` would panic.
+        let quantile = |q: f64| quantile_from_buckets(&buckets, q).max(min).min(max);
         HistogramStats {
             count,
             sum,
-            min: if min.is_finite() { min } else { 0.0 },
-            max: if max.is_finite() { max } else { 0.0 },
+            min,
+            max,
             p50: quantile(0.50),
             p90: quantile(0.90),
             p99: quantile(0.99),
@@ -240,11 +246,14 @@ pub struct HistogramStats {
     pub min: f64,
     /// Largest finite sample (0.0 when none).
     pub max: f64,
-    /// Median, as the representative of its log bucket (0.0 when empty).
+    /// Median, as the representative of its log bucket clamped into
+    /// `[min, max]` (0.0 when empty).
     pub p50: f64,
-    /// 90th percentile, bucket-representative (0.0 when empty).
+    /// 90th percentile, bucket-representative clamped into `[min, max]`
+    /// (0.0 when empty).
     pub p90: f64,
-    /// 99th percentile, bucket-representative (0.0 when empty).
+    /// 99th percentile, bucket-representative clamped into `[min, max]`
+    /// (0.0 when empty).
     pub p99: f64,
 }
 
@@ -601,14 +610,39 @@ mod tests {
         h.record(f64::NAN); // counted, never bucketed
         let s = h.stats();
         assert_eq!(s.count, 2);
-        assert!(
-            s.p50 > 0.0 && s.p50 < 1e-11,
-            "zero lands in the bottom bucket: {}",
-            s.p50
-        );
-        // A sample far above the covered range clamps to the top bucket.
+        assert_eq!(s.p50, 0.0, "a lone 0.0 sample is its own median");
+        // A sample far above the covered range lands in the top bucket.
         h.record(1e30);
         assert!(h.stats().p99 > 1e6);
+    }
+
+    #[test]
+    fn quantiles_lie_within_min_and_max() {
+        // Property over random sample sets: min ≤ p50 ≤ p90 ≤ p99 ≤ max,
+        // across magnitudes, signs and set sizes (SplitMix64 stream).
+        let mut state = 0x0B5E_u64;
+        let mut next = || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for case in 0..500 {
+            let h = Histogram::default();
+            let n = 1 + next() % 40;
+            for _ in 0..n {
+                let unit = (next() >> 11) as f64 / (1u64 << 53) as f64;
+                let exponent = (next() % 40) as i32 - 30;
+                let sign = if next() % 8 == 0 { -1.0 } else { 1.0 };
+                h.record(sign * unit * 2.0f64.powi(exponent));
+            }
+            let s = h.stats();
+            assert!(
+                s.min <= s.p50 && s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max,
+                "case {case}: {s:?}"
+            );
+        }
     }
 
     #[test]

@@ -79,6 +79,11 @@ if [[ "${1:-}" == "--all" ]]; then
   # interprocedural engine against the generator's ground-truth spans, with
   # input-order and pool-width bit-identity oracles (see families/lintcheck).
   run cargo run --release --offline -p dwv-check -- --family lintcheck --seed 0xD3C0DE --budget-cases 400
+  # Optimal-transport gate: LAPJV against the reference Hungarian solver on
+  # clouds of up to 64 points (totals bit-identical), the objective-only
+  # Wasserstein evaluation against the full one, and non-finite cost
+  # matrices (see families/wasserstein).
+  run cargo run --release --offline -p dwv-check -- --family wasserstein --seed 0xD3C0DE --budget-cases 3000
   # Portfolio gate: the tiered-verifier contract (every tier's enclosure
   # contains sampled closed-loop trajectories; cheap unsafe-clearance and
   # goal-containment claims are never contradicted by the rigorous tier) plus
