@@ -18,6 +18,7 @@
 //! * [`rng`] — SplitMix64 entropy; cases are pure functions of their seed.
 //! * [`case`] — the packed `family | size | seed` case id and replay token.
 //! * [`families`] — the oracle families (one per subsystem under test).
+//! * [`reference`] — retired kernels the families hold rewrites to.
 //! * [`shrink`] — greedy size/seed minimization of findings.
 //! * [`corpus`] — the committed regression-seed corpus.
 //! * [`report`] — deterministic, timestamp-free JSON reports.
@@ -41,6 +42,7 @@
 pub mod case;
 pub mod corpus;
 pub mod families;
+pub mod reference;
 pub mod report;
 pub mod rng;
 pub mod shrink;

@@ -354,29 +354,42 @@ impl IntervalBox {
         out
     }
 
+    /// The coordinates of [`IntervalBox::grid`] along each axis:
+    /// `axes[d][j]` is coordinate `d` of every grid point with index `j` on
+    /// axis `d`. Walking the axes in mixed-radix order (last axis fastest)
+    /// visits exactly the points of `grid`, bit for bit, without
+    /// materializing them.
+    #[must_use]
+    pub fn grid_axes(&self, per_dim: usize) -> Vec<Vec<f64>> {
+        self.dims
+            .iter()
+            .map(|iv| {
+                (0..per_dim)
+                    .map(|j| {
+                        if per_dim == 1 {
+                            iv.mid()
+                        } else {
+                            // dwv-lint: allow(float-hygiene) -- sample-point heuristic, not a verified bound
+                            iv.lo() + iv.width() * j as f64 / (per_dim - 1) as f64
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// Samples a uniform grid of points, `per_dim` points along each axis
-    /// (endpoints included when `per_dim > 1`).
+    /// (endpoints included when `per_dim > 1`), last axis fastest.
     #[must_use]
     pub fn grid(&self, per_dim: usize) -> Vec<Vec<f64>> {
         assert!(per_dim > 0, "grid resolution must be positive");
         let n = self.dim();
         let total = per_dim.pow(n as u32);
+        let axes = self.grid_axes(per_dim);
         let mut out = Vec::with_capacity(total);
         let mut idx = vec![0usize; n];
         for _ in 0..total {
-            let p = self
-                .dims
-                .iter()
-                .enumerate()
-                .map(|(d, iv)| {
-                    if per_dim == 1 {
-                        iv.mid()
-                    } else {
-                        // dwv-lint: allow(float-hygiene) -- sample-point heuristic, not a verified bound
-                        iv.lo() + iv.width() * idx[d] as f64 / (per_dim - 1) as f64
-                    }
-                })
-                .collect();
+            let p = axes.iter().zip(&idx).map(|(axis, &j)| axis[j]).collect();
             out.push(p);
             for d in (0..n).rev() {
                 idx[d] += 1;

@@ -128,15 +128,35 @@ impl Layer {
     /// Panics if `x.len() != in_dim`.
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
-        let mut pre = self.bias.clone();
-        #[allow(clippy::needless_range_loop)]
-        for o in 0..self.out_dim {
-            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            pre[o] += kernels::dot_chunked(row, x);
-        }
+        let mut pre = Vec::with_capacity(self.out_dim);
+        self.pre_activations_into(x, &mut pre);
         let act = pre.iter().map(|&z| self.activation.apply(z)).collect();
         (act, pre)
+    }
+
+    /// Forward pass into a caller-owned buffer: `out` is cleared and
+    /// receives the activations, computed exactly as [`Layer::forward`]
+    /// computes them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != in_dim`.
+    pub(crate) fn forward_into(&self, x: &[f64], out: &mut Vec<f64>) {
+        self.pre_activations_into(x, out);
+        for z in out.iter_mut() {
+            *z = self.activation.apply(*z);
+        }
+    }
+
+    /// Clears `pre` and fills it with `bias[o] + dot(row_o, x)`: the one
+    /// copy of the layer's affine arithmetic.
+    fn pre_activations_into(&self, x: &[f64], pre: &mut Vec<f64>) {
+        assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
+        pre.clear();
+        pre.extend(self.bias.iter().enumerate().map(|(o, &b)| {
+            let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
+            b + kernels::dot_chunked(row, x)
+        }));
     }
 
     /// Interval forward pass: a directed-rounding enclosure of the layer's

@@ -30,6 +30,14 @@ pub struct Network {
     layers: Vec<Layer>,
 }
 
+/// Activation buffers for [`Network::forward_into`], double-buffered across
+/// layers.
+#[derive(Debug, Clone, Default)]
+pub struct ForwardScratch {
+    cur: Vec<f64>,
+    next: Vec<f64>,
+}
+
 impl Network {
     /// Creates a randomly initialized network with the given layer sizes
     /// (`sizes[0]` inputs through `sizes.last()` outputs), deterministic in
@@ -95,11 +103,26 @@ impl Network {
     /// Forward evaluation.
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut h = x.to_vec();
+        let mut scratch = ForwardScratch::default();
+        self.forward_into(x, &mut scratch);
+        scratch.cur
+    }
+
+    /// Forward evaluation through reusable buffers: bit-identical to
+    /// [`Network::forward`], allocation-free once `scratch` has grown to the
+    /// widest layer. For callers that evaluate one network at many points.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != in_dim()`.
+    pub fn forward_into<'s>(&self, x: &[f64], scratch: &'s mut ForwardScratch) -> &'s [f64] {
+        scratch.cur.clear();
+        scratch.cur.extend_from_slice(x);
         for layer in &self.layers {
-            h = layer.forward(&h).0;
+            layer.forward_into(&scratch.cur, &mut scratch.next);
+            std::mem::swap(&mut scratch.cur, &mut scratch.next);
         }
-        h
+        &scratch.cur
     }
 
     /// Interval forward evaluation: a directed-rounding enclosure of the
@@ -311,6 +334,35 @@ mod tests {
         theta.iter_mut().for_each(|v| *v *= 0.5);
         n.set_params(&theta);
         assert_eq!(n.params(), theta);
+    }
+
+    #[test]
+    fn forward_into_reuses_scratch_across_shapes() {
+        // One scratch shared by networks of different widths: stale buffer
+        // contents must never leak into a later evaluation.
+        let nets = [
+            net(),
+            Network::new(&[3, 9, 2], Activation::Tanh, Activation::Identity, 5),
+            Network::new(&[2, 1, 1], Activation::Sigmoid, Activation::Tanh, 8),
+        ];
+        let mut scratch = ForwardScratch::default();
+        for (i, n) in nets.iter().enumerate() {
+            let x: Vec<f64> = (0..n.in_dim())
+                .map(|j| 0.3 * (i + j) as f64 - 0.4)
+                .collect();
+            let mut h = x.clone();
+            for layer in n.layers() {
+                h = layer.forward(&h).0;
+            }
+            let got: Vec<u64> = n
+                .forward_into(&x, &mut scratch)
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            let want: Vec<u64> = h.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want);
+            assert_eq!(n.forward(&x), h);
+        }
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //!   abstracts a neural-network controller (paper §3.1).
 
 use crate::kernels;
+use crate::polynomial::for_each_combination;
 use crate::Polynomial;
 use dwv_interval::{Interval, IntervalBox};
 // dwv-lint: allow(determinism) -- content-keyed lookup-only cache; iteration order is never observed
@@ -44,39 +45,25 @@ pub fn basis_polynomial(d: u32, k: u32) -> Polynomial {
     p
 }
 
-/// The Bernstein sample nodes `(k_1/d_1, …, k_n/d_n)` of a box, in the same
-/// mixed-radix order as the coefficient tensor.
-#[must_use]
-pub fn nodes(degrees: &[u32], domain: &IntervalBox) -> Vec<Vec<f64>> {
-    assert_eq!(degrees.len(), domain.dim(), "degree/domain length mismatch");
-    let counts: Vec<usize> = degrees.iter().map(|&d| d as usize + 1).collect();
-    let total: usize = counts.iter().product();
-    let mut idx = vec![0usize; degrees.len()];
-    let mut out = Vec::with_capacity(total);
-    for _ in 0..total {
-        let p: Vec<f64> = idx
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| {
-                let iv = domain.interval(i);
-                if degrees[i] == 0 {
-                    iv.mid()
-                } else {
-                    // dwv-lint: allow(float-hygiene) -- sample-node placement; approximation error is bounded downstream
-                    iv.lo() + iv.width() * k as f64 / degrees[i] as f64
-                }
-            })
-            .collect();
-        out.push(p);
-        for d in (0..idx.len()).rev() {
-            idx[d] += 1;
-            if idx[d] < counts[d] {
-                break;
-            }
-            idx[d] = 0;
-        }
-    }
-    out
+/// The Bernstein node coordinates along each axis of a box: `axes[i][k]` is
+/// coordinate `i` of every node with index `k` on axis `i`.
+fn node_axes(degrees: &[u32], domain: &IntervalBox) -> Vec<Vec<f64>> {
+    degrees
+        .iter()
+        .zip(domain.intervals())
+        .map(|(&d, iv)| {
+            (0..=d)
+                .map(|k| {
+                    if d == 0 {
+                        iv.mid()
+                    } else {
+                        // dwv-lint: allow(float-hygiene) -- sample-node placement; approximation error is bounded downstream
+                        iv.lo() + iv.width() * f64::from(k) / f64::from(d)
+                    }
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Degree-`degrees` Bernstein approximation of `f` over `domain`, returned as
@@ -86,6 +73,15 @@ pub fn nodes(degrees: &[u32], domain: &IntervalBox) -> Vec<Vec<f64>> {
 /// with `t = (x − lo) / width`. The approximation error is `O(ω(f, 1/√d))`
 /// (modulus of continuity); the verifier layer bounds it conservatively by
 /// dense sampling plus a Lipschitz inflation.
+///
+/// The fit is accumulated in dense coefficient tensors, and every
+/// coefficient carries the bits of the sparse ring-operation formulation
+/// (`constant(f(node)) · Π lifted bases`, summed over nodes, then
+/// `affine_substitution`): each node contributes `((f·B₀)·B₁)·B₂…` in node
+/// order; the substitution multiplies each term by the power tables
+/// `compose` builds, in lexicographic term order; and zero factors and
+/// zero partial products are skipped, as the sparse products never store
+/// them. Exact zeros are dropped at the end.
 ///
 /// # Panics
 ///
@@ -98,59 +94,159 @@ where
 {
     assert_eq!(degrees.len(), domain.dim(), "degree/domain length mismatch");
     assert!(domain.is_finite(), "Bernstein domain must be bounded");
+    assert!(
+        domain.intervals().iter().all(|iv| iv.width() > 0.0),
+        "Bernstein domain must have positive widths"
+    );
     let n = domain.dim();
-    // Build the approximation in normalized coordinates t ∈ [0,1]^n first.
-    let mut acc = Polynomial::zero(n);
     let counts: Vec<usize> = degrees.iter().map(|&d| d as usize + 1).collect();
     let total: usize = counts.iter().product();
-    let mut idx = vec![0usize; n];
-    // Univariate bases per dimension, memoized process-wide.
-    let bases: Vec<_> = degrees
+    let stride = strides(&counts);
+    // Dense univariate tables per dimension, rows of length counts[dim]:
+    // basis[dim][k][e] is the t^e coefficient of B_{k,d}, pows[dim][e][j] the
+    // x^j coefficient of (a + b·x)^e.
+    let basis: Vec<Vec<f64>> = degrees.iter().map(|&d| dense_basis(d)).collect();
+    let pows: Vec<Vec<f64>> = degrees
         .iter()
-        .map(|&d| crate::tables::basis_polynomials(d))
-        .collect();
-    let node_list = nodes(degrees, domain);
-    for node in node_list.iter().take(total) {
-        let fv = f(node);
-        if fv != 0.0 {
-            // Tensor-product basis for this index.
-            let mut term = Polynomial::constant(n, fv);
-            for (dim, &k) in idx.iter().enumerate() {
-                // Lift the univariate basis in t_dim to n variables.
-                let uni = &bases[dim][k];
-                let mut lifted = Polynomial::zero(n);
-                for (exps, c) in uni.iter() {
-                    let mut e = vec![0u32; n];
-                    e[dim] = exps[0];
-                    lifted += Polynomial::monomial(n, e, c);
-                }
-                term = term * lifted;
-            }
-            acc += term;
-        }
-        for d in (0..n).rev() {
-            idx[d] += 1;
-            if idx[d] < counts[d] {
-                break;
-            }
-            idx[d] = 0;
-        }
-    }
-    // Substitute t_i = (x_i − lo_i) / w_i to express in original coordinates.
-    let a: Vec<f64> = (0..n)
-        .map(|i| {
-            let iv = domain.interval(i);
-            assert!(
-                iv.width() > 0.0,
-                "Bernstein domain must have positive widths"
-            );
+        .zip(domain.intervals())
+        .map(|(&d, iv)| {
             // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
-            -iv.lo() / iv.width()
+            substitution_powers(d, -iv.lo() / iv.width(), 1.0 / iv.width())
         })
         .collect();
-    // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
-    let b: Vec<f64> = (0..n).map(|i| 1.0 / domain.interval(i).width()).collect();
-    acc.affine_substitution(&a, &b)
+    let mut factors: Vec<Option<&[f64]>> = Vec::with_capacity(n);
+
+    // Σ_k f(node_k) Π_i B_{k_i}(t_i) in normalized coordinates t ∈ [0,1]^n:
+    // per axis, every node coordinate paired with its basis row.
+    let nodes: Vec<Vec<(f64, &[f64])>> = node_axes(degrees, domain)
+        .into_iter()
+        .zip(basis.iter().zip(&counts))
+        .map(|(axis, (table, &len))| axis.into_iter().zip(table.chunks_exact(len)).collect())
+        .collect();
+    let mut t_coeffs = vec![0.0f64; total];
+    let mut point = Vec::with_capacity(n);
+    for_each_combination(&nodes, &mut Vec::with_capacity(n), &mut |node| {
+        point.clear();
+        point.extend(node.iter().map(|&&(x, _)| x));
+        let fv = f(&point);
+        if fv != 0.0 {
+            factors.clear();
+            factors.extend(node.iter().map(|&&(_, row)| Some(row)));
+            scatter_products(&mut t_coeffs, fv, &factors, &stride);
+        }
+    });
+
+    // Substitute t_i = (x_i − lo_i) / w_i term by term, in lexicographic
+    // (row-major) term order: per axis, the power row of every exponent, and
+    // no multiplication at all for exponent 0.
+    let exps: Vec<Vec<Option<&[f64]>>> = pows
+        .iter()
+        .zip(&counts)
+        .map(|(table, &len)| {
+            table
+                .chunks_exact(len)
+                .enumerate()
+                .map(|(e, row)| (e > 0).then_some(row))
+                .collect()
+        })
+        .collect();
+    let mut x_coeffs = vec![0.0f64; total];
+    let mut terms = t_coeffs.iter();
+    for_each_combination(&exps, &mut Vec::with_capacity(n), &mut |term| {
+        if let Some(&c) = terms.next().filter(|&&c| c != 0.0) {
+            factors.clear();
+            factors.extend(term.iter().map(|&&row| row));
+            scatter_products(&mut x_coeffs, c, &factors, &stride);
+        }
+    });
+    Polynomial::from_dense(&counts, &x_coeffs)
+}
+
+/// The dense `[k][e]` coefficient table of the degree-`d` Bernstein basis
+/// (zero where the sparse basis polynomial stores no term).
+fn dense_basis(d: u32) -> Vec<f64> {
+    let len = d as usize + 1;
+    let mut table = vec![0.0f64; len * len];
+    let bases = crate::tables::basis_polynomials(d);
+    for (row, b) in table.chunks_exact_mut(len).zip(bases.iter()) {
+        for (exps, c) in b.iter() {
+            if let Some(cell) = exps.first().and_then(|&e| row.get_mut(e as usize)) {
+                *cell = c;
+            }
+        }
+    }
+    table
+}
+
+/// The dense `[e][j]` coefficient table of `(a + b·x)^e` for `e = 0..=d`,
+/// bit-identical to the sparse power table `compose` builds for the
+/// substitution `a + b·x`: row `e` is row `e − 1` times `a + b·x`, which
+/// adds at most two products per power and never forms a product with an
+/// absent (zero) factor.
+fn substitution_powers(d: u32, a: f64, b: f64) -> Vec<f64> {
+    let len = d as usize + 1;
+    let mut row: Vec<f64> = std::iter::once(1.0)
+        .chain(std::iter::repeat(0.0))
+        .take(len)
+        .collect();
+    let mut table = Vec::with_capacity(len * len);
+    table.extend_from_slice(&row);
+    for _ in 1..len {
+        row = std::iter::once(&0.0)
+            .chain(&row)
+            .zip(&row)
+            .map(|(&shifted, &same)| {
+                let mut v = 0.0;
+                if shifted != 0.0 && b != 0.0 {
+                    // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+                    v += shifted * b;
+                }
+                if same != 0.0 && a != 0.0 {
+                    // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+                    v += same * a;
+                }
+                v
+            })
+            .collect();
+        table.extend_from_slice(&row);
+    }
+    table
+}
+
+/// Adds `c · Π_dim factors[dim][e_dim]` into the tensor `acc` (row-major,
+/// strides `stride`) at every multi-index `e`, multiplying left to right
+/// over the dimensions. A `None` factor applies no multiplication (exponent
+/// 0). Zero factors and zero partial products are skipped: a sparse product
+/// never stores them.
+fn scatter_products(acc: &mut [f64], c: f64, factors: &[Option<&[f64]>], stride: &[usize]) {
+    let (Some((first, factors)), Some((&s, stride))) =
+        (factors.split_first(), stride.split_first())
+    else {
+        if let Some(cell) = acc.first_mut() {
+            // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+            *cell += c;
+        }
+        return;
+    };
+    let mut blocks = acc.chunks_exact_mut(s);
+    match first {
+        None => {
+            if let Some(block) = blocks.next() {
+                scatter_products(block, c, factors, stride);
+            }
+        }
+        Some(row) => {
+            for (&b, block) in row.iter().zip(blocks) {
+                if b != 0.0 {
+                    // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+                    let p = c * b;
+                    if p != 0.0 {
+                        scatter_products(block, p, factors, stride);
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Bernstein-form range enclosure of a polynomial over a box.
@@ -535,17 +631,5 @@ mod tests {
         let direct2 = range_enclosure(&p, &IntervalBox::new(dom2.to_vec()));
         assert_eq!(other.lo().to_bits(), direct2.lo().to_bits());
         assert_eq!(other.hi().to_bits(), direct2.hi().to_bits());
-    }
-
-    #[test]
-    fn nodes_count_and_membership() {
-        let dom = IntervalBox::from_bounds(&[(0.0, 1.0), (2.0, 4.0)]);
-        let ns = nodes(&[2, 3], &dom);
-        assert_eq!(ns.len(), 12);
-        for p in &ns {
-            assert!(dom.contains_point(p));
-        }
-        assert!(ns.contains(&vec![0.0, 2.0]));
-        assert!(ns.contains(&vec![1.0, 4.0]));
     }
 }

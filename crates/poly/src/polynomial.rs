@@ -368,6 +368,42 @@ impl Polynomial {
         }
     }
 
+    /// The polynomial whose coefficient of `x^e` is entry `e` of the dense
+    /// row-major tensor `coeffs` of shape `counts` (last variable fastest,
+    /// so tensor order is term order), exact zeros dropped. Packed when the
+    /// variable count and the total degree of the tensor's corner term fit
+    /// the packed key, as every product building such a polynomial then
+    /// stays packed.
+    pub(crate) fn from_dense(counts: &[usize], coeffs: &[f64]) -> Polynomial {
+        let nvars = counts.len();
+        let corner: usize = counts.iter().map(|&c| c.saturating_sub(1)).sum();
+        let packed = nvars <= PACK_VARS && corner <= PACK_MAX_EXP as usize;
+        let exps: Vec<Vec<u32>> = counts.iter().map(|&c| (0..c as u32).collect()).collect();
+        let mut coeffs = coeffs.iter();
+        let mut terms = PackedTerms::default();
+        let mut boxed = Vec::new();
+        for_each_combination(&exps, &mut Vec::with_capacity(nvars), &mut |e| {
+            let Some(&c) = coeffs.next().filter(|&&c| c != 0.0) else {
+                return;
+            };
+            if packed {
+                let key = e
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |k, (i, &&x)| k | (u64::from(x) << key_shift(i)));
+                terms.push(key, c);
+            } else {
+                boxed.push((e.iter().map(|&&x| x).collect(), c));
+            }
+        });
+        let repr = if packed {
+            Repr::Packed(terms)
+        } else {
+            Repr::Boxed(boxed)
+        };
+        Polynomial { nvars, repr }
+    }
+
     /// Converts the term list to boxed representation (fallback path).
     fn to_boxed_terms(&self) -> Vec<(Box<[u32]>, f64)> {
         match &self.repr {
@@ -515,6 +551,83 @@ impl Polynomial {
                 })
                 .sum(),
         }
+    }
+
+    /// Evaluates at every point of the tensor grid `axes[0] × axes[1] × …`,
+    /// in mixed-radix order (last axis fastest), passing each point's axis
+    /// indices and value to `visit`.
+    ///
+    /// Every value equals [`Polynomial::eval`] at the same point, bit for
+    /// bit: each term's power product is still accumulated over the
+    /// variables in ascending order and the terms are still summed in term
+    /// order, from the same starting value. Only the work is shared: powers
+    /// are tabulated once per axis coordinate, each term's partial products
+    /// over the outer axes are recomputed only when an outer index changes,
+    /// and the sums of one inner-axis row advance side by side.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `axes.len() != self.nvars()`.
+    pub fn eval_grid<F>(&self, axes: &[Vec<f64>], mut visit: F)
+    where
+        F: FnMut(&[usize], f64),
+    {
+        assert_eq!(axes.len(), self.nvars, "grid dimension mismatch");
+        if axes.iter().any(Vec::is_empty) {
+            return;
+        }
+        let mut idx = Vec::with_capacity(self.nvars);
+        let v = match &self.repr {
+            Repr::Packed(v) if self.nvars > 0 => v,
+            // Boxed terms and the one point of a 0-variable grid: plain
+            // evaluation.
+            _ => {
+                let points: Vec<Vec<(usize, f64)>> = axes
+                    .iter()
+                    .map(|axis| axis.iter().copied().enumerate().collect())
+                    .collect();
+                let mut x = Vec::with_capacity(self.nvars);
+                for_each_combination(&points, &mut Vec::with_capacity(self.nvars), &mut |p| {
+                    idx.clear();
+                    idx.extend(p.iter().map(|&&(j, _)| j));
+                    x.clear();
+                    x.extend(p.iter().map(|&&(_, xj)| xj));
+                    visit(&idx, self.eval(&x));
+                });
+                return;
+            }
+        };
+        // Per axis, the powers x^e (e = 0..=m, m the largest exponent of the
+        // variable, x^0 = 1 unused) of its coordinates: rows by coordinate
+        // on the outer axes, rows by exponent on the last one.
+        let last = self.nvars - 1;
+        let pows: Vec<(usize, Vec<f64>)> = axes
+            .iter()
+            .enumerate()
+            .map(|(d, axis)| {
+                let m = v.keys.iter().map(|&k| key_exp(k, d)).max().unwrap_or(0);
+                // dwv-lint: allow(float-hygiene) -- point evaluation, not an enclosure (interval callers use eval_interval)
+                let power = |x: f64, e: u32| if e == 0 { 1.0 } else { x.powi(e as i32) };
+                if d == last {
+                    let table = (0..=m).flat_map(|e| axis.iter().map(move |&x| power(x, e)));
+                    (axis.len(), table.collect())
+                } else {
+                    let table = axis.iter().flat_map(|&x| (0..=m).map(move |e| power(x, e)));
+                    (m as usize + 1, table.collect())
+                }
+            })
+            .collect();
+        // Per outer axis: every term's partial product up to that axis.
+        let mut partial = vec![Vec::with_capacity(v.len()); self.nvars - 1];
+        let mut row = Vec::new();
+        grid_walk(
+            (&v.keys, &v.coeffs),
+            &pows,
+            &mut partial,
+            &mut row,
+            &mut idx,
+            &mut visit,
+        );
     }
 
     /// Conservative interval enclosure of the range over the box `domain`.
@@ -1460,6 +1573,86 @@ impl Polynomial {
                 Some(acc)
             }
         }
+    }
+}
+
+/// Calls `visit` with one item of every list, for every combination, in
+/// mixed-radix order (the last list fastest). `picked` is scratch and must
+/// start empty.
+pub(crate) fn for_each_combination<'a, T>(
+    lists: &'a [Vec<T>],
+    picked: &mut Vec<&'a T>,
+    visit: &mut impl FnMut(&[&'a T]),
+) {
+    let Some((first, rest)) = lists.split_first() else {
+        visit(picked);
+        return;
+    };
+    for item in first {
+        picked.push(item);
+        for_each_combination(rest, picked, visit);
+        picked.pop();
+    }
+}
+
+/// The packed walk of [`Polynomial::eval_grid`] from the axis `idx.len()`
+/// on. `terms` pairs every term's key with its coefficient times its powers
+/// of the variables before that axis; `pows` and `partial` hold the power
+/// tables (row length, rows) and partial-product buffers of the remaining
+/// axes, `row` the sums of one last-axis row.
+fn grid_walk(
+    (keys, below): (&[u64], &[f64]),
+    pows: &[(usize, Vec<f64>)],
+    partial: &mut [Vec<f64>],
+    row: &mut Vec<f64>,
+    idx: &mut Vec<usize>,
+    visit: &mut impl FnMut(&[usize], f64),
+) {
+    let Some(((row_len, table), pows)) = pows.split_first() else {
+        return;
+    };
+    let d = idx.len();
+    let rows = table.chunks_exact(*row_len);
+    if let Some((products, partial)) = partial.split_first_mut() {
+        // An outer axis, one coordinate at a time: extend each term's
+        // product by its power of that coordinate.
+        for (j, powers) in rows.enumerate() {
+            products.clear();
+            products.extend(
+                below
+                    .iter()
+                    .zip(keys)
+                    .map(|(&m, &k)| match key_exp(k, d) as usize {
+                        0 => m,
+                        e => powers.get(e).map_or(m, |&p| m * p),
+                    }),
+            );
+            idx.push(j);
+            grid_walk((keys, products), pows, partial, row, idx, visit);
+            idx.pop();
+        }
+        return;
+    }
+    // The last axis: one pass over the terms advances the sums of the
+    // whole row side by side, each from `Iterator::sum`'s starting value.
+    row.clear();
+    row.resize(*row_len, std::iter::empty::<f64>().sum());
+    for (&m, &k) in below.iter().zip(keys) {
+        match key_exp(k, d) as usize {
+            // dwv-lint: allow(float-hygiene) -- point evaluation, not an enclosure (interval callers use eval_interval)
+            0 => row.iter_mut().for_each(|r| *r += m),
+            e => {
+                for (r, &p) in row.iter_mut().zip(rows.clone().nth(e).unwrap_or_default()) {
+                    // dwv-lint: allow(float-hygiene) -- point evaluation, not an enclosure (interval callers use eval_interval)
+                    *r += m * p;
+                }
+            }
+        }
+    }
+    for (j, &value) in row.iter().enumerate() {
+        idx.push(j);
+        visit(idx, value);
+        idx.pop();
     }
 }
 

@@ -281,3 +281,61 @@ proptest! {
         prop_assert!(err < 0.8 * scale, "err {err} too large (scale {scale})");
     }
 }
+
+/// A SplitMix64 word stream for the seed-driven generators.
+fn stream(seed: u64) -> impl FnMut() -> u64 {
+    let mut s = seed;
+    move || {
+        s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = s;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `eval_grid` visits every grid point once, in mixed-radix order, with
+    /// `eval`'s bits — over 0–4 packed variables and 9 boxed ones, signed
+    /// zeros, and coefficients and coordinates whose products underflow to
+    /// zero or overflow to infinity.
+    #[test]
+    fn eval_grid_matches_eval_bitwise(seed in 0u64..1_000_000) {
+        let mut next = stream(seed);
+        let nvars = [0, 1, 2, 3, 4, 9][(next() % 6) as usize];
+        let mag = [1.0, 1e-200, 1e200][(next() % 3) as usize];
+        let p = dwv_poly::arbitrary::polynomial(&mut next, nvars, 6, 12, mag);
+        let special = [0.0, -0.0, 1.0, -1.0, 1e-200, -3e-170, 1e150, 7.25];
+        let max_len = if nvars > 4 { 2 } else { 5 };
+        let axes: Vec<Vec<f64>> = (0..nvars)
+            .map(|_| {
+                let len = 1 + (next() % max_len) as usize;
+                (0..len)
+                    .map(|_| match next() % 3 {
+                        0 => special[(next() % 8) as usize],
+                        _ => dwv_interval::arbitrary::f64_in(next(), -3.0, 3.0),
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut visited: Vec<(Vec<usize>, u64)> = Vec::new();
+        p.eval_grid(&axes, |idx, v| visited.push((idx.to_vec(), v.to_bits())));
+        let mut expected = Vec::new();
+        let mut idx = vec![0usize; nvars];
+        'points: loop {
+            let point: Vec<f64> = idx.iter().zip(&axes).map(|(&j, axis)| axis[j]).collect();
+            expected.push((idx.clone(), p.eval(&point).to_bits()));
+            for d in (0..nvars).rev() {
+                idx[d] += 1;
+                if idx[d] < axes[d].len() {
+                    continue 'points;
+                }
+                idx[d] = 0;
+            }
+            break;
+        }
+        prop_assert_eq!(visited, expected);
+    }
+}

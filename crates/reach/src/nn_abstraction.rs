@@ -18,9 +18,10 @@
 use crate::error::ReachError;
 use dwv_dynamics::NnController;
 use dwv_interval::{Interval, IntervalBox};
-use dwv_nn::Activation;
+use dwv_nn::{Activation, ForwardScratch};
 use dwv_poly::Polynomial;
 use dwv_taylor::{TaylorModel, TmVector, TmWorkspace};
+use std::cell::RefCell;
 
 /// Sound magnitude bounds for the k-th derivative of tanh on ℝ, k = 0..=5
 /// (values slightly rounded up from the analytic extrema).
@@ -237,14 +238,8 @@ impl NnAbstraction for TaylorAbstraction {
         domain: &[Interval],
         ws: &mut TmWorkspace,
     ) -> Result<TmVector, ReachError> {
+        check_controller(controller, state)?;
         let net = controller.network();
-        if net.in_dim() != state.dim() {
-            return Err(ReachError::Unsupported(format!(
-                "network expects {} inputs, state enclosure has {}",
-                net.in_dim(),
-                state.dim()
-            )));
-        }
         let mut h: Vec<TaylorModel> = if net.layers().is_empty() {
             state.components().to_vec()
         } else {
@@ -315,6 +310,98 @@ impl BernsteinAbstraction {
             ..Self::default()
         }
     }
+
+    /// The fitting kernel for the state box with centre `centers` and radii
+    /// `radii`. For each network output it returns the Bernstein fit `g` of
+    /// `f(y) = s·κ(c + r·y)` on the unit box `y ∈ [−1, 1]ⁿ` and the largest
+    /// sampled error `max |f(p) − g(p)|` over the `samples_per_dim`ⁿ grid
+    /// of that box ([`IntervalBox::grid`]). Fitting in normalized
+    /// coordinates matters: over a tiny reach box, original coordinates
+    /// give power-basis coefficients of magnitude `(1/width)^degree` whose
+    /// cancellation destroys all precision.
+    ///
+    /// The network runs through one reused [`ForwardScratch`] and `g` through
+    /// [`Polynomial::eval_grid`], so no grid point allocates. Both evaluate
+    /// exactly as [`dwv_nn::Network::forward`] and [`Polynomial::eval`] do,
+    /// and a maximum does not depend on the order it visits points in.
+    ///
+    /// # Errors
+    ///
+    /// [`ReachError::Unsupported`] when the box does not match the network
+    /// input or `samples_per_dim` is 0.
+    pub fn fit(
+        &self,
+        controller: &NnController,
+        centers: &[f64],
+        radii: &[f64],
+    ) -> Result<Vec<(Polynomial, f64)>, ReachError> {
+        let net = controller.network();
+        let n = net.in_dim();
+        if centers.len() != n || radii.len() != n {
+            return Err(ReachError::Unsupported(format!(
+                "network expects {n} inputs, state box has {}",
+                centers.len()
+            )));
+        }
+        if self.samples_per_dim == 0 {
+            return Err(ReachError::Unsupported(
+                "Bernstein remainder grid needs samples_per_dim > 0".into(),
+            ));
+        }
+        let unit = IntervalBox::from_bounds(&vec![(-1.0, 1.0); n]);
+        let axes = unit.grid_axes(self.samples_per_dim);
+        let degrees = vec![self.degree; n];
+        let network = RefCell::new(Denormalized {
+            controller,
+            centers,
+            radii,
+            x: Vec::with_capacity(n),
+            scratch: ForwardScratch::default(),
+        });
+        let mut fits = Vec::with_capacity(net.out_dim());
+        for o in 0..net.out_dim() {
+            let g = dwv_poly::bernstein::approximate(
+                |y| network.borrow_mut().eval(y.iter().copied(), o),
+                &degrees,
+                &unit,
+            );
+            let mut err = 0.0f64;
+            let mut at_grid = network.borrow_mut();
+            g.eval_grid(&axes, |idx, gv| {
+                // dwv-lint: allow(panic-freedom#index) -- idx holds one in-range index per axis
+                let fv = at_grid.eval(idx.iter().zip(&axes).map(|(&j, axis)| axis[j]), o);
+                err = err.max((fv - gv).abs());
+            });
+            fits.push((g, err));
+        }
+        Ok(fits)
+    }
+}
+
+/// `y ↦ s·κ(c + r·y)`, evaluated through reusable buffers.
+struct Denormalized<'a> {
+    controller: &'a NnController,
+    centers: &'a [f64],
+    radii: &'a [f64],
+    x: Vec<f64>,
+    scratch: ForwardScratch,
+}
+
+impl Denormalized<'_> {
+    /// Output `o` at the unit-box point `y`.
+    fn eval(&mut self, y: impl Iterator<Item = f64>, o: usize) -> f64 {
+        self.x.clear();
+        self.x.extend(
+            y.zip(self.centers)
+                .zip(self.radii)
+                .map(|((v, &c), &r)| c + r * v),
+        );
+        let out = self
+            .controller
+            .network()
+            .forward_into(&self.x, &mut self.scratch);
+        out[o] * self.controller.output_scale() // dwv-lint: allow(panic-freedom#index) -- o ranges over the network's outputs
+    }
 }
 
 impl NnAbstraction for BernsteinAbstraction {
@@ -328,60 +415,78 @@ impl NnAbstraction for BernsteinAbstraction {
         state: &TmVector,
         domain: &[Interval],
     ) -> Result<TmVector, ReachError> {
-        let net = controller.network();
-        if net.in_dim() != state.dim() {
+        self.abstract_network_ws(controller, state, domain, &mut TmWorkspace::new())
+    }
+
+    fn abstract_network_ws(
+        &self,
+        controller: &NnController,
+        state: &TmVector,
+        domain: &[Interval],
+        ws: &mut TmWorkspace,
+    ) -> Result<TmVector, ReachError> {
+        check_controller(controller, state)?;
+        let bx = state.range_box(domain);
+        if !bx.is_finite() {
             return Err(ReachError::Unsupported(format!(
-                "network expects {} inputs, state enclosure has {}",
-                net.in_dim(),
-                state.dim()
+                "Bernstein abstraction needs a bounded state box, got {bx}"
             )));
         }
-        let bx = state.range_box(domain);
         // Guard against degenerate boxes (Bernstein needs positive widths).
         let bx = ensure_positive_widths(&bx);
         let n = bx.dim();
-        let scale = controller.output_scale();
-        // Fit in *normalized* coordinates y = (x − c)/r ∈ [−1, 1]ⁿ: fitting
-        // in original coordinates over a tiny reach box produces power-basis
-        // coefficients of magnitude (1/width)^degree whose cancellation
-        // destroys all precision.
         let centers: Vec<f64> = bx.center();
         let radii: Vec<f64> = bx.radii();
+        let fits = self.fit(controller, &centers, &radii)?;
         let unit = IntervalBox::from_bounds(&vec![(-1.0, 1.0); n]);
-        let denorm = |y: &[f64]| -> Vec<f64> {
-            y.iter()
-                .enumerate()
-                .map(|(i, &v)| centers[i] + radii[i] * v) // dwv-lint: allow(panic-freedom#index) -- i enumerates the state dimension
-                .collect()
-        };
         // Normalized state models y_i = (x_i − c_i)/r_i over the original
         // variables: the composition arguments.
         let y_models: Vec<TaylorModel> = state
             .components()
             .iter()
-            .enumerate()
-            .map(|(i, x)| x.add_constant(-centers[i]).scale(1.0 / radii[i])) // dwv-lint: allow(panic-freedom#index) -- i enumerates the state dimension
+            .zip(centers.iter().zip(&radii))
+            .map(|(x, (&c, &r))| x.add_constant(-c).scale(1.0 / r))
             .collect();
-        let lip_f = local_lipschitz_bound(net, &bx)
-            * scale.abs()
+        let lip_f = local_lipschitz_bound(controller.network(), &bx)
+            * controller.output_scale().abs()
             * radii.iter().fold(0.0f64, |m, &r| m.max(r));
-        let mut out = Vec::with_capacity(net.out_dim());
-        for o in 0..net.out_dim() {
-            let f = |y: &[f64]| net.forward(&denorm(y))[o] * scale; // dwv-lint: allow(panic-freedom#index) -- o ranges over net.out_dim()
-            let g = dwv_poly::bernstein::approximate(f, &vec![self.degree; n], &unit);
+        let grid_h = 2.0 / (self.samples_per_dim.max(2) - 1) as f64;
+        let mut out = Vec::with_capacity(fits.len());
+        for (g, sampled) in fits {
             // Sampled remainder + Lipschitz inflation over grid gaps.
-            let mut eps = 0.0f64;
-            for p in unit.grid(self.samples_per_dim) {
-                eps = eps.max((f(&p) - g.eval(&p)).abs());
-            }
-            let grid_h = 2.0 / (self.samples_per_dim.max(2) - 1) as f64;
+            let mut eps = sampled;
             let lip_g = gradient_bound(&g, &unit);
             eps += 0.5 * (lip_f + lip_g) * grid_h * (n as f64).sqrt();
             let g_tm = TaylorModel::new(g, Interval::symmetric(eps));
-            let composed = g_tm.compose(&y_models, self.compose_order, domain);
-            out.push(composed);
+            out.push(g_tm.compose_ws(&y_models, self.compose_order, domain, ws));
         }
         Ok(TmVector::new(out))
+    }
+}
+
+/// Rejects what neither abstraction can enclose: a state enclosure of the
+/// wrong dimension, and non-finite weights, biases or output scale (a NaN
+/// parameter has no interval image).
+fn check_controller(controller: &NnController, state: &TmVector) -> Result<(), ReachError> {
+    let net = controller.network();
+    if net.in_dim() != state.dim() {
+        return Err(ReachError::Unsupported(format!(
+            "network expects {} inputs, state enclosure has {}",
+            net.in_dim(),
+            state.dim()
+        )));
+    }
+    let finite = controller.output_scale().is_finite()
+        && net
+            .layers()
+            .iter()
+            .all(|l| l.weights().iter().chain(l.bias()).all(|w| w.is_finite()));
+    if finite {
+        Ok(())
+    } else {
+        Err(ReachError::Unsupported(
+            "network parameters and output scale must be finite".into(),
+        ))
     }
 }
 
@@ -610,6 +715,47 @@ mod tests {
         let state = TmVector::from_box(&IntervalBox::from_bounds(&[(0.0, 1.0)]));
         let res = TaylorAbstraction::default().abstract_network(&ctrl, &state, &unit_domain(1));
         assert!(matches!(res, Err(ReachError::Unsupported(_))));
+    }
+
+    #[test]
+    fn nan_weights_rejected() {
+        let mut net = Network::new(&[2, 6, 1], Activation::ReLU, Activation::Tanh, 3);
+        let mut theta = net.params();
+        theta[4] = f64::NAN;
+        net.set_params(&theta);
+        let ctrl = NnController::new(net);
+        let state = TmVector::from_box(&IntervalBox::from_bounds(&[(0.0, 0.1), (0.2, 0.3)]));
+        let dom = unit_domain(2);
+        let bern = BernsteinAbstraction::default().abstract_network(&ctrl, &state, &dom);
+        assert!(matches!(bern, Err(ReachError::Unsupported(_))), "{bern:?}");
+        let taylor = TaylorAbstraction::default().abstract_network(&ctrl, &state, &dom);
+        assert!(
+            matches!(taylor, Err(ReachError::Unsupported(_))),
+            "{taylor:?}"
+        );
+    }
+
+    #[test]
+    fn unbounded_state_box_rejected() {
+        let ctrl = small_net(5);
+        let state = TmVector::new(vec![
+            TaylorModel::from_interval(2, Interval::new(f64::NEG_INFINITY, 0.0)),
+            TaylorModel::from_interval(2, Interval::new(0.0, 1.0)),
+        ]);
+        let res = BernsteinAbstraction::default().abstract_network(&ctrl, &state, &unit_domain(2));
+        assert!(matches!(res, Err(ReachError::Unsupported(_))), "{res:?}");
+    }
+
+    #[test]
+    fn zero_samples_per_dim_rejected() {
+        let ctrl = small_net(7);
+        let state = TmVector::from_box(&IntervalBox::from_bounds(&[(0.0, 0.1), (0.2, 0.3)]));
+        let abs = BernsteinAbstraction {
+            samples_per_dim: 0,
+            ..BernsteinAbstraction::default()
+        };
+        let res = abs.abstract_network(&ctrl, &state, &unit_domain(2));
+        assert!(matches!(res, Err(ReachError::Unsupported(_))), "{res:?}");
     }
 
     #[test]

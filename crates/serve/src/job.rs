@@ -120,13 +120,7 @@ pub fn validate(spec: &JobSpec) -> Result<(), JobError> {
                     "VerifyLinear requires affine dynamics".into(),
                 ));
             }
-            if gains.len() != n_state * n_input {
-                return Err(JobError::Invalid(format!(
-                    "expected {} gains, got {}",
-                    n_state * n_input,
-                    gains.len()
-                )));
-            }
+            check_gains(gains, n_state * n_input)?;
             if *grid == 0 || *grid > 8 {
                 return Err(JobError::Invalid(format!("grid {grid} out of 1..=8")));
             }
@@ -137,13 +131,7 @@ pub fn validate(spec: &JobSpec) -> Result<(), JobError> {
                     "AssessLinear requires affine dynamics".into(),
                 ));
             }
-            if gains.len() != n_state * n_input {
-                return Err(JobError::Invalid(format!(
-                    "expected {} gains, got {}",
-                    n_state * n_input,
-                    gains.len()
-                )));
-            }
+            check_gains(gains, n_state * n_input)?;
         }
         JobKind::LearnLinear { max_updates, .. } => {
             if problem.dynamics.linear_parts().is_none() {
@@ -163,8 +151,10 @@ pub fn validate(spec: &JobSpec) -> Result<(), JobError> {
             order,
             params,
         } => {
-            if *output_scale <= 0.0 || output_scale.is_nan() {
-                return Err(JobError::Invalid("output_scale must be > 0".into()));
+            if !(output_scale.is_finite() && *output_scale > 0.0) {
+                return Err(JobError::Invalid(
+                    "output_scale must be finite and > 0".into(),
+                ));
             }
             if *order == 0 || *order > 6 {
                 return Err(JobError::Invalid(format!("order {order} out of 1..=6")));
@@ -180,9 +170,29 @@ pub fn validate(spec: &JobSpec) -> Result<(), JobError> {
                     params.len()
                 )));
             }
+            check_finite("NN params", params)?;
         }
     }
     Ok(())
+}
+
+fn check_gains(gains: &[f64], expected: usize) -> Result<(), JobError> {
+    if gains.len() != expected {
+        return Err(JobError::Invalid(format!(
+            "expected {expected} gains, got {}",
+            gains.len()
+        )));
+    }
+    check_finite("gains", gains)
+}
+
+fn check_finite(what: &str, values: &[f64]) -> Result<(), JobError> {
+    match values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
+        Some((i, v)) => Err(JobError::Invalid(format!(
+            "{what}[{i}] = {v} is not finite"
+        ))),
+        None => Ok(()),
+    }
 }
 
 fn nn_sizes(problem: &ReachAvoidProblem, hidden: &[u32]) -> Vec<usize> {

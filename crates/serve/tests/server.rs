@@ -5,7 +5,8 @@
 use dwv_core::parallel::{CancelToken, WorkerPool};
 use dwv_reach::ReachCache;
 use dwv_serve::{
-    run_job, Client, Frame, JobKind, JobSpec, JobState, ProblemId, RejectCode, ServeConfig, Server,
+    run_job, Client, Frame, JobError, JobKind, JobSpec, JobState, ProblemId, RejectCode,
+    ServeConfig, Server,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -176,6 +177,57 @@ fn invalid_specs_are_rejected_at_admission() {
         );
     }
     server.shutdown();
+}
+
+#[test]
+fn non_finite_numbers_are_invalid_not_panics() {
+    // Each spec is well-formed except for one non-finite number, which would
+    // otherwise reach the verifier (and, for NN parameters, panic inside it).
+    let mut nn_params = vec![0.1; 33];
+    nn_params[5] = f64::NAN;
+    let specs = [
+        JobSpec {
+            problem: ProblemId::VanDerPol,
+            kind: JobKind::AssessNn {
+                hidden: vec![8],
+                output_scale: 1.0,
+                order: 2,
+                params: nn_params,
+            },
+        },
+        JobSpec {
+            problem: ProblemId::VanDerPol,
+            kind: JobKind::AssessNn {
+                hidden: vec![8],
+                output_scale: f64::INFINITY,
+                order: 2,
+                params: vec![0.1; 33],
+            },
+        },
+        JobSpec {
+            problem: ProblemId::Acc,
+            kind: JobKind::VerifyLinear {
+                gains: vec![0.5867, f64::NEG_INFINITY],
+                grid: 1,
+                samples: 1,
+            },
+        },
+        JobSpec {
+            problem: ProblemId::Acc,
+            kind: JobKind::AssessLinear {
+                gains: vec![f64::NAN, -2.0],
+            },
+        },
+    ];
+    let pool = WorkerPool::new(1);
+    let cache = ReachCache::new();
+    for (i, spec) in specs.iter().enumerate() {
+        let out = run_job(spec, 1, &pool, &cache, &CancelToken::new());
+        assert!(
+            matches!(out, Err(JobError::Invalid(_))),
+            "spec {i}: {out:?}"
+        );
+    }
 }
 
 #[test]

@@ -84,6 +84,10 @@ if [[ "${1:-}" == "--all" ]]; then
   # Wasserstein evaluation against the full one, and non-finite cost
   # matrices (see families/wasserstein).
   run cargo run --release --offline -p dwv-check -- --family wasserstein --seed 0xD3C0DE --budget-cases 3000
+  # ReachNN kernel gate: NN abstraction enclosures on 1–4-input networks,
+  # and BernsteinAbstraction::fit bit for bit against the retired sparse fit
+  # and remainder loop (see families/nn and check::reference).
+  run cargo run --release --offline -p dwv-check -- --family nn --seed 0xD3C0DE --budget-cases 3000
   # Portfolio gate: the tiered-verifier contract (every tier's enclosure
   # contains sampled closed-loop trajectories; cheap unsafe-clearance and
   # goal-containment claims are never contradicted by the rigorous tier) plus

@@ -187,3 +187,48 @@ proptest! {
         prop_assert!(d1 <= p.distance(a) + 1e-9);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The dense Bernstein fit carries the bits of the retired sparse
+    /// formulation (`check::reference::approximate`) on non-unit boxes, for
+    /// smooth functions, piecewise functions with exact zeros at nodes, and
+    /// tiny magnitudes whose partial products underflow.
+    #[test]
+    fn bernstein_fit_matches_reference(
+        shape in 0u32..4,
+        d0 in 0u32..4,
+        d1 in 0u32..4,
+        d2 in 0u32..3,
+        lo in -40.0..40.0f64,
+        width_exp in -6i32..4,
+        kind in 0u32..4,
+        a in -3.0..3.0f64,
+        b in -3.0..3.0f64,
+    ) {
+        use design_while_verify::check::reference;
+        use design_while_verify::poly::bernstein;
+        let n = 1 + (shape as usize) % 3;
+        let degrees = &[d0, d1, d2][..n];
+        let w = 10f64.powi(width_exp);
+        let bounds: Vec<(f64, f64)> =
+            (0..n).map(|i| (lo + i as f64, lo + i as f64 + w * (1.0 + i as f64))).collect();
+        let bx = IntervalBox::from_bounds(&bounds);
+        let f = |x: &[f64]| {
+            let s: f64 = x.iter().enumerate().map(|(i, v)| v * (a + i as f64 * b)).sum();
+            match kind {
+                0 => (s * 0.01).tanh() + a,
+                1 => (s - lo * a).max(0.0),
+                2 => 1e-300 * (s * b).sin(),
+                _ => s * s - b,
+            }
+        };
+        let dense = bernstein::approximate(f, degrees, &bx);
+        let retired = reference::approximate(f, degrees, &bx);
+        prop_assert!(
+            dense.bits_eq(&retired),
+            "dense fit {dense} differs from the reference {retired}"
+        );
+    }
+}
