@@ -27,8 +27,8 @@
 
 use dwv_core::parallel::WorkerPool;
 use dwv_core::{
-    Algorithm1, Algorithm2, GradientEstimator, LearnConfig, MetricKind, PortfolioMode,
-    SearchStrategy,
+    Algorithm1, Algorithm2, GradientEstimator, LearnConfig, LearnOutcome, MetricKind,
+    PortfolioMode, SearchStrategy,
 };
 use dwv_dynamics::{acc, oscillator, LinearController, NnController};
 use dwv_interval::IntervalBox;
@@ -125,10 +125,9 @@ fn bench_flow_step() -> f64 {
 fn bench_acc_algorithm1_iteration() -> f64 {
     // One update iteration of Algorithm 1 on ACC from a fixed (non-verifying)
     // start: initial evaluation + coordinate-difference gradient (2·dim
-    // verifier calls) + candidate evaluation + final judgement. Runs with
-    // the reach-result memo cache attached (as the optimized loop does); the
-    // cache is fresh per timed call, so only genuine within-run repeats —
-    // the next iteration's re-evaluation and the final judgement — hit.
+    // verifier calls) + candidate evaluation + final judgement. The learner
+    // answers the next iteration's re-evaluation and the final judgement
+    // from the previous iteration, as every `learn_linear` run does.
     let config = LearnConfig::builder()
         .metric(MetricKind::Geometric)
         .estimator(GradientEstimator::Coordinate)
@@ -137,8 +136,7 @@ fn bench_acc_algorithm1_iteration() -> f64 {
         .build();
     let init = LinearController::new(2, 1, vec![0.2, -0.5]);
     median_time(5, 3, || {
-        let alg = Algorithm1::new(acc::reach_avoid_problem(), config.clone())
-            .with_cache(std::sync::Arc::new(dwv_reach::ReachCache::new()));
+        let alg = Algorithm1::new(acc::reach_avoid_problem(), config.clone());
         alg.learn_linear_from(init.clone()).expect("affine problem")
     })
 }
@@ -444,30 +442,32 @@ fn check_mode() -> i32 {
     0
 }
 
-/// One short ACC learning run with the reach-result memo attached — the
-/// workload behind both untimed reporting passes below.
-fn acc_learn_with_cache() -> std::sync::Arc<dwv_reach::ReachCache> {
+/// One short ACC learning run — the workload behind both untimed
+/// reporting passes below.
+fn acc_learn() -> LearnOutcome<LinearController> {
     let config = LearnConfig::builder()
         .metric(MetricKind::Geometric)
         .estimator(GradientEstimator::Coordinate)
         .max_updates(3)
         .seed(7)
         .build();
-    let cache = std::sync::Arc::new(dwv_reach::ReachCache::new());
-    let alg = Algorithm1::new(acc::reach_avoid_problem(), config)
-        .with_cache(std::sync::Arc::clone(&cache));
+    let alg = Algorithm1::new(acc::reach_avoid_problem(), config);
     black_box(
         alg.learn_linear_from(LinearController::new(2, 1, vec![0.2, -0.5]))
             .expect("affine problem"),
-    );
-    cache
+    )
 }
 
-/// Cache hit/miss/eviction counters from real (untimed) runs. These use
-/// the caches' intrinsic counters, so the numbers are available — and
-/// reported — even with tracing disabled.
+/// Reuse and cache counters from real (untimed) runs. They come from the
+/// learning trace and the caches' intrinsic counters, so the numbers are
+/// available — and reported — even with tracing disabled.
 fn cache_stats_section() -> String {
-    let reach = acc_learn_with_cache().stats();
+    // Queries of the learning loop, and those answered from the previous
+    // iteration (the final judgement, also answered so, is outside the
+    // trace).
+    let records = acc_learn().trace;
+    let queries = records.total_verifier_calls();
+    let reused: usize = records.records().iter().map(|r| r.cache_hits).sum();
     // The Bernstein range memo under the Picard access pattern: one
     // workspace threaded through repeated flow steps of the same problem.
     let rhs = vdp_rhs();
@@ -484,11 +484,8 @@ fn cache_stats_section() -> String {
     let range = ws.bern.stats();
     let mut out = String::from("  \"cache_stats\": {\n");
     out.push_str(&format!(
-        "    \"reach_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.3}}},\n",
-        reach.hits,
-        reach.misses,
-        reach.evictions,
-        reach.hit_rate(),
+        "    \"learning_reuse\": {{\"queries\": {queries}, \"reused\": {reused}, \"reuse_rate\": {:.3}}},\n",
+        reused as f64 / queries.max(1) as f64,
     ));
     out.push_str(&format!(
         "    \"range_cache\": {{\"hits\": {}, \"misses\": {}, \"evictions\": {}, \"hit_rate\": {:.3}}}\n",
@@ -603,7 +600,7 @@ fn verifier_calls_section() -> String {
 fn metrics_section() -> String {
     dwv_obs::reset();
     dwv_obs::set_enabled(true);
-    let _ = acc_learn_with_cache();
+    let _ = acc_learn();
     dwv_obs::set_enabled(false);
     format!("  \"metrics\": {}", dwv_obs::snapshot().to_json())
 }

@@ -19,8 +19,10 @@ pub struct IterationRecord {
     pub elapsed: Duration,
     /// Number of verifier invocations made this iteration.
     pub verifier_calls: usize,
-    /// Verifier invocations answered by the [`dwv_reach::ReachCache`] this
-    /// iteration (0 when no cache is attached).
+    /// Queries of this iteration answered from the previous iteration
+    /// instead of the verifier (counted in `verifier_calls` too). Only
+    /// [`crate::Algorithm1::learn_reusing`], which `learn_linear` and
+    /// `learn_nn` run without a portfolio, reuses answers; 0 otherwise.
     pub cache_hits: usize,
     /// Width of the widest component of the final reach-set enclosure of
     /// this iteration's flowpipe ([`dwv_reach::Flowpipe::final_width`]) —

@@ -135,6 +135,12 @@ if [[ "${1:-}" == "--all" ]]; then
     exit 1
   fi
   rm -f "$serve_addr_file" "$serve_log"
+  # End-to-end benchmark harness: unit tests plus a smoke run of every
+  # workload, traced. The traced replica of each learning job sends every
+  # query to the verifier (`learn_with_restarts`) while the porcelain
+  # reuses the previous iteration's answers, so its byte check against the
+  # porcelain is a per-job reuse-vs-no-reuse differential.
+  run cargo test --release --offline --manifest-path bench_e2e/Cargo.toml
   # Overflow gate: the soundness-critical kernels must be free of silent
   # integer wraparound (exponent packing, tensor offsets, binomial tables).
   echo '==> RUSTFLAGS="-C overflow-checks=on" cargo test -q --offline -p dwv-interval -p dwv-taylor'

@@ -72,6 +72,36 @@ fn learning_is_bit_identical_with_tracing_on() {
     assert_eq!(off.2, on.2, "iteration count changed under tracing");
 }
 
+#[test]
+fn oracle_calls_plus_reused_answers_count_every_query() {
+    let _g = obs_lock();
+    obs::shutdown();
+    obs::reset();
+    obs::init_jsonl_writer(Box::new(NullSink));
+    let config = LearnConfig::builder()
+        .metric(MetricKind::Geometric)
+        .max_updates(40)
+        .seed(7)
+        .build();
+    let outcome = Algorithm1::new(acc::reach_avoid_problem(), config)
+        .learn_linear()
+        .expect("ACC is affine");
+    obs::shutdown();
+
+    // Every query is either sent to the verifier or answered from the
+    // previous iteration: the loop's queries plus the final judgement.
+    let snap = obs::snapshot();
+    let oracle = snap.counter("alg1.verifier_calls").unwrap_or(0);
+    let reused = snap.counter("alg1.reused").unwrap_or(0);
+    let queries = outcome.trace.total_verifier_calls() as u64 + 1;
+    assert_eq!(oracle + reused, queries);
+    // The trace counts the loop's reused answers; the final judgement is
+    // the last one.
+    let in_loop: usize = outcome.trace.records().iter().map(|r| r.cache_hits).sum();
+    assert_eq!(reused, in_loop as u64 + 1);
+    assert!(in_loop > 0, "no query was reused");
+}
+
 fn taylor_flowpipe(scale: f64) -> Result<Flowpipe, design_while_verify::reach::ReachError> {
     let problem = oscillator::reach_avoid_problem();
     let net = Network::new(&[2, 8, 1], Activation::Tanh, Activation::Tanh, 3);
