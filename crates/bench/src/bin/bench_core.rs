@@ -201,17 +201,14 @@ fn bench_bernstein_range() -> f64 {
 }
 
 fn bench_lint_workspace() -> f64 {
-    // One full interprocedural lint of this workspace on the default pool —
-    // the unit cost of the CI lint gate. Sources are read once outside the
-    // timer so only lex/parse/analyze/assemble is measured.
+    // One full interprocedural lint of this workspace — the unit cost of
+    // the CI lint gate. Sources are read once outside the timer so only
+    // lex/parse/analyze/assemble is measured.
     let root =
         dwv_lint::walk::find_workspace_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")));
     let sources = dwv_lint::read_workspace(&root).expect("read workspace sources");
     let zones = dwv_lint::ZoneConfig::default();
-    let opts = dwv_lint::EngineOptions::default();
-    median_time(5, 1, move || {
-        dwv_lint::lint_sources(&sources, &zones, &opts)
-    })
+    median_time(5, 1, move || dwv_lint::lint_sources(&sources, &zones))
 }
 
 fn bench_serve_roundtrip() -> f64 {

@@ -3,7 +3,7 @@
 //! Random miniature workspaces — a call DAG of generated functions with
 //! known panic seeds, raw-float helpers, and float-zone consumers — are
 //! rendered as Rust source and pushed through the full interprocedural
-//! `dwv-lint` engine. Three oracles:
+//! `dwv-lint` engine. Two oracles:
 //!
 //! 1. **Ground-truth spans** — the generator knows exactly which
 //!    `(rule, sub-rule, file, line)` tuples the engine must report: the
@@ -13,14 +13,11 @@
 //!    helpers. The reported findings must match the set exactly.
 //! 2. **Input-order determinism** — feeding the same sources in reversed
 //!    order must produce a byte-identical JSON report.
-//! 3. **Serial/parallel bit-identity** — the engine's parallel phases at
-//!    pool widths 2, 4 and 8 must reproduce the serial report
-//!    byte-for-byte.
 
 use super::{case_rng, CaseOutcome, Family};
-use dwv_lint::{lint_sources, EngineOptions, Rule, ZoneConfig};
+use dwv_lint::{lint_sources, Rule, ZoneConfig};
 
-/// Interprocedural lint engine vs generator ground truth and pool-width
+/// Interprocedural lint engine vs generator ground truth and input-order
 /// bit-identity.
 pub struct LintcheckFamily;
 
@@ -199,18 +196,14 @@ impl Family for LintcheckFamily {
     }
 
     fn oracle(&self) -> &'static str {
-        "generator ground-truth spans + input-order and pool-width report bit-identity"
+        "generator ground-truth spans + input-order report bit-identity"
     }
 
     fn check(&self, seed: u64, size: u8) -> CaseOutcome {
         let mut rng = case_rng(self.id(), seed);
         let plan = gen_plan(&mut rng, size);
         let zones = ZoneConfig::default();
-        let serial_opts = EngineOptions {
-            serial: true,
-            ..EngineOptions::default()
-        };
-        let report = lint_sources(&plan.sources, &zones, &serial_opts);
+        let report = lint_sources(&plan.sources, &zones);
 
         // Oracle 1: exact finding tuples against the generator's ground truth.
         let mut got: Vec<(String, u32, &'static str, Option<&'static str>)> = report
@@ -244,27 +237,11 @@ impl Family for LintcheckFamily {
         let baseline = report.to_json(Rule::all());
         let mut reversed = plan.sources.clone();
         reversed.reverse();
-        let rev_json = lint_sources(&reversed, &zones, &serial_opts).to_json(Rule::all());
+        let rev_json = lint_sources(&reversed, &zones).to_json(Rule::all());
         if rev_json != baseline {
             return CaseOutcome::Violation(
                 "report differs under reversed source order".to_string(),
             );
-        }
-
-        // Oracle 3: the parallel phases are bit-identical to serial. Width
-        // 2 on every case; the full 4/8 matrix on the larger ramps.
-        let widths: &[usize] = if size >= 3 { &[2, 4, 8] } else { &[2] };
-        for &w in widths {
-            let par_opts = EngineOptions {
-                threads: Some(w),
-                ..EngineOptions::default()
-            };
-            let par_json = lint_sources(&plan.sources, &zones, &par_opts).to_json(Rule::all());
-            if par_json != baseline {
-                return CaseOutcome::Violation(format!(
-                    "parallel report differs from serial at width {w}"
-                ));
-            }
         }
         CaseOutcome::Pass
     }

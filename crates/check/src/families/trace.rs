@@ -3,27 +3,21 @@
 //! Random multi-threaded span forests (nested spans per thread, worker
 //! fan-outs across threads, occasional malformed records, a final
 //! portfolio counter snapshot) are rendered as the exact JSONL stream
-//! `dwv-obs` emits and pushed through the `dwv-trace` analyzer. Three
+//! `dwv-obs` emits and pushed through the `dwv-trace` analyzer. Two
 //! oracles:
 //!
 //! 1. **Reference tree builder** — the indexed [`SpanForest`] builder
 //!    must agree with the naive O(n²) scan on every input, including
 //!    malformed ones (orphans, duplicate ids).
-//! 2. **Pool-width bit-identity** — the rendered analysis report must be
-//!    byte-identical between the serial parser and
-//!    [`parse_trace_pooled`] at worker-pool widths 2, 4 and 8.
-//! 3. **Bill round-trip & nesting** — the tier bill recovered from the
+//! 2. **Bill round-trip & nesting** — the tier bill recovered from the
 //!    trace must equal the counters injected into the snapshot, and
 //!    well-formed cases must pass the strict [`validate_nesting`] gate.
 
 use super::{case_rng, CaseOutcome, Family};
 use crate::rng::CheckRng;
-use dwv_trace::{
-    analyze, parse_trace, parse_trace_pooled, render_report, validate_nesting, SpanForest,
-    SpanRecord, NESTING_SLACK_US,
-};
+use dwv_trace::{analyze, parse_trace, validate_nesting, SpanForest, SpanRecord, NESTING_SLACK_US};
 
-/// Trace analyzer vs naive tree builder and serial/pooled bit-identity.
+/// Trace analyzer vs naive tree builder, bill round-trip and strict nesting.
 pub struct TraceFamily;
 
 /// The instrumentation-site name pool (repeats on purpose, so the
@@ -101,7 +95,7 @@ impl Family for TraceFamily {
     }
 
     fn oracle(&self) -> &'static str {
-        "naive O(n^2) tree builder + serial/pooled report bit-identity"
+        "naive O(n^2) tree builder + tier-bill round-trip and strict nesting"
     }
 
     fn check(&self, seed: u64, size: u8) -> CaseOutcome {
@@ -183,29 +177,8 @@ impl Family for TraceFamily {
             ));
         }
 
-        // --- 2. serial vs pooled report bit-identity --------------------
+        // --- 2. bill round-trip and strict nesting on clean cases -------
         let analysis = analyze(&data);
-        let serial_report = render_report(&analysis);
-        for width in [2usize, 4, 8] {
-            let pool = dwv_core::WorkerPool::new(width).force_parallel();
-            let pooled = match parse_trace_pooled(&text, &pool) {
-                Ok(d) => d,
-                Err(e) => {
-                    return CaseOutcome::Violation(format!(
-                        "pooled parse (width {width}) failed on a serially-parseable trace: {e}"
-                    ));
-                }
-            };
-            let pooled_report = render_report(&analyze(&pooled));
-            if pooled_report != serial_report {
-                return CaseOutcome::Violation(format!(
-                    "report differs at pool width {width}:\n--- serial ---\n{serial_report}\
-                     --- width {width} ---\n{pooled_report}"
-                ));
-            }
-        }
-
-        // --- 3. bill round-trip and strict nesting on clean cases -------
         if analysis.bill != bill {
             return CaseOutcome::Violation(format!(
                 "tier bill {:?} does not round-trip the injected counters {bill:?}",

@@ -111,8 +111,9 @@ impl Default for ZoneConfig {
             // Result-bearing parallel/caching code: the bit-identity contract
             // (serial vs parallel, cached vs fresh) forbids iteration-order,
             // wall-clock, and thread-identity dependence. The trace analyzer
-            // joins the zone: its reports must be byte-identical at every
-            // worker-pool width, so its aggregation must be order-stable.
+            // joins the zone: the same trace must give the same report bytes
+            // on every run, so its aggregation must be order-stable
+            // (`BTreeMap`, never `HashMap`).
             determinism_zone_files: v(&[
                 "crates/core/src/parallel.rs",
                 "crates/reach/src/cache.rs",

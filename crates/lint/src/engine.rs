@@ -1,128 +1,61 @@
-//! The two-phase parallel lint engine.
+//! The interprocedural lint engine: one serial pass over the workspace.
 //!
-//! Phase 0 lexes and parses every file in parallel on a
-//! [`dwv_core::parallel::WorkerPool`]; the signature index is then built
-//! serially in sorted file order. Phase 1 runs the per-file rule passes in
-//! parallel, producing one [`FileFacts`] per file (optionally served from
-//! a content-hash cache). Phase 2 is serial: the call graph, the
-//! panic-reachability and float-taint passes, unused-annotation
-//! detection, and the audit roll-up.
+//! Every file is lexed and parsed in sorted path order; the signature index
+//! is built over all of them, then each file's rule passes produce one
+//! [`FileFacts`]. The second half is the call graph, the
+//! panic-reachability and float-taint passes, unused-annotation detection,
+//! and the audit roll-up.
 //!
-//! Determinism contract: every merge is keyed by the sorted file index and
-//! every aggregate is re-sorted before the report is assembled, so the
-//! report is **byte-identical** at any thread count — `ci.sh` diffs a
-//! parallel run against `--serial` to enforce this.
+//! Determinism contract: files are processed in sorted path order and every
+//! aggregate is re-sorted before the report is assembled, so the report is
+//! byte-identical whatever order the sources arrive in.
 
 use crate::callgraph::{self, CallGraph};
-use crate::config::{FileClass, ZoneConfig};
-use crate::report::{Audit, Finding, Report, Rule, Suppression};
-use crate::rules::{self, AllowFact, CallFact, FileFacts, FnFact, Seed, SigIndex};
+use crate::config::ZoneConfig;
+use crate::report::{Audit, Finding, Report, Rule};
+use crate::rules::{self, FileFacts, SigIndex};
 use crate::{lexer, parser, walk};
-use dwv_core::parallel::WorkerPool;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Suppression count recorded when the interprocedural engine landed: the
 /// debt-paydown baseline every report is measured against.
 pub const SUPPRESSION_BASELINE: usize = 376;
 
-/// Bump to invalidate every cached [`FileFacts`] after a rule change.
-const CACHE_VERSION: u32 = 1;
-
-/// Engine configuration (CLI flags map onto this).
-#[derive(Debug, Clone, Default)]
-pub struct EngineOptions {
-    /// Worker threads for the parallel phases (`None`: machine default).
-    pub threads: Option<usize>,
-    /// Run every phase serially on the calling thread.
-    pub serial: bool,
-    /// Directory for the content-hash facts cache (`None`: no cache).
-    pub cache_dir: Option<PathBuf>,
-}
-
-impl EngineOptions {
-    fn pool(&self) -> Option<WorkerPool> {
-        if self.serial {
-            return None;
-        }
-        Some(match self.threads {
-            Some(n) => WorkerPool::new(n),
-            None => WorkerPool::with_default_threads(),
-        })
-    }
-}
-
-/// Maps `f` over `items` — on the pool when one is configured, serially
-/// otherwise. Results are in item order either way.
-fn run_map<T: Sync, R: Send>(
-    pool: Option<&WorkerPool>,
-    items: &[T],
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    match pool {
-        Some(p) => p.map(items, f),
-        None => items.iter().map(f).collect(),
-    }
-}
-
 /// Lints a set of in-memory sources (`(rel_path, contents)` pairs) and
 /// assembles the full interprocedural report. The workspace CLI, the
 /// fixture tests, and the `lintcheck` family all funnel through here.
 #[must_use]
-pub fn lint_sources(
-    sources: &[(String, String)],
-    zones: &ZoneConfig,
-    opts: &EngineOptions,
-) -> Report {
-    let mut order: Vec<usize> = (0..sources.len()).collect();
-    order.sort_by(|a, b| sources[*a].0.cmp(&sources[*b].0));
-    let sorted: Vec<(String, String)> = order
-        .into_iter()
-        .map(|i| (sources[i].0.clone(), sources[i].1.clone()))
-        .collect();
-    let pool = opts.pool();
+pub fn lint_sources(sources: &[(String, String)], zones: &ZoneConfig) -> Report {
+    assemble(file_facts(sources, zones), zones)
+}
 
-    // Phase 0: lex + parse in parallel.
-    let lexed_parsed: Vec<(lexer::Lexed, parser::Parsed)> =
-        run_map(pool.as_ref(), &sorted, |(_, src)| {
+/// The per-file half of the engine: lexes and parses every source in sorted
+/// path order, builds the signature index over all of them (conflicting
+/// signatures collapse to Unknown), then runs each file's rule passes.
+fn file_facts(sources: &[(String, String)], zones: &ZoneConfig) -> Vec<FileFacts> {
+    let mut sorted: Vec<&(String, String)> = sources.iter().collect();
+    sorted.sort_by(|a, b| a.0.cmp(&b.0));
+    let lexed_parsed: Vec<(lexer::Lexed, parser::Parsed)> = sorted
+        .iter()
+        .map(|(_, src)| {
             let l = lexer::lex(src);
             let p = parser::parse(&l);
             (l, p)
-        });
-
-    // Signature index: serial, in sorted file order (order-insensitive by
-    // construction — conflicting signatures collapse to Unknown).
+        })
+        .collect();
     let sigs = SigIndex::build(lexed_parsed.iter().map(|(_, p)| p), zones);
-
-    // Phase 1: per-file rule passes in parallel (cache-served when a
-    // cache directory is configured).
-    let cache = opts
-        .cache_dir
-        .as_deref()
-        .map(|d| CacheKeys::new(d, &sorted, zones));
-    let inputs: Vec<(usize, &(String, String))> = sorted.iter().enumerate().collect();
-    let files: Vec<FileFacts> = run_map(pool.as_ref(), &inputs, |(i, (rel, _src))| {
-        if let Some(c) = &cache {
-            if let Some(hit) = c.load(*i) {
-                return hit;
-            }
-        }
-        let (lexed, parsed) = &lexed_parsed[*i];
-        let facts = rules::analyze_file(rel, lexed, parsed, zones, &sigs);
-        if let Some(c) = &cache {
-            c.store(*i, &facts);
-        }
-        facts
-    });
-
-    // Phase 2: serial interprocedural passes and report assembly.
-    assemble(files, zones)
+    sorted
+        .iter()
+        .zip(&lexed_parsed)
+        .map(|((rel, _), (l, p))| rules::analyze_file(rel, l, p, zones, &sigs))
+        .collect()
 }
 
-/// Phase 2: call graph, reachability, taint, unused-annotation detection,
-/// audit roll-up, and deterministic sorting.
+/// The interprocedural half: call graph, reachability, taint,
+/// unused-annotation detection, audit roll-up, and deterministic sorting.
 fn assemble(files: Vec<FileFacts>, zones: &ZoneConfig) -> Report {
     let graph = CallGraph::build(&files);
     let reach = callgraph::panic_reachability(&files, &graph, zones);
@@ -203,32 +136,19 @@ fn assemble(files: Vec<FileFacts>, zones: &ZoneConfig) -> Report {
     report
 }
 
-/// Lints the workspace rooted at `root` through the parallel engine.
-pub fn lint_workspace(root: &Path, opts: &EngineOptions) -> io::Result<Report> {
+/// Lints every source file in the workspace rooted at `root` with the
+/// default zone configuration, through the full interprocedural engine.
+pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let zones = ZoneConfig::default();
     let sources = read_workspace(root)?;
-    Ok(lint_sources(&sources, &zones, opts))
+    Ok(lint_sources(&sources, &zones))
 }
 
 /// Answers `--why <fn>` for the workspace: the panic-reachability status
 /// of every workspace function with that name, with call chains.
 pub fn why_workspace(root: &Path, name: &str) -> io::Result<Vec<String>> {
     let zones = ZoneConfig::default();
-    let sources = read_workspace(root)?;
-    let lexed_parsed: Vec<(lexer::Lexed, parser::Parsed)> = sources
-        .iter()
-        .map(|(_, src)| {
-            let l = lexer::lex(src);
-            let p = parser::parse(&l);
-            (l, p)
-        })
-        .collect();
-    let sigs = SigIndex::build(lexed_parsed.iter().map(|(_, p)| p), &zones);
-    let files: Vec<FileFacts> = sources
-        .iter()
-        .zip(lexed_parsed.iter())
-        .map(|((rel, _), (l, p))| rules::analyze_file(rel, l, p, &zones, &sigs))
-        .collect();
+    let files = file_facts(&read_workspace(root)?, &zones);
     let graph = CallGraph::build(&files);
     Ok(callgraph::why(&files, &graph, name))
 }
@@ -243,297 +163,6 @@ pub fn read_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
         out.push((rel, src));
     }
     Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Content-hash facts cache
-// ---------------------------------------------------------------------------
-
-/// Per-run cache keying: one 64-bit FNV-1a key per file over
-/// `(CACHE_VERSION, zone map, whole-workspace content, file path, file
-/// content)`. The whole-workspace component is deliberate — the signature
-/// index (and thus any file's judgments) can depend on every other file,
-/// so any edit invalidates the lot; the common case served is the
-/// unchanged re-run (CI, pre-commit).
-struct CacheKeys {
-    dir: PathBuf,
-    keys: Vec<u64>,
-}
-
-impl CacheKeys {
-    fn new(dir: &Path, sorted: &[(String, String)], zones: &ZoneConfig) -> Self {
-        let mut ws = Fnv::new();
-        ws.write(&CACHE_VERSION.to_le_bytes());
-        ws.write_str(&format!("{zones:?}"));
-        for (rel, src) in sorted {
-            ws.write_str(rel);
-            ws.write_str(src);
-        }
-        let ws_hash = ws.finish();
-        let keys = sorted
-            .iter()
-            .map(|(rel, src)| {
-                let mut h = Fnv::new();
-                h.write(&ws_hash.to_le_bytes());
-                h.write_str(rel);
-                h.write_str(src);
-                h.finish()
-            })
-            .collect();
-        let _ = fs::create_dir_all(dir);
-        Self {
-            dir: dir.to_path_buf(),
-            keys,
-        }
-    }
-
-    fn path(&self, i: usize) -> PathBuf {
-        self.dir.join(format!("{:016x}.facts", self.keys[i]))
-    }
-
-    fn load(&self, i: usize) -> Option<FileFacts> {
-        let text = fs::read_to_string(self.path(i)).ok()?;
-        deserialize_facts(&text)
-    }
-
-    fn store(&self, i: usize, facts: &FileFacts) {
-        let _ = fs::write(self.path(i), serialize_facts(facts));
-    }
-}
-
-/// 64-bit FNV-1a.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Self(0xcbf2_9ce4_8422_2325)
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn write_str(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0xff]);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-// Facts serialization: one record per line, tab-separated fields with
-// `\\`/`\t`/`\n` escapes. Any malformed line fails the whole
-// deserialization (treated as a cache miss), so format drift is safe.
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
-fn unesc(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '\\' => out.push('\\'),
-            't' => out.push('\t'),
-            'n' => out.push('\n'),
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-fn rule_to_id(r: Rule) -> &'static str {
-    r.id()
-}
-
-fn rule_from_id(id: &str) -> Option<Rule> {
-    if id == "annotation" {
-        return Some(Rule::Annotation);
-    }
-    Rule::from_id(id)
-}
-
-fn class_to_str(c: FileClass) -> &'static str {
-    match c {
-        FileClass::Lib => "lib",
-        FileClass::Bin => "bin",
-        FileClass::TestLike => "test",
-    }
-}
-
-fn class_from_str(s: &str) -> Option<FileClass> {
-    match s {
-        "lib" => Some(FileClass::Lib),
-        "bin" => Some(FileClass::Bin),
-        "test" => Some(FileClass::TestLike),
-        _ => None,
-    }
-}
-
-/// Serializes [`FileFacts`] to the line-record cache format.
-#[must_use]
-pub fn serialize_facts(f: &FileFacts) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    let _ = writeln!(
-        s,
-        "F\t{}\t{}\t{}\t{}\t{}",
-        esc(&f.rel_path),
-        class_to_str(f.class),
-        esc(&f.krate),
-        f.unsafe_count,
-        f.soft_seeds
-    );
-    for d in &f.findings {
-        let _ = writeln!(
-            s,
-            "d\t{}\t{}\t{}\t{}\t{}",
-            rule_to_id(d.rule),
-            esc(d.sub.as_deref().unwrap_or("")),
-            esc(&d.file),
-            d.line,
-            esc(&d.message)
-        );
-    }
-    for p in &f.suppressed {
-        let _ = writeln!(
-            s,
-            "s\t{}\t{}\t{}\t{}",
-            rule_to_id(p.rule),
-            esc(&p.file),
-            p.line,
-            esc(&p.reason)
-        );
-    }
-    for func in &f.fns {
-        let _ = writeln!(
-            s,
-            "n\t{}\t{}\t{}\t{}\t{}\t{}",
-            esc(&func.name),
-            esc(func.owner.as_deref().unwrap_or("")),
-            u8::from(func.is_pub),
-            func.line,
-            u8::from(func.ret_float),
-            u8::from(func.raw_float)
-        );
-        for seed in &func.seeds {
-            let _ = writeln!(s, "e\t{}\t{}", seed.line, esc(&seed.what));
-        }
-        for c in &func.calls {
-            let _ = writeln!(
-                s,
-                "c\t{}\t{}\t{}\t{}",
-                esc(&c.name),
-                esc(c.qual.as_deref().unwrap_or("")),
-                u8::from(c.is_method),
-                c.line
-            );
-        }
-    }
-    for a in &f.allows {
-        let _ = writeln!(
-            s,
-            "a\t{}\t{}\t{}\t{}\t{}\t{}",
-            esc(&a.rule),
-            esc(a.sub.as_deref().unwrap_or("")),
-            esc(&a.reason),
-            a.target_line,
-            a.comment_line,
-            u8::from(a.file_scope)
-        );
-    }
-    for u in &f.used_allow_lines {
-        let _ = writeln!(s, "u\t{u}");
-    }
-    s
-}
-
-/// Deserializes the cache format; `None` on any malformed record.
-#[must_use]
-pub fn deserialize_facts(text: &str) -> Option<FileFacts> {
-    let mut lines = text.lines();
-    let header: Vec<&str> = lines.next()?.split('\t').collect();
-    if header.len() != 6 || header[0] != "F" {
-        return None;
-    }
-    let mut f = FileFacts {
-        rel_path: unesc(header[1])?,
-        class: class_from_str(header[2])?,
-        krate: unesc(header[3])?,
-        findings: Vec::new(),
-        suppressed: Vec::new(),
-        unsafe_count: header[4].parse().ok()?,
-        fns: Vec::new(),
-        allows: Vec::new(),
-        used_allow_lines: Vec::new(),
-        soft_seeds: header[5].parse().ok()?,
-    };
-    let opt = |s: String| if s.is_empty() { None } else { Some(s) };
-    for line in lines {
-        let parts: Vec<&str> = line.split('\t').collect();
-        match (parts[0], parts.len()) {
-            ("d", 6) => f.findings.push(Finding {
-                rule: rule_from_id(parts[1])?,
-                sub: opt(unesc(parts[2])?),
-                file: unesc(parts[3])?,
-                line: parts[4].parse().ok()?,
-                message: unesc(parts[5])?,
-            }),
-            ("s", 5) => f.suppressed.push(Suppression {
-                rule: rule_from_id(parts[1])?,
-                file: unesc(parts[2])?,
-                line: parts[3].parse().ok()?,
-                reason: unesc(parts[4])?,
-            }),
-            ("n", 7) => f.fns.push(FnFact {
-                name: unesc(parts[1])?,
-                owner: opt(unesc(parts[2])?),
-                is_pub: parts[3] == "1",
-                line: parts[4].parse().ok()?,
-                ret_float: parts[5] == "1",
-                raw_float: parts[6] == "1",
-                seeds: Vec::new(),
-                calls: Vec::new(),
-            }),
-            ("e", 3) => f.fns.last_mut()?.seeds.push(Seed {
-                line: parts[1].parse().ok()?,
-                what: unesc(parts[2])?,
-            }),
-            ("c", 5) => f.fns.last_mut()?.calls.push(CallFact {
-                name: unesc(parts[1])?,
-                qual: opt(unesc(parts[2])?),
-                is_method: parts[3] == "1",
-                line: parts[4].parse().ok()?,
-            }),
-            ("a", 7) => f.allows.push(AllowFact {
-                rule: unesc(parts[1])?,
-                sub: opt(unesc(parts[2])?),
-                reason: unesc(parts[3])?,
-                target_line: parts[4].parse().ok()?,
-                comment_line: parts[5].parse().ok()?,
-                file_scope: parts[6] == "1",
-            }),
-            ("u", 2) => f.used_allow_lines.push(parts[1].parse().ok()?),
-            _ => return None,
-        }
-    }
-    Some(f)
 }
 
 #[cfg(test)]
@@ -558,47 +187,13 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_reports_are_byte_identical() {
-        let zones = ZoneConfig::default();
-        let sources = fixture_sources();
-        let serial = lint_sources(
-            &sources,
-            &zones,
-            &EngineOptions {
-                serial: true,
-                ..EngineOptions::default()
-            },
-        );
-        for threads in [2, 4, 8] {
-            let par = lint_sources(
-                &sources,
-                &zones,
-                &EngineOptions {
-                    threads: Some(threads),
-                    ..EngineOptions::default()
-                },
-            );
-            assert_eq!(
-                serial.to_text(Rule::all()),
-                par.to_text(Rule::all()),
-                "threads={threads}"
-            );
-            assert_eq!(
-                serial.to_json(Rule::all()),
-                par.to_json(Rule::all()),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn unused_allow_is_a_finding() {
         let zones = ZoneConfig::default();
         let sources = vec![src_pair(
             "crates/interval/src/zone.rs",
             "// dwv-lint: allow(determinism) -- nothing here needs it\n/// Doc.\npub fn f(x: usize) -> usize { x }\n",
         )];
-        let report = lint_sources(&sources, &zones, &EngineOptions::default());
+        let report = lint_sources(&sources, &zones);
         let unused: Vec<&Finding> = report
             .findings
             .iter()
@@ -610,38 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn facts_roundtrip_through_cache_format() {
-        let zones = ZoneConfig::default();
-        let sources = fixture_sources();
-        let report_dir = std::env::temp_dir().join("dwv-lint-cache-test");
-        let _ = fs::remove_dir_all(&report_dir);
-        let opts = EngineOptions {
-            serial: true,
-            cache_dir: Some(report_dir.clone()),
-            ..EngineOptions::default()
-        };
-        let fresh = lint_sources(&sources, &zones, &opts);
-        let cached = lint_sources(&sources, &zones, &opts);
-        assert_eq!(fresh.to_text(Rule::all()), cached.to_text(Rule::all()));
-        assert_eq!(fresh.to_json(Rule::all()), cached.to_json(Rule::all()));
-        let entries = fs::read_dir(&report_dir).expect("cache dir").count();
-        assert_eq!(entries, sources.len());
-        let _ = fs::remove_dir_all(&report_dir);
-    }
-
-    #[test]
-    fn serde_rejects_malformed_records() {
-        assert!(deserialize_facts("").is_none());
-        assert!(deserialize_facts("F\ta\tlib\tk\t0").is_none());
-        assert!(deserialize_facts("F\ta\tlib\tk\t0\t0\nz\tx").is_none());
-        let ok = deserialize_facts("F\ta\tlib\tk\t0\t0\n").expect("minimal facts");
-        assert_eq!(ok.rel_path, "a");
-    }
-
-    #[test]
     fn audit_section_is_populated() {
         let zones = ZoneConfig::default();
-        let report = lint_sources(&fixture_sources(), &zones, &EngineOptions::default());
+        let report = lint_sources(&fixture_sources(), &zones);
         let audit = report.audit.as_ref().expect("audit");
         assert_eq!(audit.suppression_baseline, SUPPRESSION_BASELINE);
         assert_eq!(audit.pub_fns_proved, 2);

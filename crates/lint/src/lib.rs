@@ -34,16 +34,6 @@ pub mod structure;
 pub mod walk;
 
 pub use config::{classify, FileClass, ZoneConfig};
-pub use engine::{lint_sources, read_workspace, why_workspace, EngineOptions};
+pub use engine::{lint_sources, lint_workspace, read_workspace, why_workspace};
 pub use report::{Finding, Report, Rule, Suppression};
 pub use rules::lint_source;
-
-use std::io;
-use std::path::Path;
-
-/// Lints every source file in the workspace rooted at `root` with the
-/// default zone configuration, through the full interprocedural engine
-/// (parallel phases at the machine's default width).
-pub fn lint_workspace(root: &Path) -> io::Result<Report> {
-    engine::lint_workspace(root, &EngineOptions::default())
-}

@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! dwv-lint --workspace [--deny all|<rule>[,<rule>]*] [--json] [--quiet]
-//!          [--threads N | --serial] [--cache] [--why <fn>]
+//!          [--why <fn>]
 //! dwv-lint <file.rs>... [--deny ...] [--json]
 //! ```
 //!
-//! Workspace runs go through the interprocedural engine (parallel lex /
-//! parse / per-file analysis, serial call-graph passes); explicit file
+//! Workspace runs go through the interprocedural engine (per-file
+//! analysis, then the call-graph passes, in one serial pass); explicit file
 //! arguments are linted standalone with per-file rules only. `--why <fn>`
 //! prints the panic-reachability status and call chain of every workspace
 //! function with that name instead of a report.
@@ -24,7 +24,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use dwv_lint::{lint_source, walk, EngineOptions, Report, Rule, ZoneConfig};
+use dwv_lint::{lint_source, walk, Report, Rule, ZoneConfig};
 
 struct Options {
     workspace: bool,
@@ -32,9 +32,6 @@ struct Options {
     denied: Vec<Rule>,
     json: bool,
     quiet: bool,
-    threads: Option<usize>,
-    serial: bool,
-    cache: bool,
     why: Option<String>,
 }
 
@@ -45,9 +42,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         denied: Rule::all().to_vec(),
         json: false,
         quiet: false,
-        threads: None,
-        serial: false,
-        cache: false,
         why: None,
     };
     let mut i = 0;
@@ -56,21 +50,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--workspace" => opts.workspace = true,
             "--json" => opts.json = true,
             "--quiet" | "-q" => opts.quiet = true,
-            "--serial" => opts.serial = true,
-            "--cache" => opts.cache = true,
-            "--threads" => {
-                i += 1;
-                let spec = args
-                    .get(i)
-                    .ok_or_else(|| "--threads requires a count".to_string())?;
-                let n: usize = spec
-                    .parse()
-                    .map_err(|_| format!("invalid thread count `{spec}`"))?;
-                if n == 0 {
-                    return Err("--threads requires a positive count".to_string());
-                }
-                opts.threads = Some(n);
-            }
             "--why" => {
                 i += 1;
                 let name = args
@@ -98,7 +77,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: dwv-lint (--workspace | <file.rs>...) [--deny all|<rules>] \
-                     [--json] [--quiet] [--threads N | --serial] [--cache] [--why <fn>]"
+                     [--json] [--quiet] [--why <fn>]"
                         .to_string(),
                 );
             }
@@ -106,9 +85,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             path => opts.paths.push(PathBuf::from(path)),
         }
         i += 1;
-    }
-    if opts.serial && opts.threads.is_some() {
-        return Err("--serial and --threads are mutually exclusive".to_string());
     }
     if !opts.workspace && opts.paths.is_empty() && opts.why.is_none() {
         return Err("nothing to lint: pass --workspace, --why <fn>, or files".to_string());
@@ -122,15 +98,7 @@ fn run(opts: &Options) -> Result<Report, String> {
     let zones = ZoneConfig::default();
     let mut report = Report::default();
     if opts.workspace {
-        let engine_opts = EngineOptions {
-            threads: opts.threads,
-            serial: opts.serial,
-            cache_dir: opts
-                .cache
-                .then(|| root.join("target").join("dwv-lint-cache")),
-        };
-        report = dwv_lint::engine::lint_workspace(&root, &engine_opts)
-            .map_err(|e| format!("workspace walk: {e}"))?;
+        report = dwv_lint::lint_workspace(&root).map_err(|e| format!("workspace walk: {e}"))?;
     }
     for path in &opts.paths {
         let abs = if path.is_absolute() {

@@ -978,13 +978,10 @@ pub struct AllowFact {
 
 /// Everything the interprocedural engine needs from one file: the per-file
 /// findings/suppressions plus function facts and resolved annotations.
-/// Serializable (see `engine::cache`), so cached files skip re-analysis.
 #[derive(Debug, Clone)]
 pub struct FileFacts {
     /// Repo-relative path.
     pub rel_path: String,
-    /// File classification.
-    pub class: FileClass,
     /// Owning crate name.
     pub krate: String,
     /// Per-file findings (interprocedural findings are added later).
@@ -1010,7 +1007,7 @@ pub struct FileFacts {
 /// `rel_path` must be repo-relative with `/` separators — the zone map and
 /// the findings both use it verbatim. This single-file entry builds its
 /// signature index from the file alone and runs no interprocedural passes;
-/// the workspace engine (`engine::lint_workspace_parallel`) layers those on
+/// the workspace engine ([`crate::engine::lint_sources`]) layers those on
 /// top of [`analyze_file`].
 pub fn lint_source(rel_path: &str, src: &str, zones: &ZoneConfig, report: &mut Report) {
     let lexed = lex(src);
@@ -1037,7 +1034,6 @@ pub fn analyze_file(
     let (class, krate) = classify(rel_path);
     let mut facts = FileFacts {
         rel_path: rel_path.to_string(),
-        class,
         krate: krate.clone(),
         findings: Vec::new(),
         suppressed: Vec::new(),

@@ -6,14 +6,14 @@ use std::fs;
 use std::path::Path;
 use std::process::Command;
 
-use dwv_lint::{lint_source, lint_sources, EngineOptions, Report, Rule, ZoneConfig};
+use dwv_lint::{lint_source, lint_sources, Report, Rule, ZoneConfig};
 
 fn fixture_path(name: &str) -> String {
     format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"))
 }
 
 /// Runs a set of fixtures through the full interprocedural engine, each as
-/// if it lived at the paired repo path, serially for determinism.
+/// if it lived at the paired repo path.
 fn lint_fixtures_engine(pairs: &[(&str, &str)]) -> Report {
     let sources: Vec<(String, String)> = pairs
         .iter()
@@ -22,11 +22,7 @@ fn lint_fixtures_engine(pairs: &[(&str, &str)]) -> Report {
             ((*as_path).to_string(), src)
         })
         .collect();
-    let opts = EngineOptions {
-        serial: true,
-        ..EngineOptions::default()
-    };
-    lint_sources(&sources, &ZoneConfig::default(), &opts)
+    lint_sources(&sources, &ZoneConfig::default())
 }
 
 /// Lints a fixture file as if it lived at `as_path` in the repo, so the
@@ -256,8 +252,8 @@ fn trait_bound_plus_tokens_are_not_arithmetic() {
 
 #[test]
 fn engine_parallel_report_matches_serial() {
-    // The whole fixture corpus through the engine at widths 2/4/8 must be
-    // byte-identical to the serial report.
+    // The whole fixture corpus through the engine in reversed input order
+    // must be byte-identical to the report in the given order.
     let pairs = [
         ("reach_api.rs", "crates/reach/src/fixture_api.rs"),
         ("reach_helpers.rs", "crates/reach/src/fixture_helpers.rs"),
@@ -274,27 +270,10 @@ fn engine_parallel_report_matches_serial() {
         })
         .collect();
     let zones = ZoneConfig::default();
-    let serial = lint_sources(
-        &sources,
-        &zones,
-        &EngineOptions {
-            serial: true,
-            ..EngineOptions::default()
-        },
-    )
-    .to_json(Rule::all());
-    for width in [2, 4, 8] {
-        let parallel = lint_sources(
-            &sources,
-            &zones,
-            &EngineOptions {
-                threads: Some(width),
-                ..EngineOptions::default()
-            },
-        )
-        .to_json(Rule::all());
-        assert_eq!(serial, parallel, "report differs at width {width}");
-    }
+    let forward = lint_sources(&sources, &zones).to_json(Rule::all());
+    let reversed: Vec<(String, String)> = sources.iter().rev().cloned().collect();
+    let backward = lint_sources(&reversed, &zones).to_json(Rule::all());
+    assert_eq!(forward, backward, "report depends on input order");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! A span stream is a forest *per thread*: `parent_id` only links spans
 //! on their opening thread. Work fanned out on a
-//! [`dwv_core::WorkerPool`] shows up as root spans on worker threads,
+//! `dwv_core::WorkerPool` shows up as root spans on worker threads,
 //! which would orphan the hottest subtree from the path. *Adoption*
 //! restores the logical tree: a root span is adopted by the smallest
 //! enclosing span on another thread (the tightest interval that contains

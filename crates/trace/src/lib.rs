@@ -12,11 +12,10 @@
 //! CI gate on span identity and containment, and [`validate_flight`]
 //! checks post-mortem flight-recorder dumps.
 //!
-//! Everything is deterministic: parsing can fan out on a
-//! [`dwv_core::WorkerPool`] ([`parse_trace_pooled`]) and still yields
-//! byte-identical analyses at every thread count — the `dwv-check`
-//! `trace` family enforces exactly that, against an O(n²) reference
-//! tree builder.
+//! Everything is deterministic: one serial parse, and every aggregate is
+//! kept in ordered maps, so byte-identical traces give byte-identical
+//! analyses. The `dwv-check` `trace` family pits the span forest against
+//! an O(n²) reference tree builder.
 //!
 //! The `dwv-trace` binary wraps all of it into a CLI:
 //!
@@ -45,7 +44,7 @@ pub use critical::{adoption, critical_path};
 pub use flight::{validate_flight, FlightEvent, FlightSummary};
 pub use folded::{folded_stacks, render_folded};
 pub use forest::SpanForest;
-pub use model::{parse_trace, parse_trace_pooled, SpanRecord, TraceData};
+pub use model::{parse_trace, SpanRecord, TraceData};
 pub use nesting::{validate_nesting, NESTING_SLACK_US};
 
 use std::collections::BTreeSet;
@@ -86,7 +85,7 @@ pub fn analyze(data: &TraceData) -> Analysis {
 }
 
 /// Renders the analysis as the text report the `dwv-trace` binary prints.
-/// Byte-identical for byte-identical traces, at every pool width.
+/// Byte-identical for byte-identical traces.
 #[must_use]
 pub fn render_report(a: &Analysis) -> String {
     let mut out = format!(
@@ -135,18 +134,6 @@ mod tests {
         assert!(report.contains("critical path  : train;verify"), "{report}");
         assert!(report.contains("81 calls"), "{report}");
         assert!(report.contains("verify"), "{report}");
-    }
-
-    #[test]
-    fn report_is_identical_at_every_pool_width() {
-        let text = sample();
-        let serial = render_report(&analyze(&parse_trace(&text).expect("parses")));
-        for threads in [2, 4, 8] {
-            let pool = dwv_core::WorkerPool::new(threads).force_parallel();
-            let pooled =
-                render_report(&analyze(&parse_trace_pooled(&text, &pool).expect("parses")));
-            assert_eq!(pooled, serial, "width {threads}");
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `dwv-trace` — analyze `DWV_TRACE` JSONL streams.
 //!
 //! ```text
-//! dwv-trace <trace.jsonl> [--threads N] [--folded PATH]
+//! dwv-trace <trace.jsonl> [--folded PATH]
 //!           [--check-bill BENCH_core.json] [--require-critical NAME]
 //! dwv-trace --diff <a.jsonl> <b.jsonl>
 //! dwv-trace --check-flight <dump.jsonl>
@@ -19,8 +19,8 @@
 //! a still-open span. Every failure exits non-zero with a diagnostic.
 
 use dwv_trace::{
-    analyze, check_bill, diff_attribution, expected_bill, parse_trace, parse_trace_pooled,
-    render_diff, render_folded, render_report, validate_flight, validate_nesting, NESTING_SLACK_US,
+    analyze, check_bill, diff_attribution, expected_bill, parse_trace, render_diff, render_folded,
+    render_report, validate_flight, validate_nesting, NESTING_SLACK_US,
 };
 use std::process::ExitCode;
 
@@ -36,7 +36,6 @@ fn read(path: &str) -> Result<String, String> {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut trace_path: Option<String> = None;
-    let mut threads: Option<usize> = None;
     let mut folded_path: Option<String> = None;
     let mut bench_path: Option<String> = None;
     let mut require_critical: Vec<String> = Vec::new();
@@ -47,10 +46,6 @@ fn main() -> ExitCode {
     while let Some(arg) = it.next() {
         let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs an argument"));
         match arg.as_str() {
-            "--threads" => match value("--threads").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n > 0 => threads = Some(n),
-                _ => return fail("--threads needs a positive integer"),
-            },
             "--folded" => match value("--folded") {
                 Ok(p) => folded_path = Some(p),
                 Err(e) => return fail(&e),
@@ -82,11 +77,11 @@ fn main() -> ExitCode {
         return check_flight(&path);
     }
     if let Some((a, b)) = diff_paths {
-        return diff_mode(&a, &b, threads);
+        return diff_mode(&a, &b);
     }
     let Some(path) = trace_path else {
         eprintln!(
-            "usage: dwv-trace <trace.jsonl> [--threads N] [--folded PATH] \
+            "usage: dwv-trace <trace.jsonl> [--folded PATH] \
              [--check-bill BENCH.json] [--require-critical NAME]\n       \
              dwv-trace --diff <a.jsonl> <b.jsonl>\n       \
              dwv-trace --check-flight <dump.jsonl>"
@@ -98,7 +93,7 @@ fn main() -> ExitCode {
         Ok(t) => t,
         Err(e) => return fail(&e),
     };
-    let data = match parse(&text, threads) {
+    let data = match parse_trace(&text) {
         Ok(d) => d,
         Err(e) => return fail(&format!("{path}: {e}")),
     };
@@ -155,22 +150,11 @@ fn main() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses a trace serially or on a worker pool of the requested width.
-fn parse(text: &str, threads: Option<usize>) -> Result<dwv_trace::TraceData, String> {
-    match threads {
-        Some(n) if n > 1 => {
-            let pool = dwv_core::WorkerPool::new(n);
-            parse_trace_pooled(text, &pool)
-        }
-        _ => parse_trace(text),
-    }
-}
-
 /// `--diff a b`: rank span names by self-time movement.
-fn diff_mode(a: &str, b: &str, threads: Option<usize>) -> ExitCode {
+fn diff_mode(a: &str, b: &str) -> ExitCode {
     let run = |path: &str| -> Result<dwv_trace::Analysis, String> {
         let text = read(path)?;
-        let data = parse(&text, threads).map_err(|e| format!("{path}: {e}"))?;
+        let data = parse_trace(&text).map_err(|e| format!("{path}: {e}"))?;
         Ok(analyze(&data))
     };
     let (left, right) = match (run(a), run(b)) {

@@ -8,10 +8,9 @@
 //! count but otherwise ignored, so the format can grow without breaking
 //! old analyzers.
 //!
-//! Parsing is embarrassingly parallel (one line at a time) and the
-//! assembly step folds results back **in input order**, so
-//! [`parse_trace_pooled`] is byte-for-byte equivalent to [`parse_trace`]
-//! at every worker-pool width.
+//! Span lines are checked as they are parsed: a non-finite stamp, a
+//! negative or non-finite duration, or an id that is not a non-negative
+//! integer is an error, never a silently truncated value.
 
 use dwv_obs::json::{parse, JsonValue};
 use std::collections::BTreeMap;
@@ -72,6 +71,28 @@ enum Parsed {
     Other,
 }
 
+/// 2^64, the first integer an `f64` id field can hold that `u64` cannot.
+const U64_END: f64 = 18_446_744_073_709_551_616.0;
+
+/// A span's numeric field, rejected as `why` unless `ok` holds for it.
+fn span_number(v: &JsonValue, key: &str, ok: fn(f64) -> bool, why: &str) -> Result<f64, String> {
+    let n = v
+        .get(key)
+        .and_then(JsonValue::as_number)
+        .ok_or_else(|| format!("span without numeric field '{key}'"))?;
+    if ok(n) {
+        Ok(n)
+    } else {
+        Err(format!("span field '{key}' is {n}, {why}"))
+    }
+}
+
+/// A span's id field: a non-negative integer that fits in `u64`.
+fn span_id(v: &JsonValue, key: &str) -> Result<u64, String> {
+    let is_id = |n: f64| (0.0..U64_END).contains(&n) && n.fract() == 0.0;
+    span_number(v, key, is_id, "not a non-negative integer").map(|n| n as u64)
+}
+
 /// Parses one JSONL line into a classified record.
 fn parse_line(line: &str) -> Result<Parsed, String> {
     let v = parse(line)?;
@@ -81,22 +102,22 @@ fn parse_line(line: &str) -> Result<Parsed, String> {
         .ok_or_else(|| "missing string field 'kind'".to_string())?;
     match kind {
         "span" => {
-            let num = |key: &str| {
-                v.get(key)
-                    .and_then(JsonValue::as_number)
-                    .ok_or_else(|| format!("span without numeric field '{key}'"))
-            };
             let name = v
                 .get("name")
                 .and_then(JsonValue::as_str)
                 .ok_or_else(|| "span without string field 'name'".to_string())?;
             Ok(Parsed::Span(SpanRecord {
-                t_us: num("t_us")?,
-                tid: num("tid")? as u64,
+                t_us: span_number(&v, "t_us", f64::is_finite, "not finite")?,
+                tid: span_id(&v, "tid")?,
                 name: name.to_string(),
-                span_id: num("span_id")? as u64,
-                parent_id: num("parent_id")? as u64,
-                dur_us: num("dur_us")?,
+                span_id: span_id(&v, "span_id")?,
+                parent_id: span_id(&v, "parent_id")?,
+                dur_us: span_number(
+                    &v,
+                    "dur_us",
+                    |d| d.is_finite() && d >= 0.0,
+                    "not a finite non-negative duration",
+                )?,
             }))
         }
         "event" => {
@@ -124,12 +145,18 @@ fn parse_line(line: &str) -> Result<Parsed, String> {
     }
 }
 
-/// Folds classified lines (already in input order) into [`TraceData`].
-fn assemble(parsed: Vec<Result<Parsed, String>>) -> Result<TraceData, String> {
+/// Parses a whole JSONL stream, folding each line into [`TraceData`] as
+/// it is read.
+///
+/// # Errors
+///
+/// The first malformed line, with its 1-based line number (counted over
+/// non-empty lines).
+pub fn parse_trace(text: &str) -> Result<TraceData, String> {
     let mut data = TraceData::default();
-    for (lineno, p) in parsed.into_iter().enumerate() {
+    for line in text.lines().filter(|l| !l.trim().is_empty()) {
         data.lines += 1;
-        match p.map_err(|e| format!("line {}: {e}", lineno + 1))? {
+        match parse_line(line).map_err(|e| format!("line {}: {e}", data.lines))? {
             Parsed::Span(s) => data.spans.push(s),
             Parsed::Event(name) => data.events.push(name),
             Parsed::Snapshot(counters) => data.counters = counters,
@@ -137,35 +164,6 @@ fn assemble(parsed: Vec<Result<Parsed, String>>) -> Result<TraceData, String> {
         }
     }
     Ok(data)
-}
-
-/// The non-empty lines of a JSONL stream.
-fn nonempty(text: &str) -> Vec<&str> {
-    text.lines().filter(|l| !l.trim().is_empty()).collect()
-}
-
-/// Parses a whole JSONL stream serially.
-///
-/// # Errors
-///
-/// The first malformed line, with its 1-based line number (counted over
-/// non-empty lines).
-pub fn parse_trace(text: &str) -> Result<TraceData, String> {
-    assemble(nonempty(text).iter().map(|l| parse_line(l)).collect())
-}
-
-/// Parses a whole JSONL stream with per-line work fanned out on `pool`.
-///
-/// Byte-for-byte equivalent to [`parse_trace`] at any pool width: lines
-/// are classified independently and folded back in input order.
-///
-/// # Errors
-///
-/// The first malformed line, with its 1-based line number (counted over
-/// non-empty lines).
-pub fn parse_trace_pooled(text: &str, pool: &dwv_core::WorkerPool) -> Result<TraceData, String> {
-    let lines = nonempty(text);
-    assemble(pool.map(&lines, |l| parse_line(l)))
 }
 
 #[cfg(test)]
@@ -193,21 +191,71 @@ mod tests {
     }
 
     #[test]
-    fn pooled_parse_matches_serial_at_any_width() {
-        let serial = parse_trace(SAMPLE).expect("parses");
-        for threads in [1, 2, 4, 8] {
-            let pool = dwv_core::WorkerPool::new(threads).force_parallel();
-            let pooled = parse_trace_pooled(SAMPLE, &pool).expect("parses");
-            assert_eq!(pooled, serial, "width {threads}");
-        }
-    }
-
-    #[test]
     fn bad_lines_are_reported_with_their_number() {
         let err = parse_trace("{\"kind\":\"span\"}").expect_err("rejects");
         assert!(err.starts_with("line 1:"), "{err}");
         let err = parse_trace("not json").expect_err("rejects");
         assert!(err.starts_with("line 1:"), "{err}");
+    }
+
+    /// A span line whose numeric fields are all 1 except `key`, which is
+    /// the raw JSON `value`.
+    fn span_with(key: &str, value: &str) -> String {
+        let fields: Vec<String> = ["t_us", "tid", "span_id", "parent_id", "dur_us"]
+            .iter()
+            .map(|k| format!("\"{k}\":{}", if *k == key { value } else { "1" }))
+            .collect();
+        format!("{{\"kind\":\"span\",\"name\":\"a\",{}}}", fields.join(","))
+    }
+
+    /// Asserts the override is rejected on line 1, naming the field.
+    fn rejects(key: &str, value: &str) {
+        let err = parse_trace(&span_with(key, value)).expect_err(value);
+        assert!(err.starts_with("line 1:"), "{err}");
+        assert!(err.contains(key), "{err}");
+    }
+
+    #[test]
+    fn well_formed_override_baseline_parses() {
+        let data = parse_trace(&span_with("dur_us", "0")).expect("parses");
+        assert_eq!(data.spans[0].dur_us, 0.0);
+        assert_eq!(data.spans[0].span_id, 1);
+    }
+
+    #[test]
+    fn non_finite_t_us_is_rejected() {
+        rejects("t_us", "1e999");
+        rejects("t_us", "-1e999");
+    }
+
+    #[test]
+    fn negative_dur_us_is_rejected() {
+        rejects("dur_us", "-5");
+    }
+
+    #[test]
+    fn non_finite_dur_us_is_rejected() {
+        rejects("dur_us", "1e999");
+    }
+
+    #[test]
+    fn negative_id_is_rejected() {
+        rejects("tid", "-3");
+        rejects("span_id", "-3");
+        rejects("parent_id", "-1");
+    }
+
+    #[test]
+    fn fractional_id_is_rejected() {
+        rejects("tid", "1.5");
+        rejects("span_id", "0.5");
+        rejects("parent_id", "2.25");
+    }
+
+    #[test]
+    fn id_past_u64_is_rejected() {
+        rejects("span_id", "1e20");
+        rejects("tid", "1e999");
     }
 
     #[test]
