@@ -43,7 +43,7 @@ fn main() {
         "table2" => {
             println!("== Table 2 — average runtime per learning iteration ==");
             for (name, secs) in table2() {
-                println!("{name:<14} {secs:.3}s");
+                println!("{name:<14} {:.3} ms", secs * 1e3);
             }
         }
         "tightness" => {
@@ -91,7 +91,7 @@ fn main() {
             );
             println!("== Table 2 — average runtime per learning iteration ==");
             for (name, secs) in table2() {
-                println!("{name:<14} {secs:.3}s");
+                println!("{name:<14} {:.3} ms", secs * 1e3);
             }
             println!("== Tightness ==");
             for (name, per_call, ci) in tightness() {

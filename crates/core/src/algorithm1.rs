@@ -25,6 +25,7 @@
 //!    restart draws count toward the convergence-iteration (CI) budget.
 
 use crate::config::{AbstractionKind, GradientEstimator, LearnConfig, MetricKind, PortfolioMode};
+use crate::parallel::WorkerPool;
 use crate::trace::{IterationRecord, LearningTrace};
 use crate::verdict::{judge, Verdict};
 use dwv_dynamics::{Controller, LinearController, NnController, ReachAvoidProblem};
@@ -100,8 +101,8 @@ struct Evaluation {
 const FAIL_PENALTY: f64 = 1e3;
 
 /// How [`Algorithm1::learn_loop`] uses its oracles.
-#[derive(Debug, Clone, Copy)]
-enum LoopMode {
+#[derive(Clone, Copy)]
+enum LoopMode<'a> {
     /// One rigorous oracle; every query reaches it.
     Plain,
     /// One rigorous oracle that is a pure function of the parameters:
@@ -109,8 +110,13 @@ enum LoopMode {
     /// memory.
     Reusing,
     /// Cheap probes; the rigorous oracle confirms reach-avoid claims and
-    /// checks every `confirm_every` iterations.
-    Surrogate { confirm_every: usize },
+    /// checks every `confirm_every` iterations. `tier_stats` reports the
+    /// portfolio's cumulative per-tier call counts; the loop diffs it
+    /// around each iteration to fill [`IterationRecord::tier_calls`].
+    Surrogate {
+        confirm_every: usize,
+        tier_stats: &'a (dyn Fn() -> Vec<u64> + Sync),
+    },
 }
 
 /// The exact bits of a parameter vector: the key a repeated query is
@@ -189,7 +195,7 @@ pub struct Algorithm1 {
     safety_cap: f64,
     geometric: GeometricMetric,
     wasserstein: WassersteinMetric,
-    pool: Option<crate::parallel::WorkerPool>,
+    pool: Option<WorkerPool>,
 }
 
 impl Algorithm1 {
@@ -223,12 +229,16 @@ impl Algorithm1 {
     /// Fans the independent gradient-probe verifier calls of each iteration
     /// out on a worker pool.
     ///
+    /// Without one, [`Self::learn_nn`] uses a pool as wide as the host and
+    /// every other learner runs its probes on the calling thread;
+    /// `WorkerPool::new(1)` makes the NN learner serial too.
+    ///
     /// The learning trajectory is **bit-identical** to the serial learner:
     /// probe objectives are merged back in probe order and combined with the
     /// exact same floating-point operation order, so only wall-clock time
     /// changes.
     #[must_use]
-    pub fn with_pool(mut self, pool: crate::parallel::WorkerPool) -> Self {
+    pub fn with_pool(mut self, pool: WorkerPool) -> Self {
         self.pool = Some(pool);
         self
     }
@@ -289,7 +299,8 @@ impl Algorithm1 {
             }
             PortfolioMode::Surrogate { confirm_every } => {
                 let portfolio = self.linear_portfolio()?;
-                Ok(self.learn_surrogate(init, &portfolio, confirm_every, &mut fresh))
+                let pool = self.pool.as_ref();
+                Ok(self.learn_surrogate(init, &portfolio, confirm_every, pool, &mut fresh))
             }
         }
     }
@@ -315,12 +326,20 @@ impl Algorithm1 {
     /// Learns a neural-network controller (hidden sizes, output scale and
     /// abstraction from the configuration; ReLU hidden / Tanh output per the
     /// paper), starting from a random initialization.
+    ///
+    /// Each gradient estimate's probes are one batch of Taylor-model
+    /// verifications. Unless [`Self::with_pool`] set a pool, the batch runs
+    /// on a pool as wide as the host, calling thread included, whenever
+    /// [`WorkerPool::would_fan_out`] lets it: SPSA with two or more samples
+    /// and the coordinate estimator fan out, the default SPSA(1) pair stays
+    /// serial. The outcome is bit-identical at any pool width.
     #[must_use]
     pub fn learn_nn(&self) -> LearnOutcome<NnController> {
         self.learn_nn_impl(None)
     }
 
-    /// Learns a neural-network controller from an explicit initialization.
+    /// Learns a neural-network controller from an explicit initialization,
+    /// on the same pool as [`Self::learn_nn`].
     #[must_use]
     pub fn learn_nn_from(&self, init: NnController) -> LearnOutcome<NnController> {
         self.learn_nn_impl(Some(init))
@@ -337,6 +356,11 @@ impl Algorithm1 {
                 scale,
             )
         };
+        // An NN probe costs milliseconds, so the host's cores pay for the
+        // spawns; a linear probe (about 0.1 ms) does not, and
+        // `learn_linear` stays serial unless the caller sets a pool.
+        let host = WorkerPool::with_default_threads();
+        let pool = Some(self.pool.as_ref().unwrap_or(&host));
         match (self.config.portfolio, self.config.abstraction) {
             (PortfolioMode::Off, AbstractionKind::Polar { order }) => {
                 let verifier = TaylorReach::new(
@@ -344,7 +368,12 @@ impl Algorithm1 {
                     TaylorAbstraction::with_order(order),
                     self.config.verifier.clone(),
                 );
-                self.learn_reusing(init, &|c: &NnController| verifier.reach(c), &mut fresh)
+                self.reusing_on(
+                    pool,
+                    init,
+                    &|c: &NnController| verifier.reach(c),
+                    &mut fresh,
+                )
             }
             (PortfolioMode::Off, AbstractionKind::Bernstein { degree }) => {
                 let verifier = TaylorReach::new(
@@ -352,11 +381,16 @@ impl Algorithm1 {
                     BernsteinAbstraction::with_degree(degree),
                     self.config.verifier.clone(),
                 );
-                self.learn_reusing(init, &|c: &NnController| verifier.reach(c), &mut fresh)
+                self.reusing_on(
+                    pool,
+                    init,
+                    &|c: &NnController| verifier.reach(c),
+                    &mut fresh,
+                )
             }
             (PortfolioMode::Surrogate { confirm_every }, _) => {
                 let portfolio = self.nn_portfolio();
-                self.learn_surrogate(init, &portfolio, confirm_every, &mut fresh)
+                self.learn_surrogate(init, &portfolio, confirm_every, pool, &mut fresh)
             }
         }
     }
@@ -390,6 +424,7 @@ impl Algorithm1 {
         init: Option<C>,
         portfolio: &PortfolioVerifier<C>,
         confirm_every: usize,
+        pool: Option<&WorkerPool>,
         fresh: &mut dyn FnMut(&mut StdRng) -> C,
     ) -> LearnOutcome<C>
     where
@@ -414,9 +449,10 @@ impl Algorithm1 {
             &counted(&rigor),
             LoopMode::Surrogate {
                 confirm_every: confirm_every.max(1),
+                tier_stats: &tier_stats,
             },
+            pool,
             fresh,
-            Some(&tier_stats),
         );
         let stats = portfolio.stats();
         if dwv_obs::enabled() {
@@ -454,7 +490,8 @@ impl Algorithm1 {
         V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
     {
         let verify = counted(verify);
-        self.learn_loop(init, &verify, &verify, LoopMode::Plain, fresh, None)
+        let pool = self.pool.as_ref();
+        self.learn_loop(init, &verify, &verify, LoopMode::Plain, pool, fresh)
     }
 
     /// [`Self::learn_with_restarts`], answering repeated queries from the
@@ -491,8 +528,23 @@ impl Algorithm1 {
         C: Controller + Clone + Sync,
         V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
     {
+        self.reusing_on(self.pool.as_ref(), init, verify, fresh)
+    }
+
+    /// [`Self::learn_reusing`] with its probe batches on `pool`.
+    fn reusing_on<C, V>(
+        &self,
+        pool: Option<&WorkerPool>,
+        init: Option<C>,
+        verify: &V,
+        fresh: &mut dyn FnMut(&mut StdRng) -> C,
+    ) -> LearnOutcome<C>
+    where
+        C: Controller + Clone + Sync,
+        V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
+    {
         let verify = counted(verify);
-        self.learn_loop(init, &verify, &verify, LoopMode::Reusing, fresh, None)
+        self.learn_loop(init, &verify, &verify, LoopMode::Reusing, pool, fresh)
     }
 
     /// The two-oracle loop underneath [`Self::learn_with_restarts`] and
@@ -511,17 +563,16 @@ impl Algorithm1 {
     ///   convergence);
     /// * the final acceptance and [`judge`] verdict always use `rigor`.
     ///
-    /// `tier_stats`, when present, reports the portfolio's cumulative
-    /// per-tier call counts; the loop diffs it around each iteration to
-    /// fill [`IterationRecord::tier_calls`].
+    /// Gradient-probe batches run on `pool`, or on the calling thread
+    /// without one.
     fn learn_loop<C, P, R>(
         &self,
         init: Option<C>,
         verify: &P,
         rigor: &R,
-        mode: LoopMode,
+        mode: LoopMode<'_>,
+        pool: Option<&WorkerPool>,
         fresh: &mut dyn FnMut(&mut StdRng) -> C,
-        tier_stats: Option<&(dyn Fn() -> Vec<u64> + Sync)>,
     ) -> LearnOutcome<C>
     where
         C: Controller + Clone + Sync,
@@ -529,10 +580,13 @@ impl Algorithm1 {
         R: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
     {
         let _train = dwv_obs::span("train");
-        let (confirm_every, reuse) = match mode {
-            LoopMode::Plain => (0, false),
-            LoopMode::Reusing => (0, true),
-            LoopMode::Surrogate { confirm_every } => (confirm_every, false),
+        let (confirm_every, reuse, tier_stats) = match mode {
+            LoopMode::Plain => (0, false, None),
+            LoopMode::Reusing => (0, true, None),
+            LoopMode::Surrogate {
+                confirm_every,
+                tier_stats,
+            } => (confirm_every, false, Some(tier_stats)),
         };
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9E37_79B9);
         let p = self.config.perturbation;
@@ -758,7 +812,7 @@ impl Algorithm1 {
             let grad = self.estimate_gradient(&theta, &mut rng, &mut |probes| {
                 calls += probes.len();
                 if !reuse {
-                    return self.objectives(&controller, probes, verify);
+                    return self.objectives(pool, &controller, probes, verify);
                 }
                 let keys: Vec<Vec<u64>> = probes.iter().map(|q| key_of(q)).collect();
                 let mut known: Vec<Option<f64>> = keys
@@ -774,7 +828,7 @@ impl Algorithm1 {
                 let reused = probes.len() - missing.len();
                 hits += reused;
                 count_reused(reused);
-                let verified = self.objectives(&controller, &missing, verify);
+                let verified = self.objectives(pool, &controller, &missing, verify);
                 for (slot, v) in known.iter_mut().filter(|o| o.is_none()).zip(verified) {
                     *slot = Some(v);
                 }
@@ -856,9 +910,15 @@ impl Algorithm1 {
     }
 
     /// The objectives at `probes`, each verified on a copy of `controller`
-    /// with the probe's parameters. A worker pool fans them out when there
-    /// is more than one; objectives come back in probe order either way.
-    fn objectives<C, V>(&self, controller: &C, probes: &[Vec<f64>], verify: &V) -> Vec<f64>
+    /// with the probe's parameters. `pool` fans them out when there is more
+    /// than one; objectives come back in probe order either way.
+    fn objectives<C, V>(
+        &self,
+        pool: Option<&WorkerPool>,
+        controller: &C,
+        probes: &[Vec<f64>],
+        verify: &V,
+    ) -> Vec<f64>
     where
         C: Controller + Clone + Sync,
         V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
@@ -868,7 +928,7 @@ impl Algorithm1 {
             c.set_params(params);
             self.objective(&verify(&c))
         };
-        match &self.pool {
+        match pool {
             Some(pool) if probes.len() > 1 => pool.map(probes, eval_one),
             _ => probes.iter().map(eval_one).collect(),
         }

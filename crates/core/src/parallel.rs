@@ -59,10 +59,10 @@ impl CancelToken {
 
 /// A fixed-width scoped worker pool.
 ///
-/// The pool is just a thread-count policy: threads are spawned per
-/// [`map`](WorkerPool::map) call inside a `std::thread::scope`, so borrowed
-/// data can be shared with workers without `'static` bounds, and no threads
-/// linger between calls.
+/// The pool is just a thread-count policy: each [`map`](WorkerPool::map)
+/// call runs on the calling thread plus threads spawned for it inside a
+/// `std::thread::scope`, so borrowed data can be shared with workers
+/// without `'static` bounds, and no threads linger between calls.
 ///
 /// # Example
 ///
@@ -126,7 +126,7 @@ impl WorkerPool {
     /// A pool sized to the machine's available parallelism.
     #[must_use]
     pub fn with_default_threads() -> Self {
-        Self::new(thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
+        Self::new(host_cpus())
     }
 
     /// The number of worker threads this pool uses.
@@ -146,8 +146,10 @@ impl WorkerPool {
     ///
     /// # Scheduling
     ///
+    /// A batch of `n` items runs on `w = min(threads, n)` workers: the
+    /// calling thread plus `w − 1` scoped threads spawned for the batch.
     /// Workers claim *chunks* through a shared atomic cursor using guided
-    /// self-scheduling: each claim takes roughly `remaining / (2·workers)`
+    /// self-scheduling: each claim takes roughly `remaining / (2·w)`
     /// items (never fewer than one), so early chunks are large (amortizing
     /// the claim and keeping each worker on a contiguous cache-friendly run)
     /// and chunks shrink toward the tail (bounding finish-time imbalance to
@@ -164,104 +166,17 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from `f` (the first panicking worker's payload).
+    /// Propagates a panic from `f`, raised on the calling thread or on a
+    /// spawned worker; every spawned worker has finished when it does.
     pub fn map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let _s = dwv_obs::span("pool.map");
-        let obs = dwv_obs::enabled();
-        if obs {
-            dwv_obs::counter("pool.batches").inc();
-            dwv_obs::counter("pool.items").add(items.len() as u64);
-            dwv_obs::gauge("pool.threads").set(self.threads as f64);
-        }
-        if !self.would_fan_out(items.len()) {
-            // The serial fallback keeps the per-item span contract: the
-            // `pool.item` histogram sees every item exactly once on every
-            // host, whether or not the batch fanned out.
-            return items
-                .iter()
-                .map(|item| {
-                    let _per_item = dwv_obs::span("pool.item");
-                    f(item)
-                })
-                .collect();
-        }
-        let workers = self.threads.min(items.len());
-        let n = items.len();
-        let next = AtomicUsize::new(0);
-        let claims = AtomicUsize::new(0);
-        let mut chunks: Vec<(usize, Vec<R>)> = Vec::new();
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out: Vec<(usize, Vec<R>)> = Vec::new();
-                        loop {
-                            // Guided claim: take a share of what remains.
-                            let (start, take) = {
-                                let mut cur = next.load(Ordering::Relaxed);
-                                loop {
-                                    if cur >= n {
-                                        break (n, 0);
-                                    }
-                                    let take = ((n - cur) / (2 * workers)).max(1);
-                                    match next.compare_exchange_weak(
-                                        cur,
-                                        cur + take,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    ) {
-                                        Ok(_) => break (cur, take),
-                                        Err(seen) => cur = seen,
-                                    }
-                                }
-                            };
-                            if take == 0 {
-                                break;
-                            }
-                            claims.fetch_add(1, Ordering::Relaxed);
-                            let timed = dwv_obs::span("pool.chunk");
-                            let chunk = &items[start..start + take]; // dwv-lint: allow(panic-freedom#index) -- the CAS claim bounds start + take ≤ items.len()
-                            let part: Vec<R> = chunk
-                                .iter()
-                                .map(|item| {
-                                    let per_item = dwv_obs::span("pool.item");
-                                    let r = f(item);
-                                    drop(per_item);
-                                    r
-                                })
-                                .collect();
-                            drop(timed);
-                            out.push((start, part));
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => chunks.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        if obs {
-            let extra = claims.load(Ordering::Relaxed).saturating_sub(workers);
-            dwv_obs::counter("pool.steal_count").add(extra as u64);
-        }
-        // Fixed reduction order: ascending chunk start, independent of
-        // completion order or thread assignment.
-        chunks.sort_unstable_by_key(|(start, _)| *start);
-        let mut merged = Vec::with_capacity(n);
-        for (_, part) in chunks {
-            merged.extend(part);
-        }
-        debug_assert_eq!(merged.len(), n);
-        merged
+        // A fresh token is never cancelled, so the batch always completes.
+        self.run("pool.map", items, &f, &CancelToken::new())
+            .unwrap_or_default()
     }
 
     /// [`map`](WorkerPool::map) with cooperative cancellation.
@@ -280,109 +195,117 @@ impl WorkerPool {
     ///
     /// # Panics
     ///
-    /// Propagates a panic from `f` (the first panicking worker's payload).
+    /// Propagates a panic from `f`, as [`map`](WorkerPool::map) does.
     pub fn map_cancellable<T, R, F>(&self, items: &[T], f: F, token: &CancelToken) -> Option<Vec<R>>
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
     {
-        let _s = dwv_obs::span("pool.map_cancellable");
+        self.run("pool.map_cancellable", items, &f, token)
+    }
+
+    /// The one worker loop behind [`map`](WorkerPool::map) and
+    /// [`map_cancellable`](WorkerPool::map_cancellable), timed under
+    /// `span`.
+    fn run<T, R, F>(
+        &self,
+        span: &'static str,
+        items: &[T],
+        f: &F,
+        token: &CancelToken,
+    ) -> Option<Vec<R>>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        let _s = dwv_obs::span(span);
         let obs = dwv_obs::enabled();
+        let n = items.len();
         if obs {
             dwv_obs::counter("pool.batches").inc();
-            dwv_obs::counter("pool.items").add(items.len() as u64);
+            dwv_obs::counter("pool.items").add(n as u64);
             dwv_obs::gauge("pool.threads").set(self.threads as f64);
         }
-        if !self.would_fan_out(items.len()) {
-            let mut out = Vec::with_capacity(items.len());
+        let cancelled = || {
+            if obs {
+                dwv_obs::counter("pool.cancelled").inc();
+            }
+            None
+        };
+        let timed = |item: &T| {
+            let _per_item = dwv_obs::span("pool.item");
+            f(item)
+        };
+        if !self.would_fan_out(n) {
+            // The serial fallback keeps the per-item span contract: the
+            // `pool.item` histogram sees every item exactly once on every
+            // host, whether or not the batch fanned out.
+            let mut out = Vec::with_capacity(n);
             for item in items {
                 if token.is_cancelled() {
-                    if obs {
-                        dwv_obs::counter("pool.cancelled").inc();
-                    }
-                    return None;
+                    return cancelled();
                 }
-                let _per_item = dwv_obs::span("pool.item");
-                out.push(f(item));
+                out.push(timed(item));
             }
             return Some(out);
         }
-        let workers = self.threads.min(items.len());
-        let n = items.len();
+        let workers = self.threads.min(n);
         let next = AtomicUsize::new(0);
-        let mut chunks: Vec<(usize, Vec<R>)> = Vec::new();
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut out: Vec<(usize, Vec<R>)> = Vec::new();
-                        loop {
-                            // Poll at the claim boundary: stop taking new
-                            // chunks once cancellation is requested.
-                            if token.is_cancelled() {
-                                break;
-                            }
-                            let (start, take) = {
-                                let mut cur = next.load(Ordering::Relaxed);
-                                loop {
-                                    if cur >= n {
-                                        break (n, 0);
-                                    }
-                                    let take = ((n - cur) / (2 * workers)).max(1);
-                                    match next.compare_exchange_weak(
-                                        cur,
-                                        cur + take,
-                                        Ordering::Relaxed,
-                                        Ordering::Relaxed,
-                                    ) {
-                                        Ok(_) => break (cur, take),
-                                        Err(seen) => cur = seen,
-                                    }
-                                }
-                            };
-                            if take == 0 {
-                                break;
-                            }
-                            let timed = dwv_obs::span("pool.chunk");
-                            let chunk = &items[start..start + take]; // dwv-lint: allow(panic-freedom#index) -- the CAS claim bounds start + take ≤ items.len()
-                            let part: Vec<R> = chunk
-                                .iter()
-                                .map(|item| {
-                                    let per_item = dwv_obs::span("pool.item");
-                                    let r = f(item);
-                                    drop(per_item);
-                                    r
-                                })
-                                .collect();
-                            drop(timed);
-                            out.push((start, part));
-                        }
-                        out
-                    })
-                })
-                .collect();
+        let claims = AtomicUsize::new(0);
+        // One worker: claim guided chunks until the cursor runs out or the
+        // token is cancelled (polled at the claim boundary).
+        let work = || {
+            let mut out: Vec<(usize, Vec<R>)> = Vec::new();
+            while !token.is_cancelled() {
+                let mut cur = next.load(Ordering::Relaxed);
+                let (start, take) = loop {
+                    if cur >= n {
+                        return out;
+                    }
+                    let take = ((n - cur) / (2 * workers)).max(1);
+                    match next.compare_exchange_weak(
+                        cur,
+                        cur + take,
+                        Ordering::Relaxed,
+                        Ordering::Relaxed,
+                    ) {
+                        Ok(_) => break (cur, take),
+                        Err(seen) => cur = seen,
+                    }
+                };
+                claims.fetch_add(1, Ordering::Relaxed);
+                let _chunk = dwv_obs::span("pool.chunk");
+                let chunk = &items[start..start + take]; // dwv-lint: allow(panic-freedom#index) -- the CAS claim bounds start + take ≤ items.len()
+                out.push((start, chunk.iter().map(timed).collect()));
+            }
+            out
+        };
+        // The calling thread is a worker too: a batch spawns `workers − 1`
+        // threads. The scope joins them all before a panic leaves it.
+        let mut chunks = thread::scope(|s| {
+            let handles: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+            let mut chunks = work();
             for h in handles {
                 match h.join() {
                     Ok(part) => chunks.extend(part),
                     Err(payload) => std::panic::resume_unwind(payload),
                 }
             }
+            chunks
         });
-        let done: usize = chunks.iter().map(|(_, part)| part.len()).sum();
-        if done < n {
-            if obs {
-                dwv_obs::counter("pool.cancelled").inc();
-            }
-            return None;
+        if obs {
+            let extra = claims.load(Ordering::Relaxed).saturating_sub(workers);
+            dwv_obs::counter("pool.steal_count").add(extra as u64);
         }
-        // Same fixed reduction order as `map`: ascending chunk start.
+        if chunks.iter().map(|(_, part)| part.len()).sum::<usize>() < n {
+            return cancelled();
+        }
+        // Fixed reduction order: ascending chunk start, independent of
+        // completion order or thread assignment.
         chunks.sort_unstable_by_key(|(start, _)| *start);
-        let mut merged = Vec::with_capacity(n);
-        for (_, part) in chunks {
-            merged.extend(part);
-        }
-        Some(merged)
+        Some(chunks.into_iter().flat_map(|(_, part)| part).collect())
     }
 }
 
@@ -584,14 +507,73 @@ mod tests {
         assert_eq!(out, Some(items.iter().map(|x| x * 2).collect()));
     }
 
+    type ThreadLog = (std::sync::Mutex<Vec<thread::ThreadId>>, std::sync::Condvar);
+
+    /// Logs the current thread and blocks (up to 10 s) until two threads
+    /// are logged, so a 2-worker batch must use both workers.
+    fn rendezvous((log, arrived): &ThreadLog) {
+        let me = thread::current().id();
+        let mut ids = log.lock().expect("thread log");
+        if !ids.contains(&me) {
+            ids.push(me);
+            arrived.notify_all();
+        }
+        let timeout = std::time::Duration::from_secs(10);
+        drop(arrived.wait_timeout_while(ids, timeout, |ids| ids.len() < 2));
+    }
+
     #[test]
-    #[should_panic(expected = "boom")]
-    fn worker_panic_propagates() {
-        let pool = WorkerPool::new(2).force_parallel();
+    fn caller_is_one_of_the_workers() {
+        let seen = ThreadLog::default();
         let items: Vec<usize> = (0..8).collect();
-        pool.map(&items, |x| {
-            assert!(*x != 5, "boom");
+        let out = WorkerPool::new(2).force_parallel().map(&items, |x| {
+            rendezvous(&seen);
             *x
         });
+        assert_eq!(out, items);
+        let ids = seen.0.into_inner().expect("thread log");
+        assert_eq!(ids.len(), 2, "a 2-worker map runs on exactly 2 threads");
+        assert!(ids.contains(&thread::current().id()), "one is the caller");
+    }
+
+    /// A 2-worker batch whose items panic on the caller (`on_caller`) or
+    /// on the spawned worker must propagate the panic, with no item still
+    /// running or starting after it.
+    fn panic_in_batch(on_caller: bool) {
+        let caller = thread::current().id();
+        let seen = ThreadLog::default();
+        let (in_flight, started) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let items: Vec<usize> = (0..16).collect();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            WorkerPool::new(2).force_parallel().map(&items, |x| {
+                started.fetch_add(1, Ordering::SeqCst);
+                in_flight.fetch_add(1, Ordering::SeqCst);
+                rendezvous(&seen);
+                thread::sleep(std::time::Duration::from_millis(1));
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                assert!((thread::current().id() == caller) != on_caller, "boom");
+                *x
+            })
+        }));
+        let payload = result.expect_err("the panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
+        assert_eq!(in_flight.load(Ordering::SeqCst), 0, "an item still runs");
+        let before = started.load(Ordering::SeqCst);
+        thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(
+            started.load(Ordering::SeqCst),
+            before,
+            "a worker outlived the panic"
+        );
+    }
+
+    #[test]
+    fn panic_on_calling_thread_propagates() {
+        panic_in_batch(true);
+    }
+
+    #[test]
+    fn panic_on_spawned_worker_propagates() {
+        panic_in_batch(false);
     }
 }

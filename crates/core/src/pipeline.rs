@@ -144,6 +144,10 @@ fn assess_with_portfolio<C: Controller + Sync>(
 
 /// Learns and certifies a neural-network controller with the Taylor-model
 /// verifier (abstraction and architecture from the configuration).
+///
+/// Learning runs [`Algorithm1::learn_nn`], so its probe batches fan out on
+/// a pool as wide as the host; the outcome is bit-identical to a serial
+/// run. The certification sweep runs on the calling thread.
 #[must_use]
 pub fn design_while_verify_nn(
     problem: ReachAvoidProblem,

@@ -320,3 +320,33 @@ fn three_dim_reachnn_reuse_matches_plain_learner() {
         assert_eq!(escaped, 0, "pool {pool}: repeats not reused");
     }
 }
+
+#[test]
+fn nn_default_pool_matches_serial_learner() {
+    // `learn_nn` without a pool fans its four SPSA(2) probes out on a
+    // host-width pool; a 1-thread pool is the serial learner.
+    let cases = [
+        ("os", AbstractionKind::Polar { order: 2 }),
+        ("3d", AbstractionKind::Bernstein { degree: 2 }),
+    ];
+    for (system, abstraction) in cases {
+        let case = format!("{system} {abstraction:?}");
+        let (problem, config) = nn_setup(system, abstraction, 1, 12);
+        let fanned = Algorithm1::new(problem.clone(), config.clone()).learn_nn();
+        let serial = Algorithm1::new(problem, config)
+            .with_pool(WorkerPool::new(1))
+            .learn_nn();
+        assert_same(&case, &fanned, &serial);
+        let untimed = |o: &LearnOutcome<NnController>| -> Vec<IterationRecord> {
+            o.trace
+                .records()
+                .iter()
+                .map(|r| IterationRecord {
+                    elapsed: Duration::ZERO,
+                    ..r.clone()
+                })
+                .collect()
+        };
+        assert_eq!(untimed(&fanned), untimed(&serial), "{case}: reuse counts");
+    }
+}

@@ -19,6 +19,9 @@ run() {
   "$@"
 }
 
+# NN learning fans its probes out on a host-width pool: the core count
+# says which path the tests below exercised.
+echo "==> nproc: $(nproc)"
 run cargo fmt --check
 # Lint gate: warnings are errors across the whole workspace.
 run cargo clippy --workspace --all-targets --offline -- -D warnings
@@ -40,6 +43,14 @@ run cargo test -q --offline
 
 if [[ "${1:-}" == "--all" ]]; then
   run cargo test -q --workspace --offline
+  # Single-CPU fallback: pinned to one core, `available_parallelism()`
+  # reads 1 and NN learning runs its probes serially. It must reproduce
+  # the golden files the fanned-out run above matched.
+  if command -v taskset >/dev/null; then
+    run taskset -c 0 cargo test -q --offline --test golden_polar --test golden_reachnn
+  else
+    echo "==> skip: taskset not found, single-CPU golden re-run not done"
+  fi
   # Deep falsification sweep + regression corpus replay: a larger budget at
   # bigger case sizes, then every committed finding/regression seed.
   run cargo run --release --offline -p dwv-check -- --seed 0xD3C0DE --budget-cases 8000 --max-size 12 --threads 4
