@@ -25,6 +25,8 @@
 //! 10% on either iteration bench, or if the portfolio's tier economy
 //! collapses — this is the CI bench-regression guard.
 
+#![forbid(unsafe_code)]
+
 use dwv_core::parallel::WorkerPool;
 use dwv_core::{
     Algorithm1, Algorithm2, GradientEstimator, LearnConfig, LearnOutcome, MetricKind,

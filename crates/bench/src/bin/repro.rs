@@ -15,6 +15,8 @@
 //! `DWV_TRACE=path` streams a JSONL span trace of the whole run, closed
 //! with a metrics snapshot, ready for `dwv-trace <path>`.
 
+#![forbid(unsafe_code)]
+
 use dwv_bench::tables::render_rows;
 use dwv_bench::{
     ablation, fig4, fig5, fig6, fig7, fig8, table1_acc, table1_oscillator, table1_three_dim,

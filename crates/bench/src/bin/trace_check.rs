@@ -15,6 +15,8 @@
 //! `verify` / `simulate` phases, reach-cache hit/miss counters, and
 //! remainder-width metrics. Exits 1 with a diagnostic on any violation.
 
+#![forbid(unsafe_code)]
+
 use dwv_obs::json::{parse, JsonValue};
 use std::collections::HashMap;
 use std::process::ExitCode;

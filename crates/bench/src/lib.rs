@@ -23,6 +23,7 @@
 //! target. `EXPERIMENTS.md` records paper-vs-measured for every row.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 pub mod experiments;
 pub mod figures;

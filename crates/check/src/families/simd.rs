@@ -2,15 +2,13 @@
 //!
 //! The chunked coefficient kernels in `dwv_poly::kernels` document exact
 //! bit-level contracts: elementwise operations are width-independent, and
-//! the reductions follow a fixed 4-lane combine order reproduced verbatim
-//! by the opt-in AVX2 path. This family re-derives every contract from an
-//! independently written scalar oracle and checks the *dispatched*
-//! implementation against it — with the `simd` feature on, that pits the
-//! vector path against the reference; with it off, it pins the scalar
-//! chunked loops. It also covers the two structural bit-identity promises
-//! built on the kernels: the degree-filtered staging of truncated products
-//! and the deterministic `WorkerPool` reduction (parallel ≡ serial at any
-//! thread count).
+//! the reductions follow a fixed 4-lane combine order. This family
+//! re-derives every contract from an independently written scalar oracle
+//! and checks the kernels against it bit for bit, whatever vector width the
+//! compiler chose for their loops. It also covers the two structural
+//! bit-identity promises built on the kernels: the degree-filtered staging
+//! of truncated products and the deterministic `WorkerPool` reduction
+//! (parallel ≡ serial at any thread count).
 
 use super::{case_rng, CaseOutcome, Family};
 use dwv_core::WorkerPool;
@@ -19,7 +17,7 @@ use dwv_interval::Interval;
 use dwv_poly::kernels::{self, LANES};
 use dwv_poly::{arbitrary, PolyWorkspace, Polynomial};
 
-/// Vectorized kernels vs independently written scalar reference, bit for bit.
+/// Chunked kernels vs independently written scalar reference, bit for bit.
 pub struct SimdFamily;
 
 /// The documented dot contract, written without reusing the kernel body:
@@ -84,7 +82,7 @@ impl Family for SimdFamily {
         let b: Vec<f64> = (0..n).map(|_| f64_in(next(), -8.0, 8.0)).collect();
         let s = f64_in(next(), -4.0, 4.0);
 
-        // Reductions: dispatched kernel vs the documented combine order.
+        // Reductions: kernel vs the documented combine order.
         let dot = kernels::dot_chunked(&a, &b);
         if dot.to_bits() != dot_oracle(&a, &b).to_bits() {
             return CaseOutcome::Violation(format!(

@@ -10,6 +10,8 @@
 //!
 //! Exit codes: 0 = clean, 1 = violations found, 2 = usage error.
 
+#![forbid(unsafe_code)]
+
 use dwv_check::case::CaseId;
 use dwv_check::families::{self, CaseOutcome};
 use dwv_check::{corpus, replay, run, Config};

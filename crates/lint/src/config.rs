@@ -4,35 +4,28 @@
 //! encodes the project's soundness contract (see `DESIGN.md` §4d); tests
 //! construct custom configurations pointing at fixture files.
 
-/// How a source file participates in the build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FileClass {
-    /// Library code under some `src/` (rules apply fully).
-    Lib,
-    /// Binary targets (`src/bin/`, `src/main.rs`): panic/doc rules relaxed.
-    Bin,
-    /// Tests, examples, benches: only the unsafe audit applies.
-    TestLike,
+/// Whether a repo-relative path is library code. Tests, examples, benches
+/// and binaries (`src/bin/`, `main.rs`) are outside every rule's zone, so
+/// the linter skips them.
+#[must_use]
+pub fn is_library(rel_path: &str) -> bool {
+    let parts: Vec<&str> = rel_path.split('/').collect();
+    !parts
+        .iter()
+        .any(|p| matches!(*p, "tests" | "examples" | "benches" | "bin"))
+        && parts.last() != Some(&"main.rs")
 }
 
-/// Classifies a repo-relative path (also extracting the owning crate name).
+/// The crate owning a repo-relative path: `<name>` for `crates/<name>/…`,
+/// the root package otherwise.
 #[must_use]
-pub fn classify(rel_path: &str) -> (FileClass, String) {
+pub fn crate_of(rel_path: &str) -> String {
     let parts: Vec<&str> = rel_path.split('/').collect();
-    let krate = if parts.len() >= 2 && parts[0] == "crates" {
+    if parts.len() >= 2 && parts[0] == "crates" {
         parts[1].to_string()
     } else {
         "design-while-verify".to_string()
-    };
-    let class =
-        if parts.contains(&"tests") || parts.contains(&"examples") || parts.contains(&"benches") {
-            FileClass::TestLike
-        } else if parts.contains(&"bin") || parts.last() == Some(&"main.rs") {
-            FileClass::Bin
-        } else {
-            FileClass::Lib
-        };
-    (class, krate)
+    }
 }
 
 /// The zone map consulted by the rule passes.
@@ -180,8 +173,7 @@ impl ZoneConfig {
     /// in `panic_free_files`.
     #[must_use]
     pub fn in_panic_free_crate(&self, rel_path: &str) -> bool {
-        let (_, krate) = classify(rel_path);
-        self.panic_free_crates.contains(&krate)
+        self.panic_free_crates.contains(&crate_of(rel_path))
             || self.panic_free_files.iter().any(|f| f == rel_path)
     }
 
@@ -215,8 +207,7 @@ impl ZoneConfig {
     /// panic-reachability proof.
     #[must_use]
     pub fn in_proof_crate(&self, rel_path: &str) -> bool {
-        let (_, krate) = classify(rel_path);
-        self.proof_crates.contains(&krate)
+        self.proof_crates.contains(&crate_of(rel_path))
     }
 }
 
@@ -225,24 +216,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn classify_paths() {
-        assert_eq!(
-            classify("crates/interval/src/interval.rs"),
-            (FileClass::Lib, "interval".to_string())
-        );
-        assert_eq!(
-            classify("crates/bench/src/bin/bench_core.rs").0,
-            FileClass::Bin
-        );
-        assert_eq!(
-            classify("crates/poly/tests/properties.rs").0,
-            FileClass::TestLike
-        );
-        assert_eq!(classify("examples/quickstart.rs").0, FileClass::TestLike);
-        assert_eq!(
-            classify("src/lib.rs"),
-            (FileClass::Lib, "design-while-verify".to_string())
-        );
+    fn library_paths_and_crates() {
+        assert!(is_library("crates/interval/src/interval.rs"));
+        assert!(is_library("src/lib.rs"));
+        assert!(!is_library("crates/bench/src/bin/bench_core.rs"));
+        assert!(!is_library("crates/serve/src/main.rs"));
+        assert!(!is_library("crates/poly/tests/properties.rs"));
+        assert!(!is_library("examples/quickstart.rs"));
+        assert_eq!(crate_of("crates/interval/src/interval.rs"), "interval");
+        assert_eq!(crate_of("src/lib.rs"), "design-while-verify");
     }
 
     #[test]

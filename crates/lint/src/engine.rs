@@ -11,7 +11,7 @@
 //! byte-identical whatever order the sources arrive in.
 
 use crate::callgraph::{self, CallGraph};
-use crate::config::ZoneConfig;
+use crate::config::{is_library, ZoneConfig};
 use crate::report::{Audit, Finding, Report, Rule};
 use crate::rules::{self, FileFacts, SigIndex};
 use crate::{lexer, parser, walk};
@@ -69,9 +69,6 @@ fn assemble(files: Vec<FileFacts>, zones: &ZoneConfig) -> Report {
     for (fi, file) in files.iter().enumerate() {
         report.findings.extend(file.findings.iter().cloned());
         report.suppressed.extend(file.suppressed.iter().cloned());
-        if file.unsafe_count > 0 {
-            *report.unsafe_census.entry(file.krate.clone()).or_insert(0) += file.unsafe_count;
-        }
         if file.soft_seeds > 0 {
             *soft_seeds.entry(file.krate.clone()).or_insert(0) += file.soft_seeds;
         }
@@ -153,12 +150,17 @@ pub fn why_workspace(root: &Path, name: &str) -> io::Result<Vec<String>> {
     Ok(callgraph::why(&files, &graph, name))
 }
 
-/// Reads every lintable source file under `root` as `(rel_path, contents)`
-/// pairs — the input shape [`lint_sources`] consumes. Public so benchmark
-/// harnesses can read once and time the engine alone.
+/// Reads every library source file under `root` (see
+/// [`crate::config::is_library`]) as `(rel_path, contents)` pairs — the
+/// input shape [`lint_sources`] consumes. Tests, examples, benches and
+/// binaries are outside every rule's zone and are not read. Public so
+/// benchmark harnesses can read once and time the engine alone.
 pub fn read_workspace(root: &Path) -> io::Result<Vec<(String, String)>> {
     let mut out = Vec::new();
-    for rel in walk::collect_rs_files(root)? {
+    for rel in walk::collect_rs_files(root)?
+        .into_iter()
+        .filter(|rel| is_library(rel))
+    {
         let src = fs::read_to_string(root.join(&rel))?;
         out.push((rel, src));
     }
@@ -202,6 +204,31 @@ mod tests {
         assert_eq!(unused.len(), 1, "{:?}", report.findings);
         assert_eq!(unused[0].rule, Rule::Annotation);
         assert_eq!(unused[0].line, 1);
+    }
+
+    #[test]
+    fn workspace_reader_skips_non_library_files() {
+        let root = std::env::temp_dir().join(format!("dwv-lint-read-{}", std::process::id()));
+        for rel in [
+            "src/lib.rs",
+            "src/main.rs",
+            "src/bin/tool.rs",
+            "tests/t.rs",
+            "examples/demo.rs",
+            "benches/b.rs",
+        ] {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().expect("parent dir")).expect("temp dirs");
+            fs::write(&path, "pub fn f() { x.unwrap(); }\n").expect("temp source");
+        }
+        let sources = read_workspace(&root);
+        let _ = fs::remove_dir_all(&root);
+        let rels: Vec<String> = sources
+            .expect("read temp workspace")
+            .into_iter()
+            .map(|(rel, _)| rel)
+            .collect();
+        assert_eq!(rels, vec!["src/lib.rs".to_string()]);
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! other parser crate; this hand-rolled lexer produces exactly the token
 //! stream the rule passes need: identifiers, literals (with the int/float
 //! distinction that the float-hygiene rule relies on), punctuation, and a
-//! separate comment list (with doc-comment classification) for the
-//! suppression-annotation and `SAFETY:` checks.
+//! separate comment list for the suppression annotations.
 //!
 //! The lexer is deliberately forgiving: on malformed input it degrades to
 //! single-character punctuation tokens instead of failing, so a lint run
@@ -48,8 +47,6 @@ pub struct Comment {
     pub text: String,
     /// 1-based source line the comment starts on.
     pub line: u32,
-    /// Whether this is a doc comment (`///`, `//!`, `/** */`, `/*! */`).
-    pub doc: bool,
 }
 
 /// The output of [`lex`]: tokens plus the comment side-channel.
@@ -133,9 +130,7 @@ impl Lexer {
             text.push(c);
             self.bump();
         }
-        // `////…` is a plain comment; `///` and `//!` are docs.
-        let doc = (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!");
-        self.out.comments.push(Comment { text, line, doc });
+        self.out.comments.push(Comment { text, line });
     }
 
     fn block_comment(&mut self, line: u32) {
@@ -160,10 +155,7 @@ impl Lexer {
                 self.bump();
             }
         }
-        // `/**/` and `/***/`-style separators are not docs.
-        let doc = (text.starts_with("/**") && !text.starts_with("/***") && text.len() > 5)
-            || text.starts_with("/*!");
-        self.out.comments.push(Comment { text, line, doc });
+        self.out.comments.push(Comment { text, line });
     }
 
     /// Handles `r"…"`, `r#"…"#`, `b"…"`, `br#"…"#` prefixes. Returns false if
@@ -438,15 +430,13 @@ mod tests {
     }
 
     #[test]
-    fn comments_and_docs() {
+    fn comments_carry_text_and_line() {
         let l = lex("/// doc\n// plain\n//! inner\nfn f() {} /* block */ /** docblock */");
         assert_eq!(l.comments.len(), 5);
-        assert!(l.comments[0].doc);
-        assert!(!l.comments[1].doc);
-        assert!(l.comments[2].doc);
-        assert!(!l.comments[3].doc);
-        assert!(l.comments[4].doc);
+        assert_eq!(l.comments[1].text, "// plain");
         assert_eq!(l.comments[1].line, 2);
+        assert_eq!(l.comments[3].text, "/* block */");
+        assert_eq!(l.comments[4].line, 4);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! | `float-hygiene` | raw `f64` arithmetic / non-directed float methods in soundness zones |
 //! | `panic-freedom` | `unwrap`/`expect`/panicking macros/indexing in verified library code |
 //! | `determinism`   | iteration-order, wall-clock, thread-identity dependence in result-bearing code |
-//! | `unsafe-audit`  | `unsafe` without a `// SAFETY:` comment (plus census) |
-//! | `doc-coverage`  | undocumented public items                            |
+//! | `no-alloc`      | allocation in the designated no-alloc kernel zone    |
 //!
 //! Findings are suppressible only via an inline, reasoned annotation:
 //!
@@ -22,6 +21,7 @@
 //! annotations are findings themselves and always fail the run.
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 pub mod callgraph;
 pub mod config;
@@ -33,7 +33,7 @@ pub mod rules;
 pub mod structure;
 pub mod walk;
 
-pub use config::{classify, FileClass, ZoneConfig};
+pub use config::ZoneConfig;
 pub use engine::{lint_sources, lint_workspace, read_workspace, why_workspace};
 pub use report::{Finding, Report, Rule, Suppression};
 pub use rules::lint_source;

@@ -7,15 +7,15 @@
 //! ```
 //!
 //! Workspace runs go through the interprocedural engine (per-file
-//! analysis, then the call-graph passes, in one serial pass); explicit file
-//! arguments are linted standalone with per-file rules only. `--why <fn>`
-//! prints the panic-reachability status and call chain of every workspace
-//! function with that name instead of a report.
+//! analysis, then the call-graph passes, in one serial pass) over the
+//! library files; explicit file arguments are linted standalone, as library
+//! code, with per-file rules only. `--why <fn>` prints the
+//! panic-reachability status and call chain of every workspace function
+//! with that name instead of a report.
 //!
 //! The exit code is a bitmask over the denied rules that fired:
-//! float-hygiene=1, panic-freedom=2, determinism=4, unsafe-audit=8,
-//! doc-coverage=16, no-alloc=64; malformed or unused annotations (32)
-//! always fail.
+//! float-hygiene=1, panic-freedom=2, determinism=4, no-alloc=64;
+//! malformed or unused annotations (32) always fail.
 
 #![forbid(unsafe_code)]
 

@@ -1,4 +1,4 @@
-//! Findings, suppressions, the unsafe census, and the output formats.
+//! Findings, suppressions, and the output formats.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -14,10 +14,6 @@ pub enum Rule {
     /// R3 — iteration-order / wall-clock / thread-identity dependence in
     /// result-bearing code.
     Determinism,
-    /// R4 — `unsafe` without a `// SAFETY:` comment.
-    UnsafeAudit,
-    /// R5 — undocumented public items.
-    DocCoverage,
     /// R6 — allocation in a designated no-alloc kernel zone.
     NoAlloc,
     /// Malformed `dwv-lint:` annotations.
@@ -32,8 +28,6 @@ impl Rule {
             Rule::FloatHygiene => "float-hygiene",
             Rule::PanicFreedom => "panic-freedom",
             Rule::Determinism => "determinism",
-            Rule::UnsafeAudit => "unsafe-audit",
-            Rule::DocCoverage => "doc-coverage",
             Rule::NoAlloc => "no-alloc",
             Rule::Annotation => "annotation",
         }
@@ -46,8 +40,6 @@ impl Rule {
             Rule::FloatHygiene => 1,
             Rule::PanicFreedom => 2,
             Rule::Determinism => 4,
-            Rule::UnsafeAudit => 8,
-            Rule::DocCoverage => 16,
             Rule::Annotation => 32,
             Rule::NoAlloc => 64,
         }
@@ -60,8 +52,6 @@ impl Rule {
             Rule::FloatHygiene,
             Rule::PanicFreedom,
             Rule::Determinism,
-            Rule::UnsafeAudit,
-            Rule::DocCoverage,
             Rule::NoAlloc,
         ]
     }
@@ -128,9 +118,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Suppressed findings (annotation audit trail).
     pub suppressed: Vec<Suppression>,
-    /// `unsafe` occurrence count per crate (the R4 census) — includes
-    /// annotated-and-passing sites.
-    pub unsafe_census: BTreeMap<String, usize>,
     /// Number of files scanned.
     pub files_scanned: usize,
     /// Proof/suppression audit (workspace engine runs only).
@@ -170,22 +157,13 @@ impl Report {
                 f.message
             );
         }
-        let unsafe_total: usize = self.unsafe_census.values().sum();
         let _ = writeln!(
             out,
-            "dwv-lint: {} file(s), {} finding(s), {} suppressed, {} unsafe site(s)",
+            "dwv-lint: {} file(s), {} finding(s), {} suppressed",
             self.files_scanned,
             self.findings.len(),
             self.suppressed.len(),
-            unsafe_total
         );
-        if unsafe_total > 0 {
-            for (krate, n) in &self.unsafe_census {
-                if *n > 0 {
-                    let _ = writeln!(out, "  unsafe census: {krate}: {n}");
-                }
-            }
-        }
         if let Some(a) = &self.audit {
             let _ = writeln!(
                 out,
@@ -255,14 +233,7 @@ impl Report {
             );
             out.push('}');
         }
-        out.push_str("\n  ],\n  \"unsafe_census\": {");
-        for (i, (krate, n)) in self.unsafe_census.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: {}", json_str(krate), n);
-        }
-        out.push_str("\n  }");
+        out.push_str("\n  ]");
         if let Some(a) = &self.audit {
             out.push_str(",\n  \"audit\": {\n");
             let _ = writeln!(
@@ -345,7 +316,6 @@ mod tests {
             line: 1,
             reason: "lookup-only".into(),
         });
-        r.unsafe_census.insert("obs".into(), 1);
         r
     }
 
@@ -372,12 +342,11 @@ mod tests {
     }
 
     #[test]
-    fn text_contains_findings_and_census() {
+    fn text_contains_findings() {
         let r = sample();
         let t = r.to_text(Rule::all());
         assert!(t.contains("a.rs:3: [panic-freedom#index] slice indexing"));
         assert!(t.contains("b.rs:7: [float-hygiene]"));
-        assert!(t.contains("unsafe census: obs: 1"));
     }
 
     #[test]

@@ -1,10 +1,10 @@
-//! The five rule passes (R1–R5) over a lexed + analyzed source file.
+//! The rule passes (R1–R3, R6) over a lexed + analyzed source file.
 //!
 //! Every pass is token-level and heuristic — precision is documented per
 //! rule, and each exemption the heuristics cannot prove must be written as a
 //! `// dwv-lint: allow(<rule>) -- <reason>` annotation so it stays greppable.
 
-use crate::config::{classify, FileClass, ZoneConfig};
+use crate::config::{crate_of, ZoneConfig};
 use crate::lexer::{lex, Lexed, TokKind, Token};
 use crate::parser::{parse, Parsed};
 use crate::report::{Finding, Report, Rule, Suppression};
@@ -988,9 +988,7 @@ pub struct FileFacts {
     pub findings: Vec<Finding>,
     /// Per-file suppressions.
     pub suppressed: Vec<Suppression>,
-    /// `unsafe` site count.
-    pub unsafe_count: usize,
-    /// Function facts for the call graph (Lib files only).
+    /// Function facts for the call graph.
     pub fns: Vec<FnFact>,
     /// All suppression annotations in the file.
     pub allows: Vec<AllowFact>,
@@ -1008,7 +1006,8 @@ pub struct FileFacts {
 /// the findings both use it verbatim. This single-file entry builds its
 /// signature index from the file alone and runs no interprocedural passes;
 /// the workspace engine ([`crate::engine::lint_sources`]) layers those on
-/// top of [`analyze_file`].
+/// top of [`analyze_file`]. The file is linted as library code whatever its
+/// path.
 pub fn lint_source(rel_path: &str, src: &str, zones: &ZoneConfig, report: &mut Report) {
     let lexed = lex(src);
     let parsed = parse(&lexed);
@@ -1017,10 +1016,9 @@ pub fn lint_source(rel_path: &str, src: &str, zones: &ZoneConfig, report: &mut R
     report.files_scanned += 1;
     report.findings.extend(facts.findings);
     report.suppressed.extend(facts.suppressed);
-    *report.unsafe_census.entry(facts.krate.clone()).or_insert(0) += facts.unsafe_count;
 }
 
-/// Runs every per-file pass over an already lexed and parsed file,
+/// Runs every per-file pass over an already lexed and parsed library file,
 /// producing the file's findings and interprocedural facts.
 #[must_use]
 pub fn analyze_file(
@@ -1031,13 +1029,11 @@ pub fn analyze_file(
     sigs: &SigIndex,
 ) -> FileFacts {
     let structure = analyze(lexed);
-    let (class, krate) = classify(rel_path);
     let mut facts = FileFacts {
         rel_path: rel_path.to_string(),
-        krate: krate.clone(),
+        krate: crate_of(rel_path),
         findings: Vec::new(),
         suppressed: Vec::new(),
-        unsafe_count: 0,
         fns: Vec::new(),
         allows: collect_allows(&structure),
         used_allow_lines: Vec::new(),
@@ -1064,29 +1060,24 @@ pub fn analyze_file(
         });
     }
 
-    if class == FileClass::Lib {
-        if zones.in_float_zone(rel_path) {
-            ctx.float_hygiene(true);
-        } else if zones.is_kernel_module(rel_path) {
-            // Designated kernels own their raw f64 loops, but the denylisted
-            // (non-directed, libm-backed) methods stay banned even there.
-            ctx.float_hygiene(false);
-        }
-        if !zones.is_rounding_primitive(rel_path) {
-            ctx.rounding_containment();
-        }
-        if zones.in_panic_free_crate(rel_path) {
-            ctx.panic_freedom();
-        }
-        if zones.in_determinism_zone(rel_path) {
-            ctx.determinism();
-        }
-        ctx.no_alloc();
-        ctx.doc_coverage();
-        ctx.fn_facts();
+    if zones.in_float_zone(rel_path) {
+        ctx.float_hygiene(true);
+    } else if zones.is_kernel_module(rel_path) {
+        // Designated kernels own their raw f64 loops, but the denylisted
+        // (non-directed, libm-backed) methods stay banned even there.
+        ctx.float_hygiene(false);
     }
-    ctx.unsafe_audit();
-    ctx.simd_safety();
+    if !zones.is_rounding_primitive(rel_path) {
+        ctx.rounding_containment();
+    }
+    if zones.in_panic_free_crate(rel_path) {
+        ctx.panic_freedom();
+    }
+    if zones.in_determinism_zone(rel_path) {
+        ctx.determinism();
+    }
+    ctx.no_alloc();
+    ctx.fn_facts();
     facts.used_allow_lines.sort_unstable();
     facts.used_allow_lines.dedup();
     facts
@@ -1352,49 +1343,6 @@ impl<'a> Ctx<'a> {
         hits.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
         for (line, msg) in hits {
             self.emit(Rule::FloatHygiene, Some("rounding"), line, msg);
-        }
-    }
-
-    // R4#simd — `core::arch` site audit --------------------------------------
-    //
-    // Every textual `core::arch` / `std::arch` site (imports included) must
-    // carry a `SAFETY:` comment within the 5 preceding lines stating the
-    // dispatch contract — runtime feature detection and the scalar-path
-    // equivalence the SIMD body must preserve.
-    fn simd_safety(&mut self) {
-        let toks = self.toks();
-        let mut hits: Vec<u32> = Vec::new();
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.kind == TokKind::Ident
-                && t.text == "arch"
-                && i >= 2
-                && toks[i - 1].text == "::"
-                && matches!(toks[i - 2].text.as_str(), "core" | "std")
-            {
-                let documented = self.lexed.comments.iter().any(|c| {
-                    c.text
-                        .trim_start_matches(['/', '*', '!'])
-                        .trim_start()
-                        .starts_with("SAFETY:")
-                        && c.line <= t.line
-                        && t.line.saturating_sub(c.line) <= 5
-                });
-                if !documented {
-                    hits.push(t.line);
-                }
-            }
-        }
-        hits.dedup();
-        for line in hits {
-            self.emit(
-                Rule::UnsafeAudit,
-                Some("simd"),
-                line,
-                "`core::arch` SIMD site without a `// SAFETY:` comment within the 5 \
-                 preceding lines"
-                    .to_string(),
-            );
         }
     }
 
@@ -1687,102 +1635,6 @@ impl<'a> Ctx<'a> {
         hits.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
         for (line, msg) in hits {
             self.emit(Rule::Determinism, None, line, msg);
-        }
-    }
-
-    // R4 — unsafe audit ------------------------------------------------------
-    fn unsafe_audit(&mut self) {
-        let toks = self.toks();
-        let mut census = 0usize;
-        let mut hits: Vec<u32> = Vec::new();
-        for (i, t) in toks.iter().enumerate() {
-            if t.kind != TokKind::Ident || t.text != "unsafe" || self.structure.flags[i].in_attr {
-                continue;
-            }
-            census += 1;
-            // The comment must *start* with `SAFETY:` (after the comment
-            // markers) — prose mentioning the convention does not count.
-            let documented = self.lexed.comments.iter().any(|c| {
-                c.text
-                    .trim_start_matches(['/', '*', '!'])
-                    .trim_start()
-                    .starts_with("SAFETY:")
-                    && c.line <= t.line
-                    && t.line.saturating_sub(c.line) <= 3
-            });
-            if !documented {
-                hits.push(t.line);
-            }
-        }
-        self.facts.unsafe_count += census;
-        for line in hits {
-            self.emit(
-                Rule::UnsafeAudit,
-                None,
-                line,
-                "`unsafe` without a `// SAFETY:` comment within the 3 preceding lines".to_string(),
-            );
-        }
-    }
-
-    // R5 — doc coverage ------------------------------------------------------
-    fn doc_coverage(&mut self) {
-        let toks = self.toks();
-        let mut hits: Vec<(u32, String)> = Vec::new();
-        for i in 0..toks.len() {
-            if self.skipped(i) || toks[i].text != "pub" {
-                continue;
-            }
-            // `pub(crate)` / `pub(super)` are not public API.
-            if toks.get(i + 1).is_some_and(|t| t.text == "(") {
-                continue;
-            }
-            // Find the item keyword, skipping modifiers.
-            let mut j = i + 1;
-            while toks.get(j).is_some_and(|t| {
-                matches!(t.text.as_str(), "const" | "unsafe" | "async" | "extern")
-                    || t.kind == TokKind::StrLit
-            }) {
-                // `pub const NAME` — `const` is the item keyword when the
-                // next token is an identifier that is not `fn`.
-                if toks[j].text == "const" && toks.get(j + 1).is_some_and(|t| t.text != "fn") {
-                    break;
-                }
-                j += 1;
-            }
-            let Some(kw) = toks.get(j) else { continue };
-            // `mod` is exempt: module docs conventionally live inside the
-            // module file as `//!`, which a per-file scan cannot see.
-            let item_kind = match kw.text.as_str() {
-                "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static" => kw.text.clone(),
-                _ => continue, // `pub use`, `pub mod`, `pub impl`(n/a), …
-            };
-            let name = toks
-                .get(j + 1)
-                .map_or_else(|| "?".to_string(), |t| t.text.clone());
-            // Attached attributes may sit between the docs and the item:
-            // walk backwards over attribute spans.
-            let mut first = i;
-            while first > 0 && self.structure.flags[first - 1].in_attr {
-                first -= 1;
-            }
-            let start_line = toks[first].line;
-            let prev_line = if first == 0 { 0 } else { toks[first - 1].line };
-            let documented = self
-                .lexed
-                .comments
-                .iter()
-                .any(|c| c.doc && c.line >= prev_line && c.line <= start_line)
-                || toks[first..i].iter().any(|t| t.text == "doc");
-            if !documented {
-                hits.push((
-                    toks[i].line,
-                    format!("public {item_kind} `{name}` has no doc comment"),
-                ));
-            }
-        }
-        for (line, msg) in hits {
-            self.emit(Rule::DocCoverage, None, line, msg);
         }
     }
 
@@ -2209,61 +2061,5 @@ mod tests {
             .map(|f| f.line)
             .collect();
         assert_eq!(d, vec![1, 2]);
-    }
-
-    #[test]
-    fn unsafe_requires_safety_comment() {
-        let src = "\
-fn a() { unsafe { x() } }
-// SAFETY: documented invariant
-fn b() { unsafe { y() } }
-";
-        let r = run("crates/demo/src/lib.rs", src);
-        let ua: Vec<u32> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::UnsafeAudit)
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(ua, vec![1]);
-        assert_eq!(r.unsafe_census.get("demo"), Some(&2));
-    }
-
-    #[test]
-    fn doc_coverage_flags_undocumented_pub() {
-        let src = "\
-/// Documented.
-pub fn ok() {}
-pub fn bad() {}
-#[derive(Debug)]
-pub struct AlsoBad;
-/// Documented struct.
-#[derive(Debug)]
-pub struct Fine;
-pub(crate) fn internal() {}
-";
-        let r = run("crates/demo/src/lib.rs", src);
-        let dc: Vec<String> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::DocCoverage)
-            .map(|f| f.message.clone())
-            .collect();
-        assert_eq!(dc.len(), 2, "{dc:?}");
-        assert!(dc[0].contains("`bad`"));
-        assert!(dc[1].contains("`AlsoBad`"));
-    }
-
-    #[test]
-    fn test_like_files_only_get_unsafe_audit() {
-        let src = "pub fn undocumented() { v[0]; x.unwrap(); unsafe { y() } }\n";
-        let mut r = Report::default();
-        lint_source(
-            "crates/demo/tests/t.rs",
-            src,
-            &ZoneConfig::default(),
-            &mut r,
-        );
-        assert_eq!(rules_hit(&r), vec!["unsafe-audit"]);
     }
 }

@@ -43,14 +43,7 @@ pub struct Allow {
 }
 
 /// Rule ids an annotation may name.
-pub const RULE_IDS: &[&str] = &[
-    "float-hygiene",
-    "panic-freedom",
-    "determinism",
-    "unsafe-audit",
-    "doc-coverage",
-    "no-alloc",
-];
+pub const RULE_IDS: &[&str] = &["float-hygiene", "panic-freedom", "determinism", "no-alloc"];
 
 /// Analyzes `lexed`, producing per-token flags and parsed annotations.
 #[must_use]

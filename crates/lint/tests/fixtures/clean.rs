@@ -21,7 +21,7 @@ pub fn total(m: &std::collections::BTreeMap<u64, u64>) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    // Test code may do what it likes: only the unsafe audit applies here.
+    // Test code may do what it likes: no rule applies here.
     #[test]
     fn looks_fine() {
         let v = [1.0, 2.0];

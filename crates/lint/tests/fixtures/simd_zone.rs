@@ -16,8 +16,3 @@ pub fn bad_method(x: f64) -> f64 {
 pub fn bad_rounding(x: f64) -> f64 {
     x.next_up()
 }
-
-pub use std::arch::x86_64::_mm256_add_pd;
-
-// SAFETY: dispatch wrappers verify AVX2 before any intrinsic runs.
-pub use std::arch::x86_64::_mm256_mul_pd;

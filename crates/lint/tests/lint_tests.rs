@@ -288,34 +288,9 @@ fn r3_determinism_fixture() {
 }
 
 #[test]
-fn r4_unsafe_audit_fixture() {
-    let r = lint_fixture("r4_violation.rs", "crates/obs/src/fixture.rs");
-    assert_eq!(
-        lines_of(&r, Rule::UnsafeAudit),
-        vec![4],
-        "{:#?}",
-        r.findings
-    );
-    // The census counts both sites, documented or not.
-    assert_eq!(r.unsafe_census.get("obs"), Some(&2));
-}
-
-#[test]
-fn r5_doc_coverage_fixture() {
-    let r = lint_fixture("r5_violation.rs", "crates/obs/src/fixture.rs");
-    assert_eq!(
-        lines_of(&r, Rule::DocCoverage),
-        vec![6, 9],
-        "{:#?}",
-        r.findings
-    );
-}
-
-#[test]
 fn simd_zone_fixture() {
     // Linted as the designated kernel module: raw float ops are waived, but
-    // the libm method denylist, rounding containment, and the `core::arch`
-    // SAFETY audit all still apply.
+    // the libm method denylist and rounding containment still apply.
     let r = lint_fixture("simd_zone.rs", "crates/poly/src/kernels.rs");
     let got: Vec<(Rule, Option<&str>, u32)> = r
         .findings
@@ -327,7 +302,6 @@ fn simd_zone_fixture() {
         vec![
             (Rule::FloatHygiene, None, 12), // `.sqrt()` despite the zone
             (Rule::FloatHygiene, Some("rounding"), 17), // `next_up` outside the primitives
-            (Rule::UnsafeAudit, Some("simd"), 20), // undocumented `std::arch` import
         ],
         "{:#?}",
         r.findings
@@ -336,8 +310,7 @@ fn simd_zone_fixture() {
         .findings
         .iter()
         .all(|f| f.file == "crates/poly/src/kernels.rs"));
-    // The raw `*d += a * x` loop on line 6 produced nothing, and the
-    // SAFETY-documented import on line 23 passed the audit.
+    // The raw `*d += a * x` loop on line 6 produced nothing.
     assert!(r.suppressed.is_empty(), "{:#?}", r.suppressed);
 }
 
@@ -424,7 +397,6 @@ fn json_report_parses_and_carries_schema() {
         .get("reason")
         .and_then(|x| x.as_str())
         .is_some());
-    assert!(v.get("unsafe_census").and_then(|x| x.as_object()).is_some());
 }
 
 #[test]

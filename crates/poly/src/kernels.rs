@@ -4,12 +4,11 @@
 //!
 //! Every kernel here operates on plain `f64`/`u64` slices — the
 //! structure-of-arrays coefficient storage of [`crate::Polynomial`] — in a
-//! fixed chunked order so the loops autovectorize to `f64x4` on any target.
-//! The **scalar chunked implementation is the semantic reference**: the
-//! opt-in `core::arch` x86_64 path (feature `simd`) performs exactly the
-//! same lane operations in exactly the same combine order, so vectorized
-//! and scalar results are bit-for-bit identical (asserted by the in-module
-//! tests and the `simd` dwv-check family).
+//! fixed chunked order the compiler can vectorize at the target's native
+//! width (2 lanes on the default x86-64 target, which has SSE2 only). The
+//! chunked loops are the only implementation; their results do not depend
+//! on that width (asserted bit for bit by the in-module tests and the
+//! `simd` dwv-check family against independently written references).
 //!
 //! Soundness note: nothing in this module performs rounding-sensitive
 //! *endpoint* arithmetic. Interval endpoints are only ever produced by the
@@ -18,19 +17,13 @@
 //! under any vector width) and fixed-order reductions whose chunked
 //! summation order is part of their documented contract.
 
-/// Lane count of the chunked kernels (matches `f64x4`/AVX2).
+/// Lane count of the chunked reductions: the number of independent partial
+/// sums, which fixes their summation order (not the machine vector width).
 pub const LANES: usize = 4;
 
 /// `dst[i] *= s` for all `i` — elementwise, so any vector width produces
 /// identical bits.
 pub fn scale_slice(dst: &mut [f64], s: f64) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU at
-        // runtime; `scale_slice_avx2` has no other preconditions.
-        unsafe { avx2::scale_slice_avx2(dst, s) };
-        return;
-    }
     for c in dst {
         *c *= s;
     }
@@ -40,13 +33,6 @@ pub fn scale_slice(dst: &mut [f64], s: f64) {
 pub fn scale_into(dst: &mut Vec<f64>, src: &[f64], s: f64) {
     dst.clear();
     dst.reserve(src.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU at
-        // runtime; `scale_into_avx2` has no other preconditions.
-        unsafe { avx2::scale_into_avx2(dst, src, s) };
-        return;
-    }
     dst.extend(src.iter().map(|&c| c * s));
 }
 
@@ -57,13 +43,6 @@ pub fn scale_into(dst: &mut Vec<f64>, src: &[f64], s: f64) {
 /// Panics if the slice lengths differ.
 pub fn scale_into_slice(dst: &mut [f64], src: &[f64], s: f64) {
     assert_eq!(dst.len(), src.len(), "scale length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU at
-        // runtime; slice lengths were checked equal above.
-        unsafe { avx2::scale_into_slice_avx2(dst, src, s) };
-        return;
-    }
     for (d, &c) in dst.iter_mut().zip(src) {
         *d = c * s;
     }
@@ -118,13 +97,6 @@ pub fn stage_row_filtered(
 /// identically).
 pub fn axpy(dst: &mut [f64], a: f64, src: &[f64]) {
     assert_eq!(dst.len(), src.len(), "axpy length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU at
-        // runtime; slice lengths were checked equal above.
-        unsafe { avx2::axpy_avx2(dst, a, src) };
-        return;
-    }
     for (d, &x) in dst.iter_mut().zip(src) {
         *d += a * x;
     }
@@ -132,7 +104,7 @@ pub fn axpy(dst: &mut [f64], a: f64, src: &[f64]) {
 
 /// Chunked dot product with the documented 4-lane reduction order.
 ///
-/// Semantics (the scalar reference, reproduced exactly by the SIMD path):
+/// Semantics:
 /// partial sums `lane[j] = Σ_i a[4i+j]·b[4i+j]` accumulate independently,
 /// the lanes combine as `(lane0 + lane2) + (lane1 + lane3)`, and the tail
 /// (`len % 4` trailing elements) is added sequentially afterwards.
@@ -141,13 +113,6 @@ pub fn dot_chunked(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let chunks = a.len() / LANES;
     let split = chunks * LANES;
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU at
-        // runtime; slice lengths were checked equal above.
-        let head = unsafe { avx2::dot_body_avx2(&a[..split], &b[..split]) };
-        return add_tail_dot(head, &a[split..], &b[split..]);
-    }
     let mut lane = [0.0f64; LANES];
     for i in 0..chunks {
         let base = i * LANES;
@@ -164,13 +129,6 @@ pub fn dot_chunked(a: &[f64], b: &[f64]) -> f64 {
 pub fn abs_sum_chunked(xs: &[f64]) -> f64 {
     let chunks = xs.len() / LANES;
     let split = chunks * LANES;
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if avx2_enabled() {
-        // SAFETY: `avx2_enabled` verified AVX2 support on this CPU at
-        // runtime; `abs_sum_body_avx2` has no other preconditions.
-        let head = unsafe { avx2::abs_sum_body_avx2(&xs[..split]) };
-        return add_tail_abs(head, &xs[split..]);
-    }
     let mut lane = [0.0f64; LANES];
     for i in 0..chunks {
         let base = i * LANES;
@@ -181,8 +139,8 @@ pub fn abs_sum_chunked(xs: &[f64]) -> f64 {
     add_tail_abs(combine_lanes(lane), &xs[split..])
 }
 
-/// The fixed lane-combine order shared by the scalar and SIMD reduction
-/// paths: `(lane0 + lane2) + (lane1 + lane3)`.
+/// The fixed lane-combine order of the chunked reductions:
+/// `(lane0 + lane2) + (lane1 + lane3)`.
 #[inline]
 fn combine_lanes(lane: [f64; LANES]) -> f64 {
     (lane[0] + lane[2]) + (lane[1] + lane[3])
@@ -204,193 +162,6 @@ fn add_tail_abs(mut acc: f64, xs: &[f64]) -> f64 {
     acc
 }
 
-/// Whether the opt-in AVX2 path is compiled in *and* supported by the
-/// running CPU. With the `simd` feature off this is always `false` and the
-/// scalar reference runs everywhere.
-#[must_use]
-pub fn simd_active() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    {
-        avx2_enabled()
-    }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    {
-        false
-    }
-}
-
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-#[inline]
-fn avx2_enabled() -> bool {
-    // SAFETY: detection only, no intrinsics — `is_x86_feature_detected!` is a
-    // safe macro; std caches the cpuid result behind a relaxed atomic, so
-    // this is one load on the hot path after the first call.
-    std::arch::is_x86_feature_detected!("avx2")
-}
-
-/// The `core::arch` x86_64 path. Every function performs exactly the lane
-/// operations of its scalar-reference counterpart — same products, same
-/// per-lane accumulation, same `(0+2)+(1+3)` combine — so results are
-/// bit-identical by construction. No FMA: multiply and add round separately,
-/// matching the scalar path.
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
-mod avx2 {
-    use super::LANES;
-    // SAFETY: importing intrinsics is safe by itself; every call site below
-    // sits in a `#[target_feature(enable = "avx2")]` fn reached only through
-    // the `avx2_enabled()` dispatch wrappers.
-    #[cfg(target_arch = "x86_64")]
-    use std::arch::x86_64::{
-        __m256d, _mm256_add_pd, _mm256_andnot_pd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_set1_pd,
-        _mm256_setzero_pd, _mm256_storeu_pd,
-    };
-
-    /// # Safety
-    ///
-    /// Caller must ensure the running CPU supports AVX2.
-    // SAFETY: contract above; the only callers are the dispatch wrappers, which verify AVX2 via `avx2_enabled()` first.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_slice_avx2(dst: &mut [f64], s: f64) {
-        let n = dst.len();
-        let chunks = n / LANES;
-        // SAFETY: AVX2 is available (caller contract); all pointer offsets
-        // stay within `dst` because `i * LANES + LANES <= n` for i < chunks.
-        unsafe {
-            let vs = _mm256_set1_pd(s);
-            let p = dst.as_mut_ptr();
-            for i in 0..chunks {
-                let q = p.add(i * LANES);
-                _mm256_storeu_pd(q, _mm256_mul_pd(_mm256_loadu_pd(q), vs));
-            }
-        }
-        for c in &mut dst[chunks * LANES..] {
-            *c *= s;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the running CPU supports AVX2. `dst` must be empty
-    /// with capacity ≥ `src.len()` reserved.
-    // SAFETY: contract above; the only callers are the dispatch wrappers, which verify AVX2 via `avx2_enabled()` first.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_into_avx2(dst: &mut Vec<f64>, src: &[f64], s: f64) {
-        // Elementwise products are width-independent, so delegating the body
-        // through an extend keeps the append safe while the multiply loop
-        // vectorizes under the enabled target feature.
-        dst.extend(src.iter().map(|&c| c * s));
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the running CPU supports AVX2 and
-    /// `dst.len() == src.len()`.
-    // SAFETY: contract above; the only callers are the dispatch wrappers, which verify AVX2 via `avx2_enabled()` first.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scale_into_slice_avx2(dst: &mut [f64], src: &[f64], s: f64) {
-        let n = dst.len();
-        let chunks = n / LANES;
-        // SAFETY: AVX2 is available (caller contract); offsets stay within
-        // both slices, whose lengths the caller checked equal.
-        unsafe {
-            let vs = _mm256_set1_pd(s);
-            let d = dst.as_mut_ptr();
-            let x = src.as_ptr();
-            for i in 0..chunks {
-                _mm256_storeu_pd(
-                    d.add(i * LANES),
-                    _mm256_mul_pd(_mm256_loadu_pd(x.add(i * LANES)), vs),
-                );
-            }
-        }
-        let split = chunks * LANES;
-        for (d, &c) in dst[split..].iter_mut().zip(&src[split..]) {
-            *d = c * s;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Caller must ensure the running CPU supports AVX2 and
-    /// `dst.len() == src.len()`.
-    // SAFETY: contract above; the only callers are the dispatch wrappers, which verify AVX2 via `avx2_enabled()` first.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn axpy_avx2(dst: &mut [f64], a: f64, src: &[f64]) {
-        let n = dst.len();
-        let chunks = n / LANES;
-        // SAFETY: AVX2 is available (caller contract); offsets stay within
-        // both slices, whose lengths the caller checked equal.
-        unsafe {
-            let va = _mm256_set1_pd(a);
-            let d = dst.as_mut_ptr();
-            let x = src.as_ptr();
-            for i in 0..chunks {
-                let q = d.add(i * LANES);
-                let prod = _mm256_mul_pd(va, _mm256_loadu_pd(x.add(i * LANES)));
-                _mm256_storeu_pd(q, _mm256_add_pd(_mm256_loadu_pd(q), prod));
-            }
-        }
-        let split = chunks * LANES;
-        for (d, &x) in dst[split..].iter_mut().zip(&src[split..]) {
-            *d += a * x;
-        }
-    }
-
-    /// Chunked-body dot: `a.len() == b.len()` must be a multiple of 4.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the running CPU supports AVX2 and equal slice
-    /// lengths divisible by [`LANES`].
-    // SAFETY: contract above; the only caller is the dispatch wrapper, which verifies AVX2 via `avx2_enabled()` first.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_body_avx2(a: &[f64], b: &[f64]) -> f64 {
-        let chunks = a.len() / LANES;
-        // SAFETY: AVX2 is available (caller contract); offsets stay within
-        // both slices by the length contract.
-        let lane: [f64; LANES] = unsafe {
-            let mut acc = _mm256_setzero_pd();
-            let pa = a.as_ptr();
-            let pb = b.as_ptr();
-            for i in 0..chunks {
-                let prod = _mm256_mul_pd(
-                    _mm256_loadu_pd(pa.add(i * LANES)),
-                    _mm256_loadu_pd(pb.add(i * LANES)),
-                );
-                acc = _mm256_add_pd(acc, prod);
-            }
-            std::mem::transmute::<__m256d, [f64; LANES]>(acc)
-        };
-        super::combine_lanes(lane)
-    }
-
-    /// Chunked-body abs-sum: `xs.len()` must be a multiple of 4.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the running CPU supports AVX2 and a slice length
-    /// divisible by [`LANES`].
-    // SAFETY: contract above; the only caller is the dispatch wrapper, which verifies AVX2 via `avx2_enabled()` first.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn abs_sum_body_avx2(xs: &[f64]) -> f64 {
-        let chunks = xs.len() / LANES;
-        // SAFETY: AVX2 is available (caller contract); offsets stay within
-        // the slice by the length contract. The andnot mask clears the sign
-        // bit — exactly `f64::abs`.
-        let lane: [f64; LANES] = unsafe {
-            let sign = _mm256_set1_pd(-0.0);
-            let mut acc = _mm256_setzero_pd();
-            let p = xs.as_ptr();
-            for i in 0..chunks {
-                let v = _mm256_andnot_pd(sign, _mm256_loadu_pd(p.add(i * LANES)));
-                acc = _mm256_add_pd(acc, v);
-            }
-            std::mem::transmute::<__m256d, [f64; LANES]>(acc)
-        };
-        super::combine_lanes(lane)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,9 +172,8 @@ mod tests {
             .collect()
     }
 
-    /// The scalar reference semantics, written independently of the kernel
-    /// bodies, so the dispatched implementations (scalar chunked *or* AVX2)
-    /// are checked against the documented contract.
+    /// The reference semantics, written independently of the kernel bodies,
+    /// so the kernels are checked against the documented contract.
     fn dot_reference(a: &[f64], b: &[f64]) -> f64 {
         let chunks = a.len() / LANES;
         let mut lane = [0.0f64; LANES];

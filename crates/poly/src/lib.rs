@@ -12,13 +12,8 @@
 //!   range enclosures, and Bernstein approximation of arbitrary functions
 //!   (how ReachNN abstracts a neural-network controller);
 //! * [`kernels`] — the designated SIMD zone: chunked coefficient kernels
-//!   over the flat structure-of-arrays term storage, with an opt-in
-//!   `core::arch` AVX2 path behind the `simd` feature that is bit-identical
-//!   to the scalar chunked reference.
-//!
-//! `unsafe` is forbidden crate-wide except under the `simd` feature, where
-//! the only `unsafe` code is the audited `core::arch` intrinsics in
-//! [`kernels`].
+//!   over the flat structure-of-arrays term storage, written as plain loops
+//!   in a fixed order that the compiler vectorizes.
 //!
 //! # Example
 //!
@@ -33,16 +28,11 @@
 //! assert_eq!(p.degree(), 2);
 //! ```
 
-#![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
-#![cfg_attr(feature = "simd", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod arbitrary;
 pub mod bernstein;
-// The audited exception to the crate-wide unsafe ban: `core::arch`
-// intrinsics behind the `simd` feature, every site carrying a `SAFETY:`
-// justification (enforced by dwv-lint R4).
-#[cfg_attr(feature = "simd", allow(unsafe_code))]
 pub mod kernels;
 mod polynomial;
 pub mod tables;

@@ -21,8 +21,8 @@
 //! contiguous `Vec<u64>` of monomial keys and one contiguous `Vec<f64>` of
 //! coefficients. Coefficient-side inner loops (scaling, product staging,
 //! norms) run over the bare `f64` array through the chunked kernels in
-//! [`crate::kernels`], which autovectorize to `f64x4` (and have an opt-in
-//! `core::arch` path behind the `simd` feature). Rounding-sensitive
+//! [`crate::kernels`], whose fixed chunked loops the compiler vectorizes.
+//! Rounding-sensitive
 //! *interval* work — term ranges, truncation remainders — never goes
 //! through those kernels: every interval endpoint is produced by the
 //! directed-rounding primitives in `dwv-interval`, one term at a time, in a
@@ -1712,8 +1712,7 @@ fn boxed_term_range(exps: &[u32], c: f64, domain: &[Interval]) -> Interval {
 /// The staging loops are stride-friendly: for each term of `a`, the key row
 /// is `b.keys + ka` (elementwise `u64` add) and the coefficient row is
 /// `b.coeffs · ca` (elementwise product), both over contiguous arrays, so
-/// they autovectorize (and dispatch to the `core::arch` path under the
-/// `simd` feature). The permutation sorts by key with the staging index as
+/// they autovectorize. The permutation sorts by key with the staging index as
 /// tie-break — a deterministic total order, so duplicate keys are summed in
 /// generation order (the same order the functional `Mul`'s stable sort
 /// produces).

@@ -456,17 +456,4 @@ impl JobSpec {
             ProblemId::ThreeDim => 2,
         }
     }
-
-    /// A coarse batching key: jobs sharing it run back-to-back on the same
-    /// warm cache shard (same tenant, problem, and kind discriminant).
-    #[must_use]
-    pub fn batch_key(&self, tenant: u64) -> (u64, u8, u8) {
-        let kind = match &self.kind {
-            JobKind::VerifyLinear { .. } => 0,
-            JobKind::AssessLinear { .. } => 1,
-            JobKind::LearnLinear { .. } => 2,
-            JobKind::AssessNn { .. } => 3,
-        };
-        (tenant, self.problem_tag(), kind)
-    }
 }

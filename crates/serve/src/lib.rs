@@ -14,18 +14,18 @@
 //! Production concerns, by module:
 //!
 //! * [`proto`] — frame grammar, panic-free codec, exact-byte handshake
-//! * [`queue`] — bounded admission, reject-with-retry-after backpressure
+//! * [`queue`] — bounded FIFO admission, reject-with-retry-after
+//!   backpressure
 //! * [`job`] — spec validation and execution on [`dwv_core::WorkerPool`]
 //! * [`server`] — thread-per-core workers, per-tenant sharded
-//!   [`ReachCache`](dwv_reach::ReachCache)s, compatible-request batching,
-//!   deadline/cancel propagation via
-//!   [`CancelToken`](dwv_core::parallel::CancelToken), graceful +
+//!   [`ReachCache`](dwv_reach::ReachCache)s, deadline/cancel propagation
+//!   via [`CancelToken`](dwv_core::parallel::CancelToken), graceful +
 //!   forced drain
 //! * [`client`] — blocking client used by tests, the check family, and the
 //!   binary's `--smoke`/`--drain` modes
 //!
 //! Observability: `serve.accept`, `serve.submitted`, `serve.queue_depth`,
-//! `serve.batch_size`, `serve.rejections[.reason]`, `serve.drain`, plus
+//! `serve.rejections[.reason]`, `serve.drain`, plus
 //! `serve.conn`/`serve.job`/`serve.drain` spans — all through [`dwv_obs`],
 //! feeding the existing `dwv-trace` analyzer.
 //!

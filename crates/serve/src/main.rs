@@ -11,6 +11,8 @@
 //! finishes in-flight work (force-cancelling after a grace period) and
 //! exits 0 — the contract `ci.sh --all`'s forced-drain gate checks.
 
+#![forbid(unsafe_code)]
+
 use dwv_serve::{Client, JobKind, JobSpec, ProblemId, ServeConfig, Server};
 use std::io::Write;
 use std::time::Duration;

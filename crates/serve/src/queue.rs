@@ -1,4 +1,4 @@
-//! Bounded admission queue with batch-aware dequeue.
+//! Bounded FIFO admission queue.
 //!
 //! The backpressure contract of the server lives here: the queue holds at
 //! most `capacity` jobs, [`AdmissionQueue::try_push`] fails *immediately*
@@ -7,11 +7,9 @@
 //! ever buffers submissions anywhere else. Memory for pending work is
 //! bounded by construction, not by hope.
 //!
-//! [`AdmissionQueue::pop_batch`] dequeues up to `max_batch` jobs sharing a
-//! batch key (tenant, problem, kind) in FIFO-of-first-match order: the
-//! oldest job decides the batch, and compatible jobs behind it join.
-//! Workers then run a batch back-to-back on the same warm per-tenant cache
-//! shard — that is what "batching compatible verifier calls" buys.
+//! [`AdmissionQueue::pop`] hands the oldest job to the next free worker.
+//! Every worker shares each tenant's cache shard, so which worker runs a
+//! job does not change what it finds warm.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -20,16 +18,13 @@ use std::time::Duration;
 /// Identifies one job: `(tenant, job_id)`.
 pub type JobKey = (u64, u64);
 
-/// Groups batch-compatible jobs: `(tenant, problem_tag, kind_tag)`.
-pub type BatchKey = (u64, u8, u8);
-
 /// The queue is at capacity; the submission must be rejected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueFull;
 
 #[derive(Debug, Default)]
 struct Inner {
-    entries: VecDeque<(JobKey, BatchKey)>,
+    entries: VecDeque<JobKey>,
 }
 
 /// A bounded FIFO of admitted-but-unstarted jobs.
@@ -63,7 +58,7 @@ impl AdmissionQueue {
     /// # Errors
     ///
     /// [`QueueFull`] when the queue already holds `capacity` jobs.
-    pub fn try_push(&self, key: JobKey, batch: BatchKey) -> Result<usize, QueueFull> {
+    pub fn try_push(&self, key: JobKey) -> Result<usize, QueueFull> {
         let mut inner = self
             .inner
             .lock()
@@ -71,19 +66,18 @@ impl AdmissionQueue {
         if inner.entries.len() >= self.capacity {
             return Err(QueueFull);
         }
-        inner.entries.push_back((key, batch));
+        inner.entries.push_back(key);
         let depth = inner.entries.len();
         drop(inner);
         self.cv.notify_one();
         Ok(depth)
     }
 
-    /// Dequeues up to `max_batch` jobs sharing the oldest entry's batch
-    /// key. Blocks up to `timeout` for the queue to become non-empty;
-    /// returns an empty vec on timeout (callers re-check shutdown flags and
-    /// loop).
+    /// Dequeues the oldest job. Blocks up to `timeout` for the queue to
+    /// become non-empty; returns `None` on timeout (callers re-check
+    /// shutdown flags and loop).
     #[must_use]
-    pub fn pop_batch(&self, max_batch: usize, timeout: Duration) -> Vec<JobKey> {
+    pub fn pop(&self, timeout: Duration) -> Option<JobKey> {
         let mut inner = self
             .inner
             .lock()
@@ -95,21 +89,7 @@ impl AdmissionQueue {
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             inner = guard;
         }
-        let Some(&(_, lead_batch)) = inner.entries.front() else {
-            return Vec::new();
-        };
-        let max = max_batch.max(1);
-        let mut picked = Vec::with_capacity(max);
-        let mut kept = VecDeque::with_capacity(inner.entries.len());
-        for (key, batch) in inner.entries.drain(..) {
-            if picked.len() < max && batch == lead_batch {
-                picked.push(key);
-            } else {
-                kept.push_back((key, batch));
-            }
-        }
-        inner.entries = kept;
-        picked
+        inner.entries.pop_front()
     }
 
     /// Removes a specific pending job (used by cancel and deadline expiry).
@@ -120,7 +100,7 @@ impl AdmissionQueue {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = inner.entries.len();
-        inner.entries.retain(|(k, _)| *k != key);
+        inner.entries.retain(|k| *k != key);
         before != inner.entries.len()
     }
 
@@ -140,7 +120,7 @@ impl AdmissionQueue {
         self.len() == 0
     }
 
-    /// Wakes every blocked [`AdmissionQueue::pop_batch`] (shutdown path).
+    /// Wakes every blocked [`AdmissionQueue::pop`] (shutdown path).
     pub fn notify_all(&self) {
         self.cv.notify_all();
     }
@@ -155,49 +135,37 @@ mod tests {
     #[test]
     fn rejects_when_full_instead_of_buffering() {
         let q = AdmissionQueue::new(2);
-        assert_eq!(q.try_push((1, 1), (1, 0, 0)), Ok(1));
-        assert_eq!(q.try_push((1, 2), (1, 0, 0)), Ok(2));
-        assert_eq!(q.try_push((1, 3), (1, 0, 0)), Err(QueueFull));
+        assert_eq!(q.try_push((1, 1)), Ok(1));
+        assert_eq!(q.try_push((1, 2)), Ok(2));
+        assert_eq!(q.try_push((1, 3)), Err(QueueFull));
         assert_eq!(q.len(), 2, "a rejected push must not grow the queue");
     }
 
     #[test]
-    fn batches_group_by_key_in_fifo_order() {
+    fn pops_in_fifo_order() {
         let q = AdmissionQueue::new(16);
-        // Tenant 1 ACC verifies interleaved with tenant 2 work.
-        let _ = q.try_push((1, 10), (1, 0, 0));
-        let _ = q.try_push((2, 20), (2, 0, 0));
-        let _ = q.try_push((1, 11), (1, 0, 0));
-        let _ = q.try_push((1, 12), (1, 0, 1));
-        let batch = q.pop_batch(8, T);
-        assert_eq!(batch, vec![(1, 10), (1, 11)], "same-key jobs batch");
-        assert_eq!(q.pop_batch(8, T), vec![(2, 20)]);
-        assert_eq!(q.pop_batch(8, T), vec![(1, 12)]);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn batch_size_is_capped() {
-        let q = AdmissionQueue::new(16);
-        for i in 0..6 {
-            let _ = q.try_push((1, i), (1, 0, 0));
+        // Tenant 1 work interleaved with tenant 2 work comes out as it went in.
+        for key in [(1, 10), (2, 20), (1, 11), (1, 12)] {
+            let _ = q.try_push(key);
         }
-        assert_eq!(q.pop_batch(4, T).len(), 4);
-        assert_eq!(q.pop_batch(4, T).len(), 2);
+        for key in [(1, 10), (2, 20), (1, 11), (1, 12)] {
+            assert_eq!(q.pop(T), Some(key));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]
     fn remove_unqueues_pending_jobs() {
         let q = AdmissionQueue::new(4);
-        let _ = q.try_push((1, 1), (1, 0, 0));
+        let _ = q.try_push((1, 1));
         assert!(q.remove((1, 1)));
         assert!(!q.remove((1, 1)), "second remove finds nothing");
-        assert!(q.pop_batch(4, T).is_empty());
+        assert_eq!(q.pop(T), None);
     }
 
     #[test]
     fn pop_times_out_empty() {
         let q = AdmissionQueue::new(4);
-        assert!(q.pop_batch(4, Duration::from_millis(5)).is_empty());
+        assert_eq!(q.pop(Duration::from_millis(5)), None);
     }
 }

@@ -28,7 +28,7 @@ use dwv_reach::ShardedReachCache;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -44,8 +44,6 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission-queue capacity — the backpressure bound.
     pub queue_capacity: usize,
-    /// Max jobs per worker batch (compatible jobs share a warm cache).
-    pub max_batch: usize,
     /// Retry hint attached to `Overloaded`/`Draining` rejections.
     pub retry_after_ms: u32,
     /// Width of each job's internal [`WorkerPool`].
@@ -60,7 +58,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get),
             queue_capacity: 64,
-            max_batch: 4,
             retry_after_ms: 25,
             pool_threads: std::thread::available_parallelism()
                 .map_or(2, std::num::NonZeroUsize::get),
@@ -83,6 +80,21 @@ struct JobTable {
     entries: HashMap<JobKey, JobEntry>,
 }
 
+impl JobTable {
+    /// `(queued, running)` job counts. A job a worker has popped from the
+    /// queue but not yet started is still `Queued` here, so these counts,
+    /// not the queue's length, say whether admitted work is outstanding.
+    fn counts(&self) -> (usize, usize) {
+        self.entries
+            .values()
+            .fold((0, 0), |(queued, running), e| match e.state {
+                JobState::Queued => (queued + 1, running),
+                JobState::Running => (queued, running + 1),
+                _ => (queued, running),
+            })
+    }
+}
+
 struct Shared {
     cfg: ServeConfig,
     jobs: Mutex<JobTable>,
@@ -91,11 +103,17 @@ struct Shared {
     caches: ShardedReachCache,
     draining: AtomicBool,
     shutdown: AtomicBool,
-    running: AtomicUsize,
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl Shared {
+    fn job_counts(&self) -> (usize, usize) {
+        self.jobs
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .counts()
+    }
+
     fn obs_queue_depth(&self) {
         if dwv_obs::enabled() {
             dwv_obs::gauge("serve.queue_depth").set(self.queue.len() as f64);
@@ -152,7 +170,6 @@ impl Server {
             caches: ShardedReachCache::new(),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
-            running: AtomicUsize::new(0),
             conns: Mutex::new(Vec::new()),
         });
         let mut threads = Vec::new();
@@ -196,16 +213,15 @@ impl Server {
     /// Jobs currently executing.
     #[must_use]
     pub fn running(&self) -> usize {
-        self.shared.running.load(Ordering::Acquire)
+        self.shared.job_counts().1
     }
 
     /// Initiates a drain and waits for in-flight work to finish.
     ///
     /// Rejects new submissions immediately; waits up to `force_after` for
-    /// the queue to empty and running jobs to complete, then *cancels*
-    /// everything still unfinished and waits (briefly) for the workers to
-    /// observe the tokens. Returns the number of jobs that had to be
-    /// force-cancelled.
+    /// every admitted job to finish, then *cancels* everything still
+    /// unfinished and waits (briefly) for the workers to observe the tokens.
+    /// Returns the number of jobs that had to be force-cancelled.
     pub fn drain(&self, force_after: Duration) -> usize {
         let _span = dwv_obs::span("serve.drain");
         if dwv_obs::enabled() {
@@ -215,7 +231,7 @@ impl Server {
         self.shared.queue.notify_all();
         let deadline = Instant::now() + force_after;
         while Instant::now() < deadline {
-            if self.shared.queue.is_empty() && self.running() == 0 {
+            if self.shared.job_counts() == (0, 0) {
                 return 0;
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -323,19 +339,11 @@ fn worker_loop(shared: &Arc<Shared>) {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        let batch = shared
-            .queue
-            .pop_batch(shared.cfg.max_batch, Duration::from_millis(50));
-        if batch.is_empty() {
+        let Some(key) = shared.queue.pop(Duration::from_millis(50)) else {
             continue;
-        }
+        };
         shared.obs_queue_depth();
-        if dwv_obs::enabled() {
-            dwv_obs::histogram("serve.batch_size").record(batch.len() as f64);
-        }
-        for key in batch {
-            run_one(shared, &pool, key);
-        }
+        run_one(shared, &pool, key);
     }
 }
 
@@ -354,7 +362,6 @@ fn run_one(shared: &Arc<Shared>, pool: &WorkerPool, key: JobKey) {
         entry.state = JobState::Running;
         (entry.spec.clone(), entry.cancel.clone())
     };
-    shared.running.fetch_add(1, Ordering::AcqRel);
     let (tenant, _) = key;
     let cache = shared.caches.shard(tenant);
     let result = job::run_job(&spec, tenant, pool, &cache, &cancel);
@@ -391,7 +398,6 @@ fn run_one(shared: &Arc<Shared>, pool: &WorkerPool, key: JobKey) {
         }
     }
     drop(jobs);
-    shared.running.fetch_sub(1, Ordering::AcqRel);
     shared.jobs_cv.notify_all();
 }
 
@@ -564,9 +570,10 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: Frame) -> std::
                 dwv_obs::counter("serve.drain").inc();
             }
             shared.queue.notify_all();
+            let (queued, running) = shared.job_counts();
             let ack = Frame::DrainAck {
-                queued: u32::try_from(shared.queue.len()).unwrap_or(u32::MAX),
-                running: u32::try_from(shared.running.load(Ordering::Acquire)).unwrap_or(u32::MAX),
+                queued: u32::try_from(queued).unwrap_or(u32::MAX),
+                running: u32::try_from(running).unwrap_or(u32::MAX),
             };
             write_frame(stream, &ack)
         }
@@ -600,7 +607,6 @@ fn admit(shared: &Arc<Shared>, tenant: u64, job_id: u64, deadline_ms: u32, spec:
         };
     }
     let key: JobKey = (tenant, job_id);
-    let batch = spec.batch_key(tenant);
     {
         let mut jobs = shared
             .jobs
@@ -629,7 +635,7 @@ fn admit(shared: &Arc<Shared>, tenant: u64, job_id: u64, deadline_ms: u32, spec:
             },
         );
     }
-    match shared.queue.try_push(key, batch) {
+    match shared.queue.try_push(key) {
         Ok(_depth) => {
             shared.obs_queue_depth();
             if dwv_obs::enabled() {
@@ -739,5 +745,52 @@ fn stream_job(shared: &Arc<Shared>, stream: &mut TcpStream, key: JobKey) -> std:
         if done {
             return Ok(());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{JobKind, ProblemId};
+
+    fn queued_entry() -> JobEntry {
+        JobEntry {
+            spec: JobSpec {
+                problem: ProblemId::Acc,
+                kind: JobKind::VerifyLinear {
+                    gains: vec![0.5867, -2.0],
+                    grid: 1,
+                    samples: 1,
+                },
+            },
+            state: JobState::Queued,
+            events: Vec::new(),
+            cancel: CancelToken::new(),
+            deadline: None,
+        }
+    }
+
+    #[test]
+    fn popped_but_unstarted_job_is_not_idle() {
+        // A job a worker has popped but not yet started: `Queued` in the
+        // table, absent from the queue, not running.
+        let server = Server::start(ServeConfig {
+            workers: 0,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        server
+            .shared
+            .jobs
+            .lock()
+            .expect("job table")
+            .entries
+            .insert((1, 1), queued_entry());
+        assert!(server.shared.queue.is_empty());
+        assert_eq!(server.running(), 0);
+        assert_eq!(server.shared.job_counts(), (1, 0));
+        // Drain must not report a graceful finish: the job is force-cancelled.
+        assert_eq!(server.drain(Duration::from_millis(20)), 1);
+        server.shutdown();
     }
 }

@@ -18,6 +18,8 @@
 //! flight-recorder dump and requires a `panic` anomaly to be covered by
 //! a still-open span. Every failure exits non-zero with a diagnostic.
 
+#![forbid(unsafe_code)]
+
 use dwv_trace::{
     analyze, check_bill, diff_attribution, expected_bill, parse_trace, render_diff, render_folded,
     render_report, validate_flight, validate_nesting, NESTING_SLACK_US,

@@ -46,6 +46,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(missing_docs)]
 
 /// The most commonly used types, for glob import:
 /// `use design_while_verify::prelude::*;`.
