@@ -22,6 +22,7 @@ mod geom;
 mod interval;
 mod lintcheck;
 mod nn;
+mod picard;
 mod poly;
 mod portfolio;
 mod serve;
@@ -71,6 +72,7 @@ pub fn registry() -> Vec<Box<dyn Family>> {
         Box::new(trace::TraceFamily),
         Box::new(lintcheck::LintcheckFamily),
         Box::new(serve::ServeFamily),
+        Box::new(picard::PicardFamily),
     ]
 }
 

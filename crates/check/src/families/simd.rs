@@ -5,9 +5,10 @@
 //! the reductions follow a fixed 4-lane combine order. This family
 //! re-derives every contract from an independently written scalar oracle
 //! and checks the kernels against it bit for bit, whatever vector width the
-//! compiler chose for their loops. It also covers the two structural
+//! compiler chose for their loops. It also covers the structural
 //! bit-identity promises built on the kernels: the degree-filtered staging
-//! of truncated products and the deterministic `WorkerPool` reduction
+//! of truncated products, the truncated product's dense accumulator
+//! against the functional product, and the deterministic `WorkerPool` reduction
 //! (parallel ≡ serial at any thread count).
 
 use super::{case_rng, CaseOutcome, Family};
@@ -35,6 +36,19 @@ fn dot_oracle(a: &[f64], b: &[f64]) -> f64 {
         acc += a[k] * b[k];
     }
     acc
+}
+
+/// A random polynomial; half the draws have coefficients in ±{1, 2}.
+fn product_factor(next: &mut impl FnMut() -> u64, nvars: usize, max_degree: u32) -> Polynomial {
+    let p = arbitrary::polynomial(next, nvars, max_degree, 8, 2.0);
+    if next().is_multiple_of(2) {
+        return p;
+    }
+    let terms: Vec<(Vec<u32>, f64)> = p
+        .iter()
+        .map(|(e, _)| (e.to_vec(), [-2.0, -1.0, 1.0, 2.0][(next() % 4) as usize]))
+        .collect();
+    Polynomial::from_terms(nvars, terms)
 }
 
 /// Same contract for the absolute-value reduction.
@@ -221,6 +235,40 @@ impl Family for SimdFamily {
         if bits(&parallel) != bits(&serial) {
             return CaseOutcome::Violation(format!(
                 "WorkerPool({threads}).map over {n} items diverged bitwise from serial"
+            ));
+        }
+
+        // Product kernels vs the functional product (pairs stable-sorted by
+        // key, then folded): the truncated product's dense accumulator for
+        // exponent boxes of at most three cells per pair, staging and radix
+        // sort for the rest and for the dropping product. Small-integer coefficients
+        // make exact cancellations, and the zero-sum drops they cause,
+        // common.
+        let nvars = 1 + (next() as usize) % 4;
+        let max_degree = 1 + u32::from(size % 5);
+        let p = product_factor(&mut next, nvars, max_degree);
+        let q = product_factor(&mut next, nvars, max_degree);
+        let dom = vec![Interval::new(-1.0, 1.0); nvars];
+        let d = (next() % u64::from(2 * max_degree + 1)) as u32;
+        let (low, high) = (p.clone() * q.clone()).split_at_degree(d);
+        let mut kept = Polynomial::zero(nvars);
+        let overflow = p.mul_truncated_into(&q, d, &dom, &mut kept, &mut ws);
+        let want = high.eval_interval(&dom);
+        if !kept.bits_eq(&low)
+            || overflow.lo().to_bits() != want.lo().to_bits()
+            || overflow.hi().to_bits() != want.hi().to_bits()
+        {
+            return CaseOutcome::Violation(format!(
+                "mul_truncated_into(degree {d}) diverged bitwise from the functional product: \
+                 kept {kept} vs {low}, overflow {overflow} vs {want}"
+            ));
+        }
+        let mut dropped = Polynomial::zero(nvars);
+        p.mul_dropping_into(&q, d, &mut dropped, &mut ws);
+        if !dropped.bits_eq(&low) {
+            return CaseOutcome::Violation(format!(
+                "mul_dropping_into(degree {d}) diverged bitwise from the functional product: \
+                 {dropped} vs {low}"
             ));
         }
 

@@ -39,4 +39,4 @@ pub mod tables;
 mod workspace;
 
 pub use polynomial::{Exponents, Polynomial, TermIter, PACK_MAX_EXP, PACK_VARS};
-pub use workspace::PolyWorkspace;
+pub use workspace::{PolyWorkspace, PowersStats};

@@ -229,13 +229,19 @@ impl<A: NnAbstraction> TaylorReach<A> {
             Ok(Flowpipe::new(steps))
         })();
         if dwv_obs::enabled() {
-            // The Bernstein range memo lives and dies with this run's
-            // workspace; fold its counters into the process-wide metrics so
-            // the aggregate hit rate survives the workspace.
+            // The Bernstein range memo and the monomial-range memo live and
+            // die with this run's workspace; fold their counters into the
+            // process-wide metrics so the aggregate hit rates survive the
+            // workspace.
             let s = ws.bern.stats();
             dwv_obs::counter("poly.range_cache.hits").add(s.hits);
             dwv_obs::counter("poly.range_cache.misses").add(s.misses);
             dwv_obs::counter("poly.range_cache.evictions").add(s.evictions);
+            let p = ws.poly.powers_stats();
+            dwv_obs::counter("poly.powers.hits").add(p.hits);
+            dwv_obs::counter("poly.powers.misses").add(p.misses);
+            // Registered at zero, so every trace reports the count.
+            dwv_obs::counter("picard.staged_fallbacks").add(0);
         }
         result
     }

@@ -84,16 +84,23 @@ pub(crate) struct DefectTape {
     t_scale: Interval,
     /// `point(δ)` — the step-length remainder factor.
     delta_pt: Interval,
+    /// Whether the candidate was checked and found to be a fixed point of
+    /// the polynomial Picard iteration (see
+    /// [`DefectTape::reproduces_candidate`]).
+    fixed_point: bool,
 }
 
 impl DefectTape {
     /// Runs the Picard operator's composition once over the candidate
     /// polynomials (zero remainders), recording the remainder dataflow and
-    /// every polynomial-derived interval constant.
+    /// every polynomial-derived interval constant. With `check_fixed_point`
+    /// it also compares the candidate's next polynomial iterate with the
+    /// candidate (see [`DefectTape::reproduces_candidate`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compile(
         order: u32,
         bernstein_ranges: bool,
+        check_fixed_point: bool,
         polys: &[TaylorModel],
         x0e: &TmVector,
         ue: &TmVector,
@@ -132,20 +139,20 @@ impl DefectTape {
             }
         }
         let mut total_slots = nargs;
-        let mut pows: Vec<Vec<(Polynomial, u32)>> = Vec::with_capacity(nargs);
-        for (i, &me) in max_exp.iter().enumerate() {
-            let mut table: Vec<(Polynomial, u32)> = Vec::with_capacity(me as usize);
+        let mut pows: Vec<Vec<Node>> = Vec::with_capacity(nargs);
+        for (i, (&me, &arg)) in max_exp.iter().zip(&arg_polys).enumerate() {
+            let mut table: Vec<Node> = Vec::with_capacity(me as usize);
             if me >= 1 {
                 // args[i]^1 is the argument itself; its remainder is input i.
-                table.push((arg_polys[i].clone(), i as u32)); // dwv-lint: allow(panic-freedom#index) -- i < nargs == arg_polys.len
-                for _ in 1..me {
-                    // dwv-lint: allow(panic-freedom) -- an entry was pushed just above; the table never shrinks
-                    let (lp, ls) = table.last().cloned().expect("table is non-empty");
+                table.push(Node::new(arg.clone(), i as u32));
+                for e in 1..me as usize {
+                    let range_r = table[0].range(dom_ext, ws); // dwv-lint: allow(panic-freedom#index) -- the argument entry was pushed above
+                    let range_l = table[e - 1].range(dom_ext, ws); // dwv-lint: allow(panic-freedom#index) -- the table holds e entries here
                     let node = mul_node(
-                        &lp,
-                        ls,
-                        arg_polys[i], // dwv-lint: allow(panic-freedom#index) -- i < nargs == arg_polys.len
-                        i as u32,
+                        &table[e - 1], // dwv-lint: allow(panic-freedom#index) -- the table holds e entries here
+                        range_l,
+                        &table[0], // dwv-lint: allow(panic-freedom#index) -- the argument entry was pushed above
+                        range_r,
                         order,
                         dom_ext,
                         &mut ops,
@@ -162,7 +169,8 @@ impl DefectTape {
         // term, plus the fixed polynomial defect.
         let mut field_slots = Vec::with_capacity(n);
         let mut diff_ranges = Vec::with_capacity(n);
-        for (ci, p) in rhs.field().iter().enumerate() {
+        let mut fixed_point = check_fixed_point;
+        for ((p, cand), x0c) in rhs.field().iter().zip(polys).zip(x0e.components()) {
             let acc_slot = {
                 let s = total_slots as u32;
                 total_slots += 1;
@@ -170,45 +178,49 @@ impl DefectTape {
             };
             let mut acc_poly = Polynomial::zero(out_vars);
             for (exps, c) in p.iter() {
-                let mut chain: Option<(Polynomial, u32)> = None;
+                let mut chain: Option<Node> = None;
                 for (i, &e) in exps.iter().enumerate() {
                     if e > 0 {
-                        let (pw_poly, pw_slot) = &pows[i][e as usize - 1]; // dwv-lint: allow(panic-freedom#index) -- max_exp[i] >= e by construction
+                        let pw = &mut pows[i][e as usize - 1]; // dwv-lint: allow(panic-freedom#index) -- max_exp[i] >= e by construction
                         chain = Some(match chain {
                             None => {
                                 // Constant × power fast path: scale + prune.
-                                let mut t = pw_poly.scale(c);
+                                let mut t = pw.poly.scale(c);
                                 let prune = t.prune_in_place(DEFAULT_PRUNE_EPS, dom_ext);
                                 let dst = total_slots as u32;
                                 total_slots += 1;
                                 ops.push(TapeOp::Scale {
                                     dst,
-                                    src: *pw_slot,
+                                    src: pw.slot,
                                     c,
                                     prune,
                                 });
-                                (t, dst)
+                                Node::new(t, dst)
                             }
-                            Some((tp, ts)) => mul_node(
-                                &tp,
-                                ts,
-                                pw_poly,
-                                *pw_slot,
-                                order,
-                                dom_ext,
-                                &mut ops,
-                                &mut total_slots,
-                                ws,
-                            ),
+                            Some(mut t) => {
+                                let range_l = t.range(dom_ext, ws);
+                                let range_r = pw.range(dom_ext, ws);
+                                mul_node(
+                                    &t,
+                                    range_l,
+                                    pw,
+                                    range_r,
+                                    order,
+                                    dom_ext,
+                                    &mut ops,
+                                    &mut total_slots,
+                                    ws,
+                                )
+                            }
                         });
                     }
                 }
                 match chain {
-                    Some((t_poly, t_slot)) => {
-                        acc_poly.add_assign_ref(&t_poly, &mut ws.poly);
+                    Some(t) => {
+                        acc_poly.add_assign_ref(&t.poly, &mut ws.poly);
                         ops.push(TapeOp::Add {
                             dst: acc_slot,
-                            src: t_slot,
+                            src: t.slot,
                         });
                     }
                     None => {
@@ -225,12 +237,21 @@ impl DefectTape {
             // Fixed polynomial defect: poly(x0 + δ∫f(candidate)) − candidate.
             let mut mapped = acc_poly.antiderivative(t_var);
             mapped.scale_in_place(delta);
-            mapped.add_assign_ref(x0e.component(ci).poly(), &mut ws.poly);
-            mapped.add_scaled_assign(polys[ci].poly(), -1.0, &mut ws.poly); // dwv-lint: allow(panic-freedom#index) -- ci enumerates the field components, one per candidate
+            mapped.add_assign_ref(x0c.poly(), &mut ws.poly);
+            // Truncated and pruned as a Picard iteration does, `mapped` is
+            // the candidate's next polynomial iterate: the accounting
+            // products keep the coefficients the dropping ones keep.
+            if fixed_point {
+                let mut image = mapped.clone();
+                image.truncate_dropping(order);
+                image.prune_dropping(DEFAULT_PRUNE_EPS);
+                fixed_point = image.bits_eq(cand.poly());
+            }
+            mapped.add_scaled_assign(cand.poly(), -1.0, &mut ws.poly);
             let diff_range = if bernstein_ranges && !mapped.is_zero() {
                 ws.bern.range_enclosure(&mapped, dom_ext)
             } else {
-                mapped.eval_interval(dom_ext)
+                mapped.eval_interval_ws(dom_ext, &mut ws.poly)
             };
             diff_ranges.push(diff_range);
         }
@@ -249,7 +270,17 @@ impl DefectTape {
             diff_ranges,
             t_scale: Interval::new(0.0, dom_ext[t_var].hi()), // dwv-lint: allow(panic-freedom#index) -- t_var checked against dom_ext above
             delta_pt: Interval::point(delta),
+            fixed_point,
         }
+    }
+
+    /// Whether one more polynomial Picard iteration (composition truncated
+    /// at `order`, tails dropped) maps the candidate to itself bit for bit —
+    /// the fixed-point check the iteration loop would otherwise spend a
+    /// full iteration on. `false` when the tape was compiled without the
+    /// check.
+    pub(crate) fn reproduces_candidate(&self) -> bool {
+        self.fixed_point
     }
 
     /// Evaluates the defect map on trial state remainders: what the Picard
@@ -322,35 +353,63 @@ impl DefectTape {
     }
 }
 
-/// Emits the tape op for a truncated product `l · r` and returns the product
-/// polynomial (pruned, as the reference leaves it) with its slot.
+/// A power-table entry or product-chain term: its polynomial, the replay
+/// slot of its remainder, and its range over the domain once a product has
+/// needed it (a pure function of the polynomial, so computing it once per
+/// entry instead of once per use changes no bit).
+struct Node {
+    poly: Polynomial,
+    slot: u32,
+    range: Option<Interval>,
+}
+
+impl Node {
+    fn new(poly: Polynomial, slot: u32) -> Self {
+        Self {
+            poly,
+            slot,
+            range: None,
+        }
+    }
+
+    /// The polynomial's interval range over `dom`, evaluated on first use.
+    fn range(&mut self, dom: &[Interval], ws: &mut TmWorkspace) -> Interval {
+        *self
+            .range
+            .get_or_insert_with(|| self.poly.eval_interval_ws(dom, &mut ws.poly))
+    }
+}
+
+/// Emits the tape op for a truncated product `l · r` (whose factors have the
+/// given ranges) and returns the product node, pruned as the reference
+/// leaves it.
 #[allow(clippy::too_many_arguments)]
 fn mul_node(
-    lp: &Polynomial,
-    ls: u32,
-    rp: &Polynomial,
-    rs: u32,
+    l: &Node,
+    range_l: Interval,
+    r: &Node,
+    range_r: Interval,
     order: u32,
     dom: &[Interval],
     ops: &mut Vec<TapeOp>,
     n_slots: &mut usize,
     ws: &mut TmWorkspace,
-) -> (Polynomial, u32) {
-    let mut prod = Polynomial::zero(lp.nvars());
-    let overflow = lp.mul_truncated_into(rp, order, dom, &mut prod, &mut ws.poly);
+) -> Node {
+    let mut prod = Polynomial::zero(l.poly.nvars());
+    let overflow = l
+        .poly
+        .mul_truncated_into(&r.poly, order, dom, &mut prod, &mut ws.poly);
     let prune = prod.prune_in_place(DEFAULT_PRUNE_EPS, dom);
-    let range_l = lp.eval_interval_ws(dom, &mut ws.poly);
-    let range_r = rp.eval_interval_ws(dom, &mut ws.poly);
     let dst = *n_slots as u32;
     *n_slots += 1;
     ops.push(TapeOp::Mul {
         dst,
-        l: ls,
-        r: rs,
+        l: l.slot,
+        r: r.slot,
         range_l,
         range_r,
         overflow,
         prune,
     });
-    (prod, dst)
+    Node::new(prod, dst)
 }

@@ -107,7 +107,14 @@ pub struct StepFlow {
 pub struct OdeIntegrator {
     /// Taylor-model truncation order (max total degree kept).
     pub order: u32,
-    /// Number of polynomial Picard iterations (should exceed `order`).
+    /// Budget of polynomial Picard iterations. The candidate is the first
+    /// iterate that reproduces itself bit for bit, or the last one the
+    /// budget allows. With a budget of at least `order` the first `order`
+    /// iterations are degree-staged (iteration `j` computes only degrees
+    /// ≤ `j`, all it can change); with more than `order` the defect tape
+    /// checks whether the `order`-th iterate is already the fixed point,
+    /// which it is unless the initial state carries terms the iteration
+    /// prunes, and only then do further iterations run.
     pub picard_iters: usize,
     /// Initial candidate remainder radius as a fraction of the first
     /// Picard-produced remainder (plus an absolute floor).
@@ -224,6 +231,28 @@ impl OdeIntegrator {
         // So the whole phase runs on bare polynomials through the dropping
         // kernels — identical coefficient streams, no interval accounting
         // in the hot loop.
+        //
+        // Degree staging: a coefficient of total degree `d` (time included)
+        // of the next iterate depends only on the current iterate's
+        // coefficients of degree < d, because the antiderivative raises
+        // every degree by one and each dropping kernel builds a kept
+        // coefficient from the same contributions, in the same order,
+        // whatever higher-degree terms are present. So iterate `j ≤ order`
+        // is final up to degree `j`: iteration `j` needs products only up
+        // to degree `j − 1` and its result only up to degree `j`, and after
+        // `order` staged iterations the candidate is bit-identical to the
+        // `order`-th full iterate. Products never need degree `order`,
+        // whose antiderivative is truncated away. Staging applies when the
+        // budget reaches `order`: a smaller budget returns an iterate whose
+        // top-degree coefficients are not final yet, so it runs full-degree
+        // iterations.
+        let order = self.order as usize;
+        let staged = order >= 1 && self.picard_iters >= order;
+        // With budget to spare, the step after the `order`-th iterate only
+        // confirms the fixed point. The defect tape composes the field over
+        // the candidate anyway, so it takes that check; if it fails, the
+        // loop resumes with full-degree iterations and a fixed-point exit.
+        let mut await_tape = staged && self.picard_iters > order;
         let u_polys: Vec<&Polynomial> = ue.components().iter().map(TaylorModel::poly).collect(); // dwv-lint: allow(no-alloc) -- per-step vector of borrows into the extended inputs; a workspace buffer cannot hold them across steps
         ws.flow_xs.truncate(n);
         ws.flow_xs.resize_with(n, || Polynomial::zero(ext));
@@ -232,67 +261,91 @@ impl OdeIntegrator {
         for (dst, src) in ws.flow_xs.iter_mut().zip(x0e.components()) {
             dst.clone_from(src.poly());
         }
-        let mut iters_run = 0u64;
-        for _ in 0..self.picard_iters {
-            let args: Vec<&Polynomial> = ws.flow_xs.iter().chain(u_polys.iter().copied()).collect(); // dwv-lint: allow(no-alloc) -- per-iteration argument borrows into the current iterate; self-referential workspace storage is not expressible
-            for ((dst, p), x0c) in ws
-                .flow_tmp
-                .iter_mut()
-                .zip(rhs.field())
-                .zip(x0e.components())
-            {
-                let mut t = compose_polys_dropping_ws(p, &args, self.order, &mut ws.poly)
-                    .antiderivative(t_var);
-                t.scale_in_place(delta);
-                t.add_assign_ref(x0c.poly(), &mut ws.poly);
-                t.truncate_dropping(self.order);
-                t.prune_dropping(DEFAULT_PRUNE_EPS);
-                *dst = t;
+        let mut iters_run = 0usize;
+        let mut fixed = false;
+        let (polys, tape) = loop {
+            let until = if await_tape { order } else { self.picard_iters };
+            while iters_run < until && !fixed {
+                iters_run += 1;
+                let deg = if staged {
+                    self.order.min(iters_run as u32)
+                } else {
+                    self.order
+                };
+                let args: Vec<&Polynomial> =
+                    ws.flow_xs.iter().chain(u_polys.iter().copied()).collect(); // dwv-lint: allow(no-alloc) -- per-iteration argument borrows into the current iterate; self-referential workspace storage is not expressible
+                for ((dst, p), x0c) in ws
+                    .flow_tmp
+                    .iter_mut()
+                    .zip(rhs.field())
+                    .zip(x0e.components())
+                {
+                    let mut t =
+                        compose_polys_dropping_ws(p, &args, deg.saturating_sub(1), &mut ws.poly)
+                            .antiderivative(t_var);
+                    t.scale_in_place(delta);
+                    t.add_assign_ref(x0c.poly(), &mut ws.poly);
+                    t.truncate_dropping(deg);
+                    t.prune_dropping(DEFAULT_PRUNE_EPS);
+                    *dst = t;
+                }
+                // The iteration is a pure function of the iterate: once a
+                // full-degree iterate reproduces itself bit-for-bit, every
+                // later iterate is that same polynomial vector, so stopping
+                // here yields exactly the candidate the full `picard_iters`
+                // loop would. Staged iterates are truncated below `order`
+                // and say nothing about the fixed point.
+                fixed = (!staged || iters_run > order)
+                    && ws
+                        .flow_tmp
+                        .iter()
+                        .zip(&ws.flow_xs)
+                        .all(|(a, b)| a.bits_eq(b));
+                std::mem::swap(&mut ws.flow_xs, &mut ws.flow_tmp);
             }
-            iters_run += 1;
-            // The iteration is a pure function of the iterate: once an
-            // iterate reproduces itself bit-for-bit, every later iterate is
-            // that same polynomial vector, so stopping here yields exactly
-            // the candidate the full `picard_iters` loop would.
-            let fixed = ws
-                .flow_tmp
-                .iter()
-                .zip(&ws.flow_xs)
-                .all(|(a, b)| a.bits_eq(b));
-            std::mem::swap(&mut ws.flow_xs, &mut ws.flow_tmp);
-            if fixed {
-                break;
-            }
-        }
-        if obs {
-            dwv_obs::counter("picard.poly_iters").add(iters_run);
-        }
-        debug_assert_eq!(ws.flow_xs.len(), n);
-        let polys: Vec<TaylorModel> = ws
-            .flow_xs
-            .drain(..)
-            .map(|p| TaylorModel::new(p, Interval::ZERO))
-            .collect(); // dwv-lint: allow(no-alloc) -- the models own their polynomials (moved, not copied) for the tape and the returned flow
+            debug_assert_eq!(ws.flow_xs.len(), n);
+            let polys: Vec<TaylorModel> = ws
+                .flow_xs
+                .drain(..)
+                .map(|p| TaylorModel::new(p, Interval::ZERO))
+                .collect(); // dwv-lint: allow(no-alloc) -- the models own their polynomials (moved, not copied) for the tape and the returned flow
 
-        // --- Remainder validation ----------------------------------------
-        // Every validation attempt applies the full Picard operator to the
-        // same candidate polynomial, varying only the trial remainders — so
-        // the polynomial work is compiled once into a defect tape and each
-        // attempt replays only the (cheap, bit-identical) remainder
-        // propagation. Replaying with zero remainders gives the baseline
-        // defect.
-        let tape = DefectTape::compile(
-            self.order,
-            self.bernstein_ranges,
-            &polys,
-            &x0e,
-            &ue,
-            rhs,
-            delta,
-            t_var,
-            &dom_ext,
-            ws,
-        );
+            // --- Remainder validation ------------------------------------
+            // Every validation attempt applies the full Picard operator to
+            // the same candidate polynomial, varying only the trial
+            // remainders — so the polynomial work is compiled once into a
+            // defect tape and each attempt replays only the (cheap,
+            // bit-identical) remainder propagation. Replaying with zero
+            // remainders gives the baseline defect.
+            let tape = DefectTape::compile(
+                self.order,
+                self.bernstein_ranges,
+                await_tape,
+                &polys,
+                &x0e,
+                &ue,
+                rhs,
+                delta,
+                t_var,
+                &dom_ext,
+                ws,
+            );
+            if !await_tape || tape.reproduces_candidate() {
+                break (polys, tape);
+            }
+            // The candidate is not the fixed point yet (an initial state
+            // whose constant term the first iteration prunes can delay it by
+            // an iteration): resume the loop from the candidate.
+            await_tape = false;
+            if obs {
+                dwv_obs::counter("picard.staged_fallbacks").inc();
+            }
+            ws.flow_xs
+                .extend(polys.into_iter().map(|tm| tm.into_parts().0));
+        };
+        if obs {
+            dwv_obs::counter("picard.poly_iters").add(iters_run as u64);
+        }
         ws.zero_rems.clear();
         ws.zero_rems.resize(n, Interval::ZERO);
         let defect = tape.replay(&ws.zero_rems);
@@ -320,10 +373,16 @@ impl OdeIntegrator {
                     .map(|(p, &j)| p.with_remainder(j))
                     .collect(); // dwv-lint: allow(no-alloc) -- the validated models escape into the returned flow
                 let flow = TmVector::new(validated);
+                // `range_box` term for term, with the monomial ranges served
+                // from the workspace memo.
                 let step_box = if self.bernstein_ranges {
                     flow.range_box_bernstein_cached(&dom_ext, &mut ws.bern)
                 } else {
-                    flow.range_box(&dom_ext)
+                    let range = |t: &TaylorModel| {
+                        t.poly().eval_interval_ws(&dom_ext, &mut ws.poly) + t.remainder()
+                    };
+                    // dwv-lint: allow(no-alloc) -- the step box escapes into the returned flow
+                    IntervalBox::new(flow.components().iter().map(range).collect())
                 };
                 let end = flow.substitute_value(t_var, 1.0);
                 let end =
@@ -659,6 +718,7 @@ mod tests {
             let tape = DefectTape::compile(
                 integ.order,
                 bernstein,
+                false,
                 &polys,
                 &x0e,
                 &ue,

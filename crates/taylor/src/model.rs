@@ -642,22 +642,20 @@ pub fn compose_polys_dropping_ws(
             max_exp[i] = max_exp[i].max(e);
         }
     }
-    // pows[i][e-1] = args[i]^e, truncated at `order`, pruned like the
-    // Taylor-model power tables (identical coefficient streams).
+    // pows[i][e-2] = args[i]^e for e ≥ 2, truncated at `order`, pruned like
+    // the Taylor-model power tables (identical coefficient streams); the
+    // first power is the argument itself, borrowed.
     let pows: Vec<Vec<Polynomial>> = max_exp
         .iter()
-        .enumerate()
-        .map(|(i, &me)| {
-            let mut table = Vec::with_capacity(me as usize);
-            if me >= 1 {
-                let mut prev = args[i].clone();
-                for _ in 1..me {
-                    let mut next = Polynomial::zero(out_vars);
-                    prev.mul_dropping_into(args[i], order, &mut next, ws);
-                    next.prune_dropping(DEFAULT_PRUNE_EPS);
-                    table.push(std::mem::replace(&mut prev, next));
-                }
-                table.push(prev);
+        .zip(args)
+        .map(|(&me, &arg)| {
+            let mut table: Vec<Polynomial> = Vec::with_capacity((me as usize).saturating_sub(1));
+            for e in 2..=me as usize {
+                let mut next = Polynomial::zero(out_vars);
+                let prev = if e == 2 { arg } else { &table[e - 3] };
+                prev.mul_dropping_into(arg, order, &mut next, ws);
+                next.prune_dropping(DEFAULT_PRUNE_EPS);
+                table.push(next);
             }
             table
         })
@@ -669,7 +667,10 @@ pub fn compose_polys_dropping_ws(
         let mut started = false;
         for (i, &e) in exps.iter().enumerate() {
             if e > 0 {
-                let pw = &pows[i][e as usize - 1];
+                let pw = match e {
+                    1 => args[i],
+                    _ => &pows[i][e as usize - 2],
+                };
                 if started {
                     term.mul_dropping_into(pw, order, &mut next, ws);
                     next.prune_dropping(DEFAULT_PRUNE_EPS);

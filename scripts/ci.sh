@@ -48,9 +48,10 @@ if [[ "${1:-}" == "--all" ]]; then
   run cargo test -q --workspace --offline
   # Single-CPU fallback: pinned to one core, `available_parallelism()`
   # reads 1 and NN learning runs its probes serially. It must reproduce
-  # the golden files the fanned-out run above matched.
+  # the golden files the fanned-out run above matched, and the flowpipe
+  # grid golden with them.
   if command -v taskset >/dev/null; then
-    run taskset -c 0 cargo test -q --offline --test golden_polar --test golden_reachnn
+    run taskset -c 0 cargo test -q --offline --test golden_polar --test golden_reachnn --test golden_flow
   else
     echo "==> skip: taskset not found, single-CPU golden re-run not done"
   fi
@@ -81,6 +82,12 @@ if [[ "${1:-}" == "--all" ]]; then
   # and BernsteinAbstraction::fit bit for bit against the retired sparse fit
   # and remainder loop (see families/nn and check::reference).
   run cargo run --release --offline -p dwv-check -- --family nn --seed 0xD3C0DE --budget-cases 3000
+  # Flow-step gate: OdeIntegrator::flow_step (degree-staged Picard
+  # iterations, fixed point confirmed by the defect tape) bit for bit
+  # against the retired unstaged step in check::reference, on random fields,
+  # symbolic initial models and inputs with remainders, orders 1-5 (see
+  # families/picard).
+  run cargo run --release --offline -p dwv-check -- --family picard --seed 0xD3C0DE --budget-cases 3000
   # Portfolio gate: the tiered-verifier contract (every tier's enclosure
   # contains sampled closed-loop trajectories; cheap unsafe-clearance and
   # goal-containment claims are never contradicted by the rigorous tier) plus

@@ -135,6 +135,35 @@ fn taylor_flowpipe_is_bit_identical_with_tracing_on() {
 }
 
 #[test]
+fn picard_counters_follow_the_degree_schedule() {
+    let _g = obs_lock();
+    obs::shutdown();
+    obs::reset();
+    obs::init_jsonl_writer(Box::new(NullSink));
+    // Diverging steps build their candidate too, so the Picard counts hold
+    // whatever the verdict.
+    let _ = taylor_flowpipe(0.1);
+    obs::shutdown();
+
+    let snap = obs::snapshot();
+    let steps = snap.counter("picard.steps").unwrap_or(0);
+    assert!(steps > 0);
+    // The default integrator has order 3 and a budget of 5: three staged
+    // iterations per step, each candidate confirmed by the defect tape.
+    assert_eq!(snap.counter("picard.poly_iters"), Some(3 * steps));
+    assert_eq!(snap.counter("picard.staged_fallbacks"), Some(0));
+    // The abstraction's state domain and the flow step's extended domain
+    // keep separate memo tables, so nearly every lookup hits.
+    let hits = snap.counter("poly.powers.hits").unwrap_or(0);
+    let misses = snap.counter("poly.powers.misses").unwrap_or(0);
+    assert!(
+        misses * 10 < hits + misses,
+        "monomial-range memo missed {misses} of {} lookups",
+        hits + misses
+    );
+}
+
+#[test]
 fn learning_trace_is_identical_with_tracing_on() {
     let _g = obs_lock();
     obs::shutdown();
