@@ -294,9 +294,7 @@ impl Interval {
                     self.sqr().powi(n / 2)
                 } else {
                     // Odd power is monotone.
-                    let lo = outward_lo(self.lo.powi(n as i32));
-                    let hi = outward_hi(self.hi.powi(n as i32));
-                    Interval::new(lo, hi)
+                    Interval::new(odd_pow_lo(self.lo, n), odd_pow_hi(self.hi, n))
                 }
             }
         }
@@ -357,6 +355,78 @@ impl From<f64> for Interval {
     fn from(v: f64) -> Self {
         Interval::point(v)
     }
+}
+
+/// A lower bound on `x^n` for odd `n ≥ 3`: `f64::powi` nudged down one
+/// ulp wherever that bound holds, else a wider one that does.
+///
+/// `powi` rounds each of its products, so it can miss the true power by
+/// more than one ulp (by up to 1.3, 3.0 and 4.3 ulp at `n` = 3, 5 and 7 on
+/// magnitudes 0.37–3.4), and the nudged bound then excludes it. A
+/// double-double power decides whether the nudged bound holds, so no bit
+/// changes where it does.
+fn odd_pow_lo(x: f64, n: u32) -> f64 {
+    let p = x.powi(n as i32);
+    let lo = outward_lo(p);
+    if x == 0.0 {
+        return lo;
+    }
+    match pow_dd(x, n) {
+        // `h − lo` is exact (Sterbenz: same sign, within a factor of 2).
+        Some((h, l, err)) if (h - lo) + l > 2.0 * err => lo,
+        Some((h, l, err)) => lo.min(outward_lo(h - outward_hi(l.abs() + 2.0 * err))),
+        None => powi_slack(p, n).0,
+    }
+}
+
+/// An upper bound on `x^n` for odd `n ≥ 3` (see [`odd_pow_lo`]).
+fn odd_pow_hi(x: f64, n: u32) -> f64 {
+    let p = x.powi(n as i32);
+    let hi = outward_hi(p);
+    if x == 0.0 {
+        return hi;
+    }
+    match pow_dd(x, n) {
+        Some((h, l, err)) if (hi - h) - l > 2.0 * err => hi,
+        Some((h, l, err)) => hi.max(outward_hi(h + outward_hi(l.abs() + 2.0 * err))),
+        None => powi_slack(p, n).1,
+    }
+}
+
+/// `x^n` as a double-double `h + l`, with a bound `err` on `|x^n − (h + l)|`:
+/// `n − 1` left-to-right products, each split error-free by a fused
+/// multiply-add. A product adds a relative error below `3u²` (`u = 2⁻⁵³`),
+/// so `err = n·2⁻¹⁰⁰·|h|` bounds the total with room to spare. `None` where
+/// a product's error might not be exact: `|x|` or `|h|` (between which every
+/// intermediate power lies) outside `[2⁻⁹⁰⁰, 2¹⁰⁰⁰]`.
+fn pow_dd(x: f64, n: u32) -> Option<(f64, f64, f64)> {
+    let in_range = |v: f64| (2f64.powi(-900)..=2f64.powi(1000)).contains(&v.abs());
+    if !in_range(x) {
+        return None;
+    }
+    let (mut h, mut l) = (x, 0.0f64);
+    for _ in 1..n {
+        let p = h * x;
+        let e = h.mul_add(x, -p);
+        let s = e + l * x;
+        h = p + s;
+        l = s - (h - p);
+    }
+    in_range(h).then(|| (h, l, f64::from(n) * h.abs() * 2f64.powi(-100)))
+}
+
+/// Bounds on `x^n` from `p = x.powi(n)` alone, for the magnitudes
+/// [`pow_dd`] declines: `powi` rounds at most `2·log₂ n` times, so `|x^n −
+/// p| ≤ n·2⁻⁵¹·|p|` plus `n` subnormal quanta, and an overflowed `p` means
+/// `|x^n| > 2¹⁰⁰⁰`.
+fn powi_slack(p: f64, n: u32) -> (f64, f64) {
+    if p.is_infinite() {
+        let big = 2f64.powi(1000);
+        return if p > 0.0 { (big, p) } else { (p, -big) };
+    }
+    let slack =
+        outward_hi(p.abs() * f64::from(n) * 2f64.powi(-51) + f64::from(n) * f64::from_bits(1));
+    (outward_lo(p - slack), outward_hi(p + slack))
 }
 
 /// Nudges a computed lower bound downward by one ulp (identity on infinities).
@@ -591,6 +661,54 @@ mod tests {
         assert!(c.lo() <= -8.0 && c.hi() >= 1.0);
         let q = x.powi(4);
         assert!(q.lo() >= -1e-300 && q.hi() >= 16.0);
+    }
+
+    /// Whether `lo ≤ x³ ≤ hi`, decided exactly for `x ∈ [1, 2)`: `x³ = t +
+    /// f + g + h` by error-free products, `t − lo` and `hi − t` are exact,
+    /// and every other part is a multiple of 2⁻¹⁵⁶ below 2⁻⁵⁰, so the sums
+    /// are exact in `i128` units of 2⁻¹⁵⁶.
+    fn cube_within(x: f64, lo: f64, hi: f64) -> (bool, bool) {
+        assert!((1.0..2.0).contains(&x));
+        let s = x * x;
+        let e = x.mul_add(x, -s);
+        let t = s * x;
+        let f = s.mul_add(x, -t);
+        let g = e * x;
+        let h = e.mul_add(x, -g);
+        let units = |v: f64| (v * 2f64.powi(156)) as i128;
+        let tail = units(f) + units(g) + units(h);
+        (units(t - lo) + tail >= 0, units(hi - t) - tail >= 0)
+    }
+
+    #[test]
+    fn odd_powi_encloses_the_exact_cube() {
+        // `powi` rounds this cube 1.4 ulp high, so the one-ulp nudge misses
+        // it: x³ lies 4.6e-20 below the old lower bound 1.0159825997475236.
+        // Opaque, so the compiler cannot fold `powi` to a correctly rounded
+        // constant.
+        let x = std::hint::black_box(f64::from_bits(0x3ff0_15b4_d2db_03c7));
+        let nudged = x.powi(3).next_down();
+        assert_eq!(nudged, 1.015_982_599_747_523_6);
+        assert_eq!(cube_within(x, nudged, x.powi(3).next_up()), (false, true));
+        let c = Interval::point(x).powi(3);
+        assert_eq!(cube_within(x, c.lo(), c.hi()), (true, true));
+        // Widened by no more than the miss needs.
+        assert_eq!(c.lo(), nudged.next_down());
+        assert_eq!(c.hi(), x.powi(3).next_up());
+        // Exact powers keep their one-ulp bounds, bit for bit.
+        for v in [-1.0, 0.0, 0.5, 1.0, 2.0] {
+            let p = Interval::point(std::hint::black_box(v)).powi(5);
+            assert_eq!(p.lo(), (v * v * v * v * v).next_down());
+            assert_eq!(p.hi(), (v * v * v * v * v).next_up());
+        }
+        // A sweep of mantissas: every cube enclosed, exactly.
+        let mut m = 0x15b4_d2db_03c7_u64;
+        for _ in 0..20_000 {
+            m = m.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let x = f64::from_bits(0x3ff0_0000_0000_0000 | (m >> 12));
+            let c = Interval::point(x).powi(3);
+            assert_eq!(cube_within(x, c.lo(), c.hi()), (true, true), "{x:e}");
+        }
     }
 
     #[test]

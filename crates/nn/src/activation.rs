@@ -125,7 +125,24 @@ impl Activation {
     /// valid on a sign-definite interval (slope 1 or 0 at `c`).
     #[must_use]
     pub fn taylor_coefficients(self, c: f64, order: usize) -> Vec<f64> {
-        let mut out = vec![0.0; order + 1];
+        let mut out = Vec::new();
+        self.taylor_coefficients_into(c, order, &mut out, &mut Default::default());
+        out
+    }
+
+    /// [`Activation::taylor_coefficients`] into `out`, with the derivative
+    /// polynomials of the smooth activations built in `scratch`: once the
+    /// buffers have grown, a call allocates nothing.
+    pub fn taylor_coefficients_into(
+        self,
+        c: f64,
+        order: usize,
+        out: &mut Vec<f64>,
+        scratch: &mut [Vec<f64>; 3],
+    ) {
+        out.clear();
+        out.resize(order + 1, 0.0);
+        let [p, dp, next] = scratch;
         match self {
             Activation::Identity => {
                 out[0] = c;
@@ -144,31 +161,34 @@ impl Activation {
                 // f = t, f' = 1 - t², and d/dx of a polynomial p(t) is p'(t)(1-t²).
                 let t = c.tanh();
                 // Represent the k-th derivative as a polynomial in t (coeff vec).
-                let mut p = vec![0.0, 1.0]; // f(x) = t
-                out[0] = poly_eval(&p, t);
+                p.clear();
+                p.extend_from_slice(&[0.0, 1.0]); // f(x) = t
+                out[0] = poly_eval(p, t);
                 let mut factorial = 1.0;
                 #[allow(clippy::needless_range_loop)]
                 for k in 1..=order {
-                    p = tanh_derivative_step(&p);
+                    tanh_derivative_step(p, dp, next);
+                    std::mem::swap(p, next);
                     factorial *= k as f64;
-                    out[k] = poly_eval(&p, t) / factorial;
+                    out[k] = poly_eval(p, t) / factorial;
                 }
             }
             Activation::Sigmoid => {
                 // s' = s(1-s): same trick with polynomials in s.
                 let s = 1.0 / (1.0 + (-c).exp());
-                let mut p = vec![0.0, 1.0]; // f = s
-                out[0] = poly_eval(&p, s);
+                p.clear();
+                p.extend_from_slice(&[0.0, 1.0]); // f = s
+                out[0] = poly_eval(p, s);
                 let mut factorial = 1.0;
                 #[allow(clippy::needless_range_loop)]
                 for k in 1..=order {
-                    p = sigmoid_derivative_step(&p);
+                    sigmoid_derivative_step(p, dp, next);
+                    std::mem::swap(p, next);
                     factorial *= k as f64;
-                    out[k] = poly_eval(&p, s) / factorial;
+                    out[k] = poly_eval(p, s) / factorial;
                 }
             }
         }
-        out
     }
 
     /// A bound on the `(order+1)`-th derivative magnitude over any interval,
@@ -215,36 +235,39 @@ fn poly_eval(coeffs: &[f64], x: f64) -> f64 {
     coeffs.iter().rev().fold(0.0, |acc, &c| acc * x + c)
 }
 
-/// Given the polynomial (in t = tanh x) representing f⁽ᵏ⁾, returns the one
-/// for f⁽ᵏ⁺¹⁾: p'(t)·(1 − t²).
-fn tanh_derivative_step(p: &[f64]) -> Vec<f64> {
-    let mut dp = vec![0.0; p.len().max(2) + 1];
-    for (i, &c) in p.iter().enumerate().skip(1) {
-        dp[i - 1] += c * i as f64;
-    }
+/// Given the polynomial (in t = tanh x) representing f⁽ᵏ⁾, writes the one
+/// for f⁽ᵏ⁺¹⁾, p'(t)·(1 − t²), to `out` (`dp` is scratch).
+fn tanh_derivative_step(p: &[f64], dp: &mut Vec<f64>, out: &mut Vec<f64>) {
+    derivative(p, dp);
     // multiply by (1 - t²)
-    let mut out = vec![0.0; dp.len() + 2];
+    out.clear();
+    out.resize(dp.len() + 2, 0.0);
     for (i, &c) in dp.iter().enumerate() {
         out[i] += c;
         out[i + 2] -= c;
     }
-    out
 }
 
-/// Given the polynomial (in s = σ(x)) representing f⁽ᵏ⁾, returns the one for
-/// f⁽ᵏ⁺¹⁾: p'(s)·s·(1 − s).
-fn sigmoid_derivative_step(p: &[f64]) -> Vec<f64> {
-    let mut dp = vec![0.0; p.len().max(2) + 1];
-    for (i, &c) in p.iter().enumerate().skip(1) {
-        dp[i - 1] += c * i as f64;
-    }
+/// Given the polynomial (in s = σ(x)) representing f⁽ᵏ⁾, writes the one for
+/// f⁽ᵏ⁺¹⁾, p'(s)·s·(1 − s), to `out` (`dp` is scratch).
+fn sigmoid_derivative_step(p: &[f64], dp: &mut Vec<f64>, out: &mut Vec<f64>) {
+    derivative(p, dp);
     // multiply by s - s²
-    let mut out = vec![0.0; dp.len() + 2];
+    out.clear();
+    out.resize(dp.len() + 2, 0.0);
     for (i, &c) in dp.iter().enumerate() {
         out[i + 1] += c;
         out[i + 2] -= c;
     }
-    out
+}
+
+/// The coefficients of `p'`, padded with zeros to `max(len, 2) + 1`.
+fn derivative(p: &[f64], dp: &mut Vec<f64>) {
+    dp.clear();
+    dp.resize(p.len().max(2) + 1, 0.0);
+    for (i, &c) in p.iter().enumerate().skip(1) {
+        dp[i - 1] += c * i as f64;
+    }
 }
 
 #[cfg(test)]

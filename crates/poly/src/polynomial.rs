@@ -145,12 +145,27 @@ impl fmt::Debug for Exponents<'_> {
 ///
 /// The split layout is what the chunked kernels in [`crate::kernels`] run
 /// on: coefficient loops see a bare `&[f64]` with unit stride.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub(crate) struct PackedTerms {
     /// Packed monomial keys, sorted ascending in normalized polynomials.
     pub(crate) keys: Vec<u64>,
     /// Coefficients, parallel to `keys`.
     pub(crate) coeffs: Vec<f64>,
+}
+
+impl Clone for PackedTerms {
+    fn clone(&self) -> Self {
+        Self {
+            keys: self.keys.clone(),
+            coeffs: self.coeffs.clone(),
+        }
+    }
+
+    /// Copies into the existing arrays, which keep their capacity.
+    fn clone_from(&mut self, source: &Self) {
+        self.keys.clone_from(&source.keys);
+        self.coeffs.clone_from(&source.coeffs);
+    }
 }
 
 impl PackedTerms {
@@ -234,10 +249,36 @@ enum Repr {
 /// assert_eq!(p.eval(&[2.0, 1.0]), 7.0);
 /// assert_eq!(p.partial_derivative(0).eval(&[2.0, 1.0]), 4.0);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Polynomial {
     nvars: usize,
     repr: Repr,
+}
+
+impl Default for Polynomial {
+    /// The zero polynomial in no variables.
+    fn default() -> Self {
+        Polynomial::zero(0)
+    }
+}
+
+impl Clone for Polynomial {
+    fn clone(&self) -> Self {
+        Self {
+            nvars: self.nvars,
+            repr: self.repr.clone(),
+        }
+    }
+
+    /// Copies into `self`'s term arrays, which keep their capacity, when
+    /// both polynomials are packed.
+    fn clone_from(&mut self, source: &Self) {
+        self.nvars = source.nvars;
+        match (&mut self.repr, &source.repr) {
+            (Repr::Packed(dst), Repr::Packed(src)) => dst.clone_from(src),
+            (dst, src) => *dst = src.clone(),
+        }
+    }
 }
 
 impl Polynomial {
@@ -264,6 +305,45 @@ impl Polynomial {
             Repr::Boxed(vec![(vec![0; nvars].into_boxed_slice(), c)])
         };
         Self { nvars, repr }
+    }
+
+    /// Overwrites `self` with the constant `c`, keeping its term storage:
+    /// bit-identical to [`Polynomial::constant`].
+    pub fn set_constant(&mut self, nvars: usize, c: f64) {
+        if nvars > PACK_VARS {
+            *self = Polynomial::constant(nvars, c);
+            return;
+        }
+        let dst = self.packed_storage(nvars);
+        if c != 0.0 {
+            dst.push(0, c);
+        }
+    }
+
+    /// Overwrites `self` with `c + s·x_i`, keeping its term storage:
+    /// bit-identical to `Polynomial::constant(nvars, c) +
+    /// Polynomial::var(nvars, i).scale(s)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= nvars`.
+    pub fn set_affine(&mut self, nvars: usize, c: f64, i: usize, s: f64) {
+        assert!(i < nvars, "variable index out of range");
+        if nvars > PACK_VARS {
+            *self = Polynomial::constant(nvars, c) + Polynomial::var(nvars, i).scale(s);
+            return;
+        }
+        let dst = self.packed_storage(nvars);
+        if c != 0.0 {
+            dst.push(0, c);
+        }
+        if s != 0.0 {
+            // The scaled variable's coefficient, `1.0 · s`, from the kernel
+            // `scale` runs.
+            let at = dst.len();
+            dst.push(1u64 << key_shift(i), 1.0);
+            kernels::scale_slice(&mut dst.coeffs[at..], s);
+        }
     }
 
     /// The polynomial `x_i`.
@@ -518,6 +598,19 @@ impl Polynomial {
         }
     }
 
+    /// `out = self.scale(s)`, reusing `out`'s term storage.
+    pub fn scale_into(&self, s: f64, out: &mut Polynomial) {
+        let Repr::Packed(v) = &self.repr else {
+            *out = self.scale(s);
+            return;
+        };
+        let dst = out.packed_storage(self.nvars);
+        if s != 0.0 {
+            dst.keys.extend_from_slice(&v.keys);
+            kernels::scale_into(&mut dst.coeffs, &v.coeffs, s);
+        }
+    }
+
     /// Evaluates at the point `x`.
     ///
     /// # Panics
@@ -732,34 +825,46 @@ impl Polynomial {
     /// Panics if `i >= self.nvars()`.
     #[must_use]
     pub fn antiderivative(&self, i: usize) -> Polynomial {
+        let mut out = Polynomial::zero(self.nvars);
+        self.antiderivative_into(i, &mut out);
+        out
+    }
+
+    /// `out = self.antiderivative(i)`, reusing `out`'s term storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.nvars()`.
+    pub fn antiderivative_into(&self, i: usize, out: &mut Polynomial) {
         assert!(i < self.nvars, "variable index out of range");
         match &self.repr {
-            Repr::Packed(v) => {
-                if v.keys.iter().any(|&k| key_exp(k, i) == PACK_MAX_EXP) {
-                    // Incrementing would overflow the packed byte.
-                    let boxed = self.to_boxed_terms();
-                    return Polynomial {
-                        nvars: self.nvars,
-                        repr: Repr::Boxed(Self::antiderivative_boxed(&boxed, i)),
-                    };
-                }
-                // Incrementing byte i adds the same constant to every key:
-                // order is preserved.
+            // Incrementing byte i adds the same constant to every key, so
+            // order is preserved, unless a byte would overflow.
+            Repr::Packed(v) if v.keys.iter().all(|&k| key_exp(k, i) < PACK_MAX_EXP) => {
                 let step = 1u64 << key_shift(i);
-                let mut out = PackedTerms::with_capacity(v.len());
+                let dst = out.packed_storage(self.nvars);
+                dst.reserve(v.len());
                 for (k, c) in v.iter() {
                     let nk = k + step;
-                    out.push(nk, c / f64::from(key_exp(nk, i))); // dwv-lint: allow(float-hygiene) -- antiderivative coefficient quotient; enclosure handled by the Taylor-model layer
-                }
-                Polynomial {
-                    nvars: self.nvars,
-                    repr: Repr::Packed(out),
+                    dst.push(nk, c / f64::from(key_exp(nk, i))); // dwv-lint: allow(float-hygiene) -- antiderivative coefficient quotient; enclosure handled by the Taylor-model layer
                 }
             }
-            Repr::Boxed(v) => Polynomial {
-                nvars: self.nvars,
-                repr: Repr::Boxed(Self::antiderivative_boxed(v, i)),
-            },
+            Repr::Packed(_) => *out = self.antiderivative_fallback(i),
+            Repr::Boxed(v) => {
+                *out = Polynomial {
+                    nvars: self.nvars,
+                    repr: Repr::Boxed(Self::antiderivative_boxed(v, i)),
+                }
+            }
+        }
+    }
+
+    /// The antiderivative of a packed polynomial whose exponent of `i`
+    /// reaches the packed cap, on boxed keys.
+    fn antiderivative_fallback(&self, i: usize) -> Polynomial {
+        Polynomial {
+            nvars: self.nvars,
+            repr: Repr::Boxed(Self::antiderivative_boxed(&self.to_boxed_terms(), i)),
         }
     }
 
@@ -945,30 +1050,43 @@ impl Polynomial {
     /// Panics if `new_nvars < self.nvars()`.
     #[must_use]
     pub fn extend_vars(&self, new_nvars: usize) -> Polynomial {
+        let mut out = Polynomial::zero(new_nvars);
+        self.extend_vars_into(new_nvars, &mut out);
+        out
+    }
+
+    /// `out = self.extend_vars(new_nvars)`, reusing `out`'s term storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `new_nvars < self.nvars()`.
+    pub fn extend_vars_into(&self, new_nvars: usize, out: &mut Polynomial) {
         assert!(new_nvars >= self.nvars, "cannot shrink variable count");
         match &self.repr {
             // Packed keys place variable i at a fixed byte regardless of
             // the variable count, so extending within the packed limit is
             // just a relabeling.
-            Repr::Packed(v) if new_nvars <= PACK_VARS => Polynomial {
-                nvars: new_nvars,
-                repr: Repr::Packed(v.clone()),
-            },
-            _ => {
-                let terms = self
-                    .to_boxed_terms()
-                    .into_iter()
-                    .map(|(e, c)| {
-                        let mut d = e.into_vec();
-                        d.resize(new_nvars, 0);
-                        (d.into_boxed_slice(), c)
-                    })
-                    .collect();
-                Polynomial {
-                    nvars: new_nvars,
-                    repr: Repr::Boxed(terms),
-                }
+            Repr::Packed(v) if new_nvars <= PACK_VARS => {
+                out.packed_storage(new_nvars).clone_from(v);
             }
+            _ => *out = self.extend_vars_boxed(new_nvars),
+        }
+    }
+
+    /// [`Polynomial::extend_vars`] onto boxed keys.
+    fn extend_vars_boxed(&self, new_nvars: usize) -> Polynomial {
+        let terms = self
+            .to_boxed_terms()
+            .into_iter()
+            .map(|(e, c)| {
+                let mut d = e.into_vec();
+                d.resize(new_nvars, 0);
+                (d.into_boxed_slice(), c)
+            })
+            .collect();
+        Polynomial {
+            nvars: new_nvars,
+            repr: Repr::Boxed(terms),
         }
     }
 
@@ -980,6 +1098,19 @@ impl Polynomial {
     /// `new_nvars > self.nvars()`.
     #[must_use]
     pub fn shrink_vars(&self, new_nvars: usize) -> Polynomial {
+        let mut out = self.clone();
+        out.shrink_vars_in_place(new_nvars);
+        out
+    }
+
+    /// In-place [`Polynomial::shrink_vars`]: a packed polynomial keeps its
+    /// terms and only drops the variable count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dropped variable occurs with non-zero exponent, or if
+    /// `new_nvars > self.nvars()`.
+    pub fn shrink_vars_in_place(&mut self, new_nvars: usize) {
         assert!(new_nvars <= self.nvars, "cannot grow variable count");
         match &self.repr {
             Repr::Packed(v) => {
@@ -989,45 +1120,46 @@ impl Polynomial {
                         .all(|&k| (new_nvars..self.nvars).all(|i| key_exp(k, i) == 0)),
                     "dropped variable occurs in polynomial"
                 );
-                Polynomial {
-                    nvars: new_nvars,
-                    repr: Repr::Packed(v.clone()),
-                }
+                self.nvars = new_nvars;
             }
-            Repr::Boxed(v) => {
-                let terms: Vec<(Box<[u32]>, f64)> = v
-                    .iter()
-                    .map(|(e, c)| {
-                        assert!(
-                            e[new_nvars..].iter().all(|&x| x == 0),
-                            "dropped variable occurs in polynomial"
-                        );
-                        (e[..new_nvars].to_vec().into_boxed_slice(), *c)
-                    })
-                    .collect();
-                if new_nvars <= PACK_VARS {
-                    // Truncated lexicographic order is preserved, and boxed
-                    // exponents are always ≤ their packed-era values only if
-                    // they were packable; re-check and pack when possible.
-                    let packable = terms.iter().all(|(e, _)| pack_exps(e).is_some());
-                    if packable {
-                        let mut out = PackedTerms::with_capacity(terms.len());
-                        for (e, c) in &terms {
-                            if let Some(k) = pack_exps(e) {
-                                out.push(k, *c);
-                            }
-                        }
-                        return Polynomial {
-                            nvars: new_nvars,
-                            repr: Repr::Packed(out),
-                        };
+            Repr::Boxed(v) => *self = Self::shrink_vars_boxed(v, new_nvars),
+        }
+    }
+
+    /// [`Polynomial::shrink_vars`] of boxed terms, packed again when the
+    /// remaining exponents fit.
+    fn shrink_vars_boxed(v: &[(Box<[u32]>, f64)], new_nvars: usize) -> Polynomial {
+        let terms: Vec<(Box<[u32]>, f64)> = v
+            .iter()
+            .map(|(e, c)| {
+                assert!(
+                    e[new_nvars..].iter().all(|&x| x == 0),
+                    "dropped variable occurs in polynomial"
+                );
+                (e[..new_nvars].to_vec().into_boxed_slice(), *c)
+            })
+            .collect();
+        if new_nvars <= PACK_VARS {
+            // Truncated lexicographic order is preserved, and boxed
+            // exponents are always ≤ their packed-era values only if
+            // they were packable; re-check and pack when possible.
+            let packable = terms.iter().all(|(e, _)| pack_exps(e).is_some());
+            if packable {
+                let mut out = PackedTerms::with_capacity(terms.len());
+                for (e, c) in &terms {
+                    if let Some(k) = pack_exps(e) {
+                        out.push(k, *c);
                     }
                 }
-                Polynomial {
+                return Polynomial {
                     nvars: new_nvars,
-                    repr: Repr::Boxed(terms),
-                }
+                    repr: Repr::Packed(out),
+                };
             }
+        }
+        Polynomial {
+            nvars: new_nvars,
+            repr: Repr::Boxed(terms),
         }
     }
 
@@ -1138,6 +1270,12 @@ impl Polynomial {
 
     /// In-place `self += rhs`, staging the merge in `ws`.
     ///
+    /// The merged terms are copied back, not swapped in: every polynomial
+    /// keeps the storage its own sizes grew, and the workspace keeps the
+    /// merge buffer. Swapping would pass buffers from polynomial to
+    /// polynomial, so a warm workspace would still grow whichever small
+    /// buffer last reached a larger merge.
+    ///
     /// # Panics
     ///
     /// Panics on variable-count mismatch.
@@ -1145,7 +1283,7 @@ impl Polynomial {
         assert_eq!(self.nvars, rhs.nvars, "variable count mismatch");
         if let (Repr::Packed(a), Repr::Packed(b)) = (&mut self.repr, &rhs.repr) {
             merge_packed(a, b, None, &mut ws.merge);
-            std::mem::swap(a, &mut ws.merge);
+            a.clone_from(&ws.merge);
         } else {
             let lhs = std::mem::replace(self, Polynomial::zero(self.nvars));
             *self = lhs.merge_add(rhs.clone());
@@ -1153,7 +1291,8 @@ impl Polynomial {
     }
 
     /// In-place fused `self += s·rhs`, bit-identical to
-    /// `self.clone() + rhs.scale(s)` without materializing the scaled copy.
+    /// `self.clone() + rhs.scale(s)` without materializing the scaled copy
+    /// (staged and copied back like [`Polynomial::add_assign_ref`]).
     ///
     /// # Panics
     ///
@@ -1166,7 +1305,7 @@ impl Polynomial {
         }
         if let (Repr::Packed(a), Repr::Packed(b)) = (&mut self.repr, &rhs.repr) {
             merge_packed(a, b, Some(s), &mut ws.merge);
-            std::mem::swap(a, &mut ws.merge);
+            a.clone_from(&ws.merge);
         } else {
             let lhs = std::mem::replace(self, Polynomial::zero(self.nvars));
             *self = lhs.merge_add(rhs.scale(s));
@@ -1424,53 +1563,56 @@ impl Polynomial {
     /// Panics if `var >= nvars`.
     #[must_use]
     pub fn substitute_value(&self, var: usize, value: f64) -> Polynomial {
+        let mut out = Polynomial::zero(self.nvars);
+        self.substitute_value_into(var, value, &mut out);
+        out
+    }
+
+    /// `out = self.substitute_value(var, value)`, reusing `out`'s term
+    /// storage when `var` is the last variable that occurs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var >= nvars`.
+    pub fn substitute_value_into(&self, var: usize, value: f64, out: &mut Polynomial) {
         assert!(var < self.nvars, "variable index out of range");
         let Repr::Packed(v) = &self.repr else {
-            let mut out = Polynomial::zero(self.nvars);
-            for (exps, c) in self.iter() {
-                let mut e = exps.to_vec();
-                let k = e[var]; // dwv-lint: allow(panic-freedom#index) -- var < nvars asserted above
-                e[var] = 0; // dwv-lint: allow(panic-freedom#index) -- var < nvars asserted above
-                let coeff = if k == 0 || value == 1.0 {
-                    c
-                } else {
-                    // dwv-lint: allow(float-hygiene) -- exact for the 0/±1 substitutions the pipeline performs; general values are test-only
-                    c * value.powi(k as i32)
-                };
-                out += Polynomial::monomial(self.nvars, e, coeff);
-            }
-            return out;
+            *out = self.substitute_value_boxed(var, value);
+            return;
         };
-        let shift = key_shift(var);
-        let mask = !(0xFFu64 << shift);
-        let low_mask = (1u64 << shift) - 1;
-        let map_coeff = |k: u64, c: f64| {
-            let e = key_exp(k, var);
-            if e == 0 || value == 1.0 {
-                c
-            } else {
-                // dwv-lint: allow(float-hygiene) -- exact for the 0/±1 substitutions the pipeline performs; general values are test-only
-                c * value.powi(e as i32)
-            }
-        };
-        let mut out = PackedTerms::default();
-        out.reserve(v.len());
+        let low_mask = (1u64 << key_shift(var)) - 1;
         let mut active = 0u64;
         for &k in &v.keys {
             active |= k;
         }
-        if active & low_mask == 0 {
-            // `var` is the last occurring variable: clearing its byte keeps
-            // the keys sorted (all remaining active bytes are higher), so the
-            // mapped stream merges in one pass.
-            for (k, c) in v.iter() {
-                merge_mapped_term(&mut out, k & mask, map_coeff(k, c));
-            }
-        } else {
-            let mut pairs: Vec<(u64, f64)> =
-                v.iter().map(|(k, c)| (k & mask, map_coeff(k, c))).collect();
+        if active & low_mask != 0 {
+            *out = self.substitute_value_sorted(var, value);
+            return;
+        }
+        // `var` is the last occurring variable: clearing its byte keeps the
+        // keys sorted (all remaining active bytes are higher), so the mapped
+        // stream merges in one pass.
+        let mask = !(0xFFu64 << key_shift(var));
+        let dst = out.packed_storage(self.nvars);
+        dst.reserve(v.len());
+        for (k, c) in v.iter() {
+            merge_mapped_term(dst, k & mask, substituted_coeff(k, c, var, value));
+        }
+    }
+
+    /// [`Polynomial::substitute_value`] when a later variable occurs: the
+    /// mapped pairs are stable-sorted by key first.
+    fn substitute_value_sorted(&self, var: usize, value: f64) -> Polynomial {
+        let mask = !(0xFFu64 << key_shift(var));
+        let mut out = PackedTerms::default();
+        if let Repr::Packed(v) = &self.repr {
+            let mut pairs: Vec<(u64, f64)> = v
+                .iter()
+                .map(|(k, c)| (k & mask, substituted_coeff(k, c, var, value)))
+                .collect();
             // Stable: colliding keys keep ascending original order.
             pairs.sort_by_key(|&(k, _)| k);
+            out.reserve(pairs.len());
             for (k, c) in pairs {
                 merge_mapped_term(&mut out, k, c);
             }
@@ -1478,6 +1620,45 @@ impl Polynomial {
         Polynomial {
             nvars: self.nvars,
             repr: Repr::Packed(out),
+        }
+    }
+
+    /// [`Polynomial::substitute_value`] on boxed keys, one monomial at a
+    /// time.
+    fn substitute_value_boxed(&self, var: usize, value: f64) -> Polynomial {
+        let mut out = Polynomial::zero(self.nvars);
+        for (exps, c) in self.iter() {
+            let mut e = exps.to_vec();
+            let k = e[var]; // dwv-lint: allow(panic-freedom#index) -- var < nvars asserted by the caller
+            e[var] = 0; // dwv-lint: allow(panic-freedom#index) -- var < nvars asserted by the caller
+            let coeff = if k == 0 || value == 1.0 {
+                c
+            } else {
+                // dwv-lint: allow(float-hygiene) -- exact for the 0/±1 substitutions the pipeline performs; general values are test-only
+                c * value.powi(k as i32)
+            };
+            out += Polynomial::monomial(self.nvars, e, coeff);
+        }
+        out
+    }
+
+    /// In-place `self += c` (a constant), bit-identical to
+    /// `self.add_assign_ref(&Polynomial::constant(self.nvars(), c), ws)`.
+    pub fn add_constant_assign(&mut self, c: f64, ws: &mut PolyWorkspace) {
+        if c == 0.0 {
+            // The constant is the zero polynomial; the merge is a no-op.
+            return;
+        }
+        if let Repr::Packed(a) = &mut self.repr {
+            // The one-term constant is staged where products stage theirs.
+            ws.stage.clear();
+            ws.stage.push(0, c);
+            merge_packed(a, &ws.stage, None, &mut ws.merge);
+            a.clone_from(&ws.merge);
+        } else {
+            let nvars = self.nvars;
+            let lhs = std::mem::replace(self, Polynomial::zero(nvars));
+            *self = lhs.merge_add(Polynomial::constant(nvars, c));
         }
     }
 
@@ -1676,6 +1857,20 @@ pub(crate) fn packed_mono_range(key: u64, domain: &[Interval]) -> Option<Interva
         }
     }
     mono
+}
+
+/// The coefficient a packed term carries after substituting `value` for
+/// `var`: `c` itself for exponent 0 or `value == 1.0`, which are exact in
+/// IEEE-754, `c · value^k` otherwise.
+#[inline]
+fn substituted_coeff(k: u64, c: f64, var: usize, value: f64) -> f64 {
+    let e = key_exp(k, var);
+    if e == 0 || value == 1.0 {
+        c
+    } else {
+        // dwv-lint: allow(float-hygiene) -- exact for the 0/±1 substitutions the pipeline performs; general values are test-only
+        c * value.powi(e as i32)
+    }
 }
 
 /// Interval range of one packed term over `domain` — the per-term evaluation

@@ -1,15 +1,20 @@
 //! Reusable scratch buffers for allocation-free polynomial kernels.
 //!
 //! The destination-passing operations on [`crate::Polynomial`]
-//! (`add_assign_ref`, `add_scaled_assign`, `mul_into`,
-//! `mul_truncated_into`, `eval_interval_ws`) stage their intermediate term
-//! lists in a [`PolyWorkspace`] instead of allocating fresh `Vec`s per call.
-//! A workspace is plain scratch memory plus a pure memo table: it carries no
-//! *semantic* state between calls — the monomial-range memo stores exactly
-//! the values the direct computation produces, so warm and cold calls are
-//! bit-identical — only capacity and cached pure results, turning the
-//! per-term-vector allocations and repeated interval power products of the
-//! functional ops into O(1) amortized work per operation.
+//! (`add_assign_ref`, `add_scaled_assign`, `add_constant_assign`,
+//! `mul_into`, `mul_truncated_into`, `mul_dropping_into`,
+//! `eval_interval_ws`) stage their intermediate term lists in a
+//! [`PolyWorkspace`] instead of allocating fresh `Vec`s per call, and write
+//! their results into the caller's polynomial, whose term arrays keep their
+//! capacity. A workspace is plain scratch memory plus a pure memo table: it
+//! carries no *semantic* state between calls — the monomial-range memo
+//! stores exactly the values the direct computation produces, so warm and
+//! cold calls are bit-identical — only capacity and cached pure results.
+//! Once the buffers have grown to the sizes a caller's operations need,
+//! these operations allocate nothing: a warm Taylor-model reach step
+//! allocates only its end-state models and the boxes it records
+//! (`tests/no_alloc_step.rs` counts 6.8 allocations per Os step and 9 per
+//! 3D step, down from 254 and 309).
 
 use crate::polynomial::{packed_mono_range, DenseScratch, PackedTerms};
 use dwv_interval::Interval;
@@ -43,7 +48,7 @@ pub struct PolyWorkspace {
     pub(crate) order_scratch: Vec<u32>,
     /// Per-term total degrees of the rhs, for degree-filtered staging.
     pub(crate) bdeg: Vec<u32>,
-    /// Merge / normalization output, swapped into the destination.
+    /// Merge / normalization output, copied into the destination.
     pub(crate) merge: PackedTerms,
     /// Dense product accumulator.
     pub(crate) dense: DenseScratch,

@@ -20,7 +20,7 @@ use dwv_dynamics::NnController;
 use dwv_interval::{Interval, IntervalBox};
 use dwv_nn::{Activation, ForwardScratch};
 use dwv_poly::Polynomial;
-use dwv_taylor::{TaylorModel, TmVector, TmWorkspace};
+use dwv_taylor::{LayerScratch, TaylorModel, TmVector, TmWorkspace};
 use std::cell::RefCell;
 
 /// Sound magnitude bounds for the k-th derivative of tanh on ℝ, k = 0..=5
@@ -133,40 +133,46 @@ impl TaylorAbstraction {
         }
     }
 
-    /// Encloses one activation applied to a pre-activation Taylor model.
-    fn activation_model_ws(
+    /// Replaces the pre-activation model `z` by its enclosure of one
+    /// activation, keeping its storage; the series coefficients are built
+    /// in `coeffs` with `recurrence` as scratch.
+    fn activation_in_place(
         &self,
         act: Activation,
-        z: &TaylorModel,
+        z: &mut TaylorModel,
         domain: &[Interval],
+        coeffs: &mut Vec<f64>,
+        recurrence: &mut [Vec<f64>; 3],
         ws: &mut TmWorkspace,
-    ) -> TaylorModel {
+    ) {
         let range = if self.bernstein_ranges {
             z.range_bernstein_cached(domain, &mut ws.bern)
         } else {
             z.range(domain)
         };
         match act {
-            Activation::Identity => z.clone(),
+            Activation::Identity => {}
             Activation::ReLU => {
                 if range.lo() >= 0.0 {
-                    z.clone()
+                    // The identity on this range.
                 } else if range.hi() <= 0.0 {
-                    TaylorModel::zero(z.nvars())
+                    z.set_constant(z.nvars(), 0.0);
                 } else {
                     // Sound linear relaxation on [l, h] with l < 0 < h:
                     // relu(x) ∈ λx + [0, −λl] for λ = h/(h−l).
                     let (l, h) = (range.lo(), range.hi());
                     let lambda = h / (h - l);
-                    z.scale(lambda)
-                        .add_interval(Interval::new(0.0, (-lambda * l) * (1.0 + 1e-12)))
+                    z.scale_in_place(lambda);
+                    z.set_remainder(
+                        z.remainder() + Interval::new(0.0, (-lambda * l) * (1.0 + 1e-12)),
+                    );
                 }
             }
             Activation::Tanh | Activation::Sigmoid => {
                 let c = range.mid();
                 let r = range.rad();
                 let order = self.order as usize;
-                let coeffs = act.taylor_coefficients(c, order);
+                act.taylor_coefficients_into(c, order, coeffs, recurrence);
                 // Lagrange remainder: |R| ≤ B_{K+1} · r^{K+1} / (K+1)!.
                 let mut fact = 1.0;
                 for i in 1..=(order + 1) {
@@ -174,19 +180,13 @@ impl TaylorAbstraction {
                 }
                 let lagrange =
                     activation_derivative_bound(act, order + 1) * r.powi(order as i32 + 1) / fact;
-                let dz = z.add_constant(-c);
-                let mut acc = TaylorModel::constant(z.nvars(), coeffs[0]); // dwv-lint: allow(panic-freedom#index) -- series coefficients always include the order-0 term
-                let mut pw = TaylorModel::constant(z.nvars(), 1.0);
-                for &a in coeffs.iter().skip(1) {
-                    pw = pw.mul_truncated(&dz, self.order, domain, ws);
-                    if a != 0.0 {
-                        acc.add_scaled_assign(&pw, a, ws);
-                    }
-                }
-                let out = acc.add_interval(Interval::symmetric(lagrange));
+                // The series in `z − c`.
+                z.add_constant_assign(-c, ws);
+                z.series_in_place(coeffs, self.order, domain, ws);
+                z.set_remainder(z.remainder() + Interval::symmetric(lagrange));
                 // Clamp the remainder to the activation's global range — the
                 // enclosure can never leave [-1,1] / [0,1].
-                clamp_model(out, act, domain)
+                clamp_in_place(z, act, domain);
             }
         }
     }
@@ -195,24 +195,23 @@ impl TaylorAbstraction {
 /// Tightens a model's enclosure against the activation's global output range
 /// by shrinking the remainder when the polynomial-plus-remainder range
 /// escapes it (sound: intersecting with a known superset of the image).
-fn clamp_model(tm: TaylorModel, act: Activation, domain: &[Interval]) -> TaylorModel {
+fn clamp_in_place(tm: &mut TaylorModel, act: Activation, domain: &[Interval]) {
     let bound = match act {
         Activation::Tanh => Interval::new(-1.0, 1.0),
         Activation::Sigmoid => Interval::new(0.0, 1.0),
-        _ => return tm,
+        _ => return,
     };
     let range = tm.range(domain);
     if bound.contains(&range) {
-        return tm;
+        return;
     }
     // For every x: f(x) ∈ bound, so f(x) − p(x) ∈ bound − range(p).
     // Intersecting the remainder with that set is sound and tightens the
     // model when the Lagrange remainder overshoots the activation's image.
     let poly_range = range - tm.remainder();
     let allowed = bound - poly_range;
-    match tm.remainder().intersection(&allowed) {
-        Some(new_rem) => tm.with_remainder(new_rem),
-        None => tm,
+    if let Some(new_rem) = tm.remainder().intersection(&allowed) {
+        tm.set_remainder(new_rem);
     }
 }
 
@@ -231,6 +230,10 @@ impl NnAbstraction for TaylorAbstraction {
         self.abstract_network_ws(controller, state, domain, &mut ws)
     }
 
+    /// Propagates the state models through the layers in the workspace's
+    /// [`LayerScratch`]: every model is built in place, so with a warm
+    /// workspace whose previous output came back through
+    /// [`TmWorkspace::reuse`] a call allocates nothing.
     fn abstract_network_ws(
         &self,
         controller: &NnController,
@@ -240,35 +243,49 @@ impl NnAbstraction for TaylorAbstraction {
     ) -> Result<TmVector, ReachError> {
         check_controller(controller, state)?;
         let net = controller.network();
-        let mut h: Vec<TaylorModel> = if net.layers().is_empty() {
-            state.components().to_vec()
-        } else {
-            Vec::new()
-        };
+        let nvars = state.nvars();
+        let mut scratch = std::mem::take(&mut ws.layers);
+        let LayerScratch {
+            current,
+            next,
+            output,
+            coeffs,
+            recurrence,
+        } = &mut scratch;
+        let mut out = std::mem::take(output);
+        if net.layers().is_empty() {
+            out.resize_with(state.dim(), TaylorModel::default);
+            for (o, x) in out.iter_mut().zip(state.components()) {
+                o.clone_from(x);
+            }
+        }
+        let last = net.layers().len().saturating_sub(1);
         for (li, layer) in net.layers().iter().enumerate() {
             // The first layer reads the state models directly (no copy).
-            let inputs: &[TaylorModel] = if li == 0 { state.components() } else { &h };
-            let mut next = Vec::with_capacity(layer.out_dim());
-            for o in 0..layer.out_dim() {
+            let inputs: &[TaylorModel] = if li == 0 { state.components() } else { current };
+            let target = if li == last { &mut out } else { &mut *next };
+            target.resize_with(layer.out_dim(), TaylorModel::default);
+            for (o, z) in target.iter_mut().enumerate() {
                 // Affine part is exact in TM arithmetic.
-                let mut z = TaylorModel::constant(state.nvars(), layer.bias()[o]); // dwv-lint: allow(panic-freedom#index) -- o ranges over layer.out_dim()
+                z.set_constant(nvars, layer.bias()[o]); // dwv-lint: allow(panic-freedom#index) -- o ranges over layer.out_dim()
                 for (i, hi) in inputs.iter().enumerate() {
                     let w = layer.weight(o, i);
                     if w != 0.0 {
                         z.add_scaled_assign(hi, w, ws);
                     }
                 }
-                next.push(self.activation_model_ws(layer.activation(), &z, domain, ws));
+                self.activation_in_place(layer.activation(), z, domain, coeffs, recurrence, ws);
             }
-            h = next;
+            if li != last {
+                std::mem::swap(current, next);
+            }
         }
+        ws.layers = scratch;
         let scale = controller.output_scale();
-        Ok(h.into_iter()
-            .map(|mut t| {
-                t.scale_in_place(scale);
-                t
-            })
-            .collect())
+        for t in &mut out {
+            t.scale_in_place(scale);
+        }
+        Ok(TmVector::new(out))
     }
 }
 

@@ -24,15 +24,16 @@
 //! anew; the `flowpipe` tests check the equivalence against the retained
 //! reference implementation bit for bit.
 
-use crate::model::{TaylorModel, TmVector, TmWorkspace, DEFAULT_PRUNE_EPS};
+use crate::model::{TaylorModel, TmVector, DEFAULT_PRUNE_EPS};
 use crate::ode::OdeRhs;
 use dwv_interval::Interval;
-use dwv_poly::Polynomial;
+use dwv_poly::bernstein::RangeCache;
+use dwv_poly::{PolyWorkspace, Polynomial};
 
 /// One remainder-propagation step. Slot indices refer to the replay buffer;
 /// slots `0..n_state` hold the trial state remainders, the following
 /// `n_input` slots the (fixed) held-input remainders, and every op writes a
-/// freshly allocated slot except `Add`/`AddConst`, which accumulate.
+/// slot of its own except `Add`/`AddConst`, which accumulate.
 #[derive(Debug, Clone)]
 enum TapeOp {
     /// `slots[dst] = slots[src] · point(c) (+ prune)` — the constant × power
@@ -66,7 +67,11 @@ enum TapeOp {
 
 /// The frozen remainder-propagation structure of one flow step's Picard
 /// defect map (see the module docs).
-#[derive(Debug, Clone)]
+///
+/// One tape lives in the flow step's workspace and is recompiled in place
+/// every step: its vectors, its power tables and their polynomials keep
+/// their storage, so a warm compile and its replays allocate nothing.
+#[derive(Debug)]
 pub(crate) struct DefectTape {
     ops: Vec<TapeOp>,
     n_slots: usize,
@@ -88,49 +93,103 @@ pub(crate) struct DefectTape {
     /// the polynomial Picard iteration (see
     /// [`DefectTape::reproduces_candidate`]).
     fixed_point: bool,
+    /// Polynomials the compile fills.
+    scratch: CompileScratch,
+    /// The replay buffer.
+    slots: Vec<Interval>,
+}
+
+impl Default for DefectTape {
+    fn default() -> Self {
+        Self {
+            ops: Vec::new(),
+            n_slots: 0,
+            n_state: 0,
+            u_rems: Vec::new(),
+            field_slots: Vec::new(),
+            x0_rems: Vec::new(),
+            diff_ranges: Vec::new(),
+            t_scale: Interval::ZERO,
+            delta_pt: Interval::ZERO,
+            fixed_point: false,
+            scratch: CompileScratch::default(),
+            slots: Vec::new(),
+        }
+    }
+}
+
+/// The polynomials of a compile. The power tables only grow, and a compile
+/// uses a prefix of each.
+#[derive(Debug, Default)]
+struct CompileScratch {
+    /// Per-argument largest exponent in the field.
+    max_exp: Vec<u32>,
+    /// `pows[i][e - 1]`: argument `i` to the power `e`.
+    pows: Vec<Vec<Node>>,
+    /// The product chain of the current term.
+    term: Node,
+    /// The chain's next product.
+    next: Node,
+    /// A component's composed field.
+    acc: Polynomial,
+    /// `x0 + δ∫f` of a component, then its defect.
+    mapped: Polynomial,
+    /// `mapped` truncated and pruned as an iteration would.
+    image: Polynomial,
 }
 
 impl DefectTape {
     /// Runs the Picard operator's composition once over the candidate
     /// polynomials (zero remainders), recording the remainder dataflow and
-    /// every polynomial-derived interval constant. With `check_fixed_point`
-    /// it also compares the candidate's next polynomial iterate with the
-    /// candidate (see [`DefectTape::reproduces_candidate`]).
+    /// every polynomial-derived interval constant. `args` holds the `n`
+    /// candidate polynomials followed by the `m` held-input polynomials and
+    /// `x0e` the initial-state polynomials, all over the extended variables;
+    /// the tape freezes the remainders of `x0` and `u`. With
+    /// `check_fixed_point` it also compares the candidate's next polynomial
+    /// iterate with the candidate (see [`DefectTape::reproduces_candidate`]).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compile(
+        &mut self,
         order: u32,
         bernstein_ranges: bool,
         check_fixed_point: bool,
-        polys: &[TaylorModel],
-        x0e: &TmVector,
-        ue: &TmVector,
+        args: &[Polynomial],
+        x0e: &[Polynomial],
+        x0: &TmVector,
+        u: &TmVector,
         rhs: &OdeRhs,
         delta: f64,
         t_var: usize,
         dom_ext: &[Interval],
-        ws: &mut TmWorkspace,
-    ) -> Self {
+        ws: &mut PolyWorkspace,
+        bern: &mut RangeCache,
+    ) {
         let n = rhs.n_state();
-        let m = rhs.n_input();
-        let nargs = n + m;
+        let nargs = n + rhs.n_input();
         assert!(
             dom_ext[t_var].lo() >= 0.0, // dwv-lint: allow(panic-freedom#index) -- t_var constructed by the caller as an index into dom_ext
             "antiderivative requires a zero-based time domain"
         );
-        let arg_polys: Vec<&Polynomial> = polys
-            .iter()
-            .map(TaylorModel::poly)
-            .chain(ue.components().iter().map(TaylorModel::poly))
-            .collect();
-        let out_vars = arg_polys.first().map_or(dom_ext.len(), |p| p.nvars());
-
-        let mut ops: Vec<TapeOp> = Vec::new();
+        assert_eq!(args.len(), nargs, "argument count mismatch");
+        let out_vars = args.first().map_or(dom_ext.len(), Polynomial::nvars);
+        let CompileScratch {
+            max_exp,
+            pows,
+            term,
+            next,
+            acc,
+            mapped,
+            image,
+        } = &mut self.scratch;
+        let ops = &mut self.ops;
+        ops.clear();
 
         // Shared power tables pows[i][e-1] = (poly of args[i]^e, slot). The
         // reference builds a table per field component; the entries are pure
         // functions of the argument polynomials, so sharing one table yields
         // the same values for every use site.
-        let mut max_exp = vec![0u32; nargs];
+        max_exp.clear();
+        max_exp.resize(nargs, 0);
         for p in rhs.field() {
             for (exps, _) in p.iter() {
                 for (i, &e) in exps.iter().enumerate() {
@@ -139,139 +198,143 @@ impl DefectTape {
             }
         }
         let mut total_slots = nargs;
-        let mut pows: Vec<Vec<Node>> = Vec::with_capacity(nargs);
-        for (i, (&me, &arg)) in max_exp.iter().zip(&arg_polys).enumerate() {
-            let mut table: Vec<Node> = Vec::with_capacity(me as usize);
-            if me >= 1 {
-                // args[i]^1 is the argument itself; its remainder is input i.
-                table.push(Node::new(arg.clone(), i as u32));
-                for e in 1..me as usize {
-                    let range_r = table[0].range(dom_ext, ws); // dwv-lint: allow(panic-freedom#index) -- the argument entry was pushed above
-                    let range_l = table[e - 1].range(dom_ext, ws); // dwv-lint: allow(panic-freedom#index) -- the table holds e entries here
-                    let node = mul_node(
-                        &table[e - 1], // dwv-lint: allow(panic-freedom#index) -- the table holds e entries here
-                        range_l,
-                        &table[0], // dwv-lint: allow(panic-freedom#index) -- the argument entry was pushed above
-                        range_r,
-                        order,
-                        dom_ext,
-                        &mut ops,
-                        &mut total_slots,
-                        ws,
-                    );
-                    table.push(node);
-                }
+        if pows.len() < nargs {
+            pows.resize_with(nargs, Vec::new);
+        }
+        for (i, ((&me, arg), table)) in max_exp.iter().zip(args).zip(pows.iter_mut()).enumerate() {
+            let me = me as usize;
+            if table.len() < me {
+                table.resize_with(me, Node::default);
             }
-            pows.push(table);
+            let Some((first, higher)) = table.get_mut(..me).and_then(<[Node]>::split_first_mut)
+            else {
+                continue;
+            };
+            // args[i]^1 is the argument itself; its remainder is input i.
+            first.poly.clone_from(arg);
+            first.reset(i as u32);
+            for e in 1..me {
+                let range_r = first.range(dom_ext, ws);
+                let (done, rest) = higher.split_at_mut(e - 1);
+                let range_l = match done.last_mut() {
+                    Some(prev) => prev.range(dom_ext, ws),
+                    None => range_r,
+                };
+                let Some(power) = rest.first_mut() else {
+                    continue;
+                };
+                mul_node(
+                    done.last().unwrap_or(first),
+                    range_l,
+                    first,
+                    range_r,
+                    order,
+                    dom_ext,
+                    ops,
+                    &mut total_slots,
+                    power,
+                    ws,
+                );
+            }
         }
 
         // Per-component composition, mirroring `compose_parts_ws` term by
         // term, plus the fixed polynomial defect.
-        let mut field_slots = Vec::with_capacity(n);
-        let mut diff_ranges = Vec::with_capacity(n);
+        self.field_slots.clear();
+        self.diff_ranges.clear();
         let mut fixed_point = check_fixed_point;
-        for ((p, cand), x0c) in rhs.field().iter().zip(polys).zip(x0e.components()) {
-            let acc_slot = {
-                let s = total_slots as u32;
-                total_slots += 1;
-                s
-            };
-            let mut acc_poly = Polynomial::zero(out_vars);
+        for ((p, cand), x0c) in rhs.field().iter().zip(args).zip(x0e) {
+            let acc_slot = total_slots as u32;
+            total_slots += 1;
+            acc.set_constant(out_vars, 0.0);
             for (exps, c) in p.iter() {
-                let mut chain: Option<Node> = None;
+                let mut started = false;
                 for (i, &e) in exps.iter().enumerate() {
-                    if e > 0 {
-                        let pw = &mut pows[i][e as usize - 1]; // dwv-lint: allow(panic-freedom#index) -- max_exp[i] >= e by construction
-                        chain = Some(match chain {
-                            None => {
-                                // Constant × power fast path: scale + prune.
-                                let mut t = pw.poly.scale(c);
-                                let prune = t.prune_in_place(DEFAULT_PRUNE_EPS, dom_ext);
-                                let dst = total_slots as u32;
-                                total_slots += 1;
-                                ops.push(TapeOp::Scale {
-                                    dst,
-                                    src: pw.slot,
-                                    c,
-                                    prune,
-                                });
-                                Node::new(t, dst)
-                            }
-                            Some(mut t) => {
-                                let range_l = t.range(dom_ext, ws);
-                                let range_r = pw.range(dom_ext, ws);
-                                mul_node(
-                                    &t,
-                                    range_l,
-                                    pw,
-                                    range_r,
-                                    order,
-                                    dom_ext,
-                                    &mut ops,
-                                    &mut total_slots,
-                                    ws,
-                                )
-                            }
+                    if e == 0 {
+                        continue;
+                    }
+                    let pw = &mut pows[i][e as usize - 1]; // dwv-lint: allow(panic-freedom#index) -- max_exp[i] >= e by construction
+                    if started {
+                        let range_l = term.range(dom_ext, ws);
+                        let range_r = pw.range(dom_ext, ws);
+                        mul_node(
+                            term,
+                            range_l,
+                            pw,
+                            range_r,
+                            order,
+                            dom_ext,
+                            ops,
+                            &mut total_slots,
+                            next,
+                            ws,
+                        );
+                        std::mem::swap(term, next);
+                    } else {
+                        // Constant × power fast path: scale + prune.
+                        pw.poly.scale_into(c, &mut term.poly);
+                        let prune = term.poly.prune_in_place(DEFAULT_PRUNE_EPS, dom_ext);
+                        let dst = total_slots as u32;
+                        total_slots += 1;
+                        ops.push(TapeOp::Scale {
+                            dst,
+                            src: pw.slot,
+                            c,
+                            prune,
                         });
+                        term.reset(dst);
+                        started = true;
                     }
                 }
-                match chain {
-                    Some(t) => {
-                        acc_poly.add_assign_ref(&t.poly, &mut ws.poly);
-                        ops.push(TapeOp::Add {
-                            dst: acc_slot,
-                            src: t.slot,
-                        });
-                    }
-                    None => {
-                        acc_poly.add_assign_ref(&Polynomial::constant(out_vars, c), &mut ws.poly);
-                        ops.push(TapeOp::AddConst {
-                            dst: acc_slot,
-                            v: Interval::ZERO,
-                        });
-                    }
+                if started {
+                    acc.add_assign_ref(&term.poly, ws);
+                    ops.push(TapeOp::Add {
+                        dst: acc_slot,
+                        src: term.slot,
+                    });
+                } else {
+                    acc.add_constant_assign(c, ws);
+                    ops.push(TapeOp::AddConst {
+                        dst: acc_slot,
+                        v: Interval::ZERO,
+                    });
                 }
             }
-            field_slots.push(acc_slot);
+            self.field_slots.push(acc_slot);
 
             // Fixed polynomial defect: poly(x0 + δ∫f(candidate)) − candidate.
-            let mut mapped = acc_poly.antiderivative(t_var);
+            acc.antiderivative_into(t_var, mapped);
             mapped.scale_in_place(delta);
-            mapped.add_assign_ref(x0c.poly(), &mut ws.poly);
+            mapped.add_assign_ref(x0c, ws);
             // Truncated and pruned as a Picard iteration does, `mapped` is
             // the candidate's next polynomial iterate: the accounting
             // products keep the coefficients the dropping ones keep.
             if fixed_point {
-                let mut image = mapped.clone();
+                image.clone_from(mapped);
                 image.truncate_dropping(order);
                 image.prune_dropping(DEFAULT_PRUNE_EPS);
-                fixed_point = image.bits_eq(cand.poly());
+                fixed_point = image.bits_eq(cand);
             }
-            mapped.add_scaled_assign(cand.poly(), -1.0, &mut ws.poly);
+            mapped.add_scaled_assign(cand, -1.0, ws);
             let diff_range = if bernstein_ranges && !mapped.is_zero() {
-                ws.bern.range_enclosure(&mapped, dom_ext)
+                bern.range_enclosure(mapped, dom_ext)
             } else {
-                mapped.eval_interval_ws(dom_ext, &mut ws.poly)
+                mapped.eval_interval_ws(dom_ext, ws)
             };
-            diff_ranges.push(diff_range);
+            self.diff_ranges.push(diff_range);
         }
 
-        DefectTape {
-            ops,
-            n_slots: total_slots,
-            n_state: n,
-            u_rems: ue.components().iter().map(TaylorModel::remainder).collect(),
-            field_slots,
-            x0_rems: x0e
-                .components()
-                .iter()
-                .map(TaylorModel::remainder)
-                .collect(),
-            diff_ranges,
-            t_scale: Interval::new(0.0, dom_ext[t_var].hi()), // dwv-lint: allow(panic-freedom#index) -- t_var checked against dom_ext above
-            delta_pt: Interval::point(delta),
-            fixed_point,
-        }
+        self.n_slots = total_slots;
+        self.n_state = n;
+        self.u_rems.clear();
+        self.u_rems
+            .extend(u.components().iter().map(TaylorModel::remainder));
+        self.x0_rems.clear();
+        self.x0_rems
+            .extend(x0.components().iter().map(TaylorModel::remainder));
+        self.t_scale = Interval::new(0.0, dom_ext[t_var].hi()); // dwv-lint: allow(panic-freedom#index) -- t_var checked against dom_ext above
+        self.delta_pt = Interval::point(delta);
+        self.fixed_point = fixed_point;
     }
 
     /// Whether one more polynomial Picard iteration (composition truncated
@@ -283,16 +346,18 @@ impl DefectTape {
         self.fixed_point
     }
 
-    /// Evaluates the defect map on trial state remainders: what the Picard
-    /// operator maps `candidate` to, bit-identical to re-running the
-    /// Taylor-model reference evaluation with these remainders.
-    pub(crate) fn replay(&self, candidate: &[Interval]) -> Vec<Interval> {
+    /// Evaluates the defect map on trial state remainders into `out`: what
+    /// the Picard operator maps `candidate` to, bit-identical to re-running
+    /// the Taylor-model reference evaluation with these remainders.
+    pub(crate) fn replay(&mut self, candidate: &[Interval], out: &mut Vec<Interval>) {
         assert_eq!(
             candidate.len(),
             self.n_state,
             "candidate dimension mismatch"
         );
-        let mut slots = vec![Interval::ZERO; self.n_slots];
+        let slots = &mut self.slots;
+        slots.clear();
+        slots.resize(self.n_slots, Interval::ZERO);
         slots[..self.n_state].copy_from_slice(candidate); // dwv-lint: allow(panic-freedom#index) -- n_state ≤ n_slots by construction
         slots[self.n_state..self.n_state + self.u_rems.len()].copy_from_slice(&self.u_rems); // dwv-lint: allow(panic-freedom#index) -- input slots allocated at compile time
         for op in &self.ops {
@@ -340,16 +405,20 @@ impl DefectTape {
                 }
             }
         }
-        self.field_slots
-            .iter()
-            .zip(self.x0_rems.iter().zip(&self.diff_ranges))
-            .map(|(&s, (&x0r, &dr))| {
-                // ∫: ×[0, sup t]; δ-scale: ×point(δ); + x0 remainder; + fixed
-                // polynomial defect — the exact op order of the reference.
-                let fi = slots[s as usize]; // dwv-lint: allow(panic-freedom#index) -- slot indices are tape invariants
-                fi * self.t_scale * self.delta_pt + x0r + dr // dwv-lint: allow(float-hygiene) -- Interval-typed operator; directed rounding lives in the interval kernel
-            })
-            .collect()
+        let (t_scale, delta_pt) = (self.t_scale, self.delta_pt);
+        out.clear();
+        out.extend(
+            self.field_slots
+                .iter()
+                .zip(self.x0_rems.iter().zip(&self.diff_ranges))
+                .map(|(&s, (&x0r, &dr))| {
+                    // ∫: ×[0, sup t]; δ-scale: ×point(δ); + x0 remainder; +
+                    // fixed polynomial defect — the exact op order of the
+                    // reference.
+                    let fi = slots[s as usize]; // dwv-lint: allow(panic-freedom#index) -- slot indices are tape invariants
+                    fi * t_scale * delta_pt + x0r + dr // dwv-lint: allow(float-hygiene) -- Interval-typed operator; directed rounding lives in the interval kernel
+                }),
+        );
     }
 }
 
@@ -357,6 +426,7 @@ impl DefectTape {
 /// slot of its remainder, and its range over the domain once a product has
 /// needed it (a pure function of the polynomial, so computing it once per
 /// entry instead of once per use changes no bit).
+#[derive(Debug, Default)]
 struct Node {
     poly: Polynomial,
     slot: u32,
@@ -364,25 +434,24 @@ struct Node {
 }
 
 impl Node {
-    fn new(poly: Polynomial, slot: u32) -> Self {
-        Self {
-            poly,
-            slot,
-            range: None,
-        }
+    /// Marks the node's polynomial as new: its remainder lives in `slot`,
+    /// and its range is not known yet.
+    fn reset(&mut self, slot: u32) {
+        self.slot = slot;
+        self.range = None;
     }
 
     /// The polynomial's interval range over `dom`, evaluated on first use.
-    fn range(&mut self, dom: &[Interval], ws: &mut TmWorkspace) -> Interval {
+    fn range(&mut self, dom: &[Interval], ws: &mut PolyWorkspace) -> Interval {
         *self
             .range
-            .get_or_insert_with(|| self.poly.eval_interval_ws(dom, &mut ws.poly))
+            .get_or_insert_with(|| self.poly.eval_interval_ws(dom, ws))
     }
 }
 
 /// Emits the tape op for a truncated product `l · r` (whose factors have the
-/// given ranges) and returns the product node, pruned as the reference
-/// leaves it.
+/// given ranges) into `ops`, taking the next of `n_slots` slots, and writes
+/// the product node, pruned as the reference leaves it, to `out`.
 #[allow(clippy::too_many_arguments)]
 fn mul_node(
     l: &Node,
@@ -393,13 +462,13 @@ fn mul_node(
     dom: &[Interval],
     ops: &mut Vec<TapeOp>,
     n_slots: &mut usize,
-    ws: &mut TmWorkspace,
-) -> Node {
-    let mut prod = Polynomial::zero(l.poly.nvars());
+    out: &mut Node,
+    ws: &mut PolyWorkspace,
+) {
     let overflow = l
         .poly
-        .mul_truncated_into(&r.poly, order, dom, &mut prod, &mut ws.poly);
-    let prune = prod.prune_in_place(DEFAULT_PRUNE_EPS, dom);
+        .mul_truncated_into(&r.poly, order, dom, &mut out.poly, ws);
+    let prune = out.poly.prune_in_place(DEFAULT_PRUNE_EPS, dom);
     let dst = *n_slots as u32;
     *n_slots += 1;
     ops.push(TapeOp::Mul {
@@ -411,5 +480,5 @@ fn mul_node(
         overflow,
         prune,
     });
-    Node::new(prod, dst)
+    out.reset(dst);
 }

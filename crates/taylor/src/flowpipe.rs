@@ -34,6 +34,35 @@ use dwv_interval::IntervalBox;
 use dwv_poly::Polynomial;
 use std::fmt;
 
+/// The buffers of one validated flow step, kept in a [`TmWorkspace`] and
+/// cleared and refilled by every step.
+#[derive(Debug, Default)]
+pub(crate) struct FlowScratch {
+    /// Extended domain: the `k` shared variables and normalized time.
+    dom_ext: Vec<Interval>,
+    /// Initial-state polynomials over the extended variables.
+    x0e: Vec<Polynomial>,
+    /// The Picard iterate (`n` polynomials) followed by the held inputs
+    /// (`m`), over the extended variables: the composition's arguments.
+    xs: Vec<Polynomial>,
+    /// The next iterate.
+    next: Vec<Polynomial>,
+    /// One component's composed field.
+    field: Polynomial,
+    /// The compiled defect map of the current candidate.
+    tape: DefectTape,
+    /// Zero remainders for the baseline defect replay.
+    zero_rems: Vec<Interval>,
+    /// The baseline defect.
+    defect: Vec<Interval>,
+    /// Trial remainder candidate (double-buffered with `cand_next`).
+    cand: Vec<Interval>,
+    /// Staging for the next inflation candidate.
+    cand_next: Vec<Interval>,
+    /// The Picard image of the trial remainders.
+    mapped: Vec<Interval>,
+}
+
 /// Errors from validated integration.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowpipeError {
@@ -180,8 +209,10 @@ impl OdeIntegrator {
     /// [`OdeIntegrator::flow_step`] with an explicit workspace.
     ///
     /// A reachability loop creates one [`TmWorkspace`] per run and threads it
-    /// through every step: the scratch buffers amortize the flowpipe's
-    /// polynomial allocations, and the Bernstein range memo is hit across
+    /// through every step: the step clears and refills the workspace's
+    /// polynomials and vectors (the iterates, the defect tape and its
+    /// replays), so once warm it allocates only the end-state models and
+    /// the step box it returns, and the Bernstein range memo is hit across
     /// Picard validation attempts (trial remainders perturb only interval
     /// parts, so the defect polynomials — and their enclosures — repeat).
     ///
@@ -213,16 +244,42 @@ impl OdeIntegrator {
         let k = x0.nvars();
         let ext = k + 1; // appended normalized-time variable
         let t_var = k;
-        // The extended domain lives in the workspace buffer; it is taken
-        // out for the duration of the step so it can be passed alongside
-        // `ws`, and restored (capacity intact) at every exit.
-        let mut dom_ext = std::mem::take(&mut ws.dom_ext);
+        let TmWorkspace {
+            poly: pws,
+            bern,
+            compose,
+            flow,
+            ..
+        } = ws;
+        let FlowScratch {
+            dom_ext,
+            x0e,
+            xs,
+            next,
+            field,
+            tape,
+            zero_rems,
+            defect,
+            cand,
+            cand_next,
+            mapped,
+        } = flow;
         dom_ext.clear();
         dom_ext.extend_from_slice(domain);
         dom_ext.push(Interval::new(0.0, 1.0));
-
-        let x0e = x0.extend_vars(ext);
-        let ue = u.extend_vars(ext);
+        x0e.resize_with(n, Polynomial::default);
+        for (dst, src) in x0e.iter_mut().zip(x0.components()) {
+            src.poly().extend_vars_into(ext, dst);
+        }
+        xs.resize_with(n + m, Polynomial::default);
+        let (iterate, inputs) = xs.split_at_mut(n);
+        for (dst, src) in iterate.iter_mut().zip(x0e.iter()) {
+            dst.clone_from(src);
+        }
+        for (dst, src) in inputs.iter_mut().zip(u.components()) {
+            src.poly().extend_vars_into(ext, dst);
+        }
+        next.resize_with(n, Polynomial::default);
 
         // --- Polynomial Picard iteration --------------------------------
         // This phase only produces the *candidate* polynomial: every
@@ -253,17 +310,9 @@ impl OdeIntegrator {
         // the candidate anyway, so it takes that check; if it fails, the
         // loop resumes with full-degree iterations and a fixed-point exit.
         let mut await_tape = staged && self.picard_iters > order;
-        let u_polys: Vec<&Polynomial> = ue.components().iter().map(TaylorModel::poly).collect(); // dwv-lint: allow(no-alloc) -- per-step vector of borrows into the extended inputs; a workspace buffer cannot hold them across steps
-        ws.flow_xs.truncate(n);
-        ws.flow_xs.resize_with(n, || Polynomial::zero(ext));
-        ws.flow_tmp.truncate(n);
-        ws.flow_tmp.resize_with(n, || Polynomial::zero(ext));
-        for (dst, src) in ws.flow_xs.iter_mut().zip(x0e.components()) {
-            dst.clone_from(src.poly());
-        }
         let mut iters_run = 0usize;
         let mut fixed = false;
-        let (polys, tape) = loop {
+        loop {
             let until = if await_tape { order } else { self.picard_iters };
             while iters_run < until && !fixed {
                 iters_run += 1;
@@ -272,22 +321,13 @@ impl OdeIntegrator {
                 } else {
                     self.order
                 };
-                let args: Vec<&Polynomial> =
-                    ws.flow_xs.iter().chain(u_polys.iter().copied()).collect(); // dwv-lint: allow(no-alloc) -- per-iteration argument borrows into the current iterate; self-referential workspace storage is not expressible
-                for ((dst, p), x0c) in ws
-                    .flow_tmp
-                    .iter_mut()
-                    .zip(rhs.field())
-                    .zip(x0e.components())
-                {
-                    let mut t =
-                        compose_polys_dropping_ws(p, &args, deg.saturating_sub(1), &mut ws.poly)
-                            .antiderivative(t_var);
-                    t.scale_in_place(delta);
-                    t.add_assign_ref(x0c.poly(), &mut ws.poly);
-                    t.truncate_dropping(deg);
-                    t.prune_dropping(DEFAULT_PRUNE_EPS);
-                    *dst = t;
+                for ((dst, p), x0c) in next.iter_mut().zip(rhs.field()).zip(x0e.iter()) {
+                    compose_polys_dropping_ws(p, xs, deg.saturating_sub(1), field, compose, pws);
+                    field.antiderivative_into(t_var, dst);
+                    dst.scale_in_place(delta);
+                    dst.add_assign_ref(x0c, pws);
+                    dst.truncate_dropping(deg);
+                    dst.prune_dropping(DEFAULT_PRUNE_EPS);
                 }
                 // The iteration is a pure function of the iterate: once a
                 // full-degree iterate reproduces itself bit-for-bit, every
@@ -296,19 +336,11 @@ impl OdeIntegrator {
                 // loop would. Staged iterates are truncated below `order`
                 // and say nothing about the fixed point.
                 fixed = (!staged || iters_run > order)
-                    && ws
-                        .flow_tmp
-                        .iter()
-                        .zip(&ws.flow_xs)
-                        .all(|(a, b)| a.bits_eq(b));
-                std::mem::swap(&mut ws.flow_xs, &mut ws.flow_tmp);
+                    && next.iter().zip(xs.iter()).all(|(a, b)| a.bits_eq(b));
+                for (cur, new) in xs.iter_mut().zip(next.iter_mut()) {
+                    std::mem::swap(cur, new);
+                }
             }
-            debug_assert_eq!(ws.flow_xs.len(), n);
-            let polys: Vec<TaylorModel> = ws
-                .flow_xs
-                .drain(..)
-                .map(|p| TaylorModel::new(p, Interval::ZERO))
-                .collect(); // dwv-lint: allow(no-alloc) -- the models own their polynomials (moved, not copied) for the tape and the returned flow
 
             // --- Remainder validation ------------------------------------
             // Every validation attempt applies the full Picard operator to
@@ -317,21 +349,23 @@ impl OdeIntegrator {
             // defect tape and each attempt replays only the (cheap,
             // bit-identical) remainder propagation. Replaying with zero
             // remainders gives the baseline defect.
-            let tape = DefectTape::compile(
+            tape.compile(
                 self.order,
                 self.bernstein_ranges,
                 await_tape,
-                &polys,
-                &x0e,
-                &ue,
+                xs,
+                x0e,
+                x0,
+                u,
                 rhs,
                 delta,
                 t_var,
-                &dom_ext,
-                ws,
+                dom_ext,
+                pws,
+                bern,
             );
             if !await_tape || tape.reproduces_candidate() {
-                break (polys, tape);
+                break;
             }
             // The candidate is not the fixed point yet (an initial state
             // whose constant term the first iteration prunes can delay it by
@@ -340,55 +374,60 @@ impl OdeIntegrator {
             if obs {
                 dwv_obs::counter("picard.staged_fallbacks").inc();
             }
-            ws.flow_xs
-                .extend(polys.into_iter().map(|tm| tm.into_parts().0));
-        };
+        }
         if obs {
             dwv_obs::counter("picard.poly_iters").add(iters_run as u64);
         }
-        ws.zero_rems.clear();
-        ws.zero_rems.resize(n, Interval::ZERO);
-        let defect = tape.replay(&ws.zero_rems);
-        ws.cand.clear();
-        for d in &defect {
+        zero_rems.clear();
+        zero_rems.resize(n, Interval::ZERO);
+        tape.replay(zero_rems, defect);
+        cand.clear();
+        for d in defect.iter() {
             let r = d.mag().max(self.initial_radius);
-            ws.cand
-                .push(Interval::symmetric(r * 1.1 + self.initial_radius));
+            cand.push(Interval::symmetric(r * 1.1 + self.initial_radius));
         }
 
         for attempt in 0..=self.max_inflations {
-            let mapped = tape.replay(&ws.cand);
+            tape.replay(cand, mapped);
             let contained = mapped
                 .iter()
-                .zip(&ws.cand)
+                .zip(cand.iter())
                 .all(|(got, want)| want.contains(got));
             if contained {
                 if obs {
                     dwv_obs::counter("picard.validation_attempts").add(attempt as u64 + 1);
                     dwv_obs::counter("picard.retries").add(attempt as u64);
                 }
-                let validated: Vec<TaylorModel> = polys
+                // The validated flow is the candidate with the remainders
+                // `mapped`; its box is `range_box` term for term, with the
+                // monomial ranges served from the workspace memo.
+                let step_box = IntervalBox::new(
+                    xs.iter()
+                        .zip(mapped.iter())
+                        .map(|(p, &j)| {
+                            if self.bernstein_ranges {
+                                bern.range_enclosure(p, dom_ext) + j
+                            } else {
+                                p.eval_interval_ws(dom_ext, pws) + j
+                            }
+                        })
+                        .collect(), // dwv-lint: allow(no-alloc) -- the step box escapes into the returned flow
+                );
+                // The step-end models: `t = 1` substituted, time dropped.
+                let end = xs
                     .iter()
-                    .zip(&mapped)
-                    .map(|(p, &j)| p.with_remainder(j))
-                    .collect(); // dwv-lint: allow(no-alloc) -- the validated models escape into the returned flow
-                let flow = TmVector::new(validated);
-                // `range_box` term for term, with the monomial ranges served
-                // from the workspace memo.
-                let step_box = if self.bernstein_ranges {
-                    flow.range_box_bernstein_cached(&dom_ext, &mut ws.bern)
-                } else {
-                    let range = |t: &TaylorModel| {
-                        t.poly().eval_interval_ws(&dom_ext, &mut ws.poly) + t.remainder()
-                    };
-                    // dwv-lint: allow(no-alloc) -- the step box escapes into the returned flow
-                    IntervalBox::new(flow.components().iter().map(range).collect())
-                };
-                let end = flow.substitute_value(t_var, 1.0);
-                let end =
-                    TmVector::new(end.components().iter().map(|t| t.shrink_vars(k)).collect()); // dwv-lint: allow(no-alloc) -- the step-end models escape into the returned flow
-                ws.dom_ext = dom_ext;
-                return Ok(StepFlow { end, step_box });
+                    .zip(mapped.iter())
+                    .map(|(p, &j)| {
+                        let mut q = Polynomial::zero(ext);
+                        p.substitute_value_into(t_var, 1.0, &mut q);
+                        q.shrink_vars_in_place(k);
+                        TaylorModel::new(q, j)
+                    })
+                    .collect(); // dwv-lint: allow(no-alloc) -- the step-end models escape into the returned flow
+                return Ok(StepFlow {
+                    end: TmVector::new(end),
+                    step_box,
+                });
             }
             if attempt == self.max_inflations {
                 break;
@@ -398,25 +437,23 @@ impl OdeIntegrator {
             // basin can be narrow (e.g. cubic terms), and overshooting it
             // reports spurious divergence. The image sequence converges to
             // just above the true fixed point whenever one exists.
-            ws.cand_next.clear();
-            for (got, cur) in mapped.iter().zip(&ws.cand) {
+            cand_next.clear();
+            for (got, cur) in mapped.iter().zip(cand.iter()) {
                 let merged = got.hull(cur);
-                ws.cand_next.push(Interval::symmetric(
+                cand_next.push(Interval::symmetric(
                     merged.mag() * self.inflation_factor + self.initial_radius,
                 ));
             }
-            std::mem::swap(&mut ws.cand, &mut ws.cand_next);
+            std::mem::swap(cand, cand_next);
             // Detect hopeless blow-up early.
-            if ws.cand.iter().any(|c| !c.is_finite() || c.mag() > 1e9) {
-                let last_radius = ws.cand.iter().map(Interval::mag).fold(0.0, f64::max);
+            if cand.iter().any(|c| !c.is_finite() || c.mag() > 1e9) {
+                let last_radius = cand.iter().map(Interval::mag).fold(0.0, f64::max);
                 note_divergence(obs, attempt as u64 + 1, last_radius);
-                ws.dom_ext = dom_ext;
                 return Err(FlowpipeError::Diverged { last_radius });
             }
         }
-        let last_radius = ws.cand.iter().map(Interval::mag).fold(0.0, f64::max);
+        let last_radius = cand.iter().map(Interval::mag).fold(0.0, f64::max);
         note_divergence(obs, self.max_inflations as u64 + 1, last_radius);
-        ws.dom_ext = dom_ext;
         Err(FlowpipeError::Diverged { last_radius })
     }
 
@@ -715,18 +752,28 @@ mod tests {
                 ..OdeIntegrator::with_order(3)
             };
             let mut ws = TmWorkspace::new();
-            let tape = DefectTape::compile(
+            let mut tape = DefectTape::default();
+            let args: Vec<Polynomial> = polys
+                .iter()
+                .chain(ue.components())
+                .map(|t| t.poly().clone())
+                .collect();
+            let x0_polys: Vec<Polynomial> =
+                x0e.components().iter().map(|t| t.poly().clone()).collect();
+            tape.compile(
                 integ.order,
                 bernstein,
                 false,
-                &polys,
+                &args,
+                &x0_polys,
                 &x0e,
                 &ue,
                 &rhs,
                 0.1,
                 2,
                 &dom_ext,
-                &mut ws,
+                &mut ws.poly,
+                &mut ws.bern,
             );
             for cand in &candidates {
                 let trial: Vec<TaylorModel> = polys
@@ -736,7 +783,8 @@ mod tests {
                     .collect();
                 let reference =
                     integ.picard_defect(&trial, &x0e, &ue, &rhs, 0.1, 2, &dom_ext, &mut ws);
-                let got = tape.replay(cand);
+                let mut got = Vec::new();
+                tape.replay(cand, &mut got);
                 assert_eq!(reference.len(), got.len());
                 for (r, g) in reference.iter().zip(&got) {
                     assert_eq!(

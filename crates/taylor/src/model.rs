@@ -8,13 +8,16 @@ use std::fmt;
 
 /// Scratch arena threaded through a verification loop.
 ///
-/// Bundles the polynomial kernel scratch buffers with a per-call-site
-/// Bernstein range memo. One workspace created per reachability run (or per
-/// flowpipe step / NN-layer propagation) turns the per-term-vector heap
-/// allocations of the functional [`TaylorModel`] ops into O(1) amortized
-/// allocations, and lets repeated Bernstein enclosures of unchanged
-/// polynomial parts — Picard validation attempts, layer-by-layer activation
-/// ranges — hit the memo instead of re-contracting the coefficient tensor.
+/// Bundles the polynomial kernel scratch buffers, a per-call-site Bernstein
+/// range memo, and the polynomials, models and vectors the flow step, its
+/// defect tape and the network abstraction clear and refill from call to
+/// call. One workspace created per reachability run and threaded through
+/// every step makes a warm POLAR/box-re-initialisation reach step allocate
+/// only the end-state models it returns and the boxes the flowpipe records
+/// (`tests/no_alloc_step.rs` counts them), and lets repeated Bernstein
+/// enclosures of unchanged polynomial parts — Picard validation attempts,
+/// layer-by-layer activation ranges — hit the memo instead of
+/// re-contracting the coefficient tensor.
 ///
 /// A workspace carries no semantic state: every operation through it is
 /// bit-identical to its functional counterpart (the cache stores exact
@@ -26,19 +29,15 @@ pub struct TmWorkspace {
     pub poly: PolyWorkspace,
     /// Bernstein range-enclosure memo.
     pub bern: RangeCache,
-    /// Extended-domain staging (`k` shared variables + normalized time),
-    /// rebuilt by each flowpipe step into retained capacity.
-    pub dom_ext: Vec<Interval>,
-    /// Zero-remainder vector for the baseline defect replay.
-    pub zero_rems: Vec<Interval>,
-    /// Trial remainder candidate (double-buffered with [`Self::cand_next`]).
-    pub cand: Vec<Interval>,
-    /// Staging for the next inflation candidate.
-    pub cand_next: Vec<Interval>,
-    /// Picard iterate polynomials (double-buffered with [`Self::flow_tmp`]).
-    pub flow_xs: Vec<Polynomial>,
-    /// Staging for the next Picard iterate.
-    pub flow_tmp: Vec<Polynomial>,
+    /// Buffers of a layer-by-layer model propagation outside this crate
+    /// (the POLAR network abstraction in `dwv-reach`).
+    pub layers: LayerScratch,
+    /// Power tables and chain terms of [`compose_polys_dropping_ws`].
+    pub(crate) compose: ComposeScratch,
+    /// Powers and sum of [`TaylorModel::series_in_place`].
+    pub(crate) series: SeriesScratch,
+    /// Buffers of one validated flow step.
+    pub(crate) flow: crate::flowpipe::FlowScratch,
 }
 
 impl TmWorkspace {
@@ -47,6 +46,55 @@ impl TmWorkspace {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Takes back a vector of models a call through this workspace returned
+    /// (a network abstraction's output, once the flow step has read it), so
+    /// the next call refills its storage instead of allocating.
+    pub fn reuse(&mut self, v: TmVector) {
+        self.layers.output = v.into_components();
+    }
+}
+
+/// Buffers a layer-by-layer model propagation keeps in a [`TmWorkspace`]:
+/// each call clears and refills them, so a warm workspace serves it without
+/// allocating.
+#[derive(Debug, Default)]
+pub struct LayerScratch {
+    /// Models of the layer being read.
+    pub current: Vec<TaylorModel>,
+    /// Models of the layer being written.
+    pub next: Vec<TaylorModel>,
+    /// Storage for the models a call returns (see [`TmWorkspace::reuse`]).
+    pub output: Vec<TaylorModel>,
+    /// Series coefficients of an activation.
+    pub coeffs: Vec<f64>,
+    /// Scratch of the coefficient recurrence.
+    pub recurrence: [Vec<f64>; 3],
+}
+
+/// Scratch of [`compose_polys_dropping_ws`]. The tables only grow, and a
+/// call uses a prefix of each, so their polynomials keep their storage.
+#[derive(Debug, Default)]
+pub(crate) struct ComposeScratch {
+    /// Per-variable largest exponent of the composed polynomial.
+    max_exp: Vec<u32>,
+    /// `pows[i][e - 2] = args[i]^e` for `e ≥ 2`.
+    pows: Vec<Vec<Polynomial>>,
+    /// The product chain of the current term.
+    term: Polynomial,
+    /// The chain's next product.
+    next: Polynomial,
+}
+
+/// Scratch of [`TaylorModel::series_in_place`].
+#[derive(Debug, Default)]
+pub(crate) struct SeriesScratch {
+    /// The running sum.
+    acc: TaylorModel,
+    /// The current power.
+    pw: TaylorModel,
+    /// The next power.
+    next: TaylorModel,
 }
 
 /// Coefficient-pruning threshold applied by [`TaylorModel::mul`] and
@@ -93,10 +141,33 @@ pub fn unit_domain(k: usize) -> Vec<Interval> {
 /// let r = y.range(&dom);
 /// assert!(r.lo() <= 0.0 && r.hi() >= 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct TaylorModel {
     poly: Polynomial,
     remainder: Interval,
+}
+
+impl Clone for TaylorModel {
+    fn clone(&self) -> Self {
+        Self {
+            poly: self.poly.clone(),
+            remainder: self.remainder,
+        }
+    }
+
+    /// Copies into `self`'s polynomial storage (see
+    /// [`Polynomial`]'s `clone_from`).
+    fn clone_from(&mut self, source: &Self) {
+        self.poly.clone_from(&source.poly);
+        self.remainder = source.remainder;
+    }
+}
+
+impl Default for TaylorModel {
+    /// The zero model in no variables.
+    fn default() -> Self {
+        TaylorModel::zero(0)
+    }
 }
 
 impl TaylorModel {
@@ -136,6 +207,18 @@ impl TaylorModel {
     #[must_use]
     pub fn from_interval(nvars: usize, iv: Interval) -> Self {
         Self::new(Polynomial::zero(nvars), iv)
+    }
+
+    /// Overwrites `self` with the constant model `c`, keeping its polynomial
+    /// storage: bit-identical to [`TaylorModel::constant`].
+    pub fn set_constant(&mut self, nvars: usize, c: f64) {
+        self.poly.set_constant(nvars, c);
+        self.remainder = Interval::ZERO;
+    }
+
+    /// Replaces the remainder in place.
+    pub fn set_remainder(&mut self, remainder: Interval) {
+        self.remainder = remainder;
     }
 
     /// The polynomial part.
@@ -291,10 +374,28 @@ impl TaylorModel {
         domain: &[Interval],
         ws: &mut TmWorkspace,
     ) -> TaylorModel {
-        let mut kept = Polynomial::zero(self.nvars());
-        let mut rem =
-            self.poly
-                .mul_truncated_into(&rhs.poly, order, domain, &mut kept, &mut ws.poly);
+        let mut out = TaylorModel::zero(self.nvars());
+        self.mul_truncated_into(rhs, order, domain, &mut out, &mut ws.poly);
+        out
+    }
+
+    /// `out = self.mul_truncated(rhs, …)`, reusing `out`'s polynomial
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics on variable-count or domain-length mismatch.
+    pub fn mul_truncated_into(
+        &self,
+        rhs: &TaylorModel,
+        order: u32,
+        domain: &[Interval],
+        out: &mut TaylorModel,
+        ws: &mut PolyWorkspace,
+    ) {
+        let mut rem = self
+            .poly
+            .mul_truncated_into(&rhs.poly, order, domain, &mut out.poly, ws);
         // Identical exact-zero-remainder skip as `mul` (see there for the
         // soundness note) — during the polynomial Picard phase, where all
         // remainders are stripped to zero, this removes every cross-term
@@ -308,9 +409,46 @@ impl TaylorModel {
                 rem += self.remainder * rhs.remainder;
             }
         }
-        let mut out = TaylorModel::new(kept, rem);
+        out.remainder = rem;
         out.prune_in_place(DEFAULT_PRUNE_EPS, domain);
-        out
+    }
+
+    /// Replaces `self = z` by the truncated power series `Σₖ coeffs[k]·zᵏ`,
+    /// keeping its storage. Bit-identical to the loop over fresh models
+    /// that starts from `acc = constant(coeffs[0])` and `pw =
+    /// constant(1.0)`, and for each further coefficient `a` sets `pw =
+    /// pw.mul_truncated(z, order, …)` and, when `a ≠ 0`, adds
+    /// `acc.add_scaled_assign(pw, a)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `coeffs` is empty, or on domain-length mismatch.
+    pub fn series_in_place(
+        &mut self,
+        coeffs: &[f64],
+        order: u32,
+        domain: &[Interval],
+        ws: &mut TmWorkspace,
+    ) {
+        let nvars = self.nvars();
+        let SeriesScratch { acc, pw, next } = &mut ws.series;
+        acc.set_constant(nvars, coeffs[0]);
+        pw.set_constant(nvars, 1.0);
+        for &a in coeffs.iter().skip(1) {
+            pw.mul_truncated_into(self, order, domain, next, &mut ws.poly);
+            std::mem::swap(pw, next);
+            if a != 0.0 {
+                acc.poly.add_scaled_assign(&pw.poly, a, &mut ws.poly);
+                acc.remainder += pw.remainder * Interval::point(a);
+            }
+        }
+        std::mem::swap(self, acc);
+    }
+
+    /// In-place `self += c` (a constant), bit-identical to
+    /// [`TaylorModel::add_constant`].
+    pub fn add_constant_assign(&mut self, c: f64, ws: &mut TmWorkspace) {
+        self.poly.add_constant_assign(c, &mut ws.poly);
     }
 
     /// In-place sum, bit-identical to [`TaylorModel::add`].
@@ -607,8 +745,9 @@ pub fn compose_parts_ws(
 }
 
 /// Polynomial-only composition with degree truncation, **discarding** every
-/// truncated or pruned tail (no interval accounting): evaluates
-/// `poly(args…)` over plain polynomials, truncating at `order`.
+/// truncated or pruned tail (no interval accounting): writes
+/// `poly(args…)`, evaluated over plain polynomials and truncated at
+/// `order`, to `out`.
 ///
 /// This is the candidate-generation counterpart of [`compose_parts_ws`] for
 /// callers that rebuild a sound enclosure independently of the composition —
@@ -617,26 +756,35 @@ pub fn compose_parts_ws(
 /// via remainder validation. The kept coefficients are bit-identical to the
 /// polynomial parts [`compose_parts_ws`] produces for remainder-free
 /// arguments (same products, same truncation and pruning thresholds); only
-/// the interval side is omitted.
+/// the interval side is omitted. The power tables and the product chain live
+/// in the workspace, so a warm call allocates nothing.
 ///
 /// # Panics
 ///
 /// Panics if `args.len() != poly.nvars()` or the argument polynomials
 /// disagree on their variable count.
-#[must_use]
-pub fn compose_polys_dropping_ws(
+pub(crate) fn compose_polys_dropping_ws(
     poly: &Polynomial,
-    args: &[&Polynomial],
+    args: &[Polynomial],
     order: u32,
+    out: &mut Polynomial,
+    scratch: &mut ComposeScratch,
     ws: &mut PolyWorkspace,
-) -> Polynomial {
+) {
     assert_eq!(args.len(), poly.nvars(), "argument count mismatch");
-    let out_vars = args.first().map_or(0, |a| a.nvars());
+    let out_vars = args.first().map_or(0, Polynomial::nvars);
     assert!(
         args.iter().all(|a| a.nvars() == out_vars),
         "argument polynomials must share a variable count"
     );
-    let mut max_exp = vec![0u32; poly.nvars()];
+    let ComposeScratch {
+        max_exp,
+        pows,
+        term,
+        next,
+    } = scratch;
+    max_exp.clear();
+    max_exp.resize(poly.nvars(), 0);
     for (exps, _) in poly.iter() {
         for (i, &e) in exps.iter().enumerate() {
             max_exp[i] = max_exp[i].max(e);
@@ -645,50 +793,47 @@ pub fn compose_polys_dropping_ws(
     // pows[i][e-2] = args[i]^e for e ≥ 2, truncated at `order`, pruned like
     // the Taylor-model power tables (identical coefficient streams); the
     // first power is the argument itself, borrowed.
-    let pows: Vec<Vec<Polynomial>> = max_exp
-        .iter()
-        .zip(args)
-        .map(|(&me, &arg)| {
-            let mut table: Vec<Polynomial> = Vec::with_capacity((me as usize).saturating_sub(1));
-            for e in 2..=me as usize {
-                let mut next = Polynomial::zero(out_vars);
-                let prev = if e == 2 { arg } else { &table[e - 3] };
-                prev.mul_dropping_into(arg, order, &mut next, ws);
-                next.prune_dropping(DEFAULT_PRUNE_EPS);
-                table.push(next);
-            }
-            table
-        })
-        .collect();
-    let mut acc = Polynomial::zero(out_vars);
-    let mut term = Polynomial::zero(out_vars);
-    let mut next = Polynomial::zero(out_vars);
+    if pows.len() < args.len() {
+        pows.resize_with(args.len(), Vec::new);
+    }
+    for ((&me, arg), table) in max_exp.iter().zip(args).zip(pows.iter_mut()) {
+        let used = (me as usize).saturating_sub(1);
+        if table.len() < used {
+            table.resize_with(used, Polynomial::default);
+        }
+        for e in 2..=me as usize {
+            let (done, rest) = table.split_at_mut(e - 2);
+            let prev = if e == 2 { arg } else { &done[e - 3] };
+            prev.mul_dropping_into(arg, order, &mut rest[0], ws);
+            rest[0].prune_dropping(DEFAULT_PRUNE_EPS);
+        }
+    }
+    out.set_constant(out_vars, 0.0);
     for (exps, c) in poly.iter() {
         let mut started = false;
         for (i, &e) in exps.iter().enumerate() {
             if e > 0 {
                 let pw = match e {
-                    1 => args[i],
+                    1 => &args[i],
                     _ => &pows[i][e as usize - 2],
                 };
                 if started {
-                    term.mul_dropping_into(pw, order, &mut next, ws);
+                    term.mul_dropping_into(pw, order, next, ws);
                     next.prune_dropping(DEFAULT_PRUNE_EPS);
-                    std::mem::swap(&mut term, &mut next);
+                    std::mem::swap(term, next);
                 } else {
-                    term = pw.scale(c);
+                    pw.scale_into(c, term);
                     term.prune_dropping(DEFAULT_PRUNE_EPS);
                     started = true;
                 }
             }
         }
         if started {
-            acc.add_assign_ref(&term, ws);
+            out.add_assign_ref(term, ws);
         } else {
-            acc.add_assign_ref(&Polynomial::constant(out_vars, c), ws);
+            out.add_constant_assign(c, ws);
         }
     }
-    acc
 }
 
 /// A vector of Taylor models over a shared variable space — the enclosure of
@@ -732,17 +877,22 @@ impl TmVector {
     /// variables `a ∈ [-1,1]ⁿ` (one fresh variable per state dimension).
     #[must_use]
     pub fn from_box(b: &IntervalBox) -> Self {
+        let mut v = Self { tms: Vec::new() };
+        v.set_box(b);
+        v
+    }
+
+    /// Overwrites `self` with [`TmVector::from_box`]`(b)`, keeping the
+    /// storage of its models.
+    pub fn set_box(&mut self, b: &IntervalBox) {
         let n = b.dim();
-        let tms = (0..n)
-            .map(|i| {
-                let iv = b.interval(i);
-                TaylorModel::new(
-                    Polynomial::constant(n, iv.mid()) + Polynomial::var(n, i).scale(iv.rad()),
-                    Interval::ZERO,
-                )
-            })
-            .collect();
-        Self { tms }
+        self.tms.truncate(n);
+        self.tms.resize_with(n, TaylorModel::default);
+        for (i, t) in self.tms.iter_mut().enumerate() {
+            let iv = b.interval(i);
+            t.poly.set_affine(n, iv.mid(), i, iv.rad());
+            t.remainder = Interval::ZERO;
+        }
     }
 
     /// The state dimension (number of components).

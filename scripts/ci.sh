@@ -88,6 +88,10 @@ if [[ "${1:-}" == "--all" ]]; then
   # symbolic initial models and inputs with remainders, orders 1-5 (see
   # families/picard).
   run cargo run --release --offline -p dwv-check -- --family picard --seed 0xD3C0DE --budget-cases 3000
+  # Odd-power gate: the interval family's cubes in expressions and its
+  # `x^n` draws (n = 3, 5, 7) against a double-double oracle with no
+  # tolerance beyond the oracle's error (see families/interval).
+  run cargo run --release --offline -p dwv-check -- --family interval --seed 0xD3C0DE --budget-cases 5000
   # Portfolio gate: the tiered-verifier contract (every tier's enclosure
   # contains sampled closed-loop trajectories; cheap unsafe-clearance and
   # goal-containment claims are never contradicted by the rigorous tier) plus
