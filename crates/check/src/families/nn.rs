@@ -12,17 +12,23 @@
 //! * kernel differential: `BernsteinAbstraction::fit` at degree 1–3 and
 //!   1–9 samples per axis must return the fitted polynomials (term keys and
 //!   coefficient bits) and sampled errors (bits) of the retired
-//!   implementation in [`crate::reference`].
+//!   implementation in [`crate::reference`];
+//! * abstraction differential: `BernsteinAbstraction::abstract_network_ws`
+//!   at composition order 1–8, on a state with or without remainders, must
+//!   return the output models (term keys, coefficient bits, remainder bits)
+//!   of the retired [`crate::reference::bernstein_abstraction`], or refuse
+//!   where it refuses, on a fresh workspace and on one warmed by another
+//!   box.
 
 use super::{case_rng, CaseOutcome, Family};
 use crate::reference;
 use dwv_dynamics::NnController;
 use dwv_interval::arbitrary::{f64_in, unit_f64};
-use dwv_interval::IntervalBox;
+use dwv_interval::{Interval, IntervalBox};
 use dwv_nn::arbitrary::network;
 use dwv_poly::Polynomial;
-use dwv_reach::{BernsteinAbstraction, NnAbstraction, TaylorAbstraction};
-use dwv_taylor::{unit_domain, TmVector};
+use dwv_reach::{BernsteinAbstraction, NnAbstraction, ReachError, TaylorAbstraction};
+use dwv_taylor::{unit_domain, TaylorModel, TmVector, TmWorkspace};
 
 /// NN output-set abstraction vs concrete forward evaluation, and the
 /// Bernstein fitting kernel vs its retired implementation.
@@ -39,7 +45,7 @@ impl Family for NnFamily {
 
     fn oracle(&self) -> &'static str {
         "concrete Network::forward at sampled points of the state box, and the \
-         retired Bernstein fit and remainder loop, bit for bit"
+         retired Bernstein fit, remainder loop and whole abstraction, bit for bit"
     }
 
     fn check(&self, seed: u64, size: u8) -> CaseOutcome {
@@ -108,8 +114,108 @@ impl Family for NnFamily {
                 ));
             }
         }
+        // Whole-abstraction differential, drawn after everything above so
+        // earlier cases keep their draws: a state with a remainder on some
+        // components, a composition order, and a box to warm the workspace
+        // on first.
+        let mut state = TmVector::from_box(&state_box);
+        if next() % 2 == 0 {
+            let with_rem: Vec<TaylorModel> = state
+                .components()
+                .iter()
+                .map(|t| t.add_interval(Interval::symmetric(1e-3 * unit_f64(next()))))
+                .collect();
+            state = TmVector::new(with_rem);
+        }
+        let compose_order = 1 + (next() % 8) as u32;
+        let shift = f64_in(next(), -0.2, 0.2);
+        let abs = BernsteinAbstraction {
+            degree,
+            samples_per_dim: samples,
+            compose_order,
+        };
+        let domain = unit_domain(in_dim);
+        let want = reference::bernstein_abstraction(
+            &controller,
+            &state,
+            &domain,
+            degree,
+            samples,
+            compose_order,
+        );
+        let mut ws = TmWorkspace::new();
+        let fresh = abs.abstract_network_ws(&controller, &state, &domain, &mut ws);
+        if let Some(v) = same_abstraction(&want, &fresh, "fresh", &state_box) {
+            return v;
+        }
+        // Warm: the workspace has served a shifted box, and its output came
+        // back through `reuse`.
+        let warm_box = IntervalBox::from_center_radius(
+            &mids.iter().map(|c| c + shift).collect::<Vec<_>>(),
+            &rads.iter().map(|r| 2.0 * r).collect::<Vec<_>>(),
+        );
+        if let Ok(u) = fresh {
+            ws.reuse(u);
+        }
+        if let Ok(u) = abs.abstract_network_ws(
+            &controller,
+            &TmVector::from_box(&warm_box),
+            &domain,
+            &mut ws,
+        ) {
+            ws.reuse(u);
+        }
+        let warm = abs.abstract_network_ws(&controller, &state, &domain, &mut ws);
+        if let Some(v) = same_abstraction(&want, &warm, "warm", &state_box) {
+            return v;
+        }
         verdict
     }
+}
+
+/// `None` when the new abstraction returned what the retired one did: both
+/// refused, or the same term keys, coefficient bits and remainder bits in
+/// every output model.
+fn same_abstraction(
+    want: &Result<TmVector, ReachError>,
+    got: &Result<TmVector, ReachError>,
+    workspace: &str,
+    state_box: &IntervalBox,
+) -> Option<CaseOutcome> {
+    let (want, got) = match (want, got) {
+        (Err(_), Err(_)) => return None,
+        (Ok(w), Ok(g)) => (w, g),
+        (w, g) => {
+            return Some(CaseOutcome::Violation(format!(
+                "Bernstein abstraction on a {workspace} workspace returned {}, the reference \
+                 {} (box {state_box:?})",
+                if g.is_ok() { "a model" } else { "an error" },
+                if w.is_ok() { "a model" } else { "an error" },
+            )))
+        }
+    };
+    if want.dim() != got.dim() {
+        return Some(CaseOutcome::Violation(format!(
+            "Bernstein abstraction on a {workspace} workspace has {} outputs, the reference {}",
+            got.dim(),
+            want.dim()
+        )));
+    }
+    for (o, (w, g)) in want.components().iter().zip(got.components()).enumerate() {
+        let rem_bits =
+            |t: &TaylorModel| (t.remainder().lo().to_bits(), t.remainder().hi().to_bits());
+        if !g.poly().bits_eq(w.poly()) || rem_bits(g) != rem_bits(w) {
+            return Some(CaseOutcome::Violation(format!(
+                "Bernstein abstraction output {o} on a {workspace} workspace differs from the \
+                 reference: {} + {} vs {} + {} (box {state_box:?})",
+                terms(g.poly()),
+                g.remainder(),
+                terms(w.poly()),
+                w.remainder()
+            )));
+        }
+    }
+    None
 }
 
 /// Abstracts `controller` over `state_box` with one back-end and checks the

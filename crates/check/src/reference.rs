@@ -13,24 +13,34 @@
 //!   maximum over a materialized point grid, with one allocating network
 //!   evaluation and one `Polynomial::eval` per point.
 //!
+//! * [`bernstein_abstraction`] — `BernsteinAbstraction::abstract_network_ws`
+//!   as it was before its grid pass was batched and its buffers moved into
+//!   the workspace: [`bernstein_fit`], the interval-Jacobian Lipschitz bound
+//!   and the gradient bound over freshly allocated rows and derivatives, and
+//!   [`compose_parts`] per output.
+//! * [`compose_parts`] — the Taylor-model composition that
+//!   `dwv_taylor::compose_parts_into` replaced: power tables of cloned
+//!   arguments, one freshly allocated model per chain product.
 //! * [`flow_step`] — the validated Taylor-model step that
 //!   `OdeIntegrator::flow_step` replaced with degree-staged Picard
 //!   iterations and a compiled defect tape: `picard_iters` full-order
 //!   polynomial Picard iterations with a fixed-point exit, then one
 //!   interval-carrying field composition per validation attempt.
 //!
-//! The first two compute nodes, grid points and layer outputs with their
-//! original expressions, and [`flow_step`] uses only public polynomial and
-//! Taylor-model operations, so they share no rewritten code with what they
-//! check.
+//! The fits compute nodes, grid points and layer outputs with their
+//! original expressions, and [`bernstein_abstraction`], [`compose_parts`]
+//! and [`flow_step`] use only public polynomial and Taylor-model operations,
+//! so they share no rewritten code with what they check.
 
 use dwv_dynamics::NnController;
 use dwv_interval::{Interval, IntervalBox};
+use dwv_nn::Activation;
 use dwv_nn::Network;
 use dwv_poly::{kernels, PolyWorkspace, Polynomial};
+use dwv_reach::ReachError;
 use dwv_taylor::{
-    compose_parts_ws, FlowpipeError, OdeIntegrator, OdeRhs, StepFlow, TaylorModel, TmVector,
-    TmWorkspace, DEFAULT_PRUNE_EPS,
+    FlowpipeError, OdeIntegrator, OdeRhs, StepFlow, TaylorModel, TmVector, TmWorkspace,
+    DEFAULT_PRUNE_EPS,
 };
 
 /// Degree-`degrees` Bernstein approximation of `f` over `domain`, in the
@@ -149,6 +159,243 @@ pub fn bernstein_fit(
         .collect()
 }
 
+/// `BernsteinAbstraction { degree, samples_per_dim, compose_order }`
+/// abstracting `controller` over `state`, computed the pre-workspace way:
+/// the state box from `range_box`, zero widths inflated by `1e-9`, the fit
+/// of [`bernstein_fit`] on the unit box, the sampled error inflated by
+/// `(L_f + L_g)·h/2·√n`, and each fit composed with the normalized state
+/// models through [`compose_parts`].
+///
+/// # Errors
+///
+/// [`ReachError::Unsupported`] where the abstraction refuses: a state of the
+/// wrong dimension, non-finite parameters, an unbounded state box, or no
+/// samples.
+pub fn bernstein_abstraction(
+    controller: &NnController,
+    state: &TmVector,
+    domain: &[Interval],
+    degree: u32,
+    samples_per_dim: usize,
+    compose_order: u32,
+) -> Result<TmVector, ReachError> {
+    let net = controller.network();
+    let finite = controller.output_scale().is_finite()
+        && net
+            .layers()
+            .iter()
+            .all(|l| l.weights().iter().chain(l.bias()).all(|w| w.is_finite()));
+    if net.in_dim() != state.dim() || !finite {
+        return Err(ReachError::Unsupported("refused controller".into()));
+    }
+    let bx = state.range_box(domain);
+    if !bx.is_finite() || samples_per_dim == 0 {
+        return Err(ReachError::Unsupported("refused state box".into()));
+    }
+    let bx = IntervalBox::new(
+        bx.intervals()
+            .iter()
+            .map(|iv| {
+                if iv.width() > 0.0 {
+                    *iv
+                } else {
+                    iv.inflate(1e-9)
+                }
+            })
+            .collect(),
+    );
+    let n = bx.dim();
+    let centers: Vec<f64> = bx.center();
+    let radii: Vec<f64> = bx.radii();
+    let fits = bernstein_fit(controller, &centers, &radii, degree, samples_per_dim);
+    let unit = IntervalBox::from_bounds(&vec![(-1.0, 1.0); n]);
+    let y_models: Vec<TaylorModel> = state
+        .components()
+        .iter()
+        .zip(centers.iter().zip(&radii))
+        .map(|(x, (&c, &r))| x.add_constant(-c).scale(1.0 / r))
+        .collect();
+    let lip_f = local_lipschitz_bound(net, &bx)
+        * controller.output_scale().abs()
+        * radii.iter().fold(0.0f64, |m, &r| m.max(r));
+    let grid_h = 2.0 / (samples_per_dim.max(2) - 1) as f64;
+    let mut ws = TmWorkspace::new();
+    let mut out = Vec::with_capacity(fits.len());
+    for (g, sampled) in fits {
+        let mut eps = sampled;
+        let lip_g = gradient_bound(&g, &unit);
+        eps += 0.5 * (lip_f + lip_g) * grid_h * (n as f64).sqrt();
+        out.push(compose_parts(
+            &g,
+            Interval::symmetric(eps),
+            &y_models,
+            compose_order,
+            domain,
+            &mut ws,
+        ));
+    }
+    Ok(TmVector::new(out))
+}
+
+/// The interval-Jacobian Lipschitz bound of the Bernstein abstraction, over
+/// freshly allocated rows.
+fn local_lipschitz_bound(net: &Network, bx: &IntervalBox) -> f64 {
+    let n = bx.dim();
+    let mut jac: Vec<Vec<Interval>> = (0..n)
+        .map(|i| {
+            (0..n)
+                .map(|j| {
+                    if i == j {
+                        Interval::ONE
+                    } else {
+                        Interval::ZERO
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let mut h: Vec<Interval> = bx.intervals().to_vec();
+    for layer in net.layers() {
+        let mut new_jac = Vec::with_capacity(layer.out_dim());
+        let mut new_h = Vec::with_capacity(layer.out_dim());
+        for o in 0..layer.out_dim() {
+            let mut z = Interval::point(layer.bias()[o]);
+            for (k, hk) in h.iter().enumerate() {
+                z += *hk * layer.weight(o, k);
+            }
+            let dz = activation_derivative_range(layer.activation(), z);
+            let row: Vec<Interval> = (0..n)
+                .map(|i| {
+                    let mut acc = Interval::ZERO;
+                    for (k, jrow) in jac.iter().enumerate() {
+                        acc += jrow[i] * layer.weight(o, k);
+                    }
+                    acc * dz
+                })
+                .collect();
+            new_jac.push(row);
+            new_h.push(match layer.activation() {
+                Activation::Identity => z,
+                Activation::ReLU => z.relu(),
+                Activation::Tanh => z.tanh(),
+                Activation::Sigmoid => z.sigmoid(),
+            });
+        }
+        jac = new_jac;
+        h = new_h;
+    }
+    jac.iter()
+        .map(|row| row.iter().map(|iv| iv.mag().powi(2)).sum::<f64>().sqrt())
+        .fold(0.0, f64::max)
+}
+
+/// Range of an activation's derivative over a pre-activation interval.
+fn activation_derivative_range(act: Activation, z: Interval) -> Interval {
+    match act {
+        Activation::Identity => Interval::ONE,
+        Activation::ReLU => {
+            if z.lo() > 0.0 {
+                Interval::ONE
+            } else if z.hi() <= 0.0 {
+                Interval::ZERO
+            } else {
+                Interval::new(0.0, 1.0)
+            }
+        }
+        Activation::Tanh => {
+            let t = z.abs().mig();
+            let hi = 1.0 - t.tanh().powi(2);
+            let m = z.mag();
+            let lo = 1.0 - m.tanh().powi(2);
+            Interval::new((lo - 1e-12).max(0.0), (hi + 1e-12).min(1.0))
+        }
+        Activation::Sigmoid => {
+            let s = |x: f64| 1.0 / (1.0 + (-x).exp());
+            let t = z.abs().mig();
+            let hi = s(t) * (1.0 - s(t));
+            let m = z.mag();
+            let lo = s(m) * (1.0 - s(m));
+            Interval::new((lo - 1e-12).max(0.0), (hi + 1e-12).min(0.25))
+        }
+    }
+}
+
+/// `‖∇g‖₂` bounded by interval evaluation of freshly built partials.
+fn gradient_bound(g: &Polynomial, bx: &IntervalBox) -> f64 {
+    (0..g.nvars())
+        .map(|i| {
+            let d = g.partial_derivative(i);
+            d.eval_interval(bx.intervals()).mag().powi(2)
+        })
+        .sum::<f64>()
+        .sqrt()
+}
+
+/// `poly(args…) + remainder` truncated at `order`, as `compose_parts_ws`
+/// computed it before its tables moved into the workspace: per variable a
+/// table of powers starting from a clone of the argument, and per term a
+/// chain of freshly allocated truncated products.
+///
+/// # Panics
+///
+/// Panics if `args.len() != poly.nvars()`.
+#[must_use]
+pub fn compose_parts(
+    poly: &Polynomial,
+    remainder: Interval,
+    args: &[TaylorModel],
+    order: u32,
+    arg_domain: &[Interval],
+    ws: &mut TmWorkspace,
+) -> TaylorModel {
+    assert_eq!(args.len(), poly.nvars(), "argument count mismatch");
+    let out_vars = args.first().map_or(0, TaylorModel::nvars);
+    let mut max_exp = vec![0u32; poly.nvars()];
+    for (exps, _) in poly.iter() {
+        for (i, &e) in exps.iter().enumerate() {
+            max_exp[i] = max_exp[i].max(e);
+        }
+    }
+    let pows: Vec<Vec<TaylorModel>> = max_exp
+        .iter()
+        .enumerate()
+        .map(|(i, &me)| {
+            let mut table = Vec::with_capacity(me as usize);
+            if me >= 1 {
+                let mut prev = args[i].clone();
+                for _ in 1..me {
+                    let next = prev.mul_truncated(&args[i], order, arg_domain, ws);
+                    table.push(std::mem::replace(&mut prev, next));
+                }
+                table.push(prev);
+            }
+            table
+        })
+        .collect();
+    let mut acc = TaylorModel::from_interval(out_vars, remainder);
+    for (exps, c) in poly.iter() {
+        let mut term: Option<TaylorModel> = None;
+        for (i, &e) in exps.iter().enumerate() {
+            if e > 0 {
+                let pw = &pows[i][e as usize - 1];
+                term = Some(match term {
+                    None => {
+                        let mut t = pw.scale(c);
+                        t.prune_in_place(DEFAULT_PRUNE_EPS, arg_domain);
+                        t
+                    }
+                    Some(t) => t.mul_truncated(pw, order, arg_domain, ws),
+                });
+            }
+        }
+        match term {
+            Some(t) => acc.add_assign_tm(&t, ws),
+            None => acc.add_assign_tm(&TaylorModel::constant(out_vars, c), ws),
+        }
+    }
+    acc
+}
+
 /// The network evaluated as `Layer::forward` computed it: a fresh copy of
 /// the bias per layer, one chunked dot product added per row, then the
 /// activation.
@@ -204,7 +451,7 @@ fn grid(bx: &IntervalBox, per_dim: usize) -> Vec<Vec<f64>> {
 ///   stopping at the first iterate that reproduces its predecessor bit for
 ///   bit.
 /// * Validation: each attempt composes the field over the candidate with
-///   the trial remainders through [`compose_parts_ws`], integrates, and
+///   the trial remainders through [`compose_parts`], integrates, and
 ///   encloses the polynomial defect (`bernstein::range_enclosure` or
 ///   interval evaluation), inflating the trial until it contains its image.
 /// * Result: the step box from `range_box` or `range_box_bernstein`, the end
@@ -387,7 +634,7 @@ fn compose_dropping(
 }
 
 /// The remainder of `x0 + δ∫f(trial) − poly(trial)` with the field composed
-/// through [`compose_parts_ws`] on a fresh workspace: what the Picard
+/// through [`compose_parts`] on a fresh workspace: what the Picard
 /// operator maps the trial remainders to.
 #[allow(clippy::too_many_arguments)]
 fn picard_defect(
@@ -406,7 +653,7 @@ fn picard_defect(
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let fi = compose_parts_ws(p, Interval::ZERO, &args, integ.order, dom_ext, &mut ws);
+            let fi = compose_parts(p, Interval::ZERO, &args, integ.order, dom_ext, &mut ws);
             let mut mapped = fi.antiderivative(t_var, dom_ext);
             mapped.scale_in_place(delta);
             mapped.add_assign_tm(x0e.component(i), &mut ws);

@@ -5,6 +5,20 @@ use crate::Interval;
 use std::fmt;
 use std::ops::Index;
 
+/// Coordinate `j` of `per_dim` evenly spaced samples of `iv`: the endpoints
+/// are included when `per_dim > 1`, and a single sample is the midpoint.
+/// The coordinates of [`IntervalBox::grid_axes`] and of the Bernstein nodes
+/// (`per_dim = degree + 1`).
+#[must_use]
+pub fn grid_coordinate(iv: &Interval, j: usize, per_dim: usize) -> f64 {
+    if per_dim == 1 {
+        iv.mid()
+    } else {
+        // dwv-lint: allow(float-hygiene) -- sample-point heuristic, not a verified bound
+        iv.lo() + iv.width() * j as f64 / (per_dim - 1) as f64
+    }
+}
+
 /// An n-dimensional axis-aligned box: the Cartesian product of [`Interval`]s.
 ///
 /// `IntervalBox` is the primitive reach-set representation used throughout the
@@ -365,14 +379,7 @@ impl IntervalBox {
             .iter()
             .map(|iv| {
                 (0..per_dim)
-                    .map(|j| {
-                        if per_dim == 1 {
-                            iv.mid()
-                        } else {
-                            // dwv-lint: allow(float-hygiene) -- sample-point heuristic, not a verified bound
-                            iv.lo() + iv.width() * j as f64 / (per_dim - 1) as f64
-                        }
-                    })
+                    .map(|j| grid_coordinate(iv, j, per_dim))
                     .collect()
             })
             .collect()

@@ -33,7 +33,7 @@ mod boxes;
 mod interval;
 mod transcendental;
 
-pub use boxes::IntervalBox;
+pub use boxes::{grid_coordinate, IntervalBox};
 pub use interval::Interval;
 
 /// Error produced when constructing an interval with invalid endpoints.

@@ -128,35 +128,39 @@ impl Layer {
     /// Panics if `x.len() != in_dim`.
     #[must_use]
     pub fn forward(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let mut pre = Vec::with_capacity(self.out_dim);
+        let mut pre = vec![0.0; self.out_dim];
         self.pre_activations_into(x, &mut pre);
         let act = pre.iter().map(|&z| self.activation.apply(z)).collect();
         (act, pre)
     }
 
-    /// Forward pass into a caller-owned buffer: `out` is cleared and
-    /// receives the activations, computed exactly as [`Layer::forward`]
-    /// computes them.
+    /// Forward pass into a caller-owned slice of `out_dim` values: the
+    /// activations, computed exactly as [`Layer::forward`] computes them.
     ///
     /// # Panics
     ///
-    /// Panics if `x.len() != in_dim`.
-    pub(crate) fn forward_into(&self, x: &[f64], out: &mut Vec<f64>) {
+    /// Panics if `x.len() != in_dim` or `out.len() != out_dim`.
+    pub(crate) fn forward_into(&self, x: &[f64], out: &mut [f64]) {
         self.pre_activations_into(x, out);
-        for z in out.iter_mut() {
+        self.activate(out);
+    }
+
+    /// Applies the layer's activation to every pre-activation in `zs`.
+    pub(crate) fn activate(&self, zs: &mut [f64]) {
+        for z in zs {
             *z = self.activation.apply(*z);
         }
     }
 
-    /// Clears `pre` and fills it with `bias[o] + dot(row_o, x)`: the one
-    /// copy of the layer's affine arithmetic.
-    fn pre_activations_into(&self, x: &[f64], pre: &mut Vec<f64>) {
+    /// Fills `pre` with `bias[o] + dot(row_o, x)`: the one copy of the
+    /// layer's affine arithmetic.
+    pub(crate) fn pre_activations_into(&self, x: &[f64], pre: &mut [f64]) {
         assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
-        pre.clear();
-        pre.extend(self.bias.iter().enumerate().map(|(o, &b)| {
+        assert_eq!(pre.len(), self.out_dim, "output dimension mismatch");
+        for (o, (z, &b)) in pre.iter_mut().zip(&self.bias).enumerate() {
             let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-            b + kernels::dot_chunked(row, x)
-        }));
+            *z = b + kernels::dot_chunked(row, x);
+        }
     }
 
     /// Interval forward pass: a directed-rounding enclosure of the layer's

@@ -40,5 +40,5 @@ mod optim;
 
 pub use activation::Activation;
 pub use layer::Layer;
-pub use network::{ForwardScratch, Network};
+pub use network::Network;
 pub use optim::{Adam, Optimizer, Sgd};

@@ -1,6 +1,7 @@
 //! Multi-layer perceptrons.
 
 use crate::{Activation, Layer};
+use dwv_poly::kernels::LANES;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -28,14 +29,6 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Network {
     layers: Vec<Layer>,
-}
-
-/// Activation buffers for [`Network::forward_into`], double-buffered across
-/// layers.
-#[derive(Debug, Clone, Default)]
-pub struct ForwardScratch {
-    cur: Vec<f64>,
-    next: Vec<f64>,
 }
 
 impl Network {
@@ -100,29 +93,104 @@ impl Network {
         self.layers.iter().map(Layer::num_params).sum()
     }
 
-    /// Forward evaluation.
-    #[must_use]
-    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut scratch = ForwardScratch::default();
-        self.forward_into(x, &mut scratch);
-        scratch.cur
-    }
-
-    /// Forward evaluation through reusable buffers: bit-identical to
-    /// [`Network::forward`], allocation-free once `scratch` has grown to the
-    /// widest layer. For callers that evaluate one network at many points.
+    /// Forward evaluation, layer by layer through two activation buffers.
+    /// Callers that evaluate one network on a tensor grid of points use
+    /// [`Network::forward_grid`].
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != in_dim()`.
-    pub fn forward_into<'s>(&self, x: &[f64], scratch: &'s mut ForwardScratch) -> &'s [f64] {
-        scratch.cur.clear();
-        scratch.cur.extend_from_slice(x);
+    #[must_use]
+    pub fn forward(&self, x: &[f64]) -> Vec<f64> {
+        let mut cur = x.to_vec();
+        let mut next = Vec::new();
         for layer in &self.layers {
-            layer.forward_into(&scratch.cur, &mut scratch.next);
-            std::mem::swap(&mut scratch.cur, &mut scratch.next);
+            next.resize(layer.out_dim(), 0.0);
+            layer.forward_into(&cur, &mut next);
+            std::mem::swap(&mut cur, &mut next);
         }
-        &scratch.cur
+        cur
+    }
+
+    /// Forward evaluation at every point of the tensor grid
+    /// `axes[0] × axes[1] × …`, points in mixed-radix order (last axis
+    /// fastest): `out` is cleared and receives output `o` of point `p` at
+    /// `out[o * points + p]`.
+    ///
+    /// Every value equals [`Network::forward`] at the same point, bit for
+    /// bit: each pre-activation is still `bias + dot` with the dot product
+    /// summed in [`dwv_poly::kernels::dot_chunked`]'s order (four lanes
+    /// over the chunks, combined as `(l0 + l2) + (l1 + l3)`, then the tail),
+    /// with no fused multiply-add and no reassociation. Only the work is
+    /// shared: the first layer forms each product `w[o,i]·x_i` once per
+    /// coordinate of axis `i`, carries the partial sums of the outer axes
+    /// down the axes so each is added once per prefix of outer indices,
+    /// and the later layers run over one last-axis row at a time.
+    ///
+    /// `arena` is scratch: it grows to the size the network and grid need
+    /// and its contents are overwritten, so a reused arena makes a call
+    /// allocation-free once `out` has grown too.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `axes.len() != in_dim()` or the point count overflows
+    /// `usize`.
+    pub fn forward_grid(&self, axes: &[Vec<f64>], arena: &mut Vec<f64>, out: &mut Vec<f64>) {
+        let n = self.in_dim();
+        assert_eq!(axes.len(), n, "grid dimension mismatch");
+        out.clear();
+        let (Some((first, later)), Some(last_axis)) = (self.layers.split_first(), axes.last())
+        else {
+            return;
+        };
+        let points = axes
+            .iter()
+            .try_fold(1usize, |p, axis| p.checked_mul(axis.len()));
+        assert!(points.is_some(), "grid point count overflows usize");
+        let points = points.unwrap_or(0);
+        out.resize(points * self.out_dim(), 0.0);
+        if points == 0 {
+            return;
+        }
+        let units = first.out_dim();
+        let row_len = last_axis.len();
+        let widest = self.layers.iter().map(Layer::out_dim).max().unwrap_or(0);
+        // Arena layout: the first-layer products `w[o,i]·x_i[j]` of every
+        // axis (`[i][j][o]`), one partial-sum state per axis (four lanes
+        // then a tail, `[lane][o]`), two row buffers (`[j][o]`).
+        let products_len = units * axes.iter().map(Vec::len).sum::<usize>();
+        let state_len = (LANES + 1) * units;
+        let row_buf = row_len * widest;
+        let need = products_len + n * state_len + 2 * row_buf;
+        if arena.len() < need {
+            arena.resize(need, 0.0);
+        }
+        let (products, rest) = arena.split_at_mut(products_len);
+        let (states, rest) = rest.split_at_mut(n * state_len);
+        let (cur, rest) = rest.split_at_mut(row_buf);
+        let mut at = 0;
+        for (i, axis) in axes.iter().enumerate() {
+            for &x in axis {
+                for (o, p) in products[at..at + units].iter_mut().enumerate() {
+                    *p = first.weight(o, i) * x;
+                }
+                at += units;
+            }
+        }
+        states[..state_len].fill(0.0);
+        let mut pass = GridPass {
+            first,
+            later,
+            axes,
+            products,
+            units,
+            split: n / LANES * LANES,
+            points,
+            cur,
+            next: &mut rest[..row_buf],
+            out,
+        };
+        pass.walk(0, 0, states, 0);
     }
 
     /// Interval forward evaluation: a directed-rounding enclosure of the
@@ -292,6 +360,120 @@ impl Network {
     }
 }
 
+/// One [`Network::forward_grid`] pass: the network, the grid, the
+/// first-layer products and the row buffers.
+struct GridPass<'a> {
+    first: &'a Layer,
+    later: &'a [Layer],
+    axes: &'a [Vec<f64>],
+    /// `w[o,i]·x_i[j]` at `[i][j][o]`.
+    products: &'a [f64],
+    /// Units of the first layer.
+    units: usize,
+    /// `dot_chunked` adds inputs below `split` into lanes, the rest into the
+    /// tail after the lanes combine.
+    split: usize,
+    points: usize,
+    cur: &'a mut [f64],
+    next: &'a mut [f64],
+    out: &'a mut [f64],
+}
+
+impl GridPass<'_> {
+    /// Walks axis `i` (its products start at `at`): `states` holds this
+    /// axis' partial sums of the first-layer dot products over axes `< i`,
+    /// then room for the deeper axes'; `r` is the row index of axes `< i`.
+    fn walk(&mut self, i: usize, at: usize, states: &mut [f64], r: usize) {
+        let units = self.units;
+        let (state, deeper) = states.split_at_mut((LANES + 1) * units);
+        if i == self.split {
+            combine_lanes(state, units);
+        }
+        if i + 1 == self.axes.len() {
+            self.row(at, state, r);
+            return;
+        }
+        let len = self.axes[i].len();
+        let next_at = at + len * units;
+        for j in 0..len {
+            let (next, _) = deeper.split_at_mut(state.len());
+            next.copy_from_slice(state);
+            let ps = &self.products[at + j * units..at + (j + 1) * units];
+            let sums = if i < self.split {
+                &mut next[(i % LANES) * units..(i % LANES + 1) * units]
+            } else {
+                &mut next[LANES * units..]
+            };
+            for (s, &p) in sums.iter_mut().zip(ps) {
+                *s += p;
+            }
+            self.walk(i + 1, next_at, deeper, r * len + j);
+        }
+    }
+
+    /// Row `r`: the last axis (products from `at`) completes the first layer
+    /// point by point, the later layers run over the row, and the outputs
+    /// land in `out`.
+    fn row(&mut self, at: usize, state: &[f64], r: usize) {
+        let units = self.units;
+        let last = self.axes.len() - 1;
+        let row_len = self.axes[last].len();
+        let ps = &self.products[at..at + row_len * units];
+        let h = &mut self.cur[..row_len * units];
+        let bias = self.first.bias();
+        let (lanes, tail) = state.split_at(LANES * units);
+        if last < self.split {
+            // The last input closes lane 3 before the lanes combine.
+            let (l0, l1) = lanes.split_at(units);
+            let (l1, l2) = l1.split_at(units);
+            let (l2, l3) = l2.split_at(units);
+            for (hj, pj) in h.chunks_exact_mut(units).zip(ps.chunks_exact(units)) {
+                for (o, (v, &p)) in hj.iter_mut().zip(pj).enumerate() {
+                    *v = bias[o] + ((l0[o] + l2[o]) + (l1[o] + (l3[o] + p)));
+                }
+            }
+        } else {
+            for (hj, pj) in h.chunks_exact_mut(units).zip(ps.chunks_exact(units)) {
+                for (((v, &b), &t), &p) in hj.iter_mut().zip(bias).zip(tail).zip(pj) {
+                    *v = b + (t + p);
+                }
+            }
+        }
+        self.first.activate(h);
+        let mut width = units;
+        for layer in self.later {
+            let next_width = layer.out_dim();
+            let y_row = &mut self.next[..row_len * next_width];
+            for (x, y) in self.cur[..row_len * width]
+                .chunks_exact(width)
+                .zip(y_row.chunks_exact_mut(next_width))
+            {
+                layer.pre_activations_into(x, y);
+            }
+            layer.activate(y_row);
+            std::mem::swap(&mut self.cur, &mut self.next);
+            width = next_width;
+        }
+        for (j, h) in self.cur[..row_len * width].chunks_exact(width).enumerate() {
+            for (o, &v) in h.iter().enumerate() {
+                self.out[o * self.points + r * row_len + j] = v;
+            }
+        }
+    }
+}
+
+/// `tail[o] = (l0[o] + l2[o]) + (l1[o] + l3[o])` in a partial-sum state of
+/// `units` units: the lane combine of [`dwv_poly::kernels::dot_chunked`].
+fn combine_lanes(state: &mut [f64], units: usize) {
+    let (lanes, tail) = state.split_at_mut(LANES * units);
+    let (l0, l1) = lanes.split_at(units);
+    let (l1, l2) = l1.split_at(units);
+    let (l2, l3) = l2.split_at(units);
+    for (o, t) in tail.iter_mut().enumerate() {
+        *t = (l0[o] + l2[o]) + (l1[o] + l3[o]);
+    }
+}
+
 impl fmt::Display for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Network[{}", self.in_dim())?;
@@ -337,15 +519,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_into_reuses_scratch_across_shapes() {
-        // One scratch shared by networks of different widths: stale buffer
-        // contents must never leak into a later evaluation.
+    fn forward_matches_layer_by_layer() {
         let nets = [
             net(),
             Network::new(&[3, 9, 2], Activation::Tanh, Activation::Identity, 5),
             Network::new(&[2, 1, 1], Activation::Sigmoid, Activation::Tanh, 8),
         ];
-        let mut scratch = ForwardScratch::default();
         for (i, n) in nets.iter().enumerate() {
             let x: Vec<f64> = (0..n.in_dim())
                 .map(|j| 0.3 * (i + j) as f64 - 0.4)
@@ -354,14 +533,67 @@ mod tests {
             for layer in n.layers() {
                 h = layer.forward(&h).0;
             }
-            let got: Vec<u64> = n
-                .forward_into(&x, &mut scratch)
-                .iter()
-                .map(|v| v.to_bits())
-                .collect();
+            let got: Vec<u64> = n.forward(&x).iter().map(|v| v.to_bits()).collect();
             let want: Vec<u64> = h.iter().map(|v| v.to_bits()).collect();
             assert_eq!(got, want);
-            assert_eq!(n.forward(&x), h);
+        }
+    }
+
+    #[test]
+    fn forward_grid_matches_forward_bitwise() {
+        // 1–6 inputs cross the 4-lane boundary of the chunked dot product
+        // (with 6, an outer axis opens the tail; with 8, the last input
+        // closes a lane that already holds a sum); one arena serves every
+        // shape, so stale contents must never leak.
+        let acts = [
+            Activation::ReLU,
+            Activation::Tanh,
+            Activation::Sigmoid,
+            Activation::Identity,
+        ];
+        let mut arena = Vec::new();
+        let mut out = Vec::new();
+        let mut seed = 0;
+        for (n, samples) in [(1, 9), (2, 9), (3, 9), (4, 9), (5, 9), (6, 3), (8, 2)] {
+            for hidden in [&[6][..], &[5, 3][..]] {
+                for (a, &act) in acts.iter().enumerate() {
+                    for per_axis in [1usize, samples] {
+                        seed += 1;
+                        let mut sizes = vec![n];
+                        sizes.extend_from_slice(hidden);
+                        sizes.push(1 + a % 2);
+                        let net = Network::new(&sizes, act, acts[(a + 1) % 4], seed);
+                        let axes: Vec<Vec<f64>> = (0..n)
+                            .map(|i| {
+                                (0..per_axis)
+                                    .map(|j| 0.37 * i as f64 - 0.9 + 0.23 * j as f64)
+                                    .collect()
+                            })
+                            .collect();
+                        net.forward_grid(&axes, &mut arena, &mut out);
+                        let points = per_axis.pow(n as u32);
+                        assert_eq!(out.len(), points * net.out_dim());
+                        let mut idx = vec![0usize; n];
+                        for p in 0..points {
+                            let x: Vec<f64> = idx.iter().zip(&axes).map(|(&j, a)| a[j]).collect();
+                            for (o, y) in net.forward(&x).iter().enumerate() {
+                                assert_eq!(
+                                    out[o * points + p].to_bits(),
+                                    y.to_bits(),
+                                    "{sizes:?} {act:?} point {x:?} output {o}"
+                                );
+                            }
+                            for d in (0..n).rev() {
+                                idx[d] += 1;
+                                if idx[d] < per_axis {
+                                    break;
+                                }
+                                idx[d] = 0;
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -15,7 +15,7 @@
 use crate::kernels;
 use crate::polynomial::for_each_combination;
 use crate::Polynomial;
-use dwv_interval::{Interval, IntervalBox};
+use dwv_interval::{grid_coordinate, Interval, IntervalBox};
 // dwv-lint: allow(determinism) -- content-keyed lookup-only cache; iteration order is never observed
 use std::collections::HashMap;
 
@@ -46,24 +46,15 @@ pub fn basis_polynomial(d: u32, k: u32) -> Polynomial {
 }
 
 /// The Bernstein node coordinates along each axis of a box: `axes[i][k]` is
-/// coordinate `i` of every node with index `k` on axis `i`.
-fn node_axes(degrees: &[u32], domain: &IntervalBox) -> Vec<Vec<f64>> {
-    degrees
-        .iter()
-        .zip(domain.intervals())
-        .map(|(&d, iv)| {
-            (0..=d)
-                .map(|k| {
-                    if d == 0 {
-                        iv.mid()
-                    } else {
-                        // dwv-lint: allow(float-hygiene) -- sample-node placement; approximation error is bounded downstream
-                        iv.lo() + iv.width() * f64::from(k) / f64::from(d)
-                    }
-                })
-                .collect()
-        })
-        .collect()
+/// coordinate `i` of every node with index `k` on axis `i`. `axes` is
+/// cleared and refilled, keeping the storage of its rows.
+pub fn node_axes_into(degrees: &[u32], domain: &[Interval], axes: &mut Vec<Vec<f64>>) {
+    axes.resize_with(degrees.len(), Vec::new);
+    for ((axis, &d), iv) in axes.iter_mut().zip(degrees).zip(domain) {
+        axis.clear();
+        let per_axis = d as usize + 1;
+        axis.extend((0..per_axis).map(|k| grid_coordinate(iv, k, per_axis)));
+    }
 }
 
 /// Degree-`degrees` Bernstein approximation of `f` over `domain`, returned as
@@ -74,14 +65,9 @@ fn node_axes(degrees: &[u32], domain: &IntervalBox) -> Vec<Vec<f64>> {
 /// (modulus of continuity); the verifier layer bounds it conservatively by
 /// dense sampling plus a Lipschitz inflation.
 ///
-/// The fit is accumulated in dense coefficient tensors, and every
-/// coefficient carries the bits of the sparse ring-operation formulation
-/// (`constant(f(node)) · Π lifted bases`, summed over nodes, then
-/// `affine_substitution`): each node contributes `((f·B₀)·B₁)·B₂…` in node
-/// order; the substitution multiplies each term by the power tables
-/// `compose` builds, in lexicographic term order; and zero factors and
-/// zero partial products are skipped, as the sparse products never store
-/// them. Exact zeros are dropped at the end.
+/// Evaluates `f` once per node, in node order (mixed radix, last axis
+/// fastest), then fits those values with [`approximate_into`] through a
+/// fresh [`FitScratch`].
 ///
 /// # Panics
 ///
@@ -92,81 +78,188 @@ pub fn approximate<F>(f: F, degrees: &[u32], domain: &IntervalBox) -> Polynomial
 where
     F: Fn(&[f64]) -> f64,
 {
-    assert_eq!(degrees.len(), domain.dim(), "degree/domain length mismatch");
-    assert!(domain.is_finite(), "Bernstein domain must be bounded");
-    assert!(
-        domain.intervals().iter().all(|iv| iv.width() > 0.0),
-        "Bernstein domain must have positive widths"
-    );
+    check_fit_domain(degrees, domain.intervals());
     let n = domain.dim();
-    let counts: Vec<usize> = degrees.iter().map(|&d| d as usize + 1).collect();
-    let total: usize = counts.iter().product();
-    let stride = strides(&counts);
+    let mut axes = Vec::with_capacity(n);
+    node_axes_into(degrees, domain.intervals(), &mut axes);
+    let mut values = Vec::new();
+    let mut point = Vec::with_capacity(n);
+    for_each_combination(&axes, &mut Vec::with_capacity(n), &mut |node| {
+        point.clear();
+        point.extend(node.iter().map(|&&x| x));
+        values.push(f(&point));
+    });
+    let mut out = Polynomial::zero(n);
+    approximate_into(
+        &values,
+        degrees,
+        domain.intervals(),
+        &mut FitScratch::default(),
+        &mut out,
+    );
+    out
+}
+
+/// Buffers of [`approximate_into`]: the dense basis and substitution-power
+/// tables of every axis, the coefficient tensors in normalized and original
+/// coordinates, their shape and strides, and a multi-index. Every call
+/// clears and refills them.
+#[derive(Debug, Default)]
+pub struct FitScratch {
+    counts: Vec<usize>,
+    stride: Vec<usize>,
+    /// Start of every axis' `counts[i]²` table in `basis` and `pows`.
+    table_at: Vec<usize>,
+    basis: Vec<f64>,
+    pows: Vec<f64>,
+    t_coeffs: Vec<f64>,
+    x_coeffs: Vec<f64>,
+    idx: Vec<usize>,
+}
+
+/// The Bernstein approximation of [`approximate`] from the function's
+/// values at the nodes ([`node_axes_into`]), given in node order (mixed
+/// radix, last axis fastest), written to `out`.
+///
+/// The fit is accumulated in dense coefficient tensors, and every
+/// coefficient carries the bits of the sparse ring-operation formulation
+/// (`constant(f(node)) · Π lifted bases`, summed over nodes, then
+/// `affine_substitution`): each node contributes `((f·B₀)·B₁)·B₂…` in node
+/// order; the substitution multiplies each term by the power tables
+/// `compose` builds, in lexicographic term order; and zero factors and
+/// zero partial products are skipped, as the sparse products never store
+/// them. Exact zeros are dropped at the end.
+///
+/// The tables, tensors and indices live in `scratch` and the terms in
+/// `out`'s storage, so once both have grown a call allocates nothing (a
+/// warm degree-2 ReachNN step fits every output this way).
+///
+/// # Panics
+///
+/// Panics if the degree vector length does not match the domain dimension,
+/// the domain is unbounded / zero-width in some dimension, or `values` does
+/// not hold one value per node.
+pub fn approximate_into(
+    values: &[f64],
+    degrees: &[u32],
+    domain: &[Interval],
+    scratch: &mut FitScratch,
+    out: &mut Polynomial,
+) {
+    check_fit_domain(degrees, domain);
+    let FitScratch {
+        counts,
+        stride,
+        table_at,
+        basis,
+        pows,
+        t_coeffs,
+        x_coeffs,
+        idx,
+    } = scratch;
+    counts.clear();
+    counts.extend(degrees.iter().map(|&d| d as usize + 1));
+    let total = values.len();
+    assert_eq!(
+        counts.iter().try_fold(1usize, |t, &c| t.checked_mul(c)),
+        Some(total),
+        "one value per Bernstein node"
+    );
+    strides_into(counts, stride);
     // Dense univariate tables per dimension, rows of length counts[dim]:
     // basis[dim][k][e] is the t^e coefficient of B_{k,d}, pows[dim][e][j] the
     // x^j coefficient of (a + b·x)^e.
-    let basis: Vec<Vec<f64>> = degrees.iter().map(|&d| dense_basis(d)).collect();
-    let pows: Vec<Vec<f64>> = degrees
+    table_at.clear();
+    let mut at = 0;
+    for &c in counts.iter() {
+        table_at.push(at);
+        // dwv-lint: allow(float-hygiene) -- usize table offsets
+        at += c * c;
+    }
+    basis.clear();
+    basis.resize(at, 0.0);
+    pows.clear();
+    pows.resize(at, 0.0);
+    for (((&d, iv), &start), &len) in degrees
         .iter()
-        .zip(domain.intervals())
-        .map(|(&d, iv)| {
-            // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
-            substitution_powers(d, -iv.lo() / iv.width(), 1.0 / iv.width())
-        })
-        .collect();
-    let mut factors: Vec<Option<&[f64]>> = Vec::with_capacity(n);
+        .zip(domain)
+        .zip(table_at.iter())
+        .zip(counts.iter())
+    {
+        dense_basis_into(d, &mut basis[start..start + len * len]);
+        // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+        let (a, b) = (-iv.lo() / iv.width(), 1.0 / iv.width());
+        substitution_powers_into(len, a, b, &mut pows[start..start + len * len]);
+    }
+    let (counts, table_at) = (&*counts, &*table_at);
+    let row = |table, dim, k| table_row(table, table_at[dim], counts[dim], k);
 
-    // Σ_k f(node_k) Π_i B_{k_i}(t_i) in normalized coordinates t ∈ [0,1]^n:
-    // per axis, every node coordinate paired with its basis row.
-    let nodes: Vec<Vec<(f64, &[f64])>> = node_axes(degrees, domain)
-        .into_iter()
-        .zip(basis.iter().zip(&counts))
-        .map(|(axis, (table, &len))| axis.into_iter().zip(table.chunks_exact(len)).collect())
-        .collect();
-    let mut t_coeffs = vec![0.0f64; total];
-    let mut point = Vec::with_capacity(n);
-    for_each_combination(&nodes, &mut Vec::with_capacity(n), &mut |node| {
-        point.clear();
-        point.extend(node.iter().map(|&&(x, _)| x));
-        let fv = f(&point);
+    // Σ_k f(node_k) Π_i B_{k_i}(t_i) in normalized coordinates t ∈ [0,1]^n,
+    // node by node: every axis contributes the basis row of its node index.
+    t_coeffs.clear();
+    t_coeffs.resize(total, 0.0);
+    idx.clear();
+    idx.resize(counts.len(), 0);
+    for &fv in values {
         if fv != 0.0 {
-            factors.clear();
-            factors.extend(node.iter().map(|&&(_, row)| Some(row)));
-            scatter_products(&mut t_coeffs, fv, &factors, &stride);
+            let factor = |dim: usize| Some(row(&basis[..], dim, idx[dim]));
+            scatter_products(t_coeffs, fv, &factor, 0, stride);
         }
-    });
+        next_index(idx, counts);
+    }
 
     // Substitute t_i = (x_i − lo_i) / w_i term by term, in lexicographic
     // (row-major) term order: per axis, the power row of every exponent, and
     // no multiplication at all for exponent 0.
-    let exps: Vec<Vec<Option<&[f64]>>> = pows
-        .iter()
-        .zip(&counts)
-        .map(|(table, &len)| {
-            table
-                .chunks_exact(len)
-                .enumerate()
-                .map(|(e, row)| (e > 0).then_some(row))
-                .collect()
-        })
-        .collect();
-    let mut x_coeffs = vec![0.0f64; total];
-    let mut terms = t_coeffs.iter();
-    for_each_combination(&exps, &mut Vec::with_capacity(n), &mut |term| {
-        if let Some(&c) = terms.next().filter(|&&c| c != 0.0) {
-            factors.clear();
-            factors.extend(term.iter().map(|&&row| row));
-            scatter_products(&mut x_coeffs, c, &factors, &stride);
+    x_coeffs.clear();
+    x_coeffs.resize(total, 0.0);
+    for &c in t_coeffs.iter() {
+        if c != 0.0 {
+            let factor = |dim: usize| (idx[dim] > 0).then(|| row(&pows[..], dim, idx[dim]));
+            scatter_products(x_coeffs, c, &factor, 0, stride);
         }
-    });
-    Polynomial::from_dense(&counts, &x_coeffs)
+        next_index(idx, counts);
+    }
+    Polynomial::from_dense_into(counts, x_coeffs, idx, out);
 }
 
-/// The dense `[k][e]` coefficient table of the degree-`d` Bernstein basis
-/// (zero where the sparse basis polynomial stores no term).
-fn dense_basis(d: u32) -> Vec<f64> {
+/// Row `k` of the `len × len` table at `start` of `tables`.
+fn table_row(tables: &[f64], start: usize, len: usize, k: usize) -> &[f64] {
+    let at = start + k * len;
+    &tables[at..at + len]
+}
+
+/// The panics [`approximate`] documents.
+fn check_fit_domain(degrees: &[u32], domain: &[Interval]) {
+    assert_eq!(degrees.len(), domain.len(), "degree/domain length mismatch");
+    assert!(
+        domain.iter().all(Interval::is_finite),
+        "Bernstein domain must be bounded"
+    );
+    assert!(
+        domain.iter().all(|iv| iv.width() > 0.0),
+        "Bernstein domain must have positive widths"
+    );
+}
+
+/// Advances a row-major multi-index (last axis fastest), wrapping to all
+/// zeros after the last index.
+fn next_index(idx: &mut [usize], counts: &[usize]) {
+    for (j, &count) in idx.iter_mut().zip(counts).rev() {
+        *j += 1;
+        if *j < count {
+            return;
+        }
+        *j = 0;
+    }
+}
+
+/// Writes the dense `[k][e]` coefficient table of the degree-`d` Bernstein
+/// basis to `table` (zero where the sparse basis polynomial stores no
+/// term).
+fn dense_basis_into(d: u32, table: &mut [f64]) {
     let len = d as usize + 1;
-    let mut table = vec![0.0f64; len * len];
+    table.fill(0.0);
     let bases = crate::tables::basis_polynomials(d);
     for (row, b) in table.chunks_exact_mut(len).zip(bases.iter()) {
         for (exps, c) in b.iter() {
@@ -175,53 +268,51 @@ fn dense_basis(d: u32) -> Vec<f64> {
             }
         }
     }
-    table
 }
 
-/// The dense `[e][j]` coefficient table of `(a + b·x)^e` for `e = 0..=d`,
-/// bit-identical to the sparse power table `compose` builds for the
-/// substitution `a + b·x`: row `e` is row `e − 1` times `a + b·x`, which
-/// adds at most two products per power and never forms a product with an
-/// absent (zero) factor.
-fn substitution_powers(d: u32, a: f64, b: f64) -> Vec<f64> {
-    let len = d as usize + 1;
-    let mut row: Vec<f64> = std::iter::once(1.0)
-        .chain(std::iter::repeat(0.0))
-        .take(len)
-        .collect();
-    let mut table = Vec::with_capacity(len * len);
-    table.extend_from_slice(&row);
-    for _ in 1..len {
-        row = std::iter::once(&0.0)
-            .chain(&row)
-            .zip(&row)
-            .map(|(&shifted, &same)| {
-                let mut v = 0.0;
-                if shifted != 0.0 && b != 0.0 {
-                    // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
-                    v += shifted * b;
-                }
-                if same != 0.0 && a != 0.0 {
-                    // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
-                    v += same * a;
-                }
-                v
-            })
-            .collect();
-        table.extend_from_slice(&row);
+/// Writes the dense `[e][j]` coefficient table of `(a + b·x)^e` for
+/// `e = 0..len` to `table`, bit-identical to the sparse power table
+/// `compose` builds for the substitution `a + b·x`: row `e` is row `e − 1`
+/// times `a + b·x`, which adds at most two products per power and never
+/// forms a product with an absent (zero) factor.
+fn substitution_powers_into(len: usize, a: f64, b: f64, table: &mut [f64]) {
+    table.fill(0.0);
+    if let Some(one) = table.first_mut() {
+        *one = 1.0;
     }
-    table
+    for e in 1..len {
+        let (done, rest) = table.split_at_mut(e * len);
+        let prev = &done[(e - 1) * len..];
+        for (j, v) in rest[..len].iter_mut().enumerate() {
+            let shifted = if j == 0 { 0.0 } else { prev[j - 1] };
+            let same = prev[j];
+            let mut acc = 0.0;
+            if shifted != 0.0 && b != 0.0 {
+                // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+                acc += shifted * b;
+            }
+            if same != 0.0 && a != 0.0 {
+                // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+                acc += same * a;
+            }
+            *v = acc;
+        }
+    }
 }
 
-/// Adds `c · Π_dim factors[dim][e_dim]` into the tensor `acc` (row-major,
-/// strides `stride`) at every multi-index `e`, multiplying left to right
-/// over the dimensions. A `None` factor applies no multiplication (exponent
-/// 0). Zero factors and zero partial products are skipped: a sparse product
-/// never stores them.
-fn scatter_products(acc: &mut [f64], c: f64, factors: &[Option<&[f64]>], stride: &[usize]) {
-    let (Some((first, factors)), Some((&s, stride))) =
-        (factors.split_first(), stride.split_first())
-    else {
+/// Adds `c · Π_dim factor(dim)[e_dim]` into the tensor `acc` (row-major,
+/// strides `stride`, axes from `dim` on) at every multi-index `e`,
+/// multiplying left to right over the dimensions. A `None` factor applies
+/// no multiplication (exponent 0). Zero factors and zero partial products
+/// are skipped: a sparse product never stores them.
+fn scatter_products<'t>(
+    acc: &mut [f64],
+    c: f64,
+    factor: &impl Fn(usize) -> Option<&'t [f64]>,
+    dim: usize,
+    stride: &[usize],
+) {
+    let Some(&s) = stride.get(dim) else {
         if let Some(cell) = acc.first_mut() {
             // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
             *cell += c;
@@ -229,10 +320,10 @@ fn scatter_products(acc: &mut [f64], c: f64, factors: &[Option<&[f64]>], stride:
         return;
     };
     let mut blocks = acc.chunks_exact_mut(s);
-    match first {
+    match factor(dim) {
         None => {
             if let Some(block) = blocks.next() {
-                scatter_products(block, c, factors, stride);
+                scatter_products(block, c, factor, dim + 1, stride);
             }
         }
         Some(row) => {
@@ -241,7 +332,7 @@ fn scatter_products(acc: &mut [f64], c: f64, factors: &[Option<&[f64]>], stride:
                     // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
                     let p = c * b;
                     if p != 0.0 {
-                        scatter_products(block, p, factors, stride);
+                        scatter_products(block, p, factor, dim + 1, stride);
                     }
                 }
             }
@@ -494,14 +585,20 @@ impl RangeCache {
 }
 
 fn strides(counts: &[usize]) -> Vec<usize> {
-    // Row-major with the first dimension slowest would complicate the loop;
-    // use dimension i stride = product of counts after i.
+    let mut s = Vec::with_capacity(counts.len());
+    strides_into(counts, &mut s);
+    s
+}
+
+/// Row-major strides of a tensor of shape `counts`: dimension `i` has
+/// stride `Π counts[i+1..]`.
+fn strides_into(counts: &[usize], s: &mut Vec<usize>) {
     let n = counts.len();
-    let mut s = vec![1usize; n];
+    s.clear();
+    s.resize(n, 1);
     for i in (0..n.saturating_sub(1)).rev() {
         s[i] = s[i + 1] * counts[i + 1];
     }
-    s
 }
 
 #[cfg(test)]

@@ -38,5 +38,5 @@ mod polynomial;
 pub mod tables;
 mod workspace;
 
-pub use polynomial::{Exponents, Polynomial, TermIter, PACK_MAX_EXP, PACK_VARS};
+pub use polynomial::{Exponents, GridScratch, Polynomial, TermIter, PACK_MAX_EXP, PACK_VARS};
 pub use workspace::{PolyWorkspace, PowersStats};

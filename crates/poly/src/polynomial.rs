@@ -448,40 +448,63 @@ impl Polynomial {
         }
     }
 
-    /// The polynomial whose coefficient of `x^e` is entry `e` of the dense
-    /// row-major tensor `coeffs` of shape `counts` (last variable fastest,
-    /// so tensor order is term order), exact zeros dropped. Packed when the
+    /// Overwrites `out` with the polynomial whose coefficient of `x^e` is
+    /// entry `e` of the dense row-major tensor `coeffs` of shape `counts`
+    /// (last variable fastest, so tensor order is term order), exact zeros
+    /// dropped; `idx` is scratch. Packed, in `out`'s term storage, when the
     /// variable count and the total degree of the tensor's corner term fit
     /// the packed key, as every product building such a polynomial then
     /// stays packed.
-    pub(crate) fn from_dense(counts: &[usize], coeffs: &[f64]) -> Polynomial {
+    pub(crate) fn from_dense_into(
+        counts: &[usize],
+        coeffs: &[f64],
+        idx: &mut Vec<usize>,
+        out: &mut Polynomial,
+    ) {
         let nvars = counts.len();
         let corner: usize = counts.iter().map(|&c| c.saturating_sub(1)).sum();
-        let packed = nvars <= PACK_VARS && corner <= PACK_MAX_EXP as usize;
-        let exps: Vec<Vec<u32>> = counts.iter().map(|&c| (0..c as u32).collect()).collect();
-        let mut coeffs = coeffs.iter();
-        let mut terms = PackedTerms::default();
-        let mut boxed = Vec::new();
-        for_each_combination(&exps, &mut Vec::with_capacity(nvars), &mut |e| {
-            let Some(&c) = coeffs.next().filter(|&&c| c != 0.0) else {
-                return;
-            };
-            if packed {
-                let key = e
+        if nvars > PACK_VARS || corner > PACK_MAX_EXP as usize {
+            *out = Self::from_dense_boxed(counts, coeffs);
+            return;
+        }
+        idx.clear();
+        idx.resize(nvars, 0);
+        let terms = out.packed_storage(nvars);
+        terms.reserve(coeffs.len());
+        for &c in coeffs {
+            if c != 0.0 {
+                let key = idx
                     .iter()
                     .enumerate()
-                    .fold(0u64, |k, (i, &&x)| k | (u64::from(x) << key_shift(i)));
+                    .fold(0u64, |k, (i, &x)| k | ((x as u64) << key_shift(i)));
                 terms.push(key, c);
-            } else {
+            }
+            for (j, &count) in idx.iter_mut().zip(counts).rev() {
+                *j += 1;
+                if *j < count {
+                    break;
+                }
+                *j = 0;
+            }
+        }
+    }
+
+    /// [`Polynomial::from_dense_into`] for tensors beyond the packed key
+    /// limits, on boxed keys.
+    fn from_dense_boxed(counts: &[usize], coeffs: &[f64]) -> Polynomial {
+        let nvars = counts.len();
+        let exps: Vec<Vec<u32>> = counts.iter().map(|&c| (0..c as u32).collect()).collect();
+        let mut coeffs = coeffs.iter();
+        let mut boxed = Vec::new();
+        for_each_combination(&exps, &mut Vec::with_capacity(nvars), &mut |e| {
+            if let Some(&c) = coeffs.next().filter(|&&c| c != 0.0) {
                 boxed.push((e.iter().map(|&&x| x).collect(), c));
             }
         });
-        let repr = if packed {
-            Repr::Packed(terms)
-        } else {
-            Repr::Boxed(boxed)
-        };
-        Polynomial { nvars, repr }
+        Polynomial {
+            nvars,
+            repr: Repr::Boxed(boxed),
+        }
     }
 
     /// Converts the term list to boxed representation (fallback path).
@@ -656,12 +679,15 @@ impl Polynomial {
     /// order, from the same starting value. Only the work is shared: powers
     /// are tabulated once per axis coordinate, each term's partial products
     /// over the outer axes are recomputed only when an outer index changes,
-    /// and the sums of one inner-axis row advance side by side.
+    /// and the sums of one inner-axis row advance side by side. The tables,
+    /// partial products and row sums live in `scratch`, so for packed
+    /// polynomials a call allocates nothing once the scratch has grown to
+    /// the grid.
     ///
     /// # Panics
     ///
     /// Panics if `axes.len() != self.nvars()`.
-    pub fn eval_grid<F>(&self, axes: &[Vec<f64>], mut visit: F)
+    pub fn eval_grid<F>(&self, axes: &[Vec<f64>], scratch: &mut GridScratch, mut visit: F)
     where
         F: FnMut(&[usize], f64),
     {
@@ -669,7 +695,13 @@ impl Polynomial {
         if axes.iter().any(Vec::is_empty) {
             return;
         }
-        let mut idx = Vec::with_capacity(self.nvars);
+        let GridScratch {
+            pows,
+            partial,
+            row,
+            idx,
+        } = scratch;
+        idx.clear();
         let v = match &self.repr {
             Repr::Packed(v) if self.nvars > 0 => v,
             // Boxed terms and the one point of a 0-variable grid: plain
@@ -685,7 +717,7 @@ impl Polynomial {
                     idx.extend(p.iter().map(|&&(j, _)| j));
                     x.clear();
                     x.extend(p.iter().map(|&&(_, xj)| xj));
-                    visit(&idx, self.eval(&x));
+                    visit(idx, self.eval(&x));
                 });
                 return;
             }
@@ -694,31 +726,32 @@ impl Polynomial {
         // variable, x^0 = 1 unused) of its coordinates: rows by coordinate
         // on the outer axes, rows by exponent on the last one.
         let last = self.nvars - 1;
-        let pows: Vec<(usize, Vec<f64>)> = axes
-            .iter()
-            .enumerate()
-            .map(|(d, axis)| {
-                let m = v.keys.iter().map(|&k| key_exp(k, d)).max().unwrap_or(0);
-                // dwv-lint: allow(float-hygiene) -- point evaluation, not an enclosure (interval callers use eval_interval)
-                let power = |x: f64, e: u32| if e == 0 { 1.0 } else { x.powi(e as i32) };
-                if d == last {
-                    let table = (0..=m).flat_map(|e| axis.iter().map(move |&x| power(x, e)));
-                    (axis.len(), table.collect())
-                } else {
-                    let table = axis.iter().flat_map(|&x| (0..=m).map(move |e| power(x, e)));
-                    (m as usize + 1, table.collect())
-                }
-            })
-            .collect();
+        if pows.len() < self.nvars {
+            pows.resize_with(self.nvars, Default::default);
+        }
+        for (d, (axis, (row_len, table))) in axes.iter().zip(pows.iter_mut()).enumerate() {
+            let m = v.keys.iter().map(|&k| key_exp(k, d)).max().unwrap_or(0);
+            // dwv-lint: allow(float-hygiene) -- point evaluation, not an enclosure (interval callers use eval_interval)
+            let power = |x: f64, e: u32| if e == 0 { 1.0 } else { x.powi(e as i32) };
+            table.clear();
+            if d == last {
+                *row_len = axis.len();
+                table.extend((0..=m).flat_map(|e| axis.iter().map(move |&x| power(x, e))));
+            } else {
+                *row_len = m as usize + 1;
+                table.extend(axis.iter().flat_map(|&x| (0..=m).map(move |e| power(x, e))));
+            }
+        }
         // Per outer axis: every term's partial product up to that axis.
-        let mut partial = vec![Vec::with_capacity(v.len()); self.nvars - 1];
-        let mut row = Vec::new();
+        if partial.len() < last {
+            partial.resize_with(last, Vec::new);
+        }
         grid_walk(
             (&v.keys, &v.coeffs),
-            &pows,
-            &mut partial,
-            &mut row,
-            &mut idx,
+            &pows[..self.nvars],
+            &mut partial[..last],
+            row,
+            idx,
             &mut visit,
         );
     }
@@ -782,38 +815,53 @@ impl Polynomial {
     /// Panics if `i >= self.nvars()`.
     #[must_use]
     pub fn partial_derivative(&self, i: usize) -> Polynomial {
+        let mut out = Polynomial::zero(self.nvars);
+        self.partial_derivative_into(i, &mut out);
+        out
+    }
+
+    /// `out = self.partial_derivative(i)`, reusing `out`'s term storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.nvars()`.
+    pub fn partial_derivative_into(&self, i: usize, out: &mut Polynomial) {
         assert!(i < self.nvars, "variable index out of range");
-        let repr = match &self.repr {
+        match &self.repr {
             Repr::Packed(v) => {
                 // Dropping the e_i = 0 terms and decrementing byte i by one
                 // subtracts the same constant from every remaining key, so
                 // the term list stays sorted.
                 let step = 1u64 << key_shift(i);
-                let mut out = PackedTerms::with_capacity(v.len());
+                let dst = out.packed_storage(self.nvars);
+                dst.reserve(v.len());
                 for (k, c) in v.iter() {
                     let e = key_exp(k, i);
                     if e > 0 {
-                        out.push(k - step, c * f64::from(e)); // dwv-lint: allow(float-hygiene) -- derivative coefficient product; enclosure handled by the Taylor-model layer
+                        dst.push(k - step, c * f64::from(e)); // dwv-lint: allow(float-hygiene) -- derivative coefficient product; enclosure handled by the Taylor-model layer
                     }
                 }
-                Repr::Packed(out)
             }
-            Repr::Boxed(v) => Repr::Boxed(
-                v.iter()
-                    .filter(|(e, _)| e[i] > 0)
-                    .map(|(e, c)| {
-                        let mut d = e.clone();
-                        let k = d[i];
-                        d[i] -= 1;
-                        (d, c * f64::from(k)) // dwv-lint: allow(float-hygiene) -- derivative coefficient product; enclosure handled by the Taylor-model layer
-                    })
-                    .collect(),
-            ),
-        };
-        Polynomial {
-            nvars: self.nvars,
-            repr,
+            Repr::Boxed(v) => {
+                *out = Polynomial {
+                    nvars: self.nvars,
+                    repr: Repr::Boxed(Self::partial_derivative_boxed(v, i)),
+                };
+            }
         }
+    }
+
+    /// The partial derivative of boxed terms with respect to variable `i`.
+    fn partial_derivative_boxed(v: &[(Box<[u32]>, f64)], i: usize) -> Vec<(Box<[u32]>, f64)> {
+        v.iter()
+            .filter(|(e, _)| e[i] > 0)
+            .map(|(e, c)| {
+                let mut d = e.clone();
+                let k = d[i];
+                d[i] -= 1;
+                (d, c * f64::from(k)) // dwv-lint: allow(float-hygiene) -- derivative coefficient product; enclosure handled by the Taylor-model layer
+            })
+            .collect()
     }
 
     /// The antiderivative with respect to variable `i` (zero constant).
@@ -1757,6 +1805,17 @@ impl Polynomial {
             }
         }
     }
+}
+
+/// Buffers of [`Polynomial::eval_grid`]: per-axis power tables, the
+/// partial products of the outer axes, the sums of one last-axis row and the
+/// point's axis indices. Every call clears and refills them.
+#[derive(Debug, Default)]
+pub struct GridScratch {
+    pows: Vec<(usize, Vec<f64>)>,
+    partial: Vec<Vec<f64>>,
+    row: Vec<f64>,
+    idx: Vec<usize>,
 }
 
 /// Calls `visit` with one item of every list, for every combination, in

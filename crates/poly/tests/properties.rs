@@ -1,7 +1,7 @@
 //! Property-based tests for polynomial arithmetic and Bernstein forms.
 
 use dwv_interval::{Interval, IntervalBox};
-use dwv_poly::{bernstein, PolyWorkspace, Polynomial};
+use dwv_poly::{bernstein, GridScratch, PolyWorkspace, Polynomial};
 use proptest::prelude::*;
 
 /// The exact bit content of a polynomial: terms in iteration order with
@@ -321,7 +321,9 @@ proptest! {
             })
             .collect();
         let mut visited: Vec<(Vec<usize>, u64)> = Vec::new();
-        p.eval_grid(&axes, |idx, v| visited.push((idx.to_vec(), v.to_bits())));
+        p.eval_grid(&axes, &mut GridScratch::default(), |idx, v| {
+            visited.push((idx.to_vec(), v.to_bits()));
+        });
         let mut expected = Vec::new();
         let mut idx = vec![0usize; nvars];
         'points: loop {

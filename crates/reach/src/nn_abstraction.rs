@@ -17,11 +17,10 @@
 
 use crate::error::ReachError;
 use dwv_dynamics::NnController;
-use dwv_interval::{Interval, IntervalBox};
-use dwv_nn::{Activation, ForwardScratch};
+use dwv_interval::{grid_coordinate, Interval, IntervalBox};
+use dwv_nn::Activation;
 use dwv_poly::Polynomial;
-use dwv_taylor::{LayerScratch, TaylorModel, TmVector, TmWorkspace};
-use std::cell::RefCell;
+use dwv_taylor::{compose_parts_into, LayerScratch, TaylorModel, TmVector, TmWorkspace};
 
 /// Sound magnitude bounds for the k-th derivative of tanh on ℝ, k = 0..=5
 /// (values slightly rounded up from the analytic extrema).
@@ -337,87 +336,207 @@ impl BernsteinAbstraction {
     /// give power-basis coefficients of magnitude `(1/width)^degree` whose
     /// cancellation destroys all precision.
     ///
-    /// The network runs through one reused [`ForwardScratch`] and `g` through
-    /// [`Polynomial::eval_grid`], so no grid point allocates. Both evaluate
-    /// exactly as [`dwv_nn::Network::forward`] and [`Polynomial::eval`] do,
-    /// and a maximum does not depend on the order it visits points in.
+    /// One batched pass ([`dwv_nn::Network::forward_grid`]) evaluates every
+    /// output at every grid point and a second one at every Bernstein node;
+    /// `g` is evaluated on the grid through [`Polynomial::eval_grid`]. These
+    /// evaluate exactly as [`dwv_nn::Network::forward`] and
+    /// [`Polynomial::eval`] do, and a maximum does not depend on the order
+    /// it visits points in. This wrapper allocates its buffers afresh; the
+    /// abstraction keeps them in the workspace's slot
+    /// ([`TmWorkspace::take_slot`]), where a warm fit allocates nothing: a
+    /// warm ReachNN step makes 7 (Os) and 9 (3D) allocations in all, the
+    /// end-state models and boxes the flow step returns and records,
+    /// against 164 and 335 when every fit built its tables, tensors and
+    /// grids afresh (`tests/no_alloc_step.rs`).
     ///
     /// # Errors
     ///
     /// [`ReachError::Unsupported`] when the box does not match the network
-    /// input or `samples_per_dim` is 0.
+    /// input, `samples_per_dim` is 0, or the node values or grid values
+    /// (one per point and output) would exceed 2²⁴, checked before any
+    /// buffer is sized.
     pub fn fit(
         &self,
         controller: &NnController,
         centers: &[f64],
         radii: &[f64],
     ) -> Result<Vec<(Polynomial, f64)>, ReachError> {
-        let net = controller.network();
-        let n = net.in_dim();
+        let n = controller.network().in_dim();
         if centers.len() != n || radii.len() != n {
             return Err(ReachError::Unsupported(format!(
                 "network expects {n} inputs, state box has {}",
                 centers.len()
             )));
         }
-        if self.samples_per_dim == 0 {
-            return Err(ReachError::Unsupported(
-                "Bernstein remainder grid needs samples_per_dim > 0".into(),
-            ));
+        let mut s = BernsteinScratch::default();
+        s.centers.extend_from_slice(centers);
+        s.radii.extend_from_slice(radii);
+        self.fit_ws(controller, &mut s)?;
+        Ok(s.fits.into_iter().zip(s.errors).collect())
+    }
+
+    /// [`BernsteinAbstraction::fit`] on the box `s.centers ± s.radii`,
+    /// leaving the fits in `s.fits` and their errors in `s.errors`.
+    fn fit_ws(
+        &self,
+        controller: &NnController,
+        s: &mut BernsteinScratch,
+    ) -> Result<(), ReachError> {
+        let net = controller.network();
+        let n = net.in_dim();
+        let outputs = net.out_dim();
+        let sizes = fit_sizes(n, self.degree, self.samples_per_dim, outputs)?;
+        let scale = controller.output_scale();
+        s.unit.clear();
+        s.unit.resize(n, Interval::new(-1.0, 1.0));
+        s.degrees.clear();
+        s.degrees.resize(n, self.degree);
+        let per_axis = self.samples_per_dim;
+        s.grid_axes.resize_with(n, Vec::new);
+        for (axis, iv) in s.grid_axes.iter_mut().zip(&s.unit) {
+            axis.clear();
+            axis.extend((0..per_axis).map(|j| grid_coordinate(iv, j, per_axis)));
         }
-        let unit = IntervalBox::from_bounds(&vec![(-1.0, 1.0); n]);
-        let axes = unit.grid_axes(self.samples_per_dim);
-        let degrees = vec![self.degree; n];
-        let network = RefCell::new(Denormalized {
-            controller,
-            centers,
-            radii,
-            x: Vec::with_capacity(n),
-            scratch: ForwardScratch::default(),
-        });
-        let mut fits = Vec::with_capacity(net.out_dim());
-        for o in 0..net.out_dim() {
-            let g = dwv_poly::bernstein::approximate(
-                |y| network.borrow_mut().eval(y.iter().copied(), o),
-                &degrees,
-                &unit,
-            );
+        denormalize(&s.grid_axes, &s.centers, &s.radii, &mut s.x_axes);
+        net.forward_grid(&s.x_axes, &mut s.net, &mut s.grid_values);
+        for v in &mut s.grid_values {
+            *v *= scale;
+        }
+        // Node values: a second batched pass, over the Bernstein nodes.
+        dwv_poly::bernstein::node_axes_into(&s.degrees, &s.unit, &mut s.node_axes);
+        denormalize(&s.node_axes, &s.centers, &s.radii, &mut s.x_axes);
+        net.forward_grid(&s.x_axes, &mut s.net, &mut s.node_values);
+        for v in &mut s.node_values {
+            *v *= scale;
+        }
+        s.fits.resize_with(outputs, Polynomial::default);
+        s.errors.clear();
+        let by_output = s
+            .node_values
+            .chunks_exact(sizes.nodes)
+            .zip(s.grid_values.chunks_exact(sizes.points));
+        for (g, (nodes, values)) in s.fits.iter_mut().zip(by_output) {
+            dwv_poly::bernstein::approximate_into(nodes, &s.degrees, &s.unit, &mut s.fit, g);
+            let mut points = values.iter();
             let mut err = 0.0f64;
-            let mut at_grid = network.borrow_mut();
-            g.eval_grid(&axes, |idx, gv| {
-                // dwv-lint: allow(panic-freedom#index) -- idx holds one in-range index per axis
-                let fv = at_grid.eval(idx.iter().zip(&axes).map(|(&j, axis)| axis[j]), o);
-                err = err.max((fv - gv).abs());
+            g.eval_grid(&s.grid_axes, &mut s.grid, |_, gv| {
+                if let Some(fv) = points.next() {
+                    err = err.max((fv - gv).abs());
+                }
             });
-            fits.push((g, err));
+            s.errors.push(err);
         }
-        Ok(fits)
+        Ok(())
     }
 }
 
-/// `y ↦ s·κ(c + r·y)`, evaluated through reusable buffers.
-struct Denormalized<'a> {
-    controller: &'a NnController,
-    centers: &'a [f64],
-    radii: &'a [f64],
-    x: Vec<f64>,
-    scratch: ForwardScratch,
+/// Buffers of the Bernstein abstraction, kept in the workspace's slot
+/// ([`TmWorkspace::take_slot`]): each call clears and refills them, so a
+/// warm workspace serves it without allocating.
+#[derive(Debug, Default)]
+struct BernsteinScratch {
+    /// The state box, widened to positive widths.
+    bounds: Vec<Interval>,
+    /// Centres of the state box.
+    centers: Vec<f64>,
+    /// Radii of the state box.
+    radii: Vec<f64>,
+    /// The unit box `[−1, 1]ⁿ` the fit is taken over.
+    unit: Vec<Interval>,
+    /// The Bernstein degree of every axis.
+    degrees: Vec<u32>,
+    /// Sample-grid coordinates on the unit box, per axis.
+    grid_axes: Vec<Vec<f64>>,
+    /// Bernstein node coordinates on the unit box, per axis.
+    node_axes: Vec<Vec<f64>>,
+    /// Grid or node coordinates mapped to the state box, per axis.
+    x_axes: Vec<Vec<f64>>,
+    /// Scratch arena of the batched network evaluation.
+    net: Vec<f64>,
+    /// Scaled network outputs at the grid points, by output.
+    grid_values: Vec<f64>,
+    /// Scaled network outputs at the nodes, by output.
+    node_values: Vec<f64>,
+    /// Tables and tensors of the fit.
+    fit: dwv_poly::bernstein::FitScratch,
+    /// Buffers of the fitted polynomials' grid evaluation.
+    grid: dwv_poly::GridScratch,
+    /// The fitted polynomial of every output.
+    fits: Vec<Polynomial>,
+    /// The largest sampled error of every output's fit.
+    errors: Vec<f64>,
+    /// Running interval Jacobian of the Lipschitz bound and its next layer.
+    jacobian: (Vec<Interval>, Vec<Interval>),
+    /// Layer output ranges of the Lipschitz bound and its next layer.
+    ranges: (Vec<Interval>, Vec<Interval>),
+    /// A partial derivative of a fit.
+    derivative: Polynomial,
+    /// The state models mapped to the unit box: the composition arguments.
+    y_models: Vec<TaylorModel>,
 }
 
-impl Denormalized<'_> {
-    /// Output `o` at the unit-box point `y`.
-    fn eval(&mut self, y: impl Iterator<Item = f64>, o: usize) -> f64 {
-        self.x.clear();
-        self.x.extend(
-            y.zip(self.centers)
-                .zip(self.radii)
-                .map(|((v, &c), &r)| c + r * v),
-        );
-        let out = self
-            .controller
-            .network()
-            .forward_into(&self.x, &mut self.scratch);
-        out[o] * self.controller.output_scale() // dwv-lint: allow(panic-freedom#index) -- o ranges over the network's outputs
+/// Most node values or grid values (points times outputs) a Bernstein fit
+/// sizes: 2²⁴, 128 MiB of `f64`.
+const MAX_FIT_VALUES: usize = 1 << 24;
+
+/// The sizes of one Bernstein fit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FitSizes {
+    /// Bernstein nodes, `(degree + 1)ⁿ`.
+    nodes: usize,
+    /// Sample-grid points, `samples_per_dim`ⁿ.
+    points: usize,
+}
+
+/// The node and grid-point counts of a degree-`degree` fit of a network
+/// with `n` inputs and `outputs` outputs on a `samples_per_dim`ⁿ grid,
+/// computed with checked arithmetic before any buffer is sized.
+///
+/// # Errors
+///
+/// [`ReachError::Unsupported`] when `samples_per_dim` is 0, or a count
+/// overflows or the node values or grid values (one per output) would
+/// exceed [`MAX_FIT_VALUES`].
+fn fit_sizes(
+    n: usize,
+    degree: u32,
+    samples_per_dim: usize,
+    outputs: usize,
+) -> Result<FitSizes, ReachError> {
+    if samples_per_dim == 0 {
+        return Err(ReachError::Unsupported(
+            "Bernstein remainder grid needs samples_per_dim > 0".into(),
+        ));
+    }
+    let too_large = || {
+        ReachError::Unsupported(format!(
+            "Bernstein fit of degree {degree} on a {samples_per_dim}-per-axis grid in {n} \
+             dimensions exceeds {MAX_FIT_VALUES} values"
+        ))
+    };
+    let exp = u32::try_from(n).map_err(|_| too_large())?;
+    let count = |per_axis: usize| {
+        per_axis
+            .checked_pow(exp)
+            .filter(|&c| {
+                c.checked_mul(outputs.max(1))
+                    .is_some_and(|v| v <= MAX_FIT_VALUES)
+            })
+            .ok_or_else(too_large)
+    };
+    Ok(FitSizes {
+        nodes: count((degree as usize).checked_add(1).ok_or_else(too_large)?)?,
+        points: count(samples_per_dim)?,
+    })
+}
+
+/// `x_axes[i][j] = c_i + r_i·y_axes[i][j]`: unit-box coordinates mapped to
+/// the state box, as the network reads them.
+fn denormalize(y_axes: &[Vec<f64>], centers: &[f64], radii: &[f64], x_axes: &mut Vec<Vec<f64>>) {
+    x_axes.resize_with(y_axes.len(), Vec::new);
+    for (((x, y), &c), &r) in x_axes.iter_mut().zip(y_axes).zip(centers).zip(radii) {
+        x.clear();
+        x.extend(y.iter().map(|&v| c + r * v));
     }
 }
 
@@ -435,6 +554,14 @@ impl NnAbstraction for BernsteinAbstraction {
         self.abstract_network_ws(controller, state, domain, &mut TmWorkspace::new())
     }
 
+    /// Fits every output on the state box ([`BernsteinAbstraction::fit`]),
+    /// inflates each sampled error by the Lipschitz term, and composes each
+    /// fit with the normalized state models ([`compose_parts_into`]). The
+    /// box, grid, node and fit buffers live in the workspace's slot
+    /// ([`TmWorkspace::take_slot`]), the composition's tables in the
+    /// workspace too, and the output models in the storage
+    /// [`TmWorkspace::reuse`] handed back: with a warm workspace a call
+    /// allocates nothing (`tests/no_alloc_step.rs`).
     fn abstract_network_ws(
         &self,
         controller: &NnController,
@@ -443,39 +570,83 @@ impl NnAbstraction for BernsteinAbstraction {
         ws: &mut TmWorkspace,
     ) -> Result<TmVector, ReachError> {
         check_controller(controller, state)?;
-        let bx = state.range_box(domain);
-        if !bx.is_finite() {
+        let mut s = ws.take_slot::<BernsteinScratch>();
+        let out = self.abstract_in(controller, state, domain, &mut s, ws);
+        ws.put_slot(s);
+        out
+    }
+}
+
+impl BernsteinAbstraction {
+    /// The body of [`NnAbstraction::abstract_network_ws`], with the
+    /// Bernstein buffers taken out of `ws`.
+    fn abstract_in(
+        &self,
+        controller: &NnController,
+        state: &TmVector,
+        domain: &[Interval],
+        s: &mut BernsteinScratch,
+        ws: &mut TmWorkspace,
+    ) -> Result<TmVector, ReachError> {
+        s.bounds.clear();
+        s.bounds
+            .extend(state.components().iter().map(|t| t.range(domain)));
+        if !s.bounds.iter().all(Interval::is_finite) {
             return Err(ReachError::Unsupported(format!(
-                "Bernstein abstraction needs a bounded state box, got {bx}"
+                "Bernstein abstraction needs a bounded state box, got {}",
+                IntervalBox::new(s.bounds.clone())
             )));
         }
         // Guard against degenerate boxes (Bernstein needs positive widths).
-        let bx = ensure_positive_widths(&bx);
-        let n = bx.dim();
-        let centers: Vec<f64> = bx.center();
-        let radii: Vec<f64> = bx.radii();
-        let fits = self.fit(controller, &centers, &radii)?;
-        let unit = IntervalBox::from_bounds(&vec![(-1.0, 1.0); n]);
+        for iv in &mut s.bounds {
+            if iv.width() <= 0.0 {
+                *iv = iv.inflate(1e-9);
+            }
+        }
+        let n = s.bounds.len();
+        s.centers.clear();
+        s.centers.extend(s.bounds.iter().map(Interval::mid));
+        s.radii.clear();
+        s.radii.extend(s.bounds.iter().map(Interval::rad));
+        self.fit_ws(controller, s)?;
         // Normalized state models y_i = (x_i − c_i)/r_i over the original
         // variables: the composition arguments.
-        let y_models: Vec<TaylorModel> = state
-            .components()
-            .iter()
-            .zip(centers.iter().zip(&radii))
-            .map(|(x, (&c, &r))| x.add_constant(-c).scale(1.0 / r))
-            .collect();
-        let lip_f = local_lipschitz_bound(controller.network(), &bx)
-            * controller.output_scale().abs()
-            * radii.iter().fold(0.0f64, |m, &r| m.max(r));
+        s.y_models.resize_with(n, TaylorModel::default);
+        for (((y, x), &c), &r) in s
+            .y_models
+            .iter_mut()
+            .zip(state.components())
+            .zip(&s.centers)
+            .zip(&s.radii)
+        {
+            y.clone_from(x);
+            y.add_constant_assign(-c, ws);
+            y.scale_in_place(1.0 / r);
+        }
+        let lip_f = local_lipschitz_bound(
+            controller.network(),
+            &s.bounds,
+            &mut s.jacobian,
+            &mut s.ranges,
+        ) * controller.output_scale().abs()
+            * s.radii.iter().fold(0.0f64, |m, &r| m.max(r));
         let grid_h = 2.0 / (self.samples_per_dim.max(2) - 1) as f64;
-        let mut out = Vec::with_capacity(fits.len());
-        for (g, sampled) in fits {
+        let mut out = std::mem::take(&mut ws.layers.output);
+        out.resize_with(s.fits.len(), TaylorModel::default);
+        for ((o, g), &sampled) in out.iter_mut().zip(&s.fits).zip(&s.errors) {
             // Sampled remainder + Lipschitz inflation over grid gaps.
             let mut eps = sampled;
-            let lip_g = gradient_bound(&g, &unit);
+            let lip_g = gradient_bound(g, &s.unit, &mut s.derivative);
             eps += 0.5 * (lip_f + lip_g) * grid_h * (n as f64).sqrt();
-            let g_tm = TaylorModel::new(g, Interval::symmetric(eps));
-            out.push(g_tm.compose_ws(&y_models, self.compose_order, domain, ws));
+            compose_parts_into(
+                g,
+                Interval::symmetric(eps),
+                &s.y_models,
+                self.compose_order,
+                domain,
+                o,
+                ws,
+            );
         }
         Ok(TmVector::new(out))
     }
@@ -512,27 +683,34 @@ fn check_controller(controller: &NnController, state: &TmVector) -> Result<(), R
 /// layers with interval matrix products. Far tighter than the global
 /// product-of-norms bound on small boxes (ReLU units that are provably
 /// inactive contribute zero), which is what makes the sampled Bernstein
-/// remainder usable on the 3-D benchmark.
-fn local_lipschitz_bound(net: &dwv_nn::Network, bx: &IntervalBox) -> f64 {
-    let n = bx.dim();
+/// remainder usable on the 3-D benchmark. The Jacobian rows (row-major,
+/// `n` wide) and layer ranges are double-buffered in `jacobian` and
+/// `ranges`.
+fn local_lipschitz_bound(
+    net: &dwv_nn::Network,
+    bx: &[Interval],
+    (jac, new_jac): &mut (Vec<Interval>, Vec<Interval>),
+    (h, new_h): &mut (Vec<Interval>, Vec<Interval>),
+) -> f64 {
+    let n = bx.len();
+    // Rows of `n` (at least one, so an empty box chunks into no rows).
+    let width = n.max(1);
     // Running interval Jacobian (rows: current layer units, cols: inputs).
-    let mut jac: Vec<Vec<Interval>> = (0..n)
-        .map(|i| {
-            (0..n)
-                .map(|j| {
-                    if i == j {
-                        Interval::ONE
-                    } else {
-                        Interval::ZERO
-                    }
-                })
-                .collect()
+    jac.clear();
+    jac.extend((0..n).flat_map(|i| {
+        (0..n).map(move |j| {
+            if i == j {
+                Interval::ONE
+            } else {
+                Interval::ZERO
+            }
         })
-        .collect();
-    let mut h: Vec<Interval> = bx.intervals().to_vec();
+    }));
+    h.clear();
+    h.extend_from_slice(bx);
     for layer in net.layers() {
-        let mut new_jac = Vec::with_capacity(layer.out_dim());
-        let mut new_h = Vec::with_capacity(layer.out_dim());
+        new_jac.clear();
+        new_h.clear();
         for o in 0..layer.out_dim() {
             // Pre-activation range z_o = Σ w h + b.
             let mut z = Interval::point(layer.bias()[o]); // dwv-lint: allow(panic-freedom#index) -- o ranges over layer.out_dim()
@@ -540,22 +718,19 @@ fn local_lipschitz_bound(net: &dwv_nn::Network, bx: &IntervalBox) -> f64 {
                 z += *hk * layer.weight(o, k);
             }
             let dz = activation_derivative_range(layer.activation(), z);
-            let row: Vec<Interval> = (0..n)
-                .map(|i| {
-                    let mut acc = Interval::ZERO;
-                    for (k, jrow) in jac.iter().enumerate() {
-                        acc += jrow[i] * layer.weight(o, k); // dwv-lint: allow(panic-freedom#index) -- Jacobian rows are n-wide by construction
-                    }
-                    acc * dz
-                })
-                .collect();
-            new_jac.push(row);
+            new_jac.extend((0..n).map(|i| {
+                let mut acc = Interval::ZERO;
+                for (k, jrow) in jac.chunks_exact(width).enumerate() {
+                    acc += jrow[i] * layer.weight(o, k); // dwv-lint: allow(panic-freedom#index) -- Jacobian rows are n-wide by construction
+                }
+                acc * dz
+            }));
             new_h.push(activation_range(layer.activation(), z));
         }
-        jac = new_jac;
-        h = new_h;
+        std::mem::swap(jac, new_jac);
+        std::mem::swap(h, new_h);
     }
-    jac.iter()
+    jac.chunks_exact(width)
         .map(|row| row.iter().map(|iv| iv.mag().powi(2)).sum::<f64>().sqrt())
         .fold(0.0, f64::max)
 }
@@ -603,32 +778,16 @@ fn activation_derivative_range(act: Activation, z: Interval) -> Interval {
     }
 }
 
-/// A bound on `‖∇g‖₂` over the box via interval evaluation of the partials.
-fn gradient_bound(g: &Polynomial, bx: &IntervalBox) -> f64 {
+/// A bound on `‖∇g‖₂` over the box via interval evaluation of the partials,
+/// each built in `d`.
+fn gradient_bound(g: &Polynomial, bx: &[Interval], d: &mut Polynomial) -> f64 {
     (0..g.nvars())
         .map(|i| {
-            let d = g.partial_derivative(i);
-            d.eval_interval(bx.intervals()).mag().powi(2)
+            g.partial_derivative_into(i, d);
+            d.eval_interval(bx).mag().powi(2)
         })
         .sum::<f64>()
         .sqrt()
-}
-
-/// Inflates zero-width dimensions so the Bernstein machinery has a valid
-/// domain.
-fn ensure_positive_widths(b: &IntervalBox) -> IntervalBox {
-    let dims = b
-        .intervals()
-        .iter()
-        .map(|iv| {
-            if iv.width() > 0.0 {
-                *iv
-            } else {
-                iv.inflate(1e-9)
-            }
-        })
-        .collect();
-    IntervalBox::new(dims)
 }
 
 #[cfg(test)]
@@ -773,6 +932,102 @@ mod tests {
         };
         let res = abs.abstract_network(&ctrl, &state, &unit_domain(2));
         assert!(matches!(res, Err(ReachError::Unsupported(_))), "{res:?}");
+    }
+
+    #[test]
+    fn fit_sizes_are_checked() {
+        let ok = |n, d, s, o| fit_sizes(n, d, s, o).expect("fits");
+        assert_eq!(
+            ok(2, 2, 9, 1),
+            FitSizes {
+                nodes: 9,
+                points: 81
+            }
+        );
+        assert_eq!(
+            ok(3, 2, 9, 1),
+            FitSizes {
+                nodes: 27,
+                points: 729
+            }
+        );
+        assert_eq!(
+            ok(4, 0, 1, 2),
+            FitSizes {
+                nodes: 1,
+                points: 1
+            }
+        );
+        // 4096² = 2²⁴ values fit for one output, not for two.
+        assert_eq!(ok(2, 1, 4096, 1).points, MAX_FIT_VALUES);
+        let refused = |n, d, s, o| matches!(fit_sizes(n, d, s, o), Err(ReachError::Unsupported(_)));
+        assert!(refused(2, 1, 4096, 2));
+        assert!(refused(2, 2, 0, 1), "no samples");
+        assert!(refused(4, 2, 65_537, 1), "65537⁴ overflows u64");
+        assert!(refused(3, 2, 1000, 1), "10⁹ grid points");
+        assert!(refused(2, u32::MAX, 9, 1), "(2³²)² nodes overflow u64");
+        assert!(refused(64, 1, 2, 1), "2⁶⁴ nodes");
+        assert!(refused(usize::MAX, 1, 2, 1), "the exponent overflows u32");
+    }
+
+    #[test]
+    fn oversized_grid_rejected_before_sizing() {
+        // 65537⁴ grid points overflow: refused at once, never allocated.
+        let ctrl = NnController::new(Network::new(
+            &[4, 3, 1],
+            Activation::ReLU,
+            Activation::Tanh,
+            2,
+        ));
+        let abs = BernsteinAbstraction {
+            samples_per_dim: 65_537,
+            ..BernsteinAbstraction::default()
+        };
+        let bx = IntervalBox::from_bounds(&[(0.0, 0.1); 4]);
+        let res = abs.abstract_network(&ctrl, &TmVector::from_box(&bx), &unit_domain(4));
+        assert!(matches!(res, Err(ReachError::Unsupported(_))), "{res:?}");
+        let fit = abs.fit(&ctrl, &bx.center(), &bx.radii());
+        assert!(matches!(fit, Err(ReachError::Unsupported(_))), "{fit:?}");
+    }
+
+    #[test]
+    fn warm_workspace_matches_fresh_bitwise() {
+        // One workspace across boxes, input counts, output counts and
+        // degrees (nodes on and off the grid): no stale buffer may leak
+        // into a later call.
+        let two_out = NnController::with_output_scale(
+            Network::new(&[2, 5, 4, 2], Activation::Tanh, Activation::Identity, 4),
+            3.0,
+        );
+        let three_in = NnController::with_output_scale(
+            Network::new(&[3, 8, 1], Activation::ReLU, Activation::Tanh, 6),
+            2.0,
+        );
+        let cases = [
+            (small_net(23), vec![(-0.51, -0.49), (0.49, 0.51)]),
+            (two_out.clone(), vec![(0.2, 0.4), (-0.1, 0.1)]),
+            (three_in, vec![(0.35, 0.36), (-0.36, -0.35), (0.2, 0.2)]),
+            (two_out, vec![(-0.51, -0.49), (0.49, 0.51)]),
+        ];
+        let mut ws = TmWorkspace::new();
+        for (ctrl, bounds) in &cases {
+            let state = TmVector::from_box(&IntervalBox::from_bounds(bounds));
+            let dom = unit_domain(bounds.len());
+            for degree in [2, 3] {
+                let abs = BernsteinAbstraction::with_degree(degree);
+                let fresh = abs.abstract_network(ctrl, &state, &dom).unwrap();
+                let warm = abs
+                    .abstract_network_ws(ctrl, &state, &dom, &mut ws)
+                    .unwrap();
+                assert_eq!(fresh.dim(), warm.dim());
+                for (f, w) in fresh.components().iter().zip(warm.components()) {
+                    assert!(f.poly().bits_eq(w.poly()));
+                    assert_eq!(f.remainder().lo().to_bits(), w.remainder().lo().to_bits());
+                    assert_eq!(f.remainder().hi().to_bits(), w.remainder().hi().to_bits());
+                }
+                ws.reuse(warm);
+            }
+        }
     }
 
     #[test]

@@ -162,11 +162,11 @@ impl<A: NnAbstraction> TaylorReach<A> {
     ///
     /// One [`TmWorkspace`] is created per call and threaded through every
     /// abstraction and flow step of the run, and shares one Bernstein range
-    /// memo across steps. Once it is warm, a POLAR step with box
-    /// re-initialisation makes `2n + 3` allocations (6.8 on Os and 9 on 3D,
-    /// against 254 and 309 before the workspace held the step's buffers):
-    /// the end-state models, the step box and the end box it records
-    /// (`tests/no_alloc_step.rs`).
+    /// memo across steps. Once it is warm, a POLAR or ReachNN step with box
+    /// re-initialisation makes `2n + 3` allocations (7 on Os and 9 on 3D,
+    /// against 254 and 309 under POLAR and 164 and 335 under ReachNN before
+    /// the workspace held the step's buffers): the end-state models, the
+    /// step box and the end box it records (`tests/no_alloc_step.rs`).
     ///
     /// # Errors
     ///

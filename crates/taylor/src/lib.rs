@@ -42,7 +42,7 @@ mod ode;
 
 pub use flowpipe::{FlowpipeError, OdeIntegrator, StepFlow};
 pub use model::{
-    compose_parts_ws, unit_domain, LayerScratch, TaylorModel, TmVector, TmWorkspace,
-    DEFAULT_PRUNE_EPS,
+    compose_parts_into, compose_parts_ws, unit_domain, LayerScratch, TaylorModel, TmVector,
+    TmWorkspace, DEFAULT_PRUNE_EPS,
 };
 pub use ode::OdeRhs;

@@ -4,6 +4,7 @@
 use dwv_interval::{Interval, IntervalBox};
 use dwv_poly::bernstein::RangeCache;
 use dwv_poly::{PolyWorkspace, Polynomial};
+use std::any::Any;
 use std::fmt;
 
 /// Scratch arena threaded through a verification loop.
@@ -12,12 +13,12 @@ use std::fmt;
 /// range memo, and the polynomials, models and vectors the flow step, its
 /// defect tape and the network abstraction clear and refill from call to
 /// call. One workspace created per reachability run and threaded through
-/// every step makes a warm POLAR/box-re-initialisation reach step allocate
-/// only the end-state models it returns and the boxes the flowpipe records
-/// (`tests/no_alloc_step.rs` counts them), and lets repeated Bernstein
-/// enclosures of unchanged polynomial parts — Picard validation attempts,
-/// layer-by-layer activation ranges — hit the memo instead of
-/// re-contracting the coefficient tensor.
+/// every step makes a warm POLAR or ReachNN reach step with box
+/// re-initialisation allocate only the end-state models it returns and the
+/// boxes the flowpipe records (`tests/no_alloc_step.rs` counts them), and
+/// lets repeated Bernstein enclosures of unchanged polynomial parts —
+/// Picard validation attempts, layer-by-layer activation ranges — hit the
+/// memo instead of re-contracting the coefficient tensor.
 ///
 /// A workspace carries no semantic state: every operation through it is
 /// bit-identical to its functional counterpart (the cache stores exact
@@ -32,8 +33,14 @@ pub struct TmWorkspace {
     /// Buffers of a layer-by-layer model propagation outside this crate
     /// (the POLAR network abstraction in `dwv-reach`).
     pub layers: LayerScratch,
+    /// Buffers of a network abstraction outside this crate whose layout
+    /// this crate does not know (the ReachNN-style Bernstein abstraction in
+    /// `dwv-reach`): see [`TmWorkspace::take_slot`].
+    slot: Slot,
     /// Power tables and chain terms of [`compose_polys_dropping_ws`].
     pub(crate) compose: ComposeScratch,
+    /// Power tables and chain terms of [`compose_parts_into`].
+    pub(crate) tm_compose: TmComposeScratch,
     /// Powers and sum of [`TaylorModel::series_in_place`].
     pub(crate) series: SeriesScratch,
     /// Buffers of one validated flow step.
@@ -45,6 +52,24 @@ impl TmWorkspace {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Takes a caller-typed buffer set out of the workspace: the one the
+    /// last [`TmWorkspace::put_slot`] left when it has type `T`, a fresh one
+    /// otherwise. Moving the box in and out allocates nothing, so a caller
+    /// that puts its buffers back after each call keeps them warm.
+    pub fn take_slot<T: Any + Send + Default>(&mut self) -> Box<T> {
+        self.slot
+            .0
+            .take()
+            .and_then(|b| b.downcast().ok())
+            .unwrap_or_default()
+    }
+
+    /// Leaves a caller-typed buffer set in the workspace for the next
+    /// [`TmWorkspace::take_slot`], replacing whatever it held.
+    pub fn put_slot<T: Any + Send>(&mut self, buffers: Box<T>) {
+        self.slot.0 = Some(buffers);
     }
 
     /// Takes back a vector of models a call through this workspace returned
@@ -70,6 +95,33 @@ pub struct LayerScratch {
     pub coeffs: Vec<f64>,
     /// Scratch of the coefficient recurrence.
     pub recurrence: [Vec<f64>; 3],
+}
+
+/// The caller-typed buffers of [`TmWorkspace::take_slot`].
+#[derive(Default)]
+struct Slot(Option<Box<dyn Any + Send>>);
+
+impl fmt::Debug for Slot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if self.0.is_some() {
+            "Slot(..)"
+        } else {
+            "Slot(empty)"
+        })
+    }
+}
+
+/// Scratch of [`compose_parts_into`], laid out like [`ComposeScratch`].
+#[derive(Debug, Default)]
+pub(crate) struct TmComposeScratch {
+    /// Per-variable largest exponent of the composed polynomial.
+    max_exp: Vec<u32>,
+    /// `pows[i][e - 2] = args[i]^e` for `e ≥ 2`.
+    pows: Vec<Vec<TaylorModel>>,
+    /// The product chain of the current term.
+    term: TaylorModel,
+    /// The chain's next product.
+    next: TaylorModel,
 }
 
 /// Scratch of [`compose_polys_dropping_ws`]. The tables only grow, and a
@@ -663,14 +715,8 @@ impl fmt::Display for TaylorModel {
 }
 
 /// Composes a borrowed polynomial-plus-remainder pair with Taylor-model
-/// arguments — [`TaylorModel::compose`] without requiring an owned model, so
-/// callers (e.g. vector-field evaluation in the flowpipe) can compose the
-/// system's field polynomials without cloning them into models first.
-///
-/// Argument powers are shared through per-variable tables built by successive
-/// multiplication — the same left-associated products the per-term `powi` of
-/// the naive composition computes, so the result is bit-identical while each
-/// power is computed once instead of once per occurrence.
+/// arguments — [`TaylorModel::compose`] without requiring an owned model —
+/// through [`compose_parts_into`] into a fresh model.
 ///
 /// # Panics
 ///
@@ -685,63 +731,112 @@ pub fn compose_parts_ws(
     arg_domain: &[Interval],
     ws: &mut TmWorkspace,
 ) -> TaylorModel {
+    let mut out = TaylorModel::default();
+    compose_parts_into(poly, remainder, args, order, arg_domain, &mut out, ws);
+    out
+}
+
+/// `out = poly(args…) + remainder`, truncated at `order` over `arg_domain`
+/// (the domain of the argument models), keeping `out`'s storage.
+///
+/// Argument powers are shared through per-variable tables built by successive
+/// multiplication — the same left-associated products the per-term `powi` of
+/// the naive composition computes, so the result is bit-identical while each
+/// power is computed once instead of once per occurrence. Each term is the
+/// product chain `((c·a_i^e)·a_j^f)…` over its variables in ascending order,
+/// added to `out` in term order; a constant term adds a constant model.
+///
+/// The power tables and the product chain live in the workspace and the
+/// first power of every argument is the argument itself, borrowed: once the
+/// workspace and `out` have grown, a call allocates nothing. The warm
+/// ReachNN step composes its fits this way and makes 7 (Os) and 9 (3D)
+/// allocations in all, none of them here (`tests/no_alloc_step.rs`).
+///
+/// # Panics
+///
+/// Panics if `args.len() != poly.nvars()` or the argument models disagree on
+/// their variable count.
+pub fn compose_parts_into(
+    poly: &Polynomial,
+    remainder: Interval,
+    args: &[TaylorModel],
+    order: u32,
+    arg_domain: &[Interval],
+    out: &mut TaylorModel,
+    ws: &mut TmWorkspace,
+) {
     assert_eq!(args.len(), poly.nvars(), "argument count mismatch");
     let out_vars = args.first().map_or(0, TaylorModel::nvars);
     assert!(
         args.iter().all(|a| a.nvars() == out_vars),
         "argument models must share a variable count"
     );
-    let mut max_exp = vec![0u32; poly.nvars()];
+    let TmComposeScratch {
+        max_exp,
+        pows,
+        term,
+        next,
+    } = &mut ws.tm_compose;
+    let pws = &mut ws.poly;
+    max_exp.clear();
+    max_exp.resize(poly.nvars(), 0);
     for (exps, _) in poly.iter() {
         for (i, &e) in exps.iter().enumerate() {
             max_exp[i] = max_exp[i].max(e);
         }
     }
-    // pows[i][e-1] = args[i]^e, truncated at `order`.
-    let pows: Vec<Vec<TaylorModel>> = max_exp
-        .iter()
-        .enumerate()
-        .map(|(i, &me)| {
-            let mut table = Vec::with_capacity(me as usize);
-            if me >= 1 {
-                let mut prev = args[i].clone();
-                for _ in 1..me {
-                    let next = prev.mul_truncated(&args[i], order, arg_domain, ws);
-                    table.push(std::mem::replace(&mut prev, next));
-                }
-                table.push(prev);
-            }
-            table
-        })
-        .collect();
-    let mut acc = TaylorModel::from_interval(out_vars, remainder);
+    // pows[i][e-2] = args[i]^e for e ≥ 2, truncated at `order`.
+    if pows.len() < args.len() {
+        pows.resize_with(args.len(), Vec::new);
+    }
+    for ((&me, arg), table) in max_exp.iter().zip(args).zip(pows.iter_mut()) {
+        let used = (me as usize).saturating_sub(1);
+        if table.len() < used {
+            table.resize_with(used, TaylorModel::default);
+        }
+        for e in 2..=me as usize {
+            let (done, rest) = table.split_at_mut(e - 2);
+            let prev = if e == 2 { arg } else { &done[e - 3] };
+            prev.mul_truncated_into(arg, order, arg_domain, &mut rest[0], pws);
+        }
+    }
+    out.poly.set_constant(out_vars, 0.0);
+    out.remainder = remainder;
     for (exps, c) in poly.iter() {
-        let mut term: Option<TaylorModel> = None;
+        let mut started = false;
         for (i, &e) in exps.iter().enumerate() {
             if e > 0 {
-                let pw = &pows[i][e as usize - 1];
-                term = Some(match term {
+                let pw = match e {
+                    1 => &args[i],
+                    _ => &pows[i][e as usize - 2],
+                };
+                if started {
+                    term.mul_truncated_into(pw, order, arg_domain, next, pws);
+                    std::mem::swap(term, next);
+                } else {
                     // Constant × power: a scalar multiple of the power table
                     // entry. `pw` is already truncated at `order`, so the
                     // product has no overflow terms, and the constant model's
                     // zero remainder makes all but one cross term vanish —
                     // scale + prune computes exactly the surviving
                     // operations of `constant(c).mul_truncated(pw, …)`.
-                    None => {
-                        let mut t = pw.scale(c);
-                        t.prune_in_place(DEFAULT_PRUNE_EPS, arg_domain);
-                        t
-                    }
-                    Some(t) => t.mul_truncated(pw, order, arg_domain, ws),
-                });
+                    pw.poly.scale_into(c, &mut term.poly);
+                    term.remainder = pw.remainder * Interval::point(c);
+                    term.prune_in_place(DEFAULT_PRUNE_EPS, arg_domain);
+                    started = true;
+                }
             }
         }
-        match term {
-            Some(t) => acc.add_assign_tm(&t, ws),
-            None => acc.add_assign_tm(&TaylorModel::constant(out_vars, c), ws),
+        if started {
+            out.poly.add_assign_ref(&term.poly, pws);
+            out.remainder += term.remainder;
+        } else {
+            // The constant model `c`: its polynomial, then its zero
+            // remainder, added as `add_assign_tm` adds them.
+            out.poly.add_constant_assign(c, pws);
+            out.remainder += Interval::ZERO;
         }
     }
-    acc
 }
 
 /// Polynomial-only composition with degree truncation, **discarding** every
@@ -1000,6 +1095,27 @@ mod tests {
 
     fn dom1() -> Vec<Interval> {
         unit_domain(1)
+    }
+
+    #[test]
+    fn slot_keeps_buffers_of_the_type_put_back() {
+        let mut ws = TmWorkspace::new();
+        let mut buffers = ws.take_slot::<Vec<f64>>();
+        assert!(buffers.is_empty(), "an empty slot gives fresh buffers");
+        buffers.extend([1.0, 2.0]);
+        let storage = buffers.as_ptr();
+        ws.put_slot(buffers);
+        let again = ws.take_slot::<Vec<f64>>();
+        assert_eq!((again.as_ptr(), again.len()), (storage, 2));
+        ws.put_slot(again);
+        assert!(
+            ws.take_slot::<Vec<u32>>().is_empty(),
+            "buffers of another type are replaced by fresh ones"
+        );
+        assert!(
+            ws.take_slot::<Vec<f64>>().is_empty(),
+            "the slot was emptied"
+        );
     }
 
     #[test]

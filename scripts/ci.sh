@@ -78,9 +78,12 @@ if [[ "${1:-}" == "--all" ]]; then
   # Wasserstein evaluation against the full one, and non-finite cost
   # matrices (see families/wasserstein).
   run cargo run --release --offline -p dwv-check -- --family wasserstein --seed 0xD3C0DE --budget-cases 3000
-  # ReachNN kernel gate: NN abstraction enclosures on 1–4-input networks,
-  # and BernsteinAbstraction::fit bit for bit against the retired sparse fit
-  # and remainder loop (see families/nn and check::reference).
+  # ReachNN kernel gate: NN abstraction enclosures on 1–4-input networks;
+  # BernsteinAbstraction::fit bit for bit against the retired sparse fit
+  # and remainder loop; and the whole Bernstein abstraction (batched grid
+  # pass, workspace fit, Lipschitz and gradient bounds, in-place
+  # composition) bit for bit against the retired one, on a fresh and a
+  # warm workspace (see families/nn and check::reference).
   run cargo run --release --offline -p dwv-check -- --family nn --seed 0xD3C0DE --budget-cases 3000
   # Flow-step gate: OdeIntegrator::flow_step (degree-staged Picard
   # iterations, fixed point confirmed by the defect tape) bit for bit
