@@ -18,28 +18,24 @@
 //!
 //! Run with `cargo run --release -p dwv-bench --bin bench_core`.
 //! Run with `--check` to re-measure only `acc_algorithm1_iteration`, the
-//! 1-thread scaling row, `portfolio_algorithm1_iteration`,
-//! `lint_workspace` and `serve_roundtrip_acc` and fail
-//! (exit 1) if any regressed more than 10% against the committed
-//! `BENCH_core.json`, if the default-on flight recorder costs more than
-//! 10% on either iteration bench, or if the portfolio's tier economy
-//! collapses — this is the CI bench-regression guard.
+//! 1-thread scaling row, `lint_workspace` and `serve_roundtrip_acc` and
+//! fail (exit 1) if any regressed more than 10% against the committed
+//! `BENCH_core.json`, or if the default-on flight recorder costs more than
+//! 10% on the iteration bench — this is the CI bench-regression guard.
 
 #![forbid(unsafe_code)]
 
 use dwv_core::parallel::WorkerPool;
 use dwv_core::{
     Algorithm1, Algorithm2, GradientEstimator, LearnConfig, LearnOutcome, MetricKind,
-    PortfolioMode, SearchStrategy,
+    SearchStrategy,
 };
 use dwv_dynamics::{acc, oscillator, LinearController, NnController};
 use dwv_interval::IntervalBox;
 use dwv_nn::{Activation, Network};
 use dwv_poly::bernstein::RangeCache;
 use dwv_poly::Polynomial;
-use dwv_reach::{
-    IntervalReach, NnAbstraction, PortfolioStats, TaylorAbstraction, TaylorReach, TaylorReachConfig,
-};
+use dwv_reach::{NnAbstraction, TaylorAbstraction, TaylorReach, TaylorReachConfig};
 use dwv_taylor::{unit_domain, OdeIntegrator, OdeRhs, TmVector, TmWorkspace};
 use std::hint::black_box;
 use std::time::Instant;
@@ -143,34 +139,6 @@ fn bench_acc_algorithm1_iteration() -> f64 {
     })
 }
 
-fn bench_interval_reach_acc() -> f64 {
-    // One interval-tier flowpipe of the full ACC horizon — the unit cost of
-    // the portfolio's fast path, to be read against
-    // `acc_algorithm1_iteration`'s exact-tier bill.
-    let v = IntervalReach::for_problem(&acc::reach_avoid_problem());
-    let k = LinearController::new(2, 1, vec![0.5867, -2.0]);
-    median_time(9, 200, move || v.reach(&k))
-}
-
-fn bench_portfolio_algorithm1_iteration() -> f64 {
-    // The same single Algorithm-1 update as `acc_algorithm1_iteration`, but
-    // with the tiered portfolio answering the gradient probes (surrogate
-    // mode): the interval/zonotope fast path carries the exploratory
-    // queries and the exact tier is consulted only to confirm acceptance.
-    let config = LearnConfig::builder()
-        .metric(MetricKind::Geometric)
-        .estimator(GradientEstimator::Coordinate)
-        .max_updates(1)
-        .seed(7)
-        .portfolio(PortfolioMode::Surrogate { confirm_every: 5 })
-        .build();
-    let init = LinearController::new(2, 1, vec![0.2, -0.5]);
-    median_time(5, 3, || {
-        let alg = Algorithm1::new(acc::reach_avoid_problem(), config.clone());
-        alg.learn_linear_from(init.clone()).expect("affine problem")
-    })
-}
-
 fn bench_nn_abstraction() -> f64 {
     // One Taylor-model abstraction of a [2, 8, 1] ReLU/Tanh controller over
     // an ACC-sized state box — the per-step cost of the POLAR-style layer
@@ -218,8 +186,7 @@ fn bench_serve_roundtrip() -> f64 {
     // dwv-serve server: submit, stream to the terminal event, reassemble.
     // The server and connection are set up once outside the timer, so the
     // number is the per-job serving cost (framing + admission + worker
-    // dispatch + event streaming) on top of the verification itself —
-    // read it against `interval_reach_acc` to see the protocol tax.
+    // dispatch + event streaming) on top of the verification itself.
     use dwv_serve::{Client, JobKind, JobSpec, ProblemId, ServeConfig, Server};
     let server = Server::start(ServeConfig::default()).expect("loopback server");
     let mut client = Client::connect(server.addr()).expect("connect to loopback server");
@@ -363,12 +330,6 @@ fn check_mode() -> i32 {
             bench_sweep_parallel_at(1)
         }),
         (
-            "portfolio_algorithm1_iteration",
-            "current",
-            "portfolio_algorithm1_iteration",
-            bench_portfolio_algorithm1_iteration,
-        ),
-        (
             "lint_workspace",
             "current",
             "lint_workspace",
@@ -400,41 +361,22 @@ fn check_mode() -> i32 {
     // Flight-recorder overhead: the ring is on by default in every binary,
     // so its cost on the hot loop must stay within the same 10% envelope
     // (tracing stays off in both arms; only the recorder toggles).
-    type FlightGuard = (&'static str, fn() -> f64);
-    let flight_guards: &[FlightGuard] = &[
-        ("acc_algorithm1_iteration", bench_acc_algorithm1_iteration),
-        (
-            "portfolio_algorithm1_iteration",
-            bench_portfolio_algorithm1_iteration,
-        ),
-    ];
-    for (label, bench) in flight_guards {
-        dwv_obs::set_flight_enabled(false);
-        let off = (0..3).map(|_| bench()).fold(f64::INFINITY, f64::min);
-        dwv_obs::set_flight_enabled(true);
-        let on = (0..3).map(|_| bench()).fold(f64::INFINITY, f64::min);
-        let ratio = on / off;
-        eprintln!(
-            "bench check: flight recorder on {label}: on {on:.4e} s, \
-             off {off:.4e} s (x{ratio:.2})"
-        );
-        if ratio > 1.10 {
-            eprintln!("bench check: FAIL — the flight recorder costs more than 10% on {label}");
-            return 1;
-        }
-    }
-    // Tier economy: the whole point of the portfolio is a smaller rigorous
-    // bill. A certified ACC run whose cheap tiers stop carrying at least
-    // 5x the rigorous tier's call count has lost the optimization.
-    let bill = portfolio_bill();
-    let (cheap, rigorous) = (bill.cheap_calls(), bill.rigorous_calls());
+    let label = "acc_algorithm1_iteration";
+    dwv_obs::set_flight_enabled(false);
+    let off = (0..3)
+        .map(|_| bench_acc_algorithm1_iteration())
+        .fold(f64::INFINITY, f64::min);
+    dwv_obs::set_flight_enabled(true);
+    let on = (0..3)
+        .map(|_| bench_acc_algorithm1_iteration())
+        .fold(f64::INFINITY, f64::min);
+    let ratio = on / off;
     eprintln!(
-        "bench check: portfolio bill cheap {cheap}, rigorous {rigorous} \
-         (rigorous-only baseline {})",
-        bill.rigorous_only_learn_calls
+        "bench check: flight recorder on {label}: on {on:.4e} s, \
+         off {off:.4e} s (x{ratio:.2})"
     );
-    if rigorous == 0 || cheap < 5 * rigorous {
-        eprintln!("bench check: FAIL — cheap tiers must carry >= 5x the rigorous call count");
+    if ratio > 1.10 {
+        eprintln!("bench check: FAIL — the flight recorder costs more than 10% on {label}");
         return 1;
     }
     eprintln!("bench check: OK");
@@ -497,102 +439,6 @@ fn cache_stats_section() -> String {
     out
 }
 
-/// The per-tier verifier bill of one full ACC design-while-verify run in
-/// surrogate mode, next to the rigorous-only baseline's call count.
-struct PortfolioBill {
-    tiers: Vec<&'static str>,
-    learn: PortfolioStats,
-    sweep: PortfolioStats,
-    rigorous_only_learn_calls: usize,
-}
-
-impl PortfolioBill {
-    /// Rigorous-tier executions across learning and the certification sweep.
-    fn rigorous_calls(&self) -> u64 {
-        self.learn.calls_by_tier.last().copied().unwrap_or(0)
-            + self.sweep.calls_by_tier.last().copied().unwrap_or(0)
-    }
-
-    /// Cheap-tier executions across learning and the certification sweep.
-    fn cheap_calls(&self) -> u64 {
-        let cheap = |s: &PortfolioStats| -> u64 { s.calls_by_tier.iter().rev().skip(1).sum() };
-        cheap(&self.learn) + cheap(&self.sweep)
-    }
-}
-
-/// Runs the ACC pipeline twice — tiered and rigorous-only — and collects
-/// the call accounting the `verifier_calls_by_tier` section and the
-/// `--check` tier-economy guard both read.
-fn portfolio_bill() -> PortfolioBill {
-    let cfg = |mode| {
-        LearnConfig::builder()
-            .metric(MetricKind::Geometric)
-            .max_updates(200)
-            .seed(7)
-            .portfolio(mode)
-            .build()
-    };
-    let tiered = dwv_core::design_while_verify_linear(
-        acc::reach_avoid_problem(),
-        cfg(PortfolioMode::Surrogate { confirm_every: 5 }),
-    )
-    .expect("affine problem");
-    let baseline =
-        dwv_core::design_while_verify_linear(acc::reach_avoid_problem(), cfg(PortfolioMode::Off))
-            .expect("affine problem");
-    let tiers = Algorithm1::new(acc::reach_avoid_problem(), cfg(PortfolioMode::Off))
-        .linear_portfolio()
-        .expect("affine problem")
-        .tier_names();
-    PortfolioBill {
-        tiers,
-        learn: tiered.learning.portfolio.unwrap_or_default(),
-        sweep: tiered.sweep_portfolio.unwrap_or_default(),
-        rigorous_only_learn_calls: baseline.learning.trace.total_verifier_calls(),
-    }
-}
-
-/// The `verifier_calls_by_tier` section: where the verifier bill of one
-/// certified ACC run actually lands, tier by tier, against the rigorous-only
-/// baseline's bill for the same seed.
-fn verifier_calls_section() -> String {
-    let bill = portfolio_bill();
-    let stats = |s: &PortfolioStats| {
-        format!(
-            "{{\"calls\": {:?}, \"escalations\": {}, \"decided_cheap\": {}}}",
-            s.calls_by_tier, s.escalations, s.decided_cheap
-        )
-    };
-    let tiers = bill
-        .tiers
-        .iter()
-        .map(|n| format!("\"{n}\""))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let rigorous = bill.rigorous_calls();
-    let reduction = if rigorous == 0 {
-        "null".to_string()
-    } else {
-        format!(
-            "{:.2}",
-            bill.rigorous_only_learn_calls as f64 / rigorous as f64
-        )
-    };
-    let mut out = String::from("  \"verifier_calls_by_tier\": {\n");
-    out.push_str(&format!("    \"tiers\": [{tiers}],\n"));
-    out.push_str(&format!("    \"learn\": {},\n", stats(&bill.learn)));
-    out.push_str(&format!("    \"sweep\": {},\n", stats(&bill.sweep)));
-    out.push_str(&format!("    \"cheap_calls\": {},\n", bill.cheap_calls()));
-    out.push_str(&format!("    \"rigorous_calls\": {rigorous},\n"));
-    out.push_str(&format!(
-        "    \"rigorous_only_baseline_calls\": {},\n",
-        bill.rigorous_only_learn_calls
-    ));
-    out.push_str(&format!("    \"rigorous_call_reduction\": {reduction}\n"));
-    out.push_str("  }");
-    out
-}
-
 /// An untimed pass with tracing enabled: the full metrics snapshot of one
 /// ACC learning run, embedded as the `metrics` section. Runs after every
 /// timed measurement so the enabled flag never overlaps a timer.
@@ -614,11 +460,6 @@ fn main() {
         ("poly_compose_deg4", bench_poly_compose()),
         ("taylor_flow_step_vdp", bench_flow_step()),
         ("acc_algorithm1_iteration", bench_acc_algorithm1_iteration()),
-        ("interval_reach_acc", bench_interval_reach_acc()),
-        (
-            "portfolio_algorithm1_iteration",
-            bench_portfolio_algorithm1_iteration(),
-        ),
         ("nn_abstraction_acc", bench_nn_abstraction()),
         ("bernstein_range_deg4", bench_bernstein_range()),
         ("sweep_serial_oscillator", bench_sweep_serial()),
@@ -682,8 +523,6 @@ fn main() {
     };
     out.push_str(&format!("      \"speedup_4_over_1\": {rendered}\n"));
     out.push_str("    }\n  },\n");
-    out.push_str(&verifier_calls_section());
-    out.push_str(",\n");
     out.push_str(&cache_stats_section());
     out.push_str(",\n");
     out.push_str(&metrics_section());

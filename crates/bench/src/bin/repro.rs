@@ -139,8 +139,8 @@ fn main() {
     }
 
     if tracing {
-        // Close the JSONL stream with a metrics snapshot so dwv-trace can
-        // reconcile the per-tier verifier bill from the counters.
+        // Close the JSONL stream with a metrics snapshot so dwv-trace sees
+        // the run's counter totals.
         dwv_obs::emit_snapshot();
         dwv_obs::flush();
     }

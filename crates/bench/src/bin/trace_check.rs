@@ -12,8 +12,9 @@
 //! nested inside their parents (via `dwv_trace::validate_nesting`), and
 //! that the trace contains the signals the observability layer promises
 //! for a full design-while-verify run: span timings for the `train` /
-//! `verify` / `simulate` phases, reach-cache hit/miss counters, and
-//! remainder-width metrics. Exits 1 with a diagnostic on any violation.
+//! `verify` / `simulate` phases, the learner's query and reuse counters
+//! (`alg1.verifier_calls`, `alg1.reused`), and remainder-width metrics.
+//! Exits 1 with a diagnostic on any violation.
 
 #![forbid(unsafe_code)]
 
@@ -128,7 +129,7 @@ fn main() -> ExitCode {
             .and_then(JsonValue::as_number)
             .is_some()
     };
-    for required in ["reach.cache.hits", "reach.cache.misses"] {
+    for required in ["alg1.verifier_calls", "alg1.reused"] {
         if !has_counter(required) {
             return fail(&format!("snapshot missing counter '{required}'"));
         }

@@ -139,7 +139,7 @@ fn gen_plan(rng: &mut crate::rng::CheckRng, size: u8) -> Plan {
     // Zone consumers are rendered at a default-zone float-zone path; every
     // call into a helper is a cross-function taint finding.
     let mut zone = SrcFile::new(
-        "crates/reach/src/interval_reach.rs".to_string(),
+        "crates/taylor/src/defect.rs".to_string(),
         "//! Generated zone consumers.",
     );
     let mut zone_calls: Vec<u32> = Vec::new();

@@ -24,7 +24,6 @@ mod lintcheck;
 mod nn;
 mod picard;
 mod poly;
-mod portfolio;
 mod serve;
 mod simd;
 mod taylor;
@@ -68,7 +67,6 @@ pub fn registry() -> Vec<Box<dyn Family>> {
         Box::new(nn::NnFamily),
         Box::new(verdict::VerdictFamily),
         Box::new(simd::SimdFamily),
-        Box::new(portfolio::PortfolioFamily),
         Box::new(trace::TraceFamily),
         Box::new(lintcheck::LintcheckFamily),
         Box::new(serve::ServeFamily),

@@ -31,8 +31,8 @@ pub struct ServeFamily;
 /// verdict strings vary across cases.
 ///
 /// `allow_assess` admits the full-report `AssessLinear` kind, which costs
-/// ~50× a `VerifyLinear` (Algorithm-2 cell search + rollout rates); the
-/// caller seed-gates it the way the portfolio family gates learning runs.
+/// ~50× a `VerifyLinear` (Algorithm-2 cell search + rollout rates), so the
+/// caller seed-gates it.
 fn random_spec(next: &mut impl FnMut() -> u64, allow_assess: bool) -> JobSpec {
     let gains = vec![f64_in(next(), 0.2, 1.0), f64_in(next(), -2.6, -1.4)];
     if allow_assess && next().is_multiple_of(2) {
@@ -82,8 +82,8 @@ impl Family for ServeFamily {
         let mut next = || rng.next_u64();
 
         let n_jobs = 2 + (next() % u64::from(1 + size.min(2))) as usize;
-        // Full-report jobs are ~50× a verify sweep; admit them on the same
-        // sparse schedule the portfolio family uses for learning runs.
+        // Full-report jobs are ~50× a verify sweep; admit them on one seed
+        // in 32.
         let allow_assess = seed.is_multiple_of(32);
         let jobs: Vec<(u64, u64, JobSpec)> = (0..n_jobs)
             .map(|j| {

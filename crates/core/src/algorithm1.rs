@@ -24,7 +24,7 @@
 //!    1 is explicitly incomplete, and restarts are the standard remedy;
 //!    restart draws count toward the convergence-iteration (CI) budget.
 
-use crate::config::{AbstractionKind, GradientEstimator, LearnConfig, MetricKind, PortfolioMode};
+use crate::config::{AbstractionKind, GradientEstimator, LearnConfig, MetricKind};
 use crate::parallel::WorkerPool;
 use crate::trace::{IterationRecord, LearningTrace};
 use crate::verdict::{judge, Verdict};
@@ -32,8 +32,7 @@ use dwv_dynamics::{Controller, LinearController, NnController, ReachAvoidProblem
 use dwv_metrics::{GeometricMetric, WassersteinMetric};
 use dwv_nn::{Activation, Network};
 use dwv_reach::{
-    BernsteinAbstraction, Flowpipe, IntervalReach, LinearReach, PortfolioStats, PortfolioVerifier,
-    ReachError, TaylorAbstraction, TaylorReach, ZonotopeReach,
+    BernsteinAbstraction, Flowpipe, LinearReach, ReachError, TaylorAbstraction, TaylorReach,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -80,10 +79,6 @@ pub struct LearnOutcome<C> {
     pub trace: LearningTrace,
     /// The final flowpipe, when the last verification succeeded.
     pub flowpipe: Option<Flowpipe>,
-    /// Per-tier verifier-call accounting when the run used the tiered
-    /// portfolio ([`crate::PortfolioMode::Surrogate`]); `None` in the
-    /// single-backend baseline.
-    pub portfolio: Option<PortfolioStats>,
 }
 
 /// One evaluated candidate: the raw metric pair (for the trace and the stop
@@ -99,25 +94,6 @@ struct Evaluation {
 /// Penalty offset for candidates violating the safety constraint or whose
 /// flowpipe diverged.
 const FAIL_PENALTY: f64 = 1e3;
-
-/// How [`Algorithm1::learn_loop`] uses its oracles.
-#[derive(Clone, Copy)]
-enum LoopMode<'a> {
-    /// One rigorous oracle; every query reaches it.
-    Plain,
-    /// One rigorous oracle that is a pure function of the parameters:
-    /// queries the previous iteration answered are answered again from
-    /// memory.
-    Reusing,
-    /// Cheap probes; the rigorous oracle confirms reach-avoid claims and
-    /// checks every `confirm_every` iterations. `tier_stats` reports the
-    /// portfolio's cumulative per-tier call counts; the loop diffs it
-    /// around each iteration to fill [`IterationRecord::tier_calls`].
-    Surrogate {
-        confirm_every: usize,
-        tier_stats: &'a (dyn Fn() -> Vec<u64> + Sync),
-    },
-}
 
 /// The exact bits of a parameter vector: the key a repeated query is
 /// recognised by.
@@ -136,7 +112,7 @@ struct Answered {
 }
 
 /// The answers one iteration of the reusing learner leaves for the next,
-/// keyed by parameter bits. Empty in the other modes.
+/// keyed by parameter bits. Empty in the plain learner.
 #[derive(Default)]
 struct Held {
     /// The current `θ`.
@@ -258,11 +234,6 @@ impl Algorithm1 {
     /// Learns a linear controller with the exact linear verifier (the ACC
     /// experiment), starting from a random `θ`.
     ///
-    /// With [`PortfolioMode::Surrogate`] the exploratory queries run on the
-    /// interval → zonotope tiers and the exact backend is reserved for
-    /// confirmations and the final acceptance (see
-    /// [`Self::linear_portfolio`]).
-    ///
     /// # Errors
     ///
     /// [`LearnError::Unsupported`] when the dynamics are not affine.
@@ -291,36 +262,8 @@ impl Algorithm1 {
         let mut fresh = |rng: &mut StdRng| {
             LinearController::new(n, m, (0..n * m).map(|_| rng.gen_range(-2.0..2.0)).collect())
         };
-        match self.config.portfolio {
-            PortfolioMode::Off => {
-                let verifier =
-                    LinearReach::for_problem(&self.problem).map_err(LearnError::Unsupported)?;
-                Ok(self.learn_reusing(init, &|c: &LinearController| verifier.reach(c), &mut fresh))
-            }
-            PortfolioMode::Surrogate { confirm_every } => {
-                let portfolio = self.linear_portfolio()?;
-                let pool = self.pool.as_ref();
-                Ok(self.learn_surrogate(init, &portfolio, confirm_every, pool, &mut fresh))
-            }
-        }
-    }
-
-    /// Builds the tiered verifier portfolio for affine problems: interval
-    /// fast-path, zonotope escalation, exact linear recursion as the
-    /// rigorous authority.
-    ///
-    /// # Errors
-    ///
-    /// [`LearnError::Unsupported`] when the dynamics are not affine.
-    pub fn linear_portfolio(&self) -> Result<PortfolioVerifier<LinearController>, LearnError> {
-        let rigorous = LinearReach::for_problem(&self.problem).map_err(LearnError::Unsupported)?;
-        let zonotope =
-            ZonotopeReach::for_problem(&self.problem).map_err(LearnError::Unsupported)?;
-        Ok(
-            PortfolioVerifier::new(Box::new(rigorous), self.config.portfolio_slack)
-                .with_tier(Box::new(IntervalReach::for_problem(&self.problem)))
-                .with_tier(Box::new(zonotope)),
-        )
+        let verifier = LinearReach::for_problem(&self.problem).map_err(LearnError::Unsupported)?;
+        Ok(self.learn_reusing(init, &|c: &LinearController| verifier.reach(c), &mut fresh))
     }
 
     /// Learns a neural-network controller (hidden sizes, output scale and
@@ -361,8 +304,8 @@ impl Algorithm1 {
         // `learn_linear` stays serial unless the caller sets a pool.
         let host = WorkerPool::with_default_threads();
         let pool = Some(self.pool.as_ref().unwrap_or(&host));
-        match (self.config.portfolio, self.config.abstraction) {
-            (PortfolioMode::Off, AbstractionKind::Polar { order }) => {
+        match self.config.abstraction {
+            AbstractionKind::Polar { order } => {
                 let verifier = TaylorReach::new(
                     &self.problem,
                     TaylorAbstraction::with_order(order),
@@ -375,7 +318,7 @@ impl Algorithm1 {
                     &mut fresh,
                 )
             }
-            (PortfolioMode::Off, AbstractionKind::Bernstein { degree }) => {
+            AbstractionKind::Bernstein { degree } => {
                 let verifier = TaylorReach::new(
                     &self.problem,
                     BernsteinAbstraction::with_degree(degree),
@@ -388,88 +331,7 @@ impl Algorithm1 {
                     &mut fresh,
                 )
             }
-            (PortfolioMode::Surrogate { confirm_every }, _) => {
-                let portfolio = self.nn_portfolio();
-                self.learn_surrogate(init, &portfolio, confirm_every, pool, &mut fresh)
-            }
         }
-    }
-
-    /// Builds the tiered verifier portfolio for neural controllers: interval
-    /// fast-path with the Taylor-model backend (configured abstraction) as
-    /// the rigorous authority.
-    #[must_use]
-    pub fn nn_portfolio(&self) -> PortfolioVerifier<NnController> {
-        let rigorous: Box<dyn dwv_reach::Verifier<NnController>> = match self.config.abstraction {
-            AbstractionKind::Polar { order } => Box::new(TaylorReach::new(
-                &self.problem,
-                TaylorAbstraction::with_order(order),
-                self.config.verifier.clone(),
-            )),
-            AbstractionKind::Bernstein { degree } => Box::new(TaylorReach::new(
-                &self.problem,
-                BernsteinAbstraction::with_degree(degree),
-                self.config.verifier.clone(),
-            )),
-        };
-        PortfolioVerifier::new(rigorous, self.config.portfolio_slack)
-            .with_tier(Box::new(IntervalReach::for_problem(&self.problem)))
-    }
-
-    /// The surrogate-mode learning loop: exploratory queries ride the cheap
-    /// portfolio tiers, rigorous calls are reserved for confirmation and
-    /// acceptance.
-    fn learn_surrogate<C>(
-        &self,
-        init: Option<C>,
-        portfolio: &PortfolioVerifier<C>,
-        confirm_every: usize,
-        pool: Option<&WorkerPool>,
-        fresh: &mut dyn FnMut(&mut StdRng) -> C,
-    ) -> LearnOutcome<C>
-    where
-        C: Controller + Clone + Sync,
-    {
-        // Probe trustworthiness margin: a cheap enclosure whose unsafe
-        // clearance covers the slack is tight enough to rank candidates; a
-        // near-boundary or unsafe-overlapping cheap box may be an artifact
-        // of enclosure wideness, so the probe escalates to a tighter cheap
-        // tier (never to the rigorous one — probes rank, they don't
-        // certify).
-        let metric = GeometricMetric::for_problem(&self.problem);
-        let margin = move |fp: &Flowpipe| metric.evaluate(fp).d_unsafe;
-        let probe = |c: &C| portfolio.reach_probe(c, dwv_reach::hash_params(&c.params()), &margin);
-        let rigor = |c: &C| portfolio.reach_rigorous(c, dwv_reach::hash_params(&c.params()));
-        // Per-iteration tier bills for the trace CSV: the loop diffs this
-        // snapshot around every iteration it records.
-        let tier_stats = || portfolio.stats().calls_by_tier;
-        let mut outcome = self.learn_loop(
-            init,
-            &counted(&probe),
-            &counted(&rigor),
-            LoopMode::Surrogate {
-                confirm_every: confirm_every.max(1),
-                tier_stats: &tier_stats,
-            },
-            pool,
-            fresh,
-        );
-        let stats = portfolio.stats();
-        if dwv_obs::enabled() {
-            dwv_obs::event(
-                "portfolio.stats",
-                &[
-                    ("escalations", stats.escalations as f64),
-                    ("decided_cheap", stats.decided_cheap as f64),
-                    (
-                        "rigorous_calls",
-                        stats.calls_by_tier.last().copied().unwrap_or(0) as f64,
-                    ),
-                ],
-            );
-        }
-        outcome.portfolio = Some(stats);
-        outcome
     }
 
     /// The generic learning loop over any controller family and verifier.
@@ -490,8 +352,7 @@ impl Algorithm1 {
         V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
     {
         let verify = counted(verify);
-        let pool = self.pool.as_ref();
-        self.learn_loop(init, &verify, &verify, LoopMode::Plain, pool, fresh)
+        self.learn_loop(init, &verify, false, self.pool.as_ref(), fresh)
     }
 
     /// [`Self::learn_with_restarts`], answering repeated queries from the
@@ -544,50 +405,29 @@ impl Algorithm1 {
         V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
     {
         let verify = counted(verify);
-        self.learn_loop(init, &verify, &verify, LoopMode::Reusing, pool, fresh)
+        self.learn_loop(init, &verify, true, pool, fresh)
     }
 
-    /// The two-oracle loop underneath [`Self::learn_with_restarts`] and
-    /// [`Self::learn_reusing`].
-    ///
-    /// `probe` answers the high-volume exploratory queries (gradient
-    /// probes, candidate scoring); `rigor` is the rigorous authority. In
-    /// [`LoopMode::Plain`] and [`LoopMode::Reusing`] the oracles are
-    /// identical and the loop is the classic single-backend learner. In
-    /// [`LoopMode::Surrogate`]:
-    ///
-    /// * a probe-positive reach-avoid is only trusted after `rigor`
-    ///   confirms it (a cheap tier's optimism never stops learning);
-    /// * every `confirm_every` iterations a rigorous stop-check runs even
-    ///   without a probe claim (cheap tiers can be too loose to ever see
-    ///   convergence);
-    /// * the final acceptance and [`judge`] verdict always use `rigor`.
+    /// The loop underneath [`Self::learn_with_restarts`] (`reuse` false:
+    /// every query reaches `verify`) and [`Self::learn_reusing`] (`reuse`
+    /// true: repeats of the previous iteration's queries are answered from
+    /// memory).
     ///
     /// Gradient-probe batches run on `pool`, or on the calling thread
     /// without one.
-    fn learn_loop<C, P, R>(
+    fn learn_loop<C, V>(
         &self,
         init: Option<C>,
-        verify: &P,
-        rigor: &R,
-        mode: LoopMode<'_>,
+        verify: &V,
+        reuse: bool,
         pool: Option<&WorkerPool>,
         fresh: &mut dyn FnMut(&mut StdRng) -> C,
     ) -> LearnOutcome<C>
     where
         C: Controller + Clone + Sync,
-        P: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
-        R: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
+        V: Fn(&C) -> Result<Flowpipe, ReachError> + Sync,
     {
         let _train = dwv_obs::span("train");
-        let (confirm_every, reuse, tier_stats) = match mode {
-            LoopMode::Plain => (0, false, None),
-            LoopMode::Reusing => (0, true, None),
-            LoopMode::Surrogate {
-                confirm_every,
-                tier_stats,
-            } => (confirm_every, false, Some(tier_stats)),
-        };
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x9E37_79B9);
         let p = self.config.perturbation;
         let radius_init = 30.0 * p;
@@ -621,22 +461,6 @@ impl Algorithm1 {
             let (c, _, attempt) = best;
             held.next = attempt.map(|a| (key_of(&c.params()), a));
             c
-        };
-
-        // Cumulative per-tier bill at the start of the iteration being
-        // recorded; taken before initialization so the init draws bill to
-        // iteration 0 (matching `calls_this_iter`).
-        let mut tier_before = tier_stats.map(|stats| stats());
-        let mut bill_tiers = |record: &mut IterationRecord| {
-            if let (Some(stats), Some(before)) = (tier_stats, tier_before.as_mut()) {
-                let now = stats();
-                record.tier_calls = now
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| n.saturating_sub(before.get(i).copied().unwrap_or(0)))
-                    .collect();
-                *before = now;
-            }
         };
 
         // Initialize: explicit controller, or the best of three random draws.
@@ -722,59 +546,14 @@ impl Algorithm1 {
                 verifier_calls: calls,
                 cache_hits: hits,
                 remainder_width,
-                tier_calls: Vec::new(),
             };
             if current.reach_avoid {
-                // Surrogate mode: a cheap tier's reach-avoid claim is only
-                // a candidate — the rigorous oracle must confirm before the
-                // loop may stop. (With confirm_every == 0 the probe already
-                // was rigorous.)
-                let confirmed = if confirm_every == 0 {
-                    true
-                } else {
-                    calls += 1;
-                    let attempt = rigor(&controller);
-                    let ev = self.evaluate(&attempt);
-                    if let Ok(fp) = attempt {
-                        last_flowpipe = Some(fp);
-                    }
-                    record.verifier_calls = calls;
-                    record.elapsed = started.elapsed();
-                    ev.reach_avoid
-                };
-                if confirmed {
-                    bill_tiers(&mut record);
-                    trace.push(record);
-                    iterations = i;
-                    break;
-                }
-                // Refuted: the cheap enclosure was lucky, not the loop.
-                record.reach_avoid = false;
-            } else if confirm_every > 0 && i > 0 && i % confirm_every == 0 {
-                // Periodic rigorous stop-check: the cheap tiers may be too
-                // loose to ever report reach-avoid on a controller the
-                // rigorous tier can verify.
-                calls += 1;
-                let attempt = rigor(&controller);
-                let ev = self.evaluate(&attempt);
-                if let Ok(fp) = attempt {
-                    last_flowpipe = Some(fp);
-                }
-                if ev.reach_avoid {
-                    record.reach_avoid = true;
-                    record.unsafe_metric = ev.unsafe_metric;
-                    record.goal_metric = ev.goal_metric;
-                    record.verifier_calls = calls;
-                    record.elapsed = started.elapsed();
-                    bill_tiers(&mut record);
-                    trace.push(record);
-                    iterations = i;
-                    break;
-                }
+                trace.push(record);
+                iterations = i;
+                break;
             }
             if i == self.config.max_updates {
                 record.verifier_calls = calls;
-                bill_tiers(&mut record);
                 trace.push(record);
                 break;
             }
@@ -799,7 +578,6 @@ impl Algorithm1 {
                 record.elapsed = started.elapsed();
                 record.verifier_calls = calls;
                 record.cache_hits = hits;
-                bill_tiers(&mut record);
                 trace.push(record);
                 continue;
             }
@@ -842,7 +620,6 @@ impl Algorithm1 {
                 record.elapsed = started.elapsed();
                 record.verifier_calls = calls;
                 record.cache_hits = hits;
-                bill_tiers(&mut record);
                 trace.push(record);
                 continue;
             }
@@ -866,13 +643,11 @@ impl Algorithm1 {
             record.elapsed = started.elapsed();
             record.verifier_calls = calls;
             record.cache_hits = hits;
-            bill_tiers(&mut record);
             trace.push(record);
         }
 
-        // Acceptance is always rigorous: the returned verdict and
-        // certificate never rest on a cheap tier. The loop stops right
-        // after querying the current `θ`, so the reusing mode already holds
+        // The final judgement queries the current `θ` once more. The loop
+        // stops right after querying it, so the reusing mode already holds
         // this answer.
         let key = key_of(&controller.params());
         let held_answer = held
@@ -887,7 +662,7 @@ impl Algorithm1 {
                 count_reused(1);
                 attempt
             }
-            None => rigor(&controller),
+            None => verify(&controller),
         };
         let verified = judge(
             &self.problem,
@@ -905,7 +680,6 @@ impl Algorithm1 {
             iterations,
             trace,
             flowpipe: last_flowpipe,
-            portfolio: None,
         }
     }
 
@@ -1176,109 +950,6 @@ mod tests {
         .unwrap();
         assert_eq!(outcome.iterations, 0);
         assert!(outcome.verified.is_reach_avoid());
-    }
-
-    #[test]
-    fn surrogate_mode_verifies_acc_with_few_rigorous_calls() {
-        let cfg = LearnConfig::builder()
-            .metric(MetricKind::Geometric)
-            .max_updates(150)
-            .perturbation(0.01)
-            .estimator(GradientEstimator::Coordinate)
-            .seed(7)
-            .portfolio(crate::PortfolioMode::Surrogate { confirm_every: 5 })
-            .build();
-        let outcome = Algorithm1::new(acc::reach_avoid_problem(), cfg)
-            .learn_linear()
-            .expect("linear learning sets up");
-        assert!(
-            outcome.verified.is_reach_avoid(),
-            "expected reach-avoid, got {} after {} iterations",
-            outcome.verified,
-            outcome.iterations,
-        );
-        let stats = outcome.portfolio.expect("surrogate mode reports stats");
-        assert_eq!(stats.calls_by_tier.len(), 3, "interval, zonotope, exact");
-        let rigorous = stats.calls_by_tier.last().copied().unwrap_or(u64::MAX);
-        let cheap: u64 = stats.calls_by_tier[..stats.calls_by_tier.len() - 1]
-            .iter()
-            .sum();
-        assert!(
-            cheap >= 5 * rigorous,
-            "portfolio should answer ≥5x more queries cheaply: cheap={cheap} rigorous={rigorous}"
-        );
-        // Per-iteration tier bills reconcile with the portfolio totals: the
-        // cheap tiers bill entirely inside the loop; the rigorous tier may
-        // add at most one acceptance call after it (zero when the final
-        // verification was a cache hit).
-        let mut by_tier = vec![0u64; stats.calls_by_tier.len()];
-        for r in outcome.trace.records() {
-            assert_eq!(r.tier_calls.len(), by_tier.len(), "it {}", r.iteration);
-            for (acc, c) in by_tier.iter_mut().zip(&r.tier_calls) {
-                *acc += c;
-            }
-        }
-        let tail = by_tier.len() - 1;
-        assert_eq!(by_tier[..tail], stats.calls_by_tier[..tail]);
-        let outside = stats.calls_by_tier[tail] - by_tier[tail];
-        assert!(
-            outside <= 1,
-            "only the final acceptance may bill outside the loop: {outside}"
-        );
-        // Compare against the baseline's rigorous bill on the same seed.
-        let base_cfg = quick_config(MetricKind::Geometric, 7);
-        let baseline = Algorithm1::new(acc::reach_avoid_problem(), base_cfg)
-            .learn_linear()
-            .unwrap();
-        let baseline_rigorous = baseline.trace.total_verifier_calls() as u64;
-        assert!(
-            5 * rigorous <= baseline_rigorous,
-            "expected a ≥5x rigorous-call cut: portfolio={rigorous} baseline={baseline_rigorous}"
-        );
-    }
-
-    #[test]
-    fn surrogate_acceptance_is_rigorous() {
-        // Start from a controller that already verifies: surrogate mode must
-        // still confirm with the rigorous tier before accepting.
-        let good = LinearController::new(2, 1, vec![0.5867, -2.0]);
-        let cfg = LearnConfig::builder()
-            .metric(MetricKind::Geometric)
-            .max_updates(50)
-            .perturbation(0.01)
-            .estimator(GradientEstimator::Coordinate)
-            .seed(1)
-            .portfolio(crate::PortfolioMode::Surrogate { confirm_every: 5 })
-            .build();
-        let outcome = Algorithm1::new(acc::reach_avoid_problem(), cfg)
-            .learn_linear_from(good)
-            .unwrap();
-        assert!(outcome.verified.is_reach_avoid());
-        let stats = outcome.portfolio.expect("surrogate mode reports stats");
-        let rigorous = stats.calls_by_tier.last().copied().unwrap_or(0);
-        assert!(
-            rigorous >= 1,
-            "acceptance must consult the rigorous tier at least once"
-        );
-    }
-
-    #[test]
-    fn off_mode_reports_no_portfolio_stats() {
-        let outcome = Algorithm1::new(
-            acc::reach_avoid_problem(),
-            quick_config(MetricKind::Geometric, 3),
-        )
-        .learn_linear()
-        .unwrap();
-        assert!(outcome.portfolio.is_none());
-        assert!(
-            outcome
-                .trace
-                .records()
-                .iter()
-                .all(|r| r.tier_calls.is_empty()),
-            "single-backend traces carry no tier columns"
-        );
     }
 
     #[test]

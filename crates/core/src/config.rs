@@ -73,41 +73,20 @@ impl std::fmt::Display for AbstractionKind {
     }
 }
 
-/// How Algorithm 1 spends its verifier budget (the tiered portfolio of
-/// ISSUE 7).
+/// A compatibility shim: every verifier query goes to the problem's one
+/// rigorous backend, so [`LearnConfig::portfolio`] is always `Off`.
 ///
-/// `Off` reproduces the single-backend learner bit for bit: every query —
-/// gradient probes, candidate evaluations, the final acceptance — goes to
-/// the rigorous backend. `Surrogate` routes the high-volume exploratory
-/// queries through the cheap portfolio tiers (interval → zonotope) and
-/// reserves the rigorous tier for decisions: a cheap-tier reach-avoid is
-/// only trusted after a rigorous confirmation, a rigorous stop-check runs
-/// every `confirm_every` iterations in case the cheap tiers are too loose
-/// to ever report convergence, and the accepted controller is always
-/// re-verified rigorously before Algorithm 1 returns.
+/// `Surrogate` holds an uninhabited value, so no configuration can select
+/// it. The type and the field stay only because `bench_e2e`'s traced
+/// replica still matches on both variants; both go once that match is
+/// dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PortfolioMode {
     /// Every verifier query uses the rigorous backend (paper baseline).
     #[default]
     Off,
-    /// Exploratory queries use cheap tiers; rigorous calls only for
-    /// confirmation, periodic stop-checks, and final acceptance.
-    Surrogate {
-        /// Run a rigorous stop-check every this many iterations (values
-        /// below 1 are treated as 1).
-        confirm_every: usize,
-    },
-}
-
-impl std::fmt::Display for PortfolioMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PortfolioMode::Off => write!(f, "off"),
-            PortfolioMode::Surrogate { confirm_every } => {
-                write!(f, "surrogate(confirm_every={confirm_every})")
-            }
-        }
-    }
+    /// Unconstructible.
+    Surrogate(std::convert::Infallible),
 }
 
 /// Configuration of the verification-in-the-loop learner.
@@ -160,12 +139,8 @@ pub struct LearnConfig {
     /// default) scales the cap to the problem: 5% of the universe box's
     /// diagonal.
     pub safety_cap: Option<f64>,
-    /// Verifier-portfolio mode (see [`PortfolioMode`]).
+    /// Always [`PortfolioMode::Off`] (see there).
     pub portfolio: PortfolioMode,
-    /// Decisiveness slack for cheap portfolio tiers in per-cell sweeps: a
-    /// cheap verdict is kept only when its geometric margin clears this
-    /// value; otherwise the query escalates.
-    pub portfolio_slack: f64,
 }
 
 impl Default for LearnConfig {
@@ -185,7 +160,6 @@ impl Default for LearnConfig {
             wasserstein_samples: 48,
             safety_cap: None,
             portfolio: PortfolioMode::Off,
-            portfolio_slack: 0.0,
         }
     }
 }
@@ -328,28 +302,6 @@ impl LearnConfigBuilder {
         self
     }
 
-    /// Sets the verifier-portfolio mode.
-    #[must_use]
-    pub fn portfolio(mut self, mode: PortfolioMode) -> Self {
-        self.config.portfolio = mode;
-        self
-    }
-
-    /// Sets the cheap-tier decisiveness slack.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slack` is negative or non-finite.
-    #[must_use]
-    pub fn portfolio_slack(mut self, slack: f64) -> Self {
-        assert!(
-            slack.is_finite() && slack >= 0.0,
-            "portfolio slack must be finite and non-negative"
-        );
-        self.config.portfolio_slack = slack;
-        self
-    }
-
     /// Finalizes the configuration.
     #[must_use]
     pub fn build(self) -> LearnConfig {
@@ -398,30 +350,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn negative_alpha_rejected() {
         let _ = LearnConfig::builder().alpha(-1.0);
-    }
-
-    #[test]
-    fn portfolio_defaults_off_and_builder_sets_surrogate() {
-        let cfg = LearnConfig::default();
-        assert_eq!(cfg.portfolio, PortfolioMode::Off);
-        assert_eq!(cfg.portfolio_slack, 0.0);
-        let cfg = LearnConfig::builder()
-            .portfolio(PortfolioMode::Surrogate { confirm_every: 8 })
-            .portfolio_slack(0.05)
-            .build();
-        assert_eq!(cfg.portfolio, PortfolioMode::Surrogate { confirm_every: 8 });
-        assert_eq!(cfg.portfolio_slack, 0.05);
-        assert_eq!(format!("{}", PortfolioMode::Off), "off");
-        assert_eq!(
-            format!("{}", PortfolioMode::Surrogate { confirm_every: 8 }),
-            "surrogate(confirm_every=8)"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_portfolio_slack_rejected() {
-        let _ = LearnConfig::builder().portfolio_slack(-0.1);
     }
 
     #[test]

@@ -59,6 +59,6 @@ pub use config::{
 pub use counterexample::{find_counterexample, Counterexample, ViolationKind};
 pub use parallel::{CancelToken, WorkerPool};
 pub use pipeline::{design_while_verify_linear, design_while_verify_nn, PipelineOutcome};
-pub use report::{assess, CellProvenance, ProvenanceSummary, VerificationReport};
+pub use report::{assess, VerificationReport};
 pub use trace::{IterationRecord, LearningTrace};
 pub use verdict::{judge, Verdict};

@@ -12,102 +12,8 @@ use crate::verdict::{judge, Verdict};
 use crate::Algorithm2;
 use dwv_dynamics::{eval::rates, eval::RateReport, Controller, ReachAvoidProblem};
 use dwv_interval::IntervalBox;
-use dwv_reach::{Flowpipe, QueryProvenance, ReachError};
+use dwv_reach::{Flowpipe, ReachError};
 use std::fmt;
-
-/// Which portfolio tier decided one reachability query made while the
-/// report was assembled (the whole-`X₀` verification plus every
-/// Algorithm-2 cell), in query order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CellProvenance {
-    /// 0-based index of the query in assessment order (query 0 is the
-    /// whole-`X₀` verification).
-    pub query: usize,
-    /// Where the verdict came from: deciding tier, escalation count, cache.
-    pub provenance: QueryProvenance,
-}
-
-/// Aggregated verdict provenance for one assessment: who decided what, at
-/// what cost class, and how often the cheap tiers had to hand off.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProvenanceSummary {
-    /// Tier names, cheapest first, rigorous last (the portfolio order).
-    pub tiers: Vec<String>,
-    /// Per-tier count of queries that tier decided (same order as
-    /// [`ProvenanceSummary::tiers`]).
-    pub decided_by_tier: Vec<u64>,
-    /// Total tier escalations across all queries.
-    pub escalations: u64,
-    /// Queries answered from the portfolio's memo cache.
-    pub cache_hits: u64,
-    /// Per-query provenance records, in query order.
-    pub cells: Vec<CellProvenance>,
-}
-
-impl ProvenanceSummary {
-    /// Aggregates per-query provenance records into a summary.
-    #[must_use]
-    pub fn from_queries(tiers: Vec<String>, queries: Vec<QueryProvenance>) -> Self {
-        let mut decided_by_tier = vec![0u64; tiers.len()];
-        let mut escalations = 0u64;
-        let mut cache_hits = 0u64;
-        let mut cells = Vec::with_capacity(queries.len());
-        for (query, provenance) in queries.into_iter().enumerate() {
-            if let Some(slot) = decided_by_tier.get_mut(provenance.tier_index) {
-                *slot += 1;
-            }
-            escalations += u64::from(provenance.escalations);
-            cache_hits += u64::from(provenance.cache_hit);
-            cells.push(CellProvenance { query, provenance });
-        }
-        Self {
-            tiers,
-            decided_by_tier,
-            escalations,
-            cache_hits,
-            cells,
-        }
-    }
-
-    /// Total number of queries covered by the summary.
-    #[must_use]
-    pub fn queries(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Serializes the per-query provenance as CSV
-    /// (`query,tier_index,tier_name,cost_class,escalations,cache_hit`).
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("query,tier_index,tier_name,cost_class,escalations,cache_hit\n");
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{:?},{},{}\n",
-                c.query,
-                c.provenance.tier_index,
-                c.provenance.tier_name,
-                c.provenance.cost_class,
-                c.provenance.escalations,
-                c.provenance.cache_hit,
-            ));
-        }
-        out
-    }
-}
-
-impl fmt::Display for ProvenanceSummary {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} queries —", self.queries())?;
-        for (name, n) in self.tiers.iter().zip(&self.decided_by_tier) {
-            write!(f, " {name} {n};")?;
-        }
-        write!(
-            f,
-            " {} escalations, {} cache hits",
-            self.escalations, self.cache_hits
-        )
-    }
-}
 
 /// A complete assessment of one controller against one problem.
 #[derive(Debug, Clone)]
@@ -125,10 +31,6 @@ pub struct VerificationReport {
     /// report was assembled (present when any instrument recorded anything:
     /// per-phase span timings, cache hit/miss counters, remainder widths).
     pub metrics: Option<dwv_obs::MetricsSnapshot>,
-    /// Verdict provenance when the assessment ran on a tiered portfolio
-    /// (which tier decided each query, escalations, cache hits); `None`
-    /// for single-backend assessments.
-    pub provenance: Option<ProvenanceSummary>,
 }
 
 impl VerificationReport {
@@ -199,19 +101,6 @@ impl VerificationReport {
             }
             None => out.push_str("counterexample,kind,none\n"),
         }
-        if let Some(p) = &self.provenance {
-            for c in &p.cells {
-                out.push_str(&format!(
-                    "provenance,q{},{}:{}:{:?}:{}:{}\n",
-                    c.query,
-                    c.provenance.tier_index,
-                    c.provenance.tier_name,
-                    c.provenance.cost_class,
-                    c.provenance.escalations,
-                    c.provenance.cache_hit,
-                ));
-            }
-        }
         out
     }
 }
@@ -233,9 +122,6 @@ impl fmt::Display for VerificationReport {
         match &self.counterexample {
             Some(c) => writeln!(f, "counterexample : {c}")?,
             None => writeln!(f, "counterexample : none found")?,
-        }
-        if let Some(p) = &self.provenance {
-            writeln!(f, "provenance     : {p}")?;
         }
         if let Some(m) = &self.metrics {
             if !m.is_empty() {
@@ -298,7 +184,6 @@ where
         rates,
         counterexample,
         metrics: (!snapshot.is_empty()).then_some(snapshot),
-        provenance: None,
     }
 }
 
@@ -330,42 +215,6 @@ mod tests {
         let text = format!("{report}");
         assert!(text.contains("reach-avoid"));
         assert!(text.contains("X_I"));
-    }
-
-    #[test]
-    fn provenance_summary_aggregates_and_renders() {
-        use dwv_reach::CostClass;
-        let queries = vec![
-            QueryProvenance {
-                tier_index: 0,
-                tier_name: "interval",
-                cost_class: CostClass::Interval,
-                escalations: 0,
-                cache_hit: false,
-            },
-            QueryProvenance {
-                tier_index: 1,
-                tier_name: "linear-exact",
-                cost_class: CostClass::Exact,
-                escalations: 1,
-                cache_hit: true,
-            },
-        ];
-        let s = ProvenanceSummary::from_queries(
-            vec!["interval".to_string(), "linear-exact".to_string()],
-            queries,
-        );
-        assert_eq!(s.queries(), 2);
-        assert_eq!(s.decided_by_tier, vec![1, 1]);
-        assert_eq!(s.escalations, 1);
-        assert_eq!(s.cache_hits, 1);
-        let csv = s.to_csv();
-        assert_eq!(csv.lines().count(), 3, "header + one row per query");
-        assert!(csv.contains("1,1,linear-exact,Exact,1,true"), "{csv}");
-        let text = s.to_string();
-        assert!(text.contains("2 queries"), "{text}");
-        assert!(text.contains("interval 1;"), "{text}");
-        assert!(text.contains("1 escalations, 1 cache hits"), "{text}");
     }
 
     #[test]

@@ -22,18 +22,13 @@ pub struct IterationRecord {
     /// Queries of this iteration answered from the previous iteration
     /// instead of the verifier (counted in `verifier_calls` too). Only
     /// [`crate::Algorithm1::learn_reusing`], which `learn_linear` and
-    /// `learn_nn` run without a portfolio, reuses answers; 0 otherwise.
+    /// `learn_nn` run, reuses answers; 0 otherwise.
     pub cache_hits: usize,
     /// Width of the widest component of the final reach-set enclosure of
     /// this iteration's flowpipe ([`dwv_reach::Flowpipe::final_width`]) —
     /// the per-iteration view of the tightness the verifier maintains while
     /// the controller changes. 0 when the flowpipe was unavailable.
     pub remainder_width: f64,
-    /// Per-tier verifier calls made this iteration when Algorithm 1 ran on
-    /// the tiered portfolio (cheapest tier first, rigorous last — the order
-    /// of [`dwv_reach::PortfolioStats::calls_by_tier`]). Empty in
-    /// single-backend runs, and the CSV export then omits the columns.
-    pub tier_calls: Vec<u64>,
 }
 
 /// The full learning trace.
@@ -100,29 +95,14 @@ impl LearningTrace {
 
     /// Serializes the trace as CSV — the series plotted in Figures 4 and 5
     /// plus the observability columns (cache hits, enclosure width).
-    ///
-    /// When any record carries per-tier portfolio accounting
-    /// ([`IterationRecord::tier_calls`]), one `tier{i}_calls` column per
-    /// tier is appended (records with fewer tiers pad with zeros);
-    /// single-backend traces keep the historical column set byte-for-byte.
     #[must_use]
     pub fn to_csv(&self) -> String {
-        let n_tiers = self
-            .records
-            .iter()
-            .map(|r| r.tier_calls.len())
-            .max()
-            .unwrap_or(0);
         let mut out = String::from(
-            "iteration,unsafe_metric,goal_metric,reach_avoid,millis,verifier_calls,cache_hits,remainder_width",
+            "iteration,unsafe_metric,goal_metric,reach_avoid,millis,verifier_calls,cache_hits,remainder_width\n",
         );
-        for i in 0..n_tiers {
-            out.push_str(&format!(",tier{i}_calls"));
-        }
-        out.push('\n');
         for r in &self.records {
             out.push_str(&format!(
-                "{},{},{},{},{},{},{},{}",
+                "{},{},{},{},{},{},{},{}\n",
                 r.iteration,
                 r.unsafe_metric,
                 r.goal_metric,
@@ -132,10 +112,6 @@ impl LearningTrace {
                 r.cache_hits,
                 r.remainder_width,
             ));
-            for i in 0..n_tiers {
-                out.push_str(&format!(",{}", r.tier_calls.get(i).copied().unwrap_or(0)));
-            }
-            out.push('\n');
         }
         out
     }
@@ -183,7 +159,6 @@ mod tests {
             verifier_calls: 2,
             cache_hits: 1,
             remainder_width: 0.25,
-            tier_calls: Vec::new(),
         }
     }
 
@@ -212,28 +187,6 @@ mod tests {
             row.ends_with(",1,0.25"),
             "cache_hits/remainder_width: {row}"
         );
-    }
-
-    #[test]
-    fn csv_adds_tier_columns_only_for_portfolio_traces() {
-        let mut t = LearningTrace::new();
-        let mut a = rec(0, 5);
-        a.tier_calls = vec![3, 1, 0];
-        let mut b = rec(1, 5);
-        b.tier_calls = vec![2, 0]; // shorter: pads with zeros
-        t.push(a);
-        t.push(b);
-        let csv = t.to_csv();
-        let header = csv.lines().next().unwrap();
-        assert!(
-            header.ends_with(",tier0_calls,tier1_calls,tier2_calls"),
-            "{header}"
-        );
-        assert!(csv.lines().nth(1).unwrap().ends_with(",3,1,0"), "{csv}");
-        assert!(csv.lines().nth(2).unwrap().ends_with(",2,0,0"), "{csv}");
-        for line in csv.lines() {
-            assert_eq!(line.split(',').count(), header.split(',').count());
-        }
     }
 
     #[test]

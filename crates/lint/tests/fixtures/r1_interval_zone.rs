@@ -1,6 +1,6 @@
-//! R1 fixture for the verifier-portfolio float zones: linted as if at
-//! `crates/reach/src/interval_reach.rs`, where the float-hygiene zone, the
-//! rounding containment check, and the reach crate's panic-freedom
+//! R1 fixture for the float zones: linted as if at
+//! `crates/taylor/src/defect.rs`, where the float-hygiene zone, the
+//! rounding containment check, and the taylor crate's panic-freedom
 //! contract all apply at once.
 
 /// Trait-bound `+` is type syntax, not float arithmetic.

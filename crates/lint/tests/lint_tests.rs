@@ -65,11 +65,11 @@ fn r1_float_hygiene_fixture() {
 }
 
 #[test]
-fn r1_portfolio_zone_fixture() {
-    // The portfolio's fast-path backends joined the float zone; linted under
-    // the interval backend's path the fixture must produce exactly these
-    // findings — and none for the trait-bound `+` tokens on line 7.
-    let r = lint_fixture("r1_interval_zone.rs", "crates/reach/src/interval_reach.rs");
+fn r1_float_zone_fixture() {
+    // Linted under the defect tape's path (float zone, panic-free taylor
+    // crate) the fixture must produce exactly these findings — and none for
+    // the trait-bound `+` tokens on line 7.
+    let r = lint_fixture("r1_interval_zone.rs", "crates/taylor/src/defect.rs");
     let got: Vec<(Rule, Option<&str>, u32)> = r
         .findings
         .iter()
@@ -82,7 +82,7 @@ fn r1_portfolio_zone_fixture() {
             (Rule::FloatHygiene, None, 11),             // `+ 0.5`
             (Rule::FloatHygiene, None, 16),             // `.sqrt()`
             (Rule::FloatHygiene, Some("rounding"), 21), // `next_up` outside the primitives
-            (Rule::PanicFreedom, Some("index"), 31),    // `v[0]` in the reach crate
+            (Rule::PanicFreedom, Some("index"), 31),    // `v[0]` in the taylor crate
         ],
         "{:#?}",
         r.findings
@@ -92,15 +92,6 @@ fn r1_portfolio_zone_fixture() {
     assert_eq!(r.suppressed[0].rule, Rule::FloatHygiene);
     assert_eq!(r.suppressed[0].line, 26);
     assert!(r.suppressed[0].reason.contains("display metadata"));
-    // The same source under the portfolio's path: the escalation logic does
-    // no enclosure arithmetic itself, but the zone still applies.
-    let p = lint_fixture("r1_interval_zone.rs", "crates/reach/src/portfolio.rs");
-    assert_eq!(
-        lines_of(&p, Rule::FloatHygiene),
-        vec![11, 11, 16, 21],
-        "{:#?}",
-        p.findings
-    );
 }
 
 #[test]

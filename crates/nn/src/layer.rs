@@ -164,23 +164,8 @@ impl Layer {
     }
 
     /// Interval forward pass: a directed-rounding enclosure of the layer's
-    /// image of the input box.
-    ///
-    /// Each output is `act(bias[o] + Σ_i w[o,i]·x_i)` computed entirely in
-    /// outward-rounded [`dwv_interval::Interval`] arithmetic, so the result
-    /// encloses the exact image of every point in the box. Activations are
-    /// monotone, so no further splitting is needed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim`.
-    #[must_use]
-    pub fn forward_interval(&self, x: &[dwv_interval::Interval]) -> Vec<dwv_interval::Interval> {
-        self.forward_interval_parts(x).0
-    }
-
-    /// Interval forward pass returning `(activations, pre_activations)` —
-    /// the pre-activation boxes feed interval chain rules (Jacobian
+    /// image of the input box, returned as `(activations, pre_activations)`
+    /// — the pre-activation boxes feed interval chain rules (Jacobian
     /// enclosures need the derivative range at each neuron).
     ///
     /// # Panics

@@ -193,26 +193,6 @@ impl Network {
         pass.walk(0, 0, states, 0);
     }
 
-    /// Interval forward evaluation: a directed-rounding enclosure of the
-    /// network's image of the input box (plain interval extension,
-    /// layer by layer).
-    ///
-    /// Sound but not tight: interval propagation ignores correlations
-    /// between neurons, so widths can grow with depth — the cheap tier of a
-    /// verifier portfolio, not a replacement for Taylor-model abstraction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim()`.
-    #[must_use]
-    pub fn forward_interval(&self, x: &[dwv_interval::Interval]) -> Vec<dwv_interval::Interval> {
-        let mut h = x.to_vec();
-        for layer in &self.layers {
-            h = layer.forward_interval(&h);
-        }
-        h
-    }
-
     /// An interval enclosure of the network's input Jacobian over a box:
     /// `out[o][i] ⊇ {∂y_o/∂x_i(x) : x ∈ box}` (Clarke generalized Jacobian
     /// for ReLU kinks).
@@ -672,35 +652,6 @@ mod tests {
         let l1 = Layer::from_params(2, 3, vec![0.0; 6], vec![0.0; 3], Activation::ReLU);
         let l2 = Layer::from_params(4, 1, vec![0.0; 4], vec![0.0; 1], Activation::Tanh);
         let _ = Network::from_layers(vec![l1, l2]);
-    }
-
-    #[test]
-    fn interval_forward_encloses_pointwise_forward() {
-        use dwv_interval::Interval;
-        let n = Network::new(&[2, 8, 1], Activation::ReLU, Activation::Tanh, 11);
-        let box_lo = [-0.7, 0.2];
-        let box_hi = [0.4, 1.1];
-        let enc = n.forward_interval(&[
-            Interval::new(box_lo[0], box_hi[0]),
-            Interval::new(box_lo[1], box_hi[1]),
-        ]);
-        // A coarse grid of concrete points inside the box must map inside
-        // the enclosure.
-        for i in 0..=8 {
-            for j in 0..=8 {
-                let x = [
-                    box_lo[0] + (box_hi[0] - box_lo[0]) * i as f64 / 8.0,
-                    box_lo[1] + (box_hi[1] - box_lo[1]) * j as f64 / 8.0,
-                ];
-                let y = n.forward(&x);
-                assert!(
-                    enc[0].contains_value(y[0]),
-                    "forward({x:?}) = {} outside enclosure {}",
-                    y[0],
-                    enc[0]
-                );
-            }
-        }
     }
 
     #[test]

@@ -258,7 +258,7 @@ impl ReachCache {
 
 /// A family of [`ReachCache`]s, one shard per tenant id.
 ///
-/// The serving layer keeps one of these per verifier tier: each tenant's
+/// The serving layer keeps one of these: each tenant's
 /// jobs memoize into their own shard, so one tenant's warm entries are never
 /// observable (not even as timing) by another, and a per-tenant flush
 /// ([`ShardedReachCache::drop_tenant`]) cannot evict a neighbour's work.

@@ -1,7 +1,7 @@
 //! Reachability verifiers — the Ψ(f, X₀, κ_θ) of the paper.
 //!
-//! Three verifier families, mirroring the tools used in the paper's
-//! experiments (§3.1, §4):
+//! Verifier families, mirroring the tools used in the paper's experiments
+//! (§3.1, §4):
 //!
 //! * [`LinearReach`] — exact polytope recursion for discretized LTI systems
 //!   under linear state feedback, `X_r[t+1] = (A_d + B_d θᵀ) X_r[t]`
@@ -14,16 +14,13 @@
 //!   with symbolic polynomial part and Lagrange remainders) or
 //!   [`BernsteinAbstraction`] (ReachNN-style: Bernstein polynomial fit plus
 //!   sampled-and-inflated remainder);
-//! * [`IntervalReach`] — directed interval / mixed-monotone box propagation,
-//!   the cheapest sound enclosure (one field evaluation per step), used as
-//!   the fast tier of the verifier portfolio;
+//! * [`ZonotopeReach`] — zonotope recursion for affine systems under
+//!   bounded disturbances (the robust-verification extension);
 //! * [`Flowpipe`] — the step-indexed reach-set enclosure all of them
 //!   produce, which the metrics crate measures against goal/unsafe regions.
 //!
-//! Every backend implements the object-safe [`Verifier`] trait (with
-//! [`CostClass`] metadata), and [`PortfolioVerifier`] stacks them into an
-//! escalating portfolio: cheap tiers answer clear-cut queries, the rigorous
-//! tier remains the sole authority on acceptance.
+//! Every backend implements the object-safe [`Verifier`] trait, so callers
+//! can hold either rigorous backend behind one interface.
 //!
 //! # Example
 //!
@@ -48,10 +45,8 @@ pub mod arbitrary;
 pub mod cache;
 mod error;
 mod flowpipe;
-mod interval_reach;
 mod linear;
 mod nn_abstraction;
-mod portfolio;
 mod sweep;
 mod taylor_reach;
 mod verifier;
@@ -62,10 +57,8 @@ pub use cache::{
 };
 pub use error::ReachError;
 pub use flowpipe::{Flowpipe, StepEnclosure};
-pub use interval_reach::IntervalReach;
 pub use linear::LinearReach;
 pub use nn_abstraction::{BernsteinAbstraction, NnAbstraction, TaylorAbstraction};
-pub use portfolio::{PortfolioStats, PortfolioVerifier, QueryProvenance};
 pub use taylor_reach::{DependencyTracking, TaylorReach, TaylorReachConfig};
-pub use verifier::{ControlEnclosure, CostClass, Verifier};
+pub use verifier::Verifier;
 pub use zonotope_reach::ZonotopeReach;

@@ -215,14 +215,6 @@ impl LinearReach {
 }
 
 impl crate::verifier::Verifier<LinearController> for LinearReach {
-    fn name(&self) -> &'static str {
-        "linear-exact"
-    }
-
-    fn cost_class(&self) -> crate::verifier::CostClass {
-        crate::verifier::CostClass::Exact
-    }
-
     fn reach(&self, controller: &LinearController) -> Result<Flowpipe, ReachError> {
         LinearReach::reach(self, controller)
     }

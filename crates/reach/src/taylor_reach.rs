@@ -274,14 +274,6 @@ impl<A: NnAbstraction> TaylorReach<A> {
 }
 
 impl<A: NnAbstraction + Sync> crate::verifier::Verifier<NnController> for TaylorReach<A> {
-    fn name(&self) -> &'static str {
-        "taylor-model"
-    }
-
-    fn cost_class(&self) -> crate::verifier::CostClass {
-        crate::verifier::CostClass::TaylorModel
-    }
-
     fn reach(&self, controller: &NnController) -> Result<Flowpipe, ReachError> {
         TaylorReach::reach(self, controller)
     }

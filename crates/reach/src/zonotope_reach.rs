@@ -210,14 +210,6 @@ impl ZonotopeReach {
 }
 
 impl crate::verifier::Verifier<LinearController> for ZonotopeReach {
-    fn name(&self) -> &'static str {
-        "zonotope"
-    }
-
-    fn cost_class(&self) -> crate::verifier::CostClass {
-        crate::verifier::CostClass::Zonotope
-    }
-
     fn reach(&self, controller: &LinearController) -> Result<Flowpipe, ReachError> {
         ZonotopeReach::reach(self, controller)
     }

@@ -2,33 +2,26 @@
 //!
 //! Parity by construction: every job kind delegates to the *same* code the
 //! batch binaries use — [`dwv_core::assess`], [`design_while_verify_linear`],
-//! the [`PortfolioVerifier`] tiers — so a served job and a batch run of the
-//! same spec produce byte-identical [`JobOutput`]s. The `serve` dwv-check
-//! family and `tests/serve_batch_parity.rs` hold this to bytes.
+//! the exact [`LinearReach`] and the Taylor-model [`TaylorReach`] — so a
+//! served job and a batch run of the same spec produce byte-identical
+//! [`JobOutput`]s. The `serve` dwv-check family and
+//! `tests/serve_batch_parity.rs` hold this to bytes.
 //!
 //! Caching is layered *outside* the report: the per-tenant [`ReachCache`]
 //! shard memoizes flowpipes keyed by tenant-qualified controller hashes
 //! ([`hash_params_tenant`]), so warm hits change latency, never bytes.
-//! Portfolio verifiers are constructed per job (as the batch pipeline
-//! does), keeping `cache_hit` provenance rows identical on both paths.
 
 use crate::proto::{JobKind, JobSpec, ProblemId};
 use dwv_core::parallel::CancelToken;
 use dwv_core::{assess, design_while_verify_linear, judge, LearnConfig, WorkerPool};
 use dwv_dynamics::{acc, oscillator, three_dim, LinearController, NnController, ReachAvoidProblem};
 use dwv_interval::IntervalBox;
-use dwv_metrics::GeometricMetric;
 use dwv_nn::{Activation, Network};
 use dwv_reach::{
-    hash_cell, hash_params_tenant, DependencyTracking, Flowpipe, IntervalReach, LinearReach,
-    PortfolioVerifier, ReachCache, TaylorAbstraction, TaylorReach, TaylorReachConfig,
-    ZonotopeReach,
+    hash_cell, hash_params_tenant, DependencyTracking, Flowpipe, LinearReach, ReachCache,
+    TaylorAbstraction, TaylorReach, TaylorReachConfig, Verifier,
 };
 use std::fmt;
-
-/// Default portfolio slack for served decisive queries (matches
-/// [`LearnConfig`]'s default).
-const PORTFOLIO_SLACK: f64 = 0.05;
 
 /// Fixed judgement seed, shared with [`dwv_core::assess`]'s internals.
 const JUDGE_SEED: u64 = 0x0A55E55;
@@ -318,20 +311,13 @@ pub fn run_job(
                 report_csv: Some(report.to_csv().into_bytes()),
             })
         }
-        JobKind::LearnLinear {
-            seed,
-            max_updates,
-            portfolio,
-        } => {
-            let mut builder = LearnConfig::builder()
+        JobKind::LearnLinear { seed, max_updates } => {
+            let config = LearnConfig::builder()
                 .metric(dwv_core::MetricKind::Geometric)
                 .max_updates(*max_updates as usize)
-                .seed(*seed);
-            if *portfolio {
-                builder =
-                    builder.portfolio(dwv_core::PortfolioMode::Surrogate { confirm_every: 5 });
-            }
-            let outcome = design_while_verify_linear(problem, builder.build())
+                .seed(*seed)
+                .build();
+            let outcome = design_while_verify_linear(problem, config)
                 .map_err(|e| JobError::Invalid(e.to_string()))?;
             if cancel.is_cancelled() {
                 return Err(JobError::Cancelled);
@@ -384,23 +370,12 @@ fn run_verify_linear(
     cancel: &CancelToken,
 ) -> Result<JobOutput, JobError> {
     let controller = LinearController::new(problem.n_state(), problem.n_input(), gains.to_vec());
-    let portfolio = linear_portfolio(problem)
-        .ok_or_else(|| JobError::Invalid("affine dynamics required".into()))?;
+    let verifier = LinearReach::for_problem(problem)
+        .map_err(|_| JobError::Invalid("affine dynamics required".into()))?;
     let h = spec_qualified_hash(tenant, u64::from(grid) << 8, gains);
-    let metric = GeometricMetric::for_problem(problem);
-    let margin = move |fp: &Flowpipe| {
-        let d = metric.evaluate(fp);
-        if d.is_reach_avoid() {
-            d.d_unsafe
-        } else {
-            f64::NEG_INFINITY
-        }
-    };
     // Whole-X₀ flowpipe first: it carries the verdict and the streamed
     // segments. Memoized in the tenant shard.
-    let attempt = cache.get_or_compute(h, hash_cell(&problem.x0), || {
-        portfolio.reach_decisive_from(&problem.x0, &controller, h, &margin)
-    });
+    let attempt = cache.get_or_compute(h, hash_cell(&problem.x0), || verifier.reach(&controller));
     let verdict = judge(problem, &controller, &attempt, samples as usize, JUDGE_SEED);
     if cancel.is_cancelled() {
         return Err(JobError::Cancelled);
@@ -414,7 +389,7 @@ fn run_verify_linear(
             |cell| {
                 cache
                     .get_or_compute(h, hash_cell(cell), || {
-                        portfolio.reach_decisive_from(cell, &controller, h, &margin)
+                        verifier.reach_from(cell, &controller)
                     })
                     .is_ok()
             },
@@ -428,22 +403,6 @@ fn run_verify_linear(
         segments,
         report_csv: None,
     })
-}
-
-/// The serve-side linear portfolio: identical tier stack to
-/// [`dwv_core::Algorithm1::linear_portfolio`] (interval → zonotope →
-/// linear-exact authority) at the default slack.
-#[must_use]
-pub fn linear_portfolio(
-    problem: &ReachAvoidProblem,
-) -> Option<PortfolioVerifier<LinearController>> {
-    let rigorous = LinearReach::for_problem(problem).ok()?;
-    let zonotope = ZonotopeReach::for_problem(problem).ok()?;
-    Some(
-        PortfolioVerifier::new(Box::new(rigorous), PORTFOLIO_SLACK)
-            .with_tier(Box::new(IntervalReach::for_problem(problem)))
-            .with_tier(Box::new(zonotope)),
-    )
 }
 
 impl JobSpec {

@@ -2,14 +2,13 @@
 //!
 //! `dwv-serve` turns the batch pipeline into a long-running job server: a
 //! hand-rolled, versioned, length-prefixed TCP protocol ([`proto`]) carries
-//! problem specs and controller weights in, and verdicts,
-//! provenance-bearing report CSVs, and flowpipe segments back out. Jobs run
-//! through the *same* code the batch binaries use — [`dwv_core::assess`],
-//! `design_while_verify_linear`, the tiered
-//! [`PortfolioVerifier`](dwv_reach::PortfolioVerifier) — so a served
-//! verdict is **byte-identical** to the batch verdict for the same spec
-//! (the `serve` dwv-check family and `tests/serve_batch_parity.rs` enforce
-//! this, at pool widths 2/4/8).
+//! problem specs and controller weights in, and verdicts, report CSVs, and
+//! flowpipe segments back out. Jobs run through the *same* code the batch
+//! binaries use — [`dwv_core::assess`], `design_while_verify_linear`, the
+//! exact [`LinearReach`](dwv_reach::LinearReach) — so a served verdict is
+//! **byte-identical** to the batch verdict for the same spec (the `serve`
+//! dwv-check family and `tests/serve_batch_parity.rs` enforce this, at pool
+//! widths 2/4/8).
 //!
 //! Production concerns, by module:
 //!

@@ -33,8 +33,10 @@ use std::fmt;
 /// Protocol magic, first bytes of every `Hello`.
 pub const MAGIC: [u8; 4] = *b"DWVS";
 
-/// Protocol version spoken by this build.
-pub const VERSION: u16 = 1;
+/// Protocol version spoken by this build. Bump it whenever the frame or
+/// spec grammar changes, so an older peer is refused at the handshake
+/// instead of having its frames misparsed.
+pub const VERSION: u16 = 2;
 
 /// Upper bound on a frame body, in bytes. Oversized length prefixes are
 /// rejected before any allocation, so a hostile peer cannot balloon memory.
@@ -106,7 +108,7 @@ impl ProblemId {
 #[derive(Debug, Clone, PartialEq)]
 pub enum JobKind {
     /// Verify a linear controller over a uniform `grid^dim` partition of
-    /// `X₀` through the tiered portfolio, then judge the whole-`X₀`
+    /// `X₀` with the exact linear verifier, then judge the whole-`X₀`
     /// flowpipe with `samples` rollouts. Affine problems only.
     VerifyLinear {
         /// Row-major gain matrix, `n_input × n_state`.
@@ -129,8 +131,6 @@ pub enum JobKind {
         seed: u64,
         /// Gradient-update budget.
         max_updates: u32,
-        /// Whether to learn through the tiered portfolio surrogate.
-        portfolio: bool,
     },
     /// Full report for a neural-network controller with explicit weights,
     /// verified by the Taylor-model/POLAR abstraction.
@@ -567,14 +567,9 @@ fn encode_spec(w: &mut Writer, spec: &JobSpec) {
             w.u32(*samples);
         }
         JobKind::AssessLinear { gains } => w.f64_slice(gains),
-        JobKind::LearnLinear {
-            seed,
-            max_updates,
-            portfolio,
-        } => {
+        JobKind::LearnLinear { seed, max_updates } => {
             w.u64(*seed);
             w.u32(*max_updates);
-            w.u8(u8::from(*portfolio));
         }
         JobKind::AssessNn {
             hidden,
@@ -604,7 +599,6 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<JobSpec, ProtoError> {
         2 => JobKind::LearnLinear {
             seed: r.u64()?,
             max_updates: r.u32()?,
-            portfolio: r.u8()? != 0,
         },
         3 => JobKind::AssessNn {
             hidden: r.u32_vec()?,

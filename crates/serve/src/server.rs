@@ -494,7 +494,9 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Re
                 &mut stream,
                 &Frame::Error {
                     code: error_code::VERSION_MISMATCH,
-                    message: format!("unsupported protocol version {version}; server speaks 1"),
+                    message: format!(
+                        "unsupported protocol version {version}; server speaks {VERSION}"
+                    ),
                 },
             );
             return Ok(());

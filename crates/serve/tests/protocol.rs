@@ -1,7 +1,9 @@
 //! Wire-protocol fuzz/property tests: codec round-trips, hostile-input
 //! rejection without panics, and exact-byte handshake fixtures.
 
-use dwv_serve::proto::{error_code, Frame, FrameBuffer, ProtoError, MAX_FRAME, VERSION};
+use dwv_serve::proto::{
+    error_code, read_frame, Frame, FrameBuffer, ProtoError, MAX_FRAME, VERSION,
+};
 use dwv_serve::{
     Client, JobEvent, JobKind, JobSpec, JobState, ProblemId, RejectCode, ServeConfig, Server,
 };
@@ -70,7 +72,6 @@ fn sample_frames(rng: &mut Rng) -> Vec<Frame> {
                 kind: JobKind::LearnLinear {
                     seed: rng.next(),
                     max_updates: 50,
-                    portfolio: rng.range(2) == 0,
                 },
             },
         },
@@ -306,9 +307,9 @@ fn version_mismatch_reply_bytes_are_pinned() {
     stream.write_all(&hello).expect("send");
     let mut reply = Vec::new();
     stream.read_to_end(&mut reply).expect("read until close");
-    // Fixture: Error{code=1, "unsupported protocol version 9; server speaks 1"},
+    // Fixture: Error{code=1, "unsupported protocol version 9; server speaks 2"},
     // then the server closes the connection.
-    let msg = b"unsupported protocol version 9; server speaks 1";
+    let msg = b"unsupported protocol version 9; server speaks 2";
     let mut expect = Vec::new();
     let body_len = 1 + 2 + 4 + msg.len();
     expect.extend_from_slice(&(body_len as u32).to_le_bytes());
@@ -317,6 +318,30 @@ fn version_mismatch_reply_bytes_are_pinned() {
     expect.extend_from_slice(&(msg.len() as u32).to_le_bytes());
     expect.extend_from_slice(msg);
     assert_eq!(reply, expect, "version-mismatch reply bytes drifted");
+    server.shutdown();
+}
+
+/// A version-1 client, whose `LearnLinear` specs carried one more byte,
+/// is refused at the handshake with the typed error instead of having its
+/// specs misparsed.
+#[test]
+fn version_one_client_is_refused() {
+    let server = Server::start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    stream
+        .write_all(&Frame::Hello { version: 1 }.encode())
+        .expect("send");
+    match read_frame(&mut stream).expect("reply") {
+        Frame::Error { code, .. } => assert_eq!(code, error_code::VERSION_MISMATCH),
+        other => panic!("expected a version-mismatch error, got {other:?}"),
+    }
     server.shutdown();
 }
 
@@ -339,7 +364,7 @@ fn hello_ack_bytes_are_pinned() {
     stream.read_exact(&mut ack).expect("ack");
     assert_eq!(
         ack,
-        [0x03, 0x00, 0x00, 0x00, 0x02, 0x01, 0x00],
+        [0x03, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00],
         "HelloAck wire bytes drifted"
     );
     server.shutdown();

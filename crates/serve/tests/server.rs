@@ -50,6 +50,35 @@ fn served_job_matches_in_process_run() {
     server.shutdown();
 }
 
+/// ACC gains whose exact flowpipe misses the goal (exact `d_goal` is about
+/// −1008.5) and no simulated rollout reaches it, while a plain interval
+/// enclosure of the same loop grazes the goal. The served verdict must be
+/// the exact verifier's.
+#[test]
+fn served_verdict_of_a_goal_missing_controller_is_not_reach_avoid() {
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let spec = JobSpec {
+        problem: ProblemId::Acc,
+        kind: JobKind::VerifyLinear {
+            gains: vec![0.5388548343932434, -2.38647175903809],
+            grid: 1,
+            samples: 1,
+        },
+    };
+    client.submit(7, 1, 0, spec).expect("submit");
+    let served = client.stream_result(7, 1).expect("result");
+    assert!(
+        !served.verdict.starts_with("reach-avoid"),
+        "goal-missing controller served as {}",
+        served.verdict
+    );
+    server.shutdown();
+}
+
 #[test]
 fn full_queue_rejects_with_retry_hint_instead_of_buffering() {
     // Zero workers: nothing drains the queue, so capacity is exact.

@@ -1,18 +1,14 @@
 //! `dwv-trace` — analyze `DWV_TRACE` JSONL streams.
 //!
 //! ```text
-//! dwv-trace <trace.jsonl> [--folded PATH]
-//!           [--check-bill BENCH_core.json] [--require-critical NAME]
+//! dwv-trace <trace.jsonl> [--folded PATH] [--require-critical NAME]
 //! dwv-trace --diff <a.jsonl> <b.jsonl>
 //! dwv-trace --check-flight <dump.jsonl>
 //! ```
 //!
 //! The default mode prints the analysis report (span/thread counts,
-//! critical path, verifier tier bill, cost attribution). `--folded`
-//! additionally writes flamegraph-compatible folded stacks.
-//! `--check-bill` cross-checks the trace's per-tier verifier counters
-//! against the `verifier_calls_by_tier` section of `BENCH_core.json`
-//! (learn + sweep, exact equality). `--require-critical` fails unless
+//! critical path, cost attribution). `--folded` additionally writes
+//! flamegraph-compatible folded stacks. `--require-critical` fails unless
 //! the named span sits on the critical path. `--diff` attributes the
 //! self-time movement between two traces. `--check-flight` validates a
 //! flight-recorder dump and requires a `panic` anomaly to be covered by
@@ -21,8 +17,8 @@
 #![forbid(unsafe_code)]
 
 use dwv_trace::{
-    analyze, check_bill, diff_attribution, expected_bill, parse_trace, render_diff, render_folded,
-    render_report, validate_flight, validate_nesting, NESTING_SLACK_US,
+    analyze, diff_attribution, parse_trace, render_diff, render_folded, render_report,
+    validate_flight, validate_nesting, NESTING_SLACK_US,
 };
 use std::process::ExitCode;
 
@@ -39,7 +35,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut trace_path: Option<String> = None;
     let mut folded_path: Option<String> = None;
-    let mut bench_path: Option<String> = None;
     let mut require_critical: Vec<String> = Vec::new();
     let mut diff_paths: Option<(String, String)> = None;
     let mut flight_path: Option<String> = None;
@@ -50,10 +45,6 @@ fn main() -> ExitCode {
         match arg.as_str() {
             "--folded" => match value("--folded") {
                 Ok(p) => folded_path = Some(p),
-                Err(e) => return fail(&e),
-            },
-            "--check-bill" => match value("--check-bill") {
-                Ok(p) => bench_path = Some(p),
                 Err(e) => return fail(&e),
             },
             "--require-critical" => match value("--require-critical") {
@@ -84,7 +75,7 @@ fn main() -> ExitCode {
     let Some(path) = trace_path else {
         eprintln!(
             "usage: dwv-trace <trace.jsonl> [--folded PATH] \
-             [--check-bill BENCH.json] [--require-critical NAME]\n       \
+             [--require-critical NAME]\n       \
              dwv-trace --diff <a.jsonl> <b.jsonl>\n       \
              dwv-trace --check-flight <dump.jsonl>"
         );
@@ -112,32 +103,6 @@ fn main() -> ExitCode {
                 analysis.critical.join(";")
             ));
         }
-    }
-    if let Some(bench) = bench_path {
-        let bench_text = match read(&bench) {
-            Ok(t) => t,
-            Err(e) => return fail(&e),
-        };
-        let json = match dwv_obs::json::parse(&bench_text) {
-            Ok(j) => j,
-            Err(e) => return fail(&format!("{bench}: invalid JSON: {e}")),
-        };
-        let (names, expected) = match expected_bill(&json) {
-            Ok(v) => v,
-            Err(e) => return fail(&format!("{bench}: {e}")),
-        };
-        if let Err(e) = check_bill(&analysis.bill, &expected) {
-            return fail(&format!("tier bill mismatch vs {bench}: {e}"));
-        }
-        println!(
-            "tier bill check: OK — trace matches {bench} ({})",
-            names
-                .iter()
-                .zip(&expected)
-                .map(|(n, c)| format!("{n}={c}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
     }
     if let Some(out) = folded_path {
         let folded = render_folded(&analysis.folded);

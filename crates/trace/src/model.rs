@@ -4,9 +4,9 @@
 //! per line with the reserved fields `t_us` / `tid` / `kind` / `name`.
 //! Only three kinds matter to the analyzer — `span` (a closed span with
 //! identity and timing), `event`, and `snapshot` (whose counter totals
-//! carry the verifier tier bill); any other kind is preserved in the line
-//! count but otherwise ignored, so the format can grow without breaking
-//! old analyzers.
+//! are kept in [`TraceData::counters`]); any other kind is preserved in
+//! the line count but otherwise ignored, so the format can grow without
+//! breaking old analyzers.
 //!
 //! Span lines are checked as they are parsed: a non-finite stamp, a
 //! negative or non-finite duration, or an id that is not a non-negative

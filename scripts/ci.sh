@@ -95,12 +95,6 @@ if [[ "${1:-}" == "--all" ]]; then
   # `x^n` draws (n = 3, 5, 7) against a double-double oracle with no
   # tolerance beyond the oracle's error (see families/interval).
   run cargo run --release --offline -p dwv-check -- --family interval --seed 0xD3C0DE --budget-cases 5000
-  # Portfolio gate: the tiered-verifier contract (every tier's enclosure
-  # contains sampled closed-loop trajectories; cheap unsafe-clearance and
-  # goal-containment claims are never contradicted by the rigorous tier) plus
-  # the differential: surrogate-mode Algorithm 1 acceptances must survive a
-  # fresh rigorous-only re-verification. See DESIGN.md §4f.
-  run cargo run --release --offline -p dwv-check -- --family portfolio --seed 0xD3C0DE --budget-cases 2500
   # Serving gate: the verification-as-a-service layer. Crate tests (frame
   # codec fuzz/property suite + server integration), the golden
   # serve-vs-batch parity suite over real TCP (ACC/Van-der-Pol/3D repro
@@ -158,8 +152,8 @@ if [[ "${1:-}" == "--all" ]]; then
   run cargo run --release --offline -p dwv-bench --bin bench_core -- --check
   # Observability smoke: a full ACC pipeline run streaming a JSONL trace,
   # validated line-by-line (reserved fields, span identity/nesting, span
-  # timings for the train/verify/simulate phases, cache hit/miss +
-  # remainder-width metrics).
+  # timings for the train/verify/simulate phases, the learner's query and
+  # reuse counters, remainder-width metrics).
   trace_file="$(mktemp -t dwv_trace.XXXXXX.jsonl)"
   folded_file="$(mktemp -t dwv_folded.XXXXXX.txt)"
   flight_file="$(mktemp -t dwv_flight.XXXXXX.jsonl)"
@@ -167,13 +161,11 @@ if [[ "${1:-}" == "--all" ]]; then
   echo "==> DWV_TRACE=$trace_file cargo run --release --offline --example profile_acc"
   DWV_TRACE="$trace_file" cargo run --release --offline --example profile_acc
   run cargo run --release --offline -p dwv-bench --bin trace_check -- "$trace_file"
-  # Trace analytics gate: the analyzer must place the verifier backend on
-  # the critical path, reconcile the trace's per-tier verifier bill exactly
-  # against BENCH_core.json's verifier_calls_by_tier (learn + sweep), and
-  # export flamegraph-compatible folded stacks.
+  # Trace analytics gate: the analyzer must find the run's critical path
+  # (the 500-rollout assessment outlasts the whole learning phase of this
+  # run) and export flamegraph-compatible folded stacks.
   run cargo run --release --offline -p dwv-trace -- "$trace_file" \
-    --require-critical reach.run --check-bill BENCH_core.json \
-    --folded "$folded_file"
+    --require-critical simulate --folded "$folded_file"
   # Flight-recorder gate: a forced mid-run panic must leave a parseable
   # dump whose last events cover the still-open panicking span.
   echo "==> DWV_FLIGHT=$flight_file DWV_FORCE_PANIC=1 profile_acc (panic expected)"

@@ -24,7 +24,7 @@
 //! * [`check`] — deterministic soundness-falsification harness
 //!   (generative cases vs. brute-force oracles, shrinking, replay tokens)
 //! * [`trace`] — trace analytics over `DWV_TRACE` streams (span trees,
-//!   cost attribution, critical paths, folded stacks, verifier tier bills)
+//!   cost attribution, critical paths, folded stacks)
 //!
 //! # Quickstart
 //!

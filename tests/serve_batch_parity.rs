@@ -4,10 +4,10 @@
 //! batch runs of the same code.
 //!
 //! This is the contract that makes `dwv-serve` trustworthy: serving adds
-//! transport, queueing, batching, and per-tenant caching around the
+//! transport, queueing, and per-tenant caching around the
 //! verifier — none of which may perturb a single byte of the result.
 
-use dwv_core::{assess, design_while_verify_linear, LearnConfig, MetricKind, PortfolioMode};
+use dwv_core::{assess, design_while_verify_linear, LearnConfig, MetricKind};
 use dwv_dynamics::NnController;
 use dwv_interval::IntervalBox;
 use dwv_nn::{Activation, Network};
@@ -71,43 +71,30 @@ fn acc_learn_linear_served_equals_batch() {
         ..ServeConfig::default()
     })
     .expect("bind");
-    for (job_id, portfolio) in [(1u64, false), (2u64, true)] {
-        let spec = JobSpec {
-            problem: ProblemId::Acc,
-            kind: JobKind::LearnLinear {
-                seed: 42,
-                max_updates: 25,
-                portfolio,
-            },
-        };
-        let served = serve_csv(&server, 0xACC, job_id, spec);
+    let spec = JobSpec {
+        problem: ProblemId::Acc,
+        kind: JobKind::LearnLinear {
+            seed: 42,
+            max_updates: 25,
+        },
+    };
+    let served = serve_csv(&server, 0xACC, 1, spec);
 
-        let mut builder = LearnConfig::builder()
-            .metric(MetricKind::Geometric)
-            .max_updates(25)
-            .seed(42);
-        if portfolio {
-            builder = builder.portfolio(PortfolioMode::Surrogate { confirm_every: 5 });
-        }
-        let outcome = design_while_verify_linear(problem_for(ProblemId::Acc), builder.build())
-            .expect("batch learn");
-        let batch = outcome.report.to_csv().into_bytes();
-        assert_eq!(
-            served,
-            batch,
-            "ACC LearnLinear (portfolio={portfolio}): served CSV differs from batch\nserved:\n{}\nbatch:\n{}",
-            String::from_utf8_lossy(&served),
-            String::from_utf8_lossy(&batch),
-        );
-        // Provenance rows must be present when learning through the
-        // portfolio — the served path may not drop them.
-        if portfolio {
-            assert!(
-                String::from_utf8_lossy(&served).contains("provenance,"),
-                "portfolio run lost its provenance rows"
-            );
-        }
-    }
+    let config = LearnConfig::builder()
+        .metric(MetricKind::Geometric)
+        .max_updates(25)
+        .seed(42)
+        .build();
+    let outcome =
+        design_while_verify_linear(problem_for(ProblemId::Acc), config).expect("batch learn");
+    let batch = outcome.report.to_csv().into_bytes();
+    assert_eq!(
+        served,
+        batch,
+        "ACC LearnLinear: served CSV differs from batch\nserved:\n{}\nbatch:\n{}",
+        String::from_utf8_lossy(&served),
+        String::from_utf8_lossy(&batch),
+    );
     server.shutdown();
 }
 
