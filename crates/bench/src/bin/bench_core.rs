@@ -24,6 +24,10 @@
 //! 10% on the iteration bench — this is the CI bench-regression guard.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "benchmark harness: wall-clock timings are its output"
+)]
 
 use dwv_core::parallel::WorkerPool;
 use dwv_core::{

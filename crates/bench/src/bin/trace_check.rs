@@ -17,6 +17,10 @@
 //! Exits 1 with a diagnostic on any violation.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_types,
+    reason = "trace validator: per-name totals and per-thread stamps are looked up by key, and the phase listing is sorted"
+)]
 
 use dwv_obs::json::{parse, JsonValue};
 use std::collections::HashMap;

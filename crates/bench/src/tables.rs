@@ -9,6 +9,10 @@ use crate::report::{header, RowResult};
 use dwv_core::{AbstractionKind, Algorithm1, MetricKind};
 use dwv_dynamics::NnController;
 use dwv_reach::{DependencyTracking, TaylorAbstraction, TaylorReach, TaylorReachConfig};
+#[expect(
+    clippy::disallowed_types,
+    reason = "wall-clock time per verifier call is the reported column, never an input to a result"
+)]
 use std::time::Instant;
 
 /// Seeds used for the CI mean(±std) columns.
@@ -300,6 +304,10 @@ pub fn tightness() -> Vec<(String, f64, Option<usize>)> {
             3,
         ));
         let verifier = TaylorReach::new(&problem, TaylorAbstraction::with_order(2), cfg);
+        #[expect(
+            clippy::disallowed_types,
+            reason = "wall-clock time per verifier call is the reported column, never an input to a result"
+        )]
         let t0 = Instant::now();
         let _ = verifier.reach(&probe);
         let per_call = t0.elapsed().as_secs_f64();

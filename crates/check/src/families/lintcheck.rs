@@ -1,16 +1,16 @@
 //! Lint-engine differential family.
 //!
-//! Random miniature workspaces — a call DAG of generated functions with
-//! known panic seeds, raw-float helpers, and float-zone consumers — are
-//! rendered as Rust source and pushed through the full interprocedural
-//! `dwv-lint` engine. Two oracles:
+//! Random miniature workspaces — raw-float helpers, a call DAG of
+//! generated `f64` forwarders of which some call a helper, and float-zone
+//! consumers — are rendered as Rust source and pushed through the full
+//! interprocedural `dwv-lint` engine. Two oracles:
 //!
 //! 1. **Ground-truth spans** — the generator knows exactly which
 //!    `(rule, sub-rule, file, line)` tuples the engine must report: the
-//!    per-file seed sites, the public functions whose generated call DAG
-//!    reaches a seed (computed here by an independent DFS over the plan,
-//!    not by the engine's graph), and the zone calls into tainted
-//!    helpers. The reported findings must match the set exactly.
+//!    zone calls whose callee is a helper or a forwarder whose generated
+//!    call DAG reaches one (computed here by an independent sweep over the
+//!    plan, not by the engine's graph). The reported findings must match
+//!    the set exactly.
 //! 2. **Input-order determinism** — feeding the same sources in reversed
 //!    order must produce a byte-identical JSON report.
 
@@ -25,14 +25,10 @@ pub struct LintcheckFamily;
 struct Node {
     /// Index of the generated file hosting the node.
     file: usize,
-    /// Whether the body carries an `.unwrap()` panic seed.
-    seeded: bool,
+    /// The raw-float helper the body calls, if any (a taint source).
+    helper: Option<usize>,
     /// Callee node indices (all strictly greater — the DAG is acyclic).
     callees: Vec<usize>,
-    /// 1-based line of the `pub fn` token, filled in by the renderer.
-    fn_line: u32,
-    /// 1-based line of the seed site, filled in by the renderer.
-    seed_line: u32,
 }
 
 /// A generated source file accumulating lines.
@@ -73,9 +69,9 @@ fn gen_plan(rng: &mut crate::rng::CheckRng, size: u8) -> Plan {
     let n_nodes = 3 + (size as usize % 5);
     let n_files = 2 + (rng.next_u64() % 2) as usize;
     let n_helpers = 1 + (rng.next_u64() % 2) as usize;
-    let n_zone = 1 + (rng.next_u64() % 2) as usize;
+    let n_zone = 1 + (rng.next_u64() % 3) as usize;
 
-    let mut nodes: Vec<Node> = (0..n_nodes)
+    let nodes: Vec<Node> = (0..n_nodes)
         .map(|k| {
             let mut callees = Vec::new();
             if k + 1 < n_nodes {
@@ -90,17 +86,14 @@ fn gen_plan(rng: &mut crate::rng::CheckRng, size: u8) -> Plan {
             }
             Node {
                 file: k * n_files / n_nodes,
-                seeded: rng.next_u64().is_multiple_of(4),
+                helper: rng
+                    .next_u64()
+                    .is_multiple_of(4)
+                    .then(|| (rng.next_u64() % n_helpers as u64) as usize),
                 callees,
-                fn_line: 0,
-                seed_line: 0,
             }
         })
         .collect();
-    // At least one seed, so every case exercises the reachability pass.
-    if !nodes.iter().any(|n| n.seeded) {
-        nodes.last_mut().expect("n_nodes >= 3").seeded = true;
-    }
 
     let mut files: Vec<SrcFile> = (0..n_files)
         .map(|i| {
@@ -110,14 +103,13 @@ fn gen_plan(rng: &mut crate::rng::CheckRng, size: u8) -> Plan {
             )
         })
         .collect();
-    for (k, node) in nodes.iter_mut().enumerate() {
+    for (k, node) in nodes.iter().enumerate() {
         let f = &mut files[node.file];
         f.push(&format!("/// Generated node {k}."));
-        node.fn_line = f.push(&format!("pub fn g{k}(x: f64) -> f64 {{"));
+        f.push(&format!("pub fn g{k}(x: f64) -> f64 {{"));
         f.push("    let mut acc = x;");
-        if node.seeded {
-            f.push("    let probe: Option<f64> = None;");
-            node.seed_line = f.push("    acc = probe.unwrap();");
+        if let Some(m) = node.helper {
+            f.push(&format!("    acc = h{m}(acc);"));
         }
         for j in &node.callees {
             f.push(&format!("    acc = g{j}(acc);"));
@@ -136,47 +128,46 @@ fn gen_plan(rng: &mut crate::rng::CheckRng, size: u8) -> Plan {
         f.push("}");
         f.push("");
     }
-    // Zone consumers are rendered at a default-zone float-zone path; every
-    // call into a helper is a cross-function taint finding.
+    // Independent taint oracle: a node forwards raw-float taint iff it
+    // calls a helper or any callee forwards it. Callees are strictly
+    // higher-indexed, so one reverse sweep settles the fixpoint.
+    let mut tainted = vec![false; n_nodes];
+    for k in (0..n_nodes).rev() {
+        tainted[k] = nodes[k].helper.is_some() || nodes[k].callees.iter().any(|&j| tainted[j]);
+    }
+
+    // Zone consumers are rendered at a default-zone float-zone path. The
+    // first calls a helper directly, so every case has a taint finding; the
+    // others call a random helper or node, a finding iff it is tainted.
     let mut zone = SrcFile::new(
         "crates/taylor/src/defect.rs".to_string(),
         "//! Generated zone consumers.",
     );
-    let mut zone_calls: Vec<u32> = Vec::new();
+    let mut expected: Vec<(String, u32, &'static str, Option<&'static str>)> = Vec::new();
     for k in 0..n_zone {
-        let m = (rng.next_u64() % n_helpers as u64) as usize;
+        let pick = if k == 0 {
+            n_nodes + (rng.next_u64() % n_helpers as u64) as usize
+        } else {
+            (rng.next_u64() % (n_nodes + n_helpers) as u64) as usize
+        };
+        let (callee, taints) = if pick < n_nodes {
+            (format!("g{pick}"), tainted[pick])
+        } else {
+            (format!("h{}", pick - n_nodes), true)
+        };
         zone.push(&format!("/// Generated zone consumer {k}."));
         zone.push(&format!("pub fn z{k}(x: f64) -> f64 {{"));
-        zone_calls.push(zone.push(&format!("    h{m}(x)")));
+        let line = zone.push(&format!("    {callee}(x)"));
         zone.push("}");
         zone.push("");
-    }
-
-    // Independent reachability oracle: a node reaches a seed iff it is
-    // seeded or any callee does. Callees are strictly higher-indexed, so
-    // one reverse sweep settles the fixpoint.
-    let mut reaches = vec![false; n_nodes];
-    for k in (0..n_nodes).rev() {
-        reaches[k] = nodes[k].seeded || nodes[k].callees.iter().any(|&j| reaches[j]);
-    }
-
-    let mut expected: Vec<(String, u32, &'static str, Option<&'static str>)> = Vec::new();
-    for (k, n) in nodes.iter().enumerate() {
-        let path = files[n.file].path.clone();
-        if n.seeded {
-            expected.push((path.clone(), n.seed_line, Rule::PanicFreedom.id(), None));
+        if taints {
+            expected.push((
+                zone.path.clone(),
+                line,
+                Rule::FloatHygiene.id(),
+                Some("taint"),
+            ));
         }
-        if reaches[k] {
-            expected.push((path, n.fn_line, Rule::PanicFreedom.id(), Some("reach")));
-        }
-    }
-    for line in zone_calls {
-        expected.push((
-            zone.path.clone(),
-            line,
-            Rule::FloatHygiene.id(),
-            Some("taint"),
-        ));
     }
     expected.sort();
 
@@ -215,7 +206,6 @@ impl Family for LintcheckFamily {
                     f.line,
                     f.rule.id(),
                     match f.sub.as_deref() {
-                        Some("reach") => Some("reach"),
                         Some("taint") => Some("taint"),
                         Some(_) => Some("other"),
                         None => None,
@@ -265,14 +255,10 @@ mod tests {
     }
 
     #[test]
-    fn plans_always_have_a_seed_and_a_taint_call() {
+    fn plans_always_have_a_taint_call() {
         for seed in 0..16 {
             let mut rng = case_rng(12, seed);
             let plan = gen_plan(&mut rng, (seed % 7) as u8);
-            assert!(plan
-                .expected
-                .iter()
-                .any(|(_, _, r, s)| *r == "panic-freedom" && s.is_none()));
             assert!(plan
                 .expected
                 .iter()

@@ -1,10 +1,13 @@
 //! Deterministic run reports.
 //!
-//! The JSON serialization is hand-rolled (no dependencies) and contains no
-//! timestamps, durations, or machine identifiers — two runs with the same
-//! seed and budget produce byte-identical reports, which the determinism
-//! guard test asserts. Keys are emitted in a fixed order and floats never
-//! appear (all numeric fields are integers), so formatting is stable.
+//! The JSON serialization is hand-rolled (strings are escaped by
+//! [`dwv_obs::json_string`]) and contains no timestamps, durations, or
+//! machine identifiers — two runs with the same seed and budget produce
+//! byte-identical reports, which the determinism guard test asserts. Keys
+//! are emitted in a fixed order and floats never appear (all numeric fields
+//! are integers), so formatting is stable.
+
+use dwv_obs::json_string;
 
 /// One confirmed, shrunk violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,7 +91,7 @@ impl Report {
         s.push_str("  \"families\": [\n");
         for (i, f) in self.families.iter().enumerate() {
             s.push_str("    {\n");
-            s.push_str(&format!("      \"name\": \"{}\",\n", escape(&f.name)));
+            s.push_str(&format!("      \"name\": {},\n", json_string(&f.name)));
             s.push_str(&format!("      \"cases\": {},\n", f.cases));
             s.push_str(&format!("      \"passes\": {},\n", f.passes));
             s.push_str(&format!("      \"skips\": {},\n", f.skips));
@@ -96,12 +99,12 @@ impl Report {
             for (j, v) in f.violations.iter().enumerate() {
                 s.push_str("\n        {\n");
                 s.push_str(&format!(
-                    "          \"replay\": \"{}\",\n",
-                    escape(&v.replay)
+                    "          \"replay\": {},\n",
+                    json_string(&v.replay)
                 ));
                 s.push_str(&format!(
-                    "          \"original\": \"{}\",\n",
-                    escape(&v.original)
+                    "          \"original\": {},\n",
+                    json_string(&v.original)
                 ));
                 s.push_str(&format!("          \"size\": {},\n", v.size));
                 s.push_str(&format!(
@@ -109,8 +112,8 @@ impl Report {
                     v.shrink_steps
                 ));
                 s.push_str(&format!(
-                    "          \"message\": \"{}\"\n",
-                    escape(&v.message)
+                    "          \"message\": {}\n",
+                    json_string(&v.message)
                 ));
                 s.push_str("        }");
                 if j + 1 < f.violations.len() {
@@ -165,23 +168,6 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,11 +215,5 @@ mod tests {
     #[test]
     fn summary_mentions_replay_token() {
         assert!(sample().summary().contains("--replay 0x0201000000000007"));
-    }
-
-    #[test]
-    fn escape_handles_control_chars() {
-        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
-        assert_eq!(escape("x\ny"), "x\\ny");
     }
 }

@@ -38,6 +38,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
+#[expect(
+    clippy::disallowed_types,
+    reason = "iteration timer: the wall-clock time only fills IterationRecord::elapsed and never feeds a result"
+)]
 use std::time::Instant;
 
 /// Errors configuring or running the learner.
@@ -415,6 +419,10 @@ impl Algorithm1 {
     ///
     /// Gradient-probe batches run on `pool`, or on the calling thread
     /// without one.
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "restart moves alternate by the parity of the restart count"
+    )]
     fn learn_loop<C, V>(
         &self,
         init: Option<C>,
@@ -478,6 +486,10 @@ impl Algorithm1 {
         let mut restarts = 0usize;
 
         for i in 0..=self.config.max_updates {
+            #[expect(
+                clippy::disallowed_types,
+                reason = "iteration timer: the wall-clock time only fills IterationRecord::elapsed and never feeds a result"
+            )]
             let started = Instant::now();
             let mut calls = std::mem::take(&mut calls_this_iter);
             let previous = std::mem::take(&mut held);
@@ -710,6 +722,10 @@ impl Algorithm1 {
 
     /// The difference-method gradient at `theta`. `objectives_at` scores a
     /// batch of probe parameters and returns their objectives in order.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "j ranges over the parameter dimension, and the probe batch yields two objectives per coordinate"
+    )]
     fn estimate_gradient(
         &self,
         theta: &[f64],
@@ -729,15 +745,15 @@ impl Algorithm1 {
                 let probes: Vec<Vec<f64>> = (0..dim)
                     .flat_map(|j| {
                         let mut plus = theta.to_vec();
-                        plus[j] += p; // dwv-lint: allow(panic-freedom#index) -- j ranges over the parameter dimension
+                        plus[j] += p;
                         let mut minus = theta.to_vec();
-                        minus[j] -= p; // dwv-lint: allow(panic-freedom#index) -- j ranges over the parameter dimension
+                        minus[j] -= p;
                         [plus, minus]
                     })
                     .collect();
                 let obj = objectives_at(&probes);
                 for (j, g) in grad.iter_mut().enumerate() {
-                    *g = (obj[2 * j] - obj[2 * j + 1]) / (2.0 * p); // dwv-lint: allow(panic-freedom#index) -- the probe batch yields two objectives per coordinate
+                    *g = (obj[2 * j] - obj[2 * j + 1]) / (2.0 * p);
                 }
             }
             GradientEstimator::Spsa { samples } => {
@@ -764,7 +780,11 @@ impl Algorithm1 {
                     .collect();
                 let obj = objectives_at(&probes);
                 for (s, delta) in deltas.iter().enumerate() {
-                    let slope = (obj[2 * s] - obj[2 * s + 1]) / (2.0 * p); // dwv-lint: allow(panic-freedom#index) -- the probe batch yields two objectives per sample
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "the probe batch yields two objectives per sample"
+                    )]
+                    let slope = (obj[2 * s] - obj[2 * s + 1]) / (2.0 * p);
                     for (g, d) in grad.iter_mut().zip(delta) {
                         // 1/Δ_j = Δ_j for Δ_j ∈ {−1, +1}.
                         *g += slope * d / samples as f64;

@@ -100,9 +100,13 @@ pub fn find_counterexample<C: Controller + ?Sized>(
                 state,
             })
         } else if !reached {
+            #[expect(
+                clippy::expect_used,
+                reason = "a simulated trajectory always contains at least the initial state"
+            )]
             Some(Counterexample {
                 time: problem.horizon(),
-                state: traj.fine_states.last().expect("non-empty").clone(), // dwv-lint: allow(panic-freedom) -- a simulated trajectory always contains at least the initial state
+                state: traj.fine_states.last().expect("non-empty").clone(),
                 x0,
                 kind: ViolationKind::MissesGoal,
             })

@@ -264,6 +264,10 @@ impl WorkerPool {
                     if cur >= n {
                         return out;
                     }
+                    #[expect(
+                        clippy::integer_division_remainder_used,
+                        reason = "only the fan-out path gets here, so workers >= 2 and the divisor is nonzero"
+                    )]
                     let take = ((n - cur) / (2 * workers)).max(1);
                     match next.compare_exchange_weak(
                         cur,
@@ -277,7 +281,11 @@ impl WorkerPool {
                 };
                 claims.fetch_add(1, Ordering::Relaxed);
                 let _chunk = dwv_obs::span("pool.chunk");
-                let chunk = &items[start..start + take]; // dwv-lint: allow(panic-freedom#index) -- the CAS claim bounds start + take ≤ items.len()
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "the CAS claim bounds start + take <= items.len()"
+                )]
+                let chunk = &items[start..start + take];
                 out.push((start, chunk.iter().map(timed).collect()));
             }
             out
@@ -507,10 +515,18 @@ mod tests {
         assert_eq!(out, Some(items.iter().map(|x| x * 2).collect()));
     }
 
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the test checks which threads run a batch; thread identity is the property under test"
+    )]
     type ThreadLog = (std::sync::Mutex<Vec<thread::ThreadId>>, std::sync::Condvar);
 
     /// Logs the current thread and blocks (up to 10 s) until two threads
     /// are logged, so a 2-worker batch must use both workers.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test checks which threads run a batch; thread identity is the property under test"
+    )]
     fn rendezvous((log, arrived): &ThreadLog) {
         let me = thread::current().id();
         let mut ids = log.lock().expect("thread log");
@@ -523,6 +539,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test checks which threads run a batch; thread identity is the property under test"
+    )]
     fn caller_is_one_of_the_workers() {
         let seen = ThreadLog::default();
         let items: Vec<usize> = (0..8).collect();
@@ -539,6 +559,10 @@ mod tests {
     /// A 2-worker batch whose items panic on the caller (`on_caller`) or
     /// on the spawned worker must propagate the panic, with no item still
     /// running or starting after it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test checks which threads run a batch; thread identity is the property under test"
+    )]
     fn panic_in_batch(on_caller: bool) {
         let caller = thread::current().id();
         let seen = ThreadLog::default();

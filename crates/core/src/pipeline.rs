@@ -61,10 +61,14 @@ pub fn design_while_verify_linear(
     let _s = dwv_obs::span("pipeline");
     let learning = Algorithm1::new(problem.clone(), config).learn_linear()?;
     let controller = learning.controller.clone();
+    #[expect(
+        clippy::expect_used,
+        reason = "learn_linear succeeded, so linear_parts is Some"
+    )]
     let (a, b, c) = problem
         .dynamics
         .linear_parts()
-        .expect("learn_linear succeeded, so the dynamics are affine"); // dwv-lint: allow(panic-freedom) -- learn_linear succeeded, so linear_parts is Some
+        .expect("learn_linear succeeded, so the dynamics are affine");
     let oracle_controller = controller.clone();
     let delta = problem.delta;
     let steps = problem.horizon_steps;

@@ -153,6 +153,10 @@ impl ConvexPolygon {
 
     /// The support point: vertex maximizing `dir · v`.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "a ConvexPolygon has at least three vertices: from_points rejects degenerate hulls"
+    )]
     pub fn support(&self, dir: Vec2) -> Vec2 {
         *self
             .verts
@@ -279,6 +283,10 @@ impl ConvexPolygon {
 
     /// The tightest axis-aligned bounding box.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "a ConvexPolygon has at least three vertices: from_points rejects degenerate hulls"
+    )]
     pub fn bounding_box(&self) -> IntervalBox {
         let xs = dwv_interval::Interval::hull_of_values(self.verts.iter().map(|v| v.x))
             .expect("polygon has vertices");
@@ -289,6 +297,10 @@ impl ConvexPolygon {
 
     /// The convex hull of the union of the two polygons.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the union of two non-degenerate polygons' vertices is non-degenerate"
+    )]
     pub fn hull_with(&self, other: &ConvexPolygon) -> ConvexPolygon {
         let pts = self
             .verts

@@ -24,6 +24,10 @@ pub fn f64_in(bits: u64, lo: f64, hi: f64) -> f64 {
 
 /// Maps one entropy word to an index in `0..n` (`0` when `n == 0`).
 #[must_use]
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "the n == 0 case returns before the remainder"
+)]
 pub fn index(bits: u64, n: usize) -> usize {
     if n == 0 {
         0

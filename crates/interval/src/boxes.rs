@@ -1,5 +1,9 @@
 //! Axis-aligned interval boxes (hyperrectangles).
-// dwv-lint: allow-file(panic-freedom#index) -- dimension indices are asserted or loop-bounded by construction
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "dimension indices are asserted or loop-bounded by construction"
+)]
 
 use crate::Interval;
 use std::fmt;

@@ -50,8 +50,11 @@ impl Interval {
     /// Panics if `lo > hi` or either endpoint is NaN. Use [`Interval::try_new`]
     /// for a fallible constructor.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented validating constructor; arithmetic uses `sound`"
+    )]
     pub fn new(lo: f64, hi: f64) -> Self {
-        // dwv-lint: allow(panic-freedom) -- documented validating constructor; arithmetic uses `sound`
         Self::try_new(lo, hi).expect("invalid interval endpoints")
     }
 
@@ -291,6 +294,10 @@ impl Interval {
             2 => self.sqr(),
             _ => {
                 if n.is_multiple_of(2) {
+                    #[expect(
+                        clippy::integer_division_remainder_used,
+                        reason = "halving by the constant 2"
+                    )]
                     self.sqr().powi(n / 2)
                 } else {
                     // Odd power is monotone.

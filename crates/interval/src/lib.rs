@@ -27,6 +27,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// R2 panic freedom (DESIGN.md §4d): library paths return errors, never panic.
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
 
 pub mod arbitrary;
 mod boxes;

@@ -78,6 +78,10 @@ impl Interval {
 
     /// Enclosure of `sin` over the interval.
     #[must_use]
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "parity test by the constant 2"
+    )]
     pub fn sin(&self) -> Interval {
         if self.width() >= 2.0 * std::f64::consts::PI {
             return Interval::new(-1.0, 1.0);

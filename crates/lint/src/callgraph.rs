@@ -1,24 +1,21 @@
-//! The whole-workspace call graph and the two interprocedural passes that
-//! run over it: panic-reachability (R2v2) and float-taint (R1v2).
+//! The whole-workspace call graph and the interprocedural float-taint
+//! pass (R1v2) that runs over it.
 //!
 //! Nodes are the functions collected by the per-file passes
 //! ([`crate::rules::FnFact`]); edges come from name-based resolution —
 //! `Type::m()` and `self.m()` resolve to methods of the named/owning type
 //! first, `x.m()` and free calls conservatively resolve to *every*
 //! workspace function of that name (same-crate definitions preferred).
-//! The over-approximation is sound for both passes: a spurious edge can
-//! only add obligations, never hide one. The escape hatch for an
-//! over-approximated chain is a reasoned `allow(panic-freedom#reach)` on
-//! the function, which the report records as an *audited* (not proved)
-//! API.
+//! The over-approximation is sound for the taint pass: a spurious edge can
+//! only add obligations, never hide one.
 //!
 //! Everything is keyed and ordered by `(file index, fn index)`, so graph
-//! construction and both passes are bit-deterministic at any worker count.
+//! construction and the pass are bit-deterministic.
 
 use crate::config::ZoneConfig;
 use crate::report::{Finding, Rule, Suppression};
 use crate::rules::{AllowFact, FileFacts, FnFact};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One node of the call graph: `(file index, fn index within file)`.
 pub type NodeId = (usize, usize);
@@ -217,8 +214,8 @@ impl CallGraph {
         }
     }
 
-    /// Public wrapper over call resolution (used by the taint pass and the
-    /// `--why` trace); sorts and deduplicates the result.
+    /// Public wrapper over call resolution (used by the taint pass); sorts
+    /// and deduplicates the result.
     pub fn resolve_call(
         &self,
         files: &[FileFacts],
@@ -231,12 +228,6 @@ impl CallGraph {
         self.resolve(files, from, name, qual, is_method, out);
         out.sort_unstable();
         out.dedup();
-    }
-
-    /// All nodes whose fn name is `name` (entry points for `--why`).
-    #[must_use]
-    pub fn nodes_named(&self, name: &str) -> Vec<NodeId> {
-        self.by_name.get(name).cloned().unwrap_or_default()
     }
 }
 
@@ -270,238 +261,6 @@ fn qualified(file: &FileFacts, f: &FnFact) -> String {
         Some(o) => format!("{}::{}::{}", file.krate, o, f.name),
         None => format!("{}::{}", file.krate, f.name),
     }
-}
-
-/// The result of the panic-reachability pass.
-#[derive(Debug, Default)]
-pub struct ReachResult {
-    /// Findings: public proof-crate fns that reach a panic unaudited.
-    pub findings: Vec<Finding>,
-    /// Suppressions used (`panic-freedom#reach` audit annotations).
-    pub suppressed: Vec<Suppression>,
-    /// Annotation-comment lines this pass used, per file index.
-    pub used_allow_lines: BTreeMap<usize, Vec<u32>>,
-    /// Public proof-crate fns proved transitively panic-free.
-    pub proved: usize,
-    /// Public proof-crate fns carrying a `#reach` audit annotation.
-    pub audited: usize,
-}
-
-/// Shared panic-set computation: audited nodes (fn-level `#reach` allows)
-/// are cut out of the graph — the annotation asserts the fn's panics
-/// cannot fire from its contract, so they must not taint callers either.
-struct PanicSet {
-    audited: BTreeSet<NodeId>,
-    panicking: BTreeSet<NodeId>,
-    /// Seeded node → human-readable seed description.
-    seed_reason: BTreeMap<NodeId, String>,
-}
-
-fn panic_set(files: &[FileFacts], graph: &CallGraph) -> PanicSet {
-    let mut audited: BTreeSet<NodeId> = BTreeSet::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (ni, f) in file.fns.iter().enumerate() {
-            if allow_for(&file.allows, "panic-freedom", Some("reach"), f.line).is_some() {
-                audited.insert((fi, ni));
-            }
-        }
-    }
-    let mut panicking: BTreeSet<NodeId> = BTreeSet::new();
-    let mut seed_reason: BTreeMap<NodeId, String> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (ni, f) in file.fns.iter().enumerate() {
-            if audited.contains(&(fi, ni)) {
-                continue;
-            }
-            if let Some(seed) = f.seeds.first() {
-                panicking.insert((fi, ni));
-                seed_reason.insert(
-                    (fi, ni),
-                    format!("{} at {}:{}", seed.what, file.rel_path, seed.line),
-                );
-            }
-        }
-    }
-    let mut reverse: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-    for (from, outs) in &graph.edges {
-        for to in outs {
-            reverse.entry(*to).or_default().push(*from);
-        }
-    }
-    let mut work: Vec<NodeId> = panicking.iter().copied().collect();
-    while let Some(n) = work.pop() {
-        if let Some(callers) = reverse.get(&n) {
-            for c in callers {
-                if audited.contains(c) || panicking.contains(c) {
-                    continue;
-                }
-                panicking.insert(*c);
-                work.push(*c);
-            }
-        }
-    }
-    PanicSet {
-        audited,
-        panicking,
-        seed_reason,
-    }
-}
-
-/// Runs the panic-reachability pass: computes the transitive panic set
-/// from the seeded frontier and checks every public function of the
-/// proof crates against it.
-#[must_use]
-pub fn panic_reachability(
-    files: &[FileFacts],
-    graph: &CallGraph,
-    zones: &ZoneConfig,
-) -> ReachResult {
-    let ps = panic_set(files, graph);
-    let mut res = ReachResult::default();
-    for (fi, file) in files.iter().enumerate() {
-        if !zones.in_proof_crate(&file.rel_path) || !file.rel_path.contains("/src/") {
-            continue;
-        }
-        for (ni, f) in file.fns.iter().enumerate() {
-            if !f.is_pub {
-                continue;
-            }
-            let id = (fi, ni);
-            if ps.audited.contains(&id) {
-                if let Some(a) = allow_for(&file.allows, "panic-freedom", Some("reach"), f.line) {
-                    res.suppressed.push(Suppression {
-                        rule: Rule::PanicFreedom,
-                        file: file.rel_path.clone(),
-                        line: f.line,
-                        reason: a.reason.clone(),
-                    });
-                }
-                res.audited += 1;
-                continue;
-            }
-            if ps.panicking.contains(&id) {
-                let chain = shortest_chain(files, graph, id, &ps.panicking, &ps.seed_reason);
-                res.findings.push(Finding {
-                    rule: Rule::PanicFreedom,
-                    sub: Some("reach".to_string()),
-                    file: file.rel_path.clone(),
-                    line: f.line,
-                    message: format!(
-                        "public fn `{}` can reach a panic: {chain}",
-                        qualified(file, f)
-                    ),
-                });
-            } else {
-                res.proved += 1;
-            }
-        }
-    }
-    // Every fn-level `#reach` annotation is "used" — it shapes the panic
-    // set even when no public finding names it.
-    for (fi, file) in files.iter().enumerate() {
-        for (ni, f) in file.fns.iter().enumerate() {
-            if ps.audited.contains(&(fi, ni)) {
-                if let Some(a) = allow_for(&file.allows, "panic-freedom", Some("reach"), f.line) {
-                    res.used_allow_lines
-                        .entry(fi)
-                        .or_default()
-                        .push(a.comment_line);
-                }
-            }
-        }
-    }
-    for lines in res.used_allow_lines.values_mut() {
-        lines.sort_unstable();
-        lines.dedup();
-    }
-    res
-}
-
-/// The shortest call chain from `start` to a seeded node, rendered as
-/// `a -> b -> c (seed: …)`. BFS restricted to panicking nodes, breaking
-/// ties by node order, so the chain is deterministic.
-#[must_use]
-pub fn shortest_chain(
-    files: &[FileFacts],
-    graph: &CallGraph,
-    start: NodeId,
-    panicking: &BTreeSet<NodeId>,
-    seed_reason: &BTreeMap<NodeId, String>,
-) -> String {
-    let mut prev: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    let mut queue: VecDeque<NodeId> = VecDeque::new();
-    queue.push_back(start);
-    let mut seen: BTreeSet<NodeId> = BTreeSet::new();
-    seen.insert(start);
-    let mut target = None;
-    while let Some(n) = queue.pop_front() {
-        if seed_reason.contains_key(&n) {
-            target = Some(n);
-            break;
-        }
-        if let Some(outs) = graph.edges.get(&n) {
-            for o in outs {
-                if panicking.contains(o) && seen.insert(*o) {
-                    prev.insert(*o, n);
-                    queue.push_back(*o);
-                }
-            }
-        }
-    }
-    let Some(t) = target else {
-        return "call chain not reconstructible (over-approximated edge)".to_string();
-    };
-    let mut path = vec![t];
-    let mut cur = t;
-    while cur != start {
-        let Some(p) = prev.get(&cur) else { break };
-        path.push(*p);
-        cur = *p;
-    }
-    path.reverse();
-    let names: Vec<String> = path
-        .iter()
-        .map(|(fi, ni)| qualified(&files[*fi], &files[*fi].fns[*ni]))
-        .collect();
-    let seed = seed_reason
-        .get(&t)
-        .cloned()
-        .unwrap_or_else(|| "panic seed".to_string());
-    format!("{} (seed: {seed})", names.join(" -> "))
-}
-
-/// `--why <fn>`: all panic chains (one per matching definition) for the
-/// named function, or proof statements when none reach a panic.
-#[must_use]
-pub fn why(files: &[FileFacts], graph: &CallGraph, name: &str) -> Vec<String> {
-    let ps = panic_set(files, graph);
-    let nodes = graph.nodes_named(name);
-    if nodes.is_empty() {
-        return vec![format!("no workspace function named `{name}`")];
-    }
-    nodes
-        .iter()
-        .map(|id| {
-            let (fi, ni) = *id;
-            let f = &files[fi].fns[ni];
-            let label = format!(
-                "{} ({}:{})",
-                qualified(&files[fi], f),
-                files[fi].rel_path,
-                f.line
-            );
-            if ps.audited.contains(id) {
-                format!("{label}: audited (`allow(panic-freedom#reach)` on the fn)")
-            } else if ps.panicking.contains(id) {
-                format!(
-                    "{label}: reaches a panic via {}",
-                    shortest_chain(files, graph, *id, &ps.panicking, &ps.seed_reason)
-                )
-            } else {
-                format!("{label}: proved transitively panic-free")
-            }
-        })
-        .collect()
 }
 
 /// The result of the float-taint pass.
@@ -640,60 +399,12 @@ mod tests {
             float_zone_files: vec!["crates/interval/src/zone.rs".to_string()],
             float_primitive_files: vec![],
             kernel_module_files: vec![],
-            panic_free_crates: vec![],
-            panic_free_files: vec![],
-            determinism_zone_files: vec![],
             no_alloc_files: vec![],
             no_alloc_fns: vec![],
             no_alloc_fn_suffixes: vec![],
             no_alloc_suffix_files: vec![],
             enclosure_types: vec!["Interval".to_string()],
-            proof_crates: vec!["interval".to_string()],
         }
-    }
-
-    #[test]
-    fn reach_finds_transitive_panic() {
-        let zones = zones_for_fixture();
-        let files = facts_for(
-            &[
-                (
-                    "crates/interval/src/zone.rs",
-                    "pub fn entry(x: usize) -> usize { helper(x) }\nfn helper(x: usize) -> usize { inner(x) }\nfn inner(x: usize) -> usize { grab(x).unwrap() }\nfn grab(x: usize) -> Option<usize> { Some(x) }\n",
-                ),
-            ],
-            &zones,
-        );
-        let graph = CallGraph::build(&files);
-        let res = panic_reachability(&files, &graph, &zones);
-        assert_eq!(res.findings.len(), 1, "{:?}", res.findings);
-        let f = &res.findings[0];
-        assert_eq!(f.sub.as_deref(), Some("reach"));
-        assert_eq!(f.line, 1);
-        assert!(f
-            .message
-            .contains("interval::entry -> interval::helper -> interval::inner"));
-        assert!(f.message.contains(".unwrap()"));
-        assert_eq!(res.proved, 0);
-    }
-
-    #[test]
-    fn reach_proves_clean_api_and_respects_audit() {
-        let zones = zones_for_fixture();
-        let files = facts_for(
-            &[(
-                "crates/interval/src/zone.rs",
-                "pub fn safe(x: usize) -> usize { x + 1 }\n// dwv-lint: allow(panic-freedom#reach) -- caller guarantees nonempty input\npub fn audited(v: &[usize]) -> usize { v.iter().copied().max().unwrap() }\n",
-            )],
-            &zones,
-        );
-        let graph = CallGraph::build(&files);
-        let res = panic_reachability(&files, &graph, &zones);
-        assert!(res.findings.is_empty(), "{:?}", res.findings);
-        assert_eq!(res.proved, 1);
-        assert_eq!(res.audited, 1);
-        assert_eq!(res.suppressed.len(), 1);
-        assert_eq!(res.used_allow_lines.get(&0), Some(&vec![2]));
     }
 
     #[test]
@@ -743,30 +454,6 @@ mod tests {
         assert!(res.findings.is_empty(), "{:?}", res.findings);
         assert_eq!(res.suppressed.len(), 1);
         assert_eq!(res.used_allow_lines.get(&1), Some(&vec![2]));
-    }
-
-    #[test]
-    fn why_reports_chain_or_proof() {
-        let zones = zones_for_fixture();
-        let files = facts_for(
-            &[(
-                "crates/interval/src/zone.rs",
-                "pub fn risky(v: &[usize]) -> usize { v.iter().copied().max().unwrap() }\npub fn fine(x: usize) -> usize { x }\n",
-            )],
-            &zones,
-        );
-        let graph = CallGraph::build(&files);
-        let lines = why(&files, &graph, "risky");
-        assert_eq!(lines.len(), 1);
-        assert!(lines[0].contains("reaches a panic"), "{}", lines[0]);
-        let lines = why(&files, &graph, "fine");
-        assert!(
-            lines[0].contains("proved transitively panic-free"),
-            "{}",
-            lines[0]
-        );
-        let lines = why(&files, &graph, "absent");
-        assert!(lines[0].contains("no workspace function"));
     }
 
     #[test]

@@ -40,14 +40,6 @@ pub struct ZoneConfig {
     /// there — but the denylisted float methods and the rounding-primitive
     /// containment check (R1#rounding) still apply.
     pub kernel_module_files: Vec<String>,
-    /// Crates whose library code must be panic-free (R2).
-    pub panic_free_crates: Vec<String>,
-    /// Individual files under the R2 panic-freedom contract even though
-    /// their crate as a whole is not (e.g. the serve wire-protocol parser,
-    /// which decodes attacker-controlled bytes).
-    pub panic_free_files: Vec<String>,
-    /// Files whose results must be deterministic (R3).
-    pub determinism_zone_files: Vec<String>,
     /// Files every function of which is in the R6 no-alloc zone.
     pub no_alloc_files: Vec<String>,
     /// Function names in the R6 no-alloc zone wherever they are defined
@@ -62,9 +54,6 @@ pub struct ZoneConfig {
     /// and enclosure types): an operand of one of these types discharges
     /// the R1 raw-float-operator obligation.
     pub enclosure_types: Vec<String>,
-    /// Crates whose public functions the panic-reachability pass must prove
-    /// transitively panic-free.
-    pub proof_crates: Vec<String>,
 }
 
 impl Default for ZoneConfig {
@@ -93,33 +82,6 @@ impl Default for ZoneConfig {
             // The vectorized coefficient kernels: the one module whose raw
             // f64 loops are the designated scalar/SIMD compute core.
             kernel_module_files: v(&["crates/poly/src/kernels.rs"]),
-            // The verified core: a panic mid-flowpipe would abort a whole
-            // training run, so library paths must be Result-carrying.
-            panic_free_crates: v(&["interval", "poly", "taylor", "reach", "core", "trace"]),
-            // Hostile-input parsers outside the verified crates: the serve
-            // frame codec must reject truncated/garbage bytes, never panic.
-            panic_free_files: v(&["crates/serve/src/proto.rs"]),
-            // Result-bearing parallel/caching code: the bit-identity contract
-            // (serial vs parallel, cached vs fresh) forbids iteration-order,
-            // wall-clock, and thread-identity dependence. The trace analyzer
-            // joins the zone: the same trace must give the same report bytes
-            // on every run, so its aggregation must be order-stable
-            // (`BTreeMap`, never `HashMap`).
-            determinism_zone_files: v(&[
-                "crates/core/src/parallel.rs",
-                "crates/reach/src/cache.rs",
-                "crates/reach/src/taylor_reach.rs",
-                "crates/reach/src/sweep.rs",
-                "crates/poly/src/bernstein.rs",
-                "crates/poly/src/tables.rs",
-                "crates/trace/src/model.rs",
-                "crates/trace/src/forest.rs",
-                "crates/trace/src/attribution.rs",
-                "crates/trace/src/critical.rs",
-                "crates/trace/src/folded.rs",
-                "crates/trace/src/lib.rs",
-                "crates/obs/src/recorder.rs",
-            ]),
             // The zero-copy hot core (PR 2/6): the coefficient kernels, the
             // workspace-arena in-place polynomial kernels, and the arena
             // flow step must never allocate on the steady-state path.
@@ -137,7 +99,6 @@ impl Default for ZoneConfig {
                 "TaylorModel",
                 "Zonotope",
             ]),
-            proof_crates: v(&["interval", "poly", "taylor", "reach"]),
         }
     }
 }
@@ -165,21 +126,6 @@ impl ZoneConfig {
         self.kernel_module_files.iter().any(|f| f == rel_path)
     }
 
-    /// Whether `rel_path` carries the R2 panic-freedom contract: its crate
-    /// is listed in `panic_free_crates`, or the file itself is singled out
-    /// in `panic_free_files`.
-    #[must_use]
-    pub fn in_panic_free_crate(&self, rel_path: &str) -> bool {
-        self.panic_free_crates.contains(&crate_of(rel_path))
-            || self.panic_free_files.iter().any(|f| f == rel_path)
-    }
-
-    /// Whether `rel_path` is in the R3 determinism zone.
-    #[must_use]
-    pub fn in_determinism_zone(&self, rel_path: &str) -> bool {
-        self.determinism_zone_files.iter().any(|f| f == rel_path)
-    }
-
     /// Whether function `fn_name` defined in `rel_path` is in the R6
     /// no-alloc zone.
     #[must_use]
@@ -198,13 +144,6 @@ impl ZoneConfig {
     #[must_use]
     pub fn is_enclosure_type(&self, name: &str) -> bool {
         self.enclosure_types.iter().any(|t| t == name)
-    }
-
-    /// Whether `rel_path` belongs to a crate under the public-API
-    /// panic-reachability proof.
-    #[must_use]
-    pub fn in_proof_crate(&self, rel_path: &str) -> bool {
-        self.proof_crates.contains(&crate_of(rel_path))
     }
 }
 
@@ -231,15 +170,8 @@ mod tests {
         assert!(z.in_float_zone("crates/taylor/src/defect.rs"));
         assert!(z.in_float_zone("crates/poly/src/workspace.rs"));
         assert!(!z.in_float_zone("crates/interval/src/interval.rs"));
-        assert!(z.in_panic_free_crate("crates/reach/src/cache.rs"));
-        assert!(z.in_panic_free_crate("crates/trace/src/forest.rs"));
-        assert!(!z.in_panic_free_crate("crates/obs/src/trace.rs"));
-        // File-granular R2: the serve codec is in the zone, the rest of
-        // the serve crate is not.
-        assert!(z.in_panic_free_crate("crates/serve/src/proto.rs"));
-        assert!(!z.in_panic_free_crate("crates/serve/src/server.rs"));
-        assert!(z.in_determinism_zone("crates/core/src/parallel.rs"));
-        assert!(z.in_determinism_zone("crates/trace/src/attribution.rs"));
-        assert!(z.in_determinism_zone("crates/obs/src/recorder.rs"));
+        assert!(z.is_kernel_module("crates/poly/src/kernels.rs"));
+        assert!(z.in_no_alloc_zone("crates/taylor/src/model.rs", "mul_into"));
+        assert!(!z.in_no_alloc_zone("crates/taylor/src/model.rs", "mul"));
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! Every file is lexed and parsed in sorted path order; the signature index
 //! is built over all of them, then each file's rule passes produce one
-//! [`FileFacts`]. The second half is the call graph, the
-//! panic-reachability and float-taint passes, unused-annotation detection,
-//! and the audit roll-up.
+//! [`FileFacts`]. The second half is the call graph, the float-taint pass,
+//! unused-annotation detection, and the audit roll-up.
 //!
 //! Determinism contract: files are processed in sorted path order and every
 //! aggregate is re-sorted before the report is assembled, so the report is
@@ -19,10 +18,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::Path;
-
-/// Suppression count recorded when the interprocedural engine landed: the
-/// debt-paydown baseline every report is measured against.
-pub const SUPPRESSION_BASELINE: usize = 376;
 
 /// Lints a set of in-memory sources (`(rel_path, contents)` pairs) and
 /// assembles the full interprocedural report. The workspace CLI, the
@@ -54,31 +49,24 @@ fn file_facts(sources: &[(String, String)], zones: &ZoneConfig) -> Vec<FileFacts
         .collect()
 }
 
-/// The interprocedural half: call graph, reachability, taint,
-/// unused-annotation detection, audit roll-up, and deterministic sorting.
+/// The interprocedural half: call graph, taint, unused-annotation
+/// detection, audit roll-up, and deterministic sorting.
 fn assemble(files: Vec<FileFacts>, zones: &ZoneConfig) -> Report {
     let graph = CallGraph::build(&files);
-    let reach = callgraph::panic_reachability(&files, &graph, zones);
     let taint = callgraph::float_taint(&files, &graph, zones);
 
     let mut report = Report {
         files_scanned: files.len(),
         ..Report::default()
     };
-    let mut soft_seeds: BTreeMap<String, usize> = BTreeMap::new();
     for (fi, file) in files.iter().enumerate() {
         report.findings.extend(file.findings.iter().cloned());
         report.suppressed.extend(file.suppressed.iter().cloned());
-        if file.soft_seeds > 0 {
-            *soft_seeds.entry(file.krate.clone()).or_insert(0) += file.soft_seeds;
-        }
         // Unused-annotation detection: every allow comment must have been
         // consumed by a per-file or interprocedural pass.
         let mut used: BTreeSet<u32> = file.used_allow_lines.iter().copied().collect();
-        for pass_used in [&reach.used_allow_lines, &taint.used_allow_lines] {
-            if let Some(lines) = pass_used.get(&fi) {
-                used.extend(lines.iter().copied());
-            }
+        if let Some(lines) = taint.used_allow_lines.get(&fi) {
+            used.extend(lines.iter().copied());
         }
         let mut reported: BTreeSet<u32> = BTreeSet::new();
         for a in &file.allows {
@@ -101,9 +89,7 @@ fn assemble(files: Vec<FileFacts>, zones: &ZoneConfig) -> Report {
             });
         }
     }
-    report.findings.extend(reach.findings);
     report.findings.extend(taint.findings);
-    report.suppressed.extend(reach.suppressed);
     report.suppressed.extend(taint.suppressed);
 
     report.findings.sort_by(|a, b| {
@@ -124,11 +110,7 @@ fn assemble(files: Vec<FileFacts>, zones: &ZoneConfig) -> Report {
         *by_rule.entry(s.rule.id().to_string()).or_insert(0) += 1;
     }
     report.audit = Some(Audit {
-        suppression_baseline: SUPPRESSION_BASELINE,
         suppressed_by_rule: by_rule,
-        pub_fns_proved: reach.proved,
-        pub_fns_audited: reach.audited,
-        soft_seeds,
     });
     report
 }
@@ -139,15 +121,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let zones = ZoneConfig::default();
     let sources = read_workspace(root)?;
     Ok(lint_sources(&sources, &zones))
-}
-
-/// Answers `--why <fn>` for the workspace: the panic-reachability status
-/// of every workspace function with that name, with call chains.
-pub fn why_workspace(root: &Path, name: &str) -> io::Result<Vec<String>> {
-    let zones = ZoneConfig::default();
-    let files = file_facts(&read_workspace(root)?, &zones);
-    let graph = CallGraph::build(&files);
-    Ok(callgraph::why(&files, &graph, name))
 }
 
 /// Reads every library source file under `root` (see
@@ -175,25 +148,12 @@ mod tests {
         (path.to_string(), src.to_string())
     }
 
-    fn fixture_sources() -> Vec<(String, String)> {
-        vec![
-            src_pair(
-                "crates/interval/src/zone.rs",
-                "/// Entry.\npub fn entry(x: usize) -> usize { helper(x) }\nfn helper(x: usize) -> usize { x + 1 }\n",
-            ),
-            src_pair(
-                "crates/interval/src/other.rs",
-                "/// Other.\npub fn other(v: &[usize]) -> usize { v.len() }\n",
-            ),
-        ]
-    }
-
     #[test]
     fn unused_allow_is_a_finding() {
         let zones = ZoneConfig::default();
         let sources = vec![src_pair(
             "crates/interval/src/zone.rs",
-            "// dwv-lint: allow(determinism) -- nothing here needs it\n/// Doc.\npub fn f(x: usize) -> usize { x }\n",
+            "// dwv-lint: allow(no-alloc) -- nothing here needs it\n/// Doc.\npub fn f(x: usize) -> usize { x }\n",
         )];
         let report = lint_sources(&sources, &zones);
         let unused: Vec<&Finding> = report
@@ -232,12 +192,15 @@ mod tests {
     }
 
     #[test]
-    fn audit_section_is_populated() {
+    fn audit_counts_suppressions_by_rule() {
         let zones = ZoneConfig::default();
-        let report = lint_sources(&fixture_sources(), &zones);
+        let sources = vec![src_pair(
+            "crates/interval/src/boxes.rs",
+            "/// Doc.\npub fn f(a: f64) -> f64 {\n    a * 2.0 // dwv-lint: allow(float-hygiene) -- display only\n}\n",
+        )];
+        let report = lint_sources(&sources, &zones);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
         let audit = report.audit.as_ref().expect("audit");
-        assert_eq!(audit.suppression_baseline, SUPPRESSION_BASELINE);
-        assert_eq!(audit.pub_fns_proved, 2);
-        assert_eq!(audit.pub_fns_audited, 0);
+        assert_eq!(audit.suppressed_by_rule.get("float-hygiene"), Some(&1));
     }
 }

@@ -1,20 +1,24 @@
-//! dwv-lint: the soundness & determinism static-analysis pass for the
+//! dwv-lint: the float-hygiene and no-alloc static-analysis pass for the
 //! verified core.
 //!
-//! A zero-dependency token-level scanner (no `syn` — the build is offline)
-//! enforcing the project's soundness contract:
+//! A token-level scanner (no `syn` — the build is offline) enforcing the
+//! parts of the project's soundness contract clippy cannot express:
 //!
 //! | rule            | what it forbids                                      |
 //! |-----------------|------------------------------------------------------|
-//! | `float-hygiene` | raw `f64` arithmetic / non-directed float methods in soundness zones |
-//! | `panic-freedom` | `unwrap`/`expect`/panicking macros/indexing in verified library code |
-//! | `determinism`   | iteration-order, wall-clock, thread-identity dependence in result-bearing code |
+//! | `float-hygiene` | raw `f64` arithmetic / non-directed float methods in soundness zones, directly or through a raw-float helper (`#taint`) |
 //! | `no-alloc`      | allocation in the designated no-alloc kernel zone    |
+//!
+//! Panic freedom (R2) and determinism (R3) are clippy lints: the
+//! panic-free crate roots deny `clippy::indexing_slicing`,
+//! `clippy::unwrap_used` and friends, and the workspace `clippy.toml`
+//! disallows the hash containers, clocks and thread identity (DESIGN.md
+//! §4d).
 //!
 //! Findings are suppressible only via an inline, reasoned annotation:
 //!
 //! ```text
-//! // dwv-lint: allow(panic-freedom#index) -- bounds established by loop guard
+//! // dwv-lint: allow(float-hygiene) -- step timestamps are display metadata
 //! ```
 //!
 //! which the linter records in the report's audit trail. Malformed
@@ -34,6 +38,6 @@ pub mod structure;
 pub mod walk;
 
 pub use config::ZoneConfig;
-pub use engine::{lint_sources, lint_workspace, read_workspace, why_workspace};
+pub use engine::{lint_sources, lint_workspace, read_workspace};
 pub use report::{Finding, Report, Rule, Suppression};
 pub use rules::lint_source;

@@ -2,20 +2,17 @@
 //!
 //! ```text
 //! dwv-lint --workspace [--deny all|<rule>[,<rule>]*] [--json] [--quiet]
-//!          [--why <fn>]
 //! dwv-lint <file.rs>... [--deny ...] [--json]
 //! ```
 //!
 //! Workspace runs go through the interprocedural engine (per-file
-//! analysis, then the call-graph passes, in one serial pass) over the
+//! analysis, then the call-graph pass, in one serial pass) over the
 //! library files; explicit file arguments are linted standalone, as library
-//! code, with per-file rules only. `--why <fn>` prints the
-//! panic-reachability status and call chain of every workspace function
-//! with that name instead of a report.
+//! code, with per-file rules only.
 //!
 //! The exit code is a bitmask over the denied rules that fired:
-//! float-hygiene=1, panic-freedom=2, determinism=4, no-alloc=64;
-//! malformed or unused annotations (32) always fail.
+//! float-hygiene=1, no-alloc=64; malformed or unused annotations (32)
+//! always fail.
 
 #![forbid(unsafe_code)]
 
@@ -32,7 +29,6 @@ struct Options {
     denied: Vec<Rule>,
     json: bool,
     quiet: bool,
-    why: Option<String>,
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
@@ -42,7 +38,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         denied: Rule::all().to_vec(),
         json: false,
         quiet: false,
-        why: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -50,13 +45,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--workspace" => opts.workspace = true,
             "--json" => opts.json = true,
             "--quiet" | "-q" => opts.quiet = true,
-            "--why" => {
-                i += 1;
-                let name = args
-                    .get(i)
-                    .ok_or_else(|| "--why requires a function name".to_string())?;
-                opts.why = Some(name.clone());
-            }
             "--deny" => {
                 i += 1;
                 let spec = args
@@ -77,7 +65,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--help" | "-h" => {
                 return Err(
                     "usage: dwv-lint (--workspace | <file.rs>...) [--deny all|<rules>] \
-                     [--json] [--quiet] [--why <fn>]"
+                     [--json] [--quiet]"
                         .to_string(),
                 );
             }
@@ -86,8 +74,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         }
         i += 1;
     }
-    if !opts.workspace && opts.paths.is_empty() && opts.why.is_none() {
-        return Err("nothing to lint: pass --workspace, --why <fn>, or files".to_string());
+    if !opts.workspace && opts.paths.is_empty() {
+        return Err("nothing to lint: pass --workspace or files".to_string());
     }
     Ok(opts)
 }
@@ -128,28 +116,6 @@ fn main() -> ExitCode {
             return ExitCode::from(64);
         }
     };
-    if let Some(name) = &opts.why {
-        let cwd = match env::current_dir() {
-            Ok(cwd) => cwd,
-            Err(e) => {
-                eprintln!("dwv-lint: cannot read cwd: {e}");
-                return ExitCode::from(65);
-            }
-        };
-        let root = walk::find_workspace_root(&cwd);
-        return match dwv_lint::why_workspace(&root, name) {
-            Ok(lines) => {
-                for line in lines {
-                    println!("{line}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("dwv-lint: {e}");
-                ExitCode::from(65)
-            }
-        };
-    }
     let report = match run(&opts) {
         Ok(report) => report,
         Err(msg) => {

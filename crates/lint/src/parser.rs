@@ -29,8 +29,6 @@ pub struct FnDef {
     /// The trait being implemented when the surrounding block is an
     /// `impl Trait for Type`.
     pub trait_name: Option<String>,
-    /// Whether the item is `pub` (not `pub(crate)`/`pub(super)`).
-    pub is_pub: bool,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Token index of the `fn` keyword.
@@ -146,14 +144,6 @@ pub fn parse(lexed: &Lexed) -> Parsed {
 struct Parser<'a> {
     toks: &'a [Token],
     out: Parsed,
-}
-
-/// Item keywords that `pub`/modifiers may precede.
-fn is_modifier(text: &str) -> bool {
-    matches!(
-        text,
-        "pub" | "const" | "unsafe" | "async" | "extern" | "default"
-    )
 }
 
 impl Parser<'_> {
@@ -353,12 +343,6 @@ impl Parser<'_> {
             return fn_tok + 1;
         }
         let name = name_tok.text.clone();
-        // `pub` visibility: walk back over modifiers.
-        let mut vis = fn_tok;
-        while vis > 0 && is_modifier(self.text(vis - 1)) {
-            vis -= 1;
-        }
-        let is_pub = self.text(vis) == "pub" && self.text(vis + 1) != "(";
 
         let mut i = name_at + 1;
         if self.text(i) == "<" {
@@ -391,7 +375,6 @@ impl Parser<'_> {
             name,
             owner: owner.map(str::to_string),
             trait_name: trait_name.map(str::to_string),
-            is_pub,
             line: self.toks[fn_tok].line,
             fn_tok,
             body,
@@ -858,28 +841,21 @@ impl T for S {
 }
 ";
         let (_, p) = parse_src(src);
-        let names: Vec<(String, Option<String>, Option<String>, bool)> = p
+        let names: Vec<(String, Option<String>, Option<String>)> = p
             .fns
             .iter()
-            .map(|f| {
-                (
-                    f.name.clone(),
-                    f.owner.clone(),
-                    f.trait_name.clone(),
-                    f.is_pub,
-                )
-            })
+            .map(|f| (f.name.clone(), f.owner.clone(), f.trait_name.clone()))
             .collect();
         assert_eq!(names.len(), 6, "{names:?}");
-        assert_eq!(names[0], ("free".into(), None, None, true));
-        assert_eq!(names[1], ("method".into(), Some("S".into()), None, true));
-        assert_eq!(names[2], ("private".into(), Some("S".into()), None, false));
-        assert_eq!(names[3], ("sig_only".into(), Some("T".into()), None, false));
+        assert_eq!(names[0], ("free".into(), None, None));
+        assert_eq!(names[1], ("method".into(), Some("S".into()), None));
+        assert_eq!(names[2], ("private".into(), Some("S".into()), None));
+        assert_eq!(names[3], ("sig_only".into(), Some("T".into()), None));
         assert!(p.fns[3].body.is_none(), "trait signature has no body");
         assert!(p.fns[4].body.is_some(), "default method has a body");
         assert_eq!(
             names[5],
-            ("sig_only".into(), Some("S".into()), Some("T".into()), false)
+            ("sig_only".into(), Some("S".into()), Some("T".into()))
         );
     }
 

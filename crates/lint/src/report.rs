@@ -1,5 +1,6 @@
 //! Findings, suppressions, and the output formats.
 
+use dwv_obs::json_string;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -9,11 +10,6 @@ pub enum Rule {
     /// R1 — raw float arithmetic / non-directed std float methods in a
     /// soundness zone.
     FloatHygiene,
-    /// R2 — panicking patterns in library code of the verified crates.
-    PanicFreedom,
-    /// R3 — iteration-order / wall-clock / thread-identity dependence in
-    /// result-bearing code.
-    Determinism,
     /// R6 — allocation in a designated no-alloc kernel zone.
     NoAlloc,
     /// Malformed `dwv-lint:` annotations.
@@ -26,8 +22,6 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::FloatHygiene => "float-hygiene",
-            Rule::PanicFreedom => "panic-freedom",
-            Rule::Determinism => "determinism",
             Rule::NoAlloc => "no-alloc",
             Rule::Annotation => "annotation",
         }
@@ -38,8 +32,6 @@ impl Rule {
     pub fn exit_bit(self) -> i32 {
         match self {
             Rule::FloatHygiene => 1,
-            Rule::PanicFreedom => 2,
-            Rule::Determinism => 4,
             Rule::Annotation => 32,
             Rule::NoAlloc => 64,
         }
@@ -48,12 +40,7 @@ impl Rule {
     /// All enforceable rules (annotation hygiene is always enforced).
     #[must_use]
     pub fn all() -> &'static [Rule] {
-        &[
-            Rule::FloatHygiene,
-            Rule::PanicFreedom,
-            Rule::Determinism,
-            Rule::NoAlloc,
-        ]
+        &[Rule::FloatHygiene, Rule::NoAlloc]
     }
 
     /// Parses a rule id (as accepted by `--deny`).
@@ -68,7 +55,7 @@ impl Rule {
 pub struct Finding {
     /// The violated rule.
     pub rule: Rule,
-    /// Optional sub-pattern (e.g. `index` for slice-indexing under R2).
+    /// Optional sub-pattern (e.g. `taint` for a float-taint finding under R1).
     pub sub: Option<String>,
     /// Repo-relative file path.
     pub file: String,
@@ -91,24 +78,12 @@ pub struct Suppression {
     pub reason: String,
 }
 
-/// The suppression-debt / proof-obligation audit attached to a workspace
-/// run by the interprocedural engine.
+/// The suppression audit attached to a workspace run by the
+/// interprocedural engine.
 #[derive(Debug, Default, Clone)]
 pub struct Audit {
-    /// Suppression count recorded when the interprocedural engine landed
-    /// (the debt-paydown baseline the report is measured against).
-    pub suppression_baseline: usize,
     /// Current suppressions per rule id.
     pub suppressed_by_rule: BTreeMap<String, usize>,
-    /// Public functions of the proof crates shown transitively panic-free.
-    pub pub_fns_proved: usize,
-    /// Public functions of the proof crates carrying a reasoned
-    /// `panic-freedom#reach` audit annotation instead of a proof.
-    pub pub_fns_audited: usize,
-    /// Per-crate counts of *soft* panic exposure outside the proof zone
-    /// (indexing / non-literal division in non-zone library code). These
-    /// are informational proof obligations, not findings.
-    pub soft_seeds: BTreeMap<String, usize>,
 }
 
 /// Aggregated results of a lint run.
@@ -120,7 +95,7 @@ pub struct Report {
     pub suppressed: Vec<Suppression>,
     /// Number of files scanned.
     pub files_scanned: usize,
-    /// Proof/suppression audit (workspace engine runs only).
+    /// Suppression audit (workspace engine runs only).
     pub audit: Option<Audit>,
 }
 
@@ -165,23 +140,9 @@ impl Report {
             self.suppressed.len(),
         );
         if let Some(a) = &self.audit {
-            let _ = writeln!(
-                out,
-                "audit: suppressions {} (baseline {}, {:+})",
-                self.suppressed.len(),
-                a.suppression_baseline,
-                self.suppressed.len() as i64 - a.suppression_baseline as i64,
-            );
+            let _ = writeln!(out, "audit: suppressions {}", self.suppressed.len());
             for (rule, n) in &a.suppressed_by_rule {
                 let _ = writeln!(out, "  suppressed[{rule}]: {n}");
-            }
-            let _ = writeln!(
-                out,
-                "  panic-reachability: {} pub fn(s) proved, {} audited",
-                a.pub_fns_proved, a.pub_fns_audited
-            );
-            for (krate, n) in &a.soft_seeds {
-                let _ = writeln!(out, "  soft panic exposure: {krate}: {n}");
             }
         }
         let code = self.exit_code(denied);
@@ -207,13 +168,13 @@ impl Report {
             let _ = write!(
                 out,
                 "\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}",
-                json_str(f.rule.id()),
-                json_str(&f.file),
+                json_string(f.rule.id()),
+                json_string(&f.file),
                 f.line,
-                json_str(&f.message)
+                json_string(&f.message)
             );
             if let Some(sub) = &f.sub {
-                let _ = write!(out, ", \"sub\": {}", json_str(sub));
+                let _ = write!(out, ", \"sub\": {}", json_string(sub));
             }
             out.push('}');
         }
@@ -226,65 +187,29 @@ impl Report {
             let _ = write!(
                 out,
                 "\"rule\": {}, \"file\": {}, \"line\": {}, \"reason\": {}",
-                json_str(sup.rule.id()),
-                json_str(&sup.file),
+                json_string(sup.rule.id()),
+                json_string(&sup.file),
                 sup.line,
-                json_str(&sup.reason)
+                json_string(&sup.reason)
             );
             out.push('}');
         }
         out.push_str("\n  ]");
         if let Some(a) = &self.audit {
             out.push_str(",\n  \"audit\": {\n");
-            let _ = writeln!(
-                out,
-                "    \"suppression_baseline\": {},",
-                a.suppression_baseline
-            );
             let _ = writeln!(out, "    \"suppressions\": {},", self.suppressed.len());
             out.push_str("    \"suppressed_by_rule\": {");
             for (i, (rule, n)) in a.suppressed_by_rule.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                let _ = write!(out, "\n      {}: {}", json_str(rule), n);
-            }
-            out.push_str("\n    },\n");
-            let _ = writeln!(out, "    \"pub_fns_proved\": {},", a.pub_fns_proved);
-            let _ = writeln!(out, "    \"pub_fns_audited\": {},", a.pub_fns_audited);
-            out.push_str("    \"soft_seeds\": {");
-            for (i, (krate, n)) in a.soft_seeds.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\n      {}: {}", json_str(krate), n);
+                let _ = write!(out, "\n      {}: {}", json_string(rule), n);
             }
             out.push_str("\n    }\n  }");
         }
         out.push_str("\n}\n");
         out
     }
-}
-
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -297,11 +222,11 @@ mod tests {
             ..Report::default()
         };
         r.findings.push(Finding {
-            rule: Rule::PanicFreedom,
-            sub: Some("index".into()),
+            rule: Rule::NoAlloc,
+            sub: None,
             file: "a.rs".into(),
             line: 3,
-            message: "slice indexing".into(),
+            message: "`.push()` may allocate".into(),
         });
         r.findings.push(Finding {
             rule: Rule::FloatHygiene,
@@ -311,10 +236,10 @@ mod tests {
             message: "raw `*`".into(),
         });
         r.suppressed.push(Suppression {
-            rule: Rule::Determinism,
+            rule: Rule::FloatHygiene,
             file: "c.rs".into(),
             line: 1,
-            reason: "lookup-only".into(),
+            reason: "display metadata".into(),
         });
         r
     }
@@ -322,10 +247,10 @@ mod tests {
     #[test]
     fn exit_code_masks_by_denied_rules() {
         let r = sample();
-        assert_eq!(r.exit_code(&[Rule::PanicFreedom]), 2);
+        assert_eq!(r.exit_code(&[Rule::NoAlloc]), 64);
         assert_eq!(r.exit_code(&[Rule::FloatHygiene]), 1);
-        assert_eq!(r.exit_code(Rule::all()), 3);
-        assert_eq!(r.exit_code(&[Rule::Determinism]), 0);
+        assert_eq!(r.exit_code(Rule::all()), 65);
+        assert_eq!(r.exit_code(&[]), 0);
     }
 
     #[test]
@@ -345,12 +270,7 @@ mod tests {
     fn text_contains_findings() {
         let r = sample();
         let t = r.to_text(Rule::all());
-        assert!(t.contains("a.rs:3: [panic-freedom#index] slice indexing"));
+        assert!(t.contains("a.rs:3: [no-alloc] `.push()` may allocate"));
         assert!(t.contains("b.rs:7: [float-hygiene]"));
-    }
-
-    #[test]
-    fn json_escapes_strings() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
 }

@@ -1,4 +1,4 @@
-//! The rule passes (R1–R3, R6) over a lexed + analyzed source file.
+//! The rule passes (R1, R6) over a lexed + analyzed source file.
 //!
 //! Every pass is token-level and heuristic — precision is documented per
 //! rule, and each exemption the heuristics cannot prove must be written as a
@@ -9,7 +9,7 @@ use crate::lexer::{lex, Lexed, TokKind, Token};
 use crate::parser::{parse, Parsed};
 use crate::report::{Finding, Report, Rule, Suppression};
 use crate::structure::{analyze, suppression, Structure};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Non-directed `std` float methods forbidden in soundness zones (R1). The
 /// directed / exact operations (`min`, `max`, `abs`, `next_up`, `next_down`,
@@ -61,9 +61,6 @@ const ARITH_OPS: &[&str] = &["+", "-", "*", "/", "%", "+=", "-=", "*=", "/=", "%
 const INT_TYPES: &[&str] = &[
     "usize", "isize", "u8", "u16", "u32", "u64", "u128", "i8", "i16", "i32", "i64", "i128",
 ];
-
-/// Panicking macros checked by R2.
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
 
 /// Allocation patterns banned in the R6 no-alloc zone: `Qual::method` pairs.
 const ALLOC_PATHS: &[(&str, &str)] = &[
@@ -179,8 +176,6 @@ pub struct SigIndex {
     pub returns: BTreeMap<String, Ty>,
     /// struct field name → field category.
     pub fields: BTreeMap<String, Ty>,
-    /// Every fn/method name defined anywhere in the workspace.
-    pub fn_names: BTreeSet<String>,
 }
 
 impl SigIndex {
@@ -196,7 +191,6 @@ impl SigIndex {
                 .or_insert(ty);
         };
         for f in &parsed.fns {
-            self.fn_names.insert(f.name.clone());
             put(&mut self.returns, &f.name, head_ty(&f.ret_ty, zones));
         }
         for s in &parsed.structs {
@@ -915,15 +909,6 @@ fn is_stmt_keyword(name: &str) -> bool {
 // Per-file facts
 // ---------------------------------------------------------------------------
 
-/// One panic seed inside a function body.
-#[derive(Debug, Clone)]
-pub struct Seed {
-    /// 1-based line of the seed.
-    pub line: u32,
-    /// What the seed is (`` `.unwrap()` ``, `` `panic!` ``, …).
-    pub what: String,
-}
-
 /// One call edge out of a function (unresolved — the call graph resolves).
 #[derive(Debug, Clone)]
 pub struct CallFact {
@@ -944,17 +929,11 @@ pub struct FnFact {
     pub name: String,
     /// `impl`/`trait` owner type name.
     pub owner: Option<String>,
-    /// Whether the function is `pub`.
-    pub is_pub: bool,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
     /// Whether the declared return head category is raw float.
     pub ret_float: bool,
     /// Whether the body performs undischarged raw float arithmetic or
     /// calls a denylisted float method (taint producer candidate).
     pub raw_float: bool,
-    /// Unexcused panic seeds in the body.
-    pub seeds: Vec<Seed>,
     /// Outgoing calls.
     pub calls: Vec<CallFact>,
 }
@@ -995,9 +974,6 @@ pub struct FileFacts {
     /// Annotation-comment lines used by per-file passes (for unused-allow
     /// detection after the interprocedural passes run).
     pub used_allow_lines: Vec<u32>,
-    /// Soft panic exposure: index/non-literal-division sites in non-zone
-    /// library code (informational, per the audit section).
-    pub soft_seeds: usize,
 }
 
 /// Lints one file's source text, appending results to `report`.
@@ -1037,7 +1013,6 @@ pub fn analyze_file(
         fns: Vec::new(),
         allows: collect_allows(&structure),
         used_allow_lines: Vec::new(),
-        soft_seeds: 0,
     };
 
     let mut ctx = Ctx {
@@ -1069,12 +1044,6 @@ pub fn analyze_file(
     }
     if !zones.is_rounding_primitive(rel_path) {
         ctx.rounding_containment();
-    }
-    if zones.in_panic_free_crate(rel_path) {
-        ctx.panic_freedom();
-    }
-    if zones.in_determinism_zone(rel_path) {
-        ctx.determinism();
     }
     ctx.no_alloc();
     ctx.fn_facts();
@@ -1145,17 +1114,6 @@ impl<'a> Ctx<'a> {
                 line,
                 message,
             });
-        }
-    }
-
-    /// Whether `(rule, sub)` is excused at `line` without emitting anything
-    /// (seed bookkeeping: the allow is marked used, no suppression entry).
-    fn excused(&mut self, rule: &str, sub: Option<&str>, line: u32) -> bool {
-        if let Some(allow) = suppression(self.structure, rule, sub, line) {
-            self.facts.used_allow_lines.push(allow.line);
-            true
-        } else {
-            false
         }
     }
 
@@ -1346,298 +1304,6 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    // R2 — panic freedom -----------------------------------------------------
-    fn panic_freedom(&mut self) {
-        let toks = self.toks();
-        let mut hits: Vec<(u32, Option<&'static str>, String)> = Vec::new();
-        for i in 0..toks.len() {
-            if self.skipped(i) || self.type_pos(i) {
-                continue;
-            }
-            let t = &toks[i];
-            if t.kind == TokKind::Ident
-                && matches!(t.text.as_str(), "unwrap" | "expect" | "unwrap_unchecked")
-                && i >= 1
-                && toks[i - 1].text == "."
-                && toks.get(i + 1).is_some_and(|n| n.text == "(")
-            {
-                // A workspace method merely *named* `expect` (e.g. a parser
-                // combinator returning `Result`) is not `Option::expect`:
-                // the std one always takes a string-literal message here.
-                let std_expect = t.text != "expect"
-                    || toks.get(i + 2).is_some_and(|a| a.kind == TokKind::StrLit)
-                    || !self.sigs.fn_names.contains("expect");
-                if std_expect {
-                    hits.push((
-                        t.line,
-                        None,
-                        format!(
-                            "`.{}()` in library code of a verified crate (return a Result \
-                             or rewrite infallibly)",
-                            t.text
-                        ),
-                    ));
-                }
-            }
-            if t.kind == TokKind::Ident
-                && PANIC_MACROS.contains(&t.text.as_str())
-                && toks.get(i + 1).is_some_and(|n| n.text == "!")
-            {
-                hits.push((
-                    t.line,
-                    None,
-                    format!("`{}!` in library code of a verified crate", t.text),
-                ));
-            }
-            // Slice/array indexing: `expr[…]` panics on out-of-bounds —
-            // unless the index is structurally bounded by its loop header.
-            if t.text == "[" && !self.structure.flags[i].in_attr && i >= 1 {
-                let prev = &toks[i - 1];
-                let indexes = (prev.kind == TokKind::Ident
-                    && !matches!(
-                        prev.text.as_str(),
-                        "return" | "in" | "if" | "else" | "match" | "break" | "mut" | "as"
-                    ))
-                    || (prev.kind == TokKind::Punct && matches!(prev.text.as_str(), ")" | "]"));
-                if indexes && !self.index_bounded(i) {
-                    hits.push((
-                        t.line,
-                        Some("index"),
-                        "slice/array indexing can panic (prefer `get`, iterators, or a \
-                         justified allow)"
-                            .to_string(),
-                    ));
-                }
-            }
-        }
-        hits.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-        for (line, sub, msg) in hits {
-            self.emit(Rule::PanicFreedom, sub, line, msg);
-        }
-    }
-
-    /// The bounds prover for `base[i]`: discharged when the enclosing
-    /// function contains `for i in <lo>..base.len()` (or `..=`-free `..`
-    /// over `base.len().min(…)` prefixes is NOT accepted — only the exact
-    /// `.len()` bound is) with the same index variable and the same base
-    /// token sequence. `open` is the `[` token index.
-    fn index_bounded(&self, open: usize) -> bool {
-        let toks = self.toks();
-        // Index expression must be a single identifier.
-        if toks.get(open + 2).is_none_or(|t| t.text != "]") {
-            return false;
-        }
-        let Some(idx) = toks.get(open + 1) else {
-            return false;
-        };
-        if idx.kind != TokKind::Ident {
-            return false;
-        }
-        // The indexed base: walk back over a `a.b.c` / `self.xs` chain.
-        let mut start = open; // exclusive end is `open`
-        let mut k = open;
-        while k >= 1 {
-            let p = &toks[k - 1];
-            let part_of_base =
-                p.kind == TokKind::Ident && !is_stmt_keyword(&p.text) || p.text == ".";
-            if !part_of_base {
-                break;
-            }
-            start = k - 1;
-            k -= 1;
-        }
-        if start == open {
-            return false;
-        }
-        let base: Vec<&str> = toks[start..open].iter().map(|t| t.text.as_str()).collect();
-        if base.first().is_some_and(|t| *t == ".") {
-            return false;
-        }
-        // Search the enclosing fn body for a dominating bound on the same
-        // index variable: `for <idx> in <int-lit> .. <P> . len ( )` or
-        // `while <idx> < <P> . len ( )`, where `P` is the indexed base or
-        // a prefix of it (`for r in 0..v.len()` bounds `v.keys[r]` — the
-        // container's paired-slice length invariant).
-        let Some(f) = self.parsed.enclosing_fn(open) else {
-            return false;
-        };
-        let Some((bs, be)) = f.body else { return false };
-        let mut i = bs;
-        while i + 4 < be.min(toks.len()) {
-            let bound_start = if toks[i].text == "for"
-                && toks[i + 1].text == idx.text
-                && toks[i + 2].text == "in"
-                && toks[i + 3].kind == TokKind::IntLit
-                && toks[i + 4].text == ".."
-            {
-                Some(i + 5)
-            } else if toks[i].text == "while"
-                && toks[i + 1].text == idx.text
-                && toks[i + 2].text == "<"
-            {
-                Some(i + 3)
-            } else {
-                None
-            };
-            if let Some(start) = bound_start {
-                if i < open && self.bound_matches(&base, start, open) {
-                    return true;
-                }
-            }
-            i += 1;
-        }
-        false
-    }
-
-    /// Whether the token run at `start` reads `<P>.len()` for `P` the
-    /// indexed `base` or a `.`-boundary prefix of it, with `P` not
-    /// length-shrunk before the index site at `open`.
-    fn bound_matches(&self, base: &[&str], start: usize, open: usize) -> bool {
-        let toks = self.toks();
-        for plen in (1..=base.len()).rev() {
-            // Prefixes end at `.` boundaries only (never mid-segment).
-            if plen < base.len() && base[plen] != "." {
-                continue;
-            }
-            let prefix = &base[..plen];
-            let matches = prefix
-                .iter()
-                .enumerate()
-                .all(|(k, want)| toks.get(start + k).is_some_and(|t| t.text == *want));
-            let j = start + plen;
-            if matches
-                && toks.get(j).is_some_and(|t| t.text == ".")
-                && toks.get(j + 1).is_some_and(|t| t.text == "len")
-                && toks.get(j + 2).is_some_and(|t| t.text == "(")
-                && toks.get(j + 3).is_some_and(|t| t.text == ")")
-                && !self.base_shrunk_between(prefix, j + 4, open)
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// The zero-guard prover for `x / n` and `x % n`: discharged when the
-    /// enclosing function tests the divisor against zero anywhere before
-    /// the division (`n == 0`, `n != 0`, `n > 0`, `n >= 1`, `0 < n`, or
-    /// `assert!(n > 0)`-style, which all lower to the same comparison
-    /// tokens). `op` is the operator token index; the divisor must be the
-    /// single identifier right after it.
-    fn div_guarded(&self, op: usize) -> bool {
-        let toks = self.toks();
-        let Some(n) = toks.get(op + 1) else {
-            return false;
-        };
-        if n.kind != TokKind::Ident {
-            return false;
-        }
-        let Some(f) = self.parsed.enclosing_fn(op) else {
-            return false;
-        };
-        let Some((bs, _)) = f.body else { return false };
-        for j in bs..op {
-            if toks[j].text == n.text
-                && toks
-                    .get(j + 1)
-                    .is_some_and(|t| matches!(t.text.as_str(), "==" | "!=" | ">" | ">="))
-                && toks.get(j + 2).is_some_and(|t| t.kind == TokKind::IntLit)
-            {
-                return true;
-            }
-            if toks[j].kind == TokKind::IntLit
-                && toks.get(j + 1).is_some_and(|t| t.text == "<")
-                && toks.get(j + 2).is_some_and(|t| t.text == n.text)
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Whether `base` is length-shrunk between the loop header and the
-    /// index site (which would invalidate the `.len()` bound).
-    fn base_shrunk_between(&self, base: &[&str], from: usize, to: usize) -> bool {
-        const SHRINKERS: &[&str] = &[
-            "truncate",
-            "clear",
-            "pop",
-            "remove",
-            "drain",
-            "resize",
-            "retain",
-            "swap_remove",
-        ];
-        let toks = self.toks();
-        let mut i = from;
-        while i + base.len() + 1 < to.min(toks.len()) {
-            let matches_base = base
-                .iter()
-                .enumerate()
-                .all(|(k, want)| toks.get(i + k).is_some_and(|t| t.text == *want));
-            if matches_base
-                && toks.get(i + base.len()).is_some_and(|t| t.text == ".")
-                && toks
-                    .get(i + base.len() + 1)
-                    .is_some_and(|t| SHRINKERS.contains(&t.text.as_str()))
-            {
-                return true;
-            }
-            i += 1;
-        }
-        false
-    }
-
-    // R3 — determinism -------------------------------------------------------
-    fn determinism(&mut self) {
-        let toks = self.toks();
-        let mut hits: Vec<(u32, String)> = Vec::new();
-        for i in 0..toks.len() {
-            if self.skipped(i) {
-                continue;
-            }
-            let t = &toks[i];
-            if t.kind != TokKind::Ident {
-                continue;
-            }
-            match t.text.as_str() {
-                "HashMap" | "HashSet" => hits.push((
-                    t.line,
-                    format!(
-                        "`{}` in a determinism zone: iteration order is randomized \
-                         per process (justify lookup-only use or switch to BTreeMap)",
-                        t.text
-                    ),
-                )),
-                "SystemTime" | "Instant" => hits.push((
-                    t.line,
-                    format!(
-                        "`{}` in a determinism zone: wall-clock values must not \
-                         reach result-bearing code",
-                        t.text
-                    ),
-                )),
-                "current" | "ThreadId" => {
-                    let thread_qualified = t.text == "ThreadId"
-                        || (i >= 2 && toks[i - 1].text == "::" && toks[i - 2].text == "thread");
-                    if thread_qualified {
-                        hits.push((
-                            t.line,
-                            "thread-identity value in a determinism zone: results must \
-                             not depend on which worker computed them"
-                                .to_string(),
-                        ));
-                    }
-                }
-                _ => {}
-            }
-        }
-        hits.dedup_by(|a, b| a.0 == b.0 && a.1 == b.1);
-        for (line, msg) in hits {
-            self.emit(Rule::Determinism, None, line, msg);
-        }
-    }
-
     // R6 — no-alloc zone -----------------------------------------------------
     //
     // The zero-copy kernels (PR 2/6) must never allocate on the steady-state
@@ -1735,17 +1401,15 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    // Fn facts — seeds, calls, and float-taint producer flags ----------------
+    // Fn facts — calls and float-taint producer flags -----------------------
     //
-    // Collected for every non-test function in Lib files of any crate: the
-    // call graph routes panic-reachability and float-taint through them.
+    // Collected for every non-test function in library files of any crate:
+    // the call graph routes float-taint through them.
     fn fn_facts(&mut self) {
         let toks = self.toks();
-        let in_zone_crate = self.zones.in_panic_free_crate(self.rel_path);
         let float_zone = self.zones.in_float_zone(self.rel_path)
             || self.zones.is_rounding_primitive(self.rel_path)
             || self.zones.is_kernel_module(self.rel_path);
-        let mut soft = 0usize;
         let fn_count = self.parsed.fns.len();
         for fi in 0..fn_count {
             let f = self.parsed.fns[fi].clone();
@@ -1759,7 +1423,6 @@ impl<'a> Ctx<'a> {
                 continue;
             }
             let judge = Judge::for_fn(self.lexed, self.parsed, &f, self.sigs, self.zones);
-            let mut seeds: Vec<Seed> = Vec::new();
             let mut raw_float = false;
             let be = be.min(toks.len().saturating_sub(1));
             for i in bs..=be {
@@ -1769,7 +1432,7 @@ impl<'a> Ctx<'a> {
                 {
                     continue;
                 }
-                // Skip tokens of nested fns: their seeds are their own.
+                // Skip tokens of nested fns: their facts are their own.
                 if self
                     .parsed
                     .enclosing_fn(i)
@@ -1778,41 +1441,16 @@ impl<'a> Ctx<'a> {
                     continue;
                 }
                 let t = &toks[i];
-                if t.kind == TokKind::Ident {
-                    // Hard seeds: panicking macros and `.unwrap()`-style calls.
-                    if PANIC_MACROS.contains(&t.text.as_str())
-                        && toks.get(i + 1).is_some_and(|n| n.text == "!")
-                    {
-                        seeds.push(Seed {
-                            line: t.line,
-                            what: format!("`{}!`", t.text),
-                        });
-                    }
-                    if matches!(t.text.as_str(), "unwrap" | "expect" | "unwrap_unchecked")
-                        && i >= 1
-                        && toks[i - 1].text == "."
-                        && toks.get(i + 1).is_some_and(|n| n.text == "(")
-                    {
-                        let std_expect = t.text != "expect"
-                            || toks.get(i + 2).is_some_and(|a| a.kind == TokKind::StrLit)
-                            || !self.sigs.fn_names.contains("expect");
-                        if std_expect {
-                            seeds.push(Seed {
-                                line: t.line,
-                                what: format!("`.{}()`", t.text),
-                            });
-                        }
-                    }
-                    // Denylisted float methods mark the fn a raw-float
-                    // producer wherever it lives.
-                    if FLOAT_METHOD_DENYLIST.contains(&t.text.as_str())
-                        && i >= 1
-                        && matches!(toks[i - 1].text.as_str(), "." | "::")
-                        && toks.get(i + 1).is_some_and(|n| n.text == "(")
-                        && !(toks[i - 1].text == "." && judge.left_operand(i - 1) == Ty::Enclosure)
-                    {
-                        raw_float = true;
-                    }
+                // Denylisted float methods mark the fn a raw-float producer
+                // wherever it lives.
+                if t.kind == TokKind::Ident
+                    && FLOAT_METHOD_DENYLIST.contains(&t.text.as_str())
+                    && i >= 1
+                    && matches!(toks[i - 1].text.as_str(), "." | "::")
+                    && toks.get(i + 1).is_some_and(|n| n.text == "(")
+                    && !(toks[i - 1].text == "." && judge.left_operand(i - 1) == Ty::Enclosure)
+                {
+                    raw_float = true;
                 }
                 if t.kind == TokKind::Punct && ARITH_OPS.contains(&t.text.as_str()) {
                     let l = judge.left_operand(i);
@@ -1824,64 +1462,8 @@ impl<'a> Ctx<'a> {
                     if floatish && l != Ty::Enclosure && r != Ty::Enclosure {
                         raw_float = true;
                     }
-                    // Integer division by a non-constant divisor is a panic
-                    // seed (division by zero) in the proof zone.
-                    if matches!(t.text.as_str(), "/" | "%" | "/=" | "%=")
-                        && l == Ty::Int
-                        && r == Ty::Int
-                        && toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Ident)
-                        && !toks
-                            .get(i + 1)
-                            .is_some_and(|n| n.text.chars().all(|c| c.is_uppercase() || c == '_'))
-                        && !self.div_guarded(i)
-                    {
-                        if in_zone_crate {
-                            if !self.excused("panic-freedom", Some("div"), t.line) {
-                                seeds.push(Seed {
-                                    line: t.line,
-                                    what: "integer division by a non-constant".to_string(),
-                                });
-                            }
-                        } else {
-                            soft += 1;
-                        }
-                    }
-                }
-                // Indexing: a seed inside the proof zone only when neither
-                // proved in-bounds nor excused by a reasoned allow; soft
-                // exposure elsewhere.
-                if t.text == "[" && i >= 1 {
-                    let prev = &toks[i - 1];
-                    let indexes = (prev.kind == TokKind::Ident
-                        && !matches!(
-                            prev.text.as_str(),
-                            "return" | "in" | "if" | "else" | "match" | "break" | "mut" | "as"
-                        ))
-                        || (prev.kind == TokKind::Punct && matches!(prev.text.as_str(), ")" | "]"));
-                    if indexes && !self.index_bounded(i) {
-                        if in_zone_crate {
-                            if !self.excused("panic-freedom", Some("index"), t.line) {
-                                seeds.push(Seed {
-                                    line: t.line,
-                                    what: "slice indexing".to_string(),
-                                });
-                            }
-                        } else {
-                            soft += 1;
-                        }
-                    }
                 }
             }
-            // Seeds excused by a per-line allow don't taint the fn (the
-            // annotation asserts the site cannot fire); seeds excused by a
-            // fn-level `#reach` audit annotation are handled by the
-            // reachability pass, not here.
-            let excused: Vec<bool> = seeds
-                .iter()
-                .map(|s| self.excused("panic-freedom", None, s.line))
-                .collect();
-            let mut keep = excused.iter().map(|e| !e);
-            seeds.retain(|_| keep.next().unwrap_or(true));
             let calls = self
                 .parsed
                 .calls_in(self.lexed, &f)
@@ -1903,15 +1485,11 @@ impl<'a> Ctx<'a> {
             self.facts.fns.push(FnFact {
                 name: f.name.clone(),
                 owner: f.owner.clone(),
-                is_pub: f.is_pub,
-                line: f.line,
                 ret_float: head_ty(&f.ret_ty, self.zones) == Ty::Float && !float_zone,
                 raw_float,
-                seeds,
                 calls,
             });
         }
-        self.facts.soft_seeds = soft;
     }
 }
 
@@ -1924,8 +1502,6 @@ mod tests {
             float_zone_files: vec![path.to_string()],
             float_primitive_files: vec![],
             kernel_module_files: vec![],
-            panic_free_crates: vec!["design-while-verify".to_string()],
-            determinism_zone_files: vec![path.to_string()],
             no_alloc_files: vec![],
             no_alloc_fns: vec![],
             no_alloc_suffix_files: vec![],
@@ -1997,69 +1573,5 @@ fn g(x: f64) -> f64 { x.sqrt() }
         assert_eq!(fh, vec![1]);
         assert_eq!(r.suppressed.len(), 1);
         assert_eq!(r.suppressed[0].line, 3);
-    }
-
-    #[test]
-    fn panic_patterns_flagged_outside_tests_only() {
-        let src = "\
-pub fn f(v: &[f64]) -> f64 { v.first().unwrap() + v[1] }
-#[cfg(test)]
-mod tests {
-    fn t() { x.unwrap(); panic!(\"ok\"); }
-}
-";
-        let r = run("src/lib.rs", src);
-        let pf: Vec<(u32, Option<String>)> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::PanicFreedom)
-            .map(|f| (f.line, f.sub.clone()))
-            .collect();
-        assert_eq!(pf, vec![(1, None), (1, Some("index".into()))]);
-    }
-
-    #[test]
-    fn panic_free_files_zone_is_file_granular() {
-        // A crate outside `panic_free_crates` gets R2 only for files listed
-        // in `panic_free_files` — the serve wire-codec configuration.
-        let zones = ZoneConfig {
-            panic_free_crates: vec![],
-            panic_free_files: vec!["crates/serve/src/proto.rs".to_string()],
-            ..zones_for("crates/serve/src/proto.rs")
-        };
-        let src = "pub fn f(v: &[f64]) -> f64 { v.first().unwrap() + v[1] }\n";
-        let mut in_zone = Report::default();
-        lint_source("crates/serve/src/proto.rs", src, &zones, &mut in_zone);
-        assert!(
-            in_zone
-                .findings
-                .iter()
-                .any(|f| f.rule == Rule::PanicFreedom),
-            "listed file must carry R2: {:?}",
-            in_zone.findings
-        );
-        let mut out_of_zone = Report::default();
-        lint_source("crates/serve/src/server.rs", src, &zones, &mut out_of_zone);
-        assert!(
-            !out_of_zone
-                .findings
-                .iter()
-                .any(|f| f.rule == Rule::PanicFreedom),
-            "unlisted sibling must not: {:?}",
-            out_of_zone.findings
-        );
-    }
-
-    #[test]
-    fn determinism_zone_flags_hash_and_time() {
-        let src = "use std::collections::HashMap;\nfn f() { let t = Instant::now(); }\n";
-        let r = run("src/zone.rs", src);
-        let d: Vec<u32> = r
-            .findings
-            .iter()
-            .filter(|f| f.rule == Rule::Determinism)
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(d, vec![1, 2]);
     }
 }

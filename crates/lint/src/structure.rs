@@ -32,9 +32,9 @@ pub struct TokenFlags {
 /// One parsed `dwv-lint: allow(...)` annotation.
 #[derive(Debug, Clone)]
 pub struct Allow {
-    /// Rule id the annotation suppresses (e.g. `panic-freedom`).
+    /// Rule id the annotation suppresses (e.g. `float-hygiene`).
     pub rule: String,
-    /// Optional sub-pattern after `#` (e.g. `index` in `panic-freedom#index`).
+    /// Optional sub-pattern after `#` (e.g. `taint` in `float-hygiene#taint`).
     pub sub: Option<String>,
     /// The justification after `--`.
     pub reason: String,
@@ -43,7 +43,7 @@ pub struct Allow {
 }
 
 /// Rule ids an annotation may name.
-pub const RULE_IDS: &[&str] = &["float-hygiene", "panic-freedom", "determinism", "no-alloc"];
+pub const RULE_IDS: &[&str] = &["float-hygiene", "no-alloc"];
 
 /// Analyzes `lexed`, producing per-token flags and parsed annotations.
 #[must_use]
@@ -219,7 +219,7 @@ fn match_brace(toks: &[Token], open: usize) -> usize {
 /// ```
 ///
 /// where `<rule>` is a rule id, optionally with a `#<sub>` pattern
-/// (`panic-freedom#index`). A trailing comment applies to its own line; a
+/// (`float-hygiene#taint`). A trailing comment applies to its own line; a
 /// standalone comment applies to the next line holding code.
 fn parse_annotations(lexed: &Lexed, s: &mut Structure) {
     for c in &lexed.comments {
@@ -422,32 +422,32 @@ mod tests {
     #[test]
     fn annotations_parse_and_resolve() {
         let src = "\
-// dwv-lint: allow(panic-freedom) -- standalone targets next line
-let a = x.unwrap();
-let b = y.unwrap(); // dwv-lint: allow(panic-freedom#index, float-hygiene) -- trailing
+// dwv-lint: allow(float-hygiene) -- standalone targets next line
+let a = x * 0.5;
+let b = y * 0.5; // dwv-lint: allow(float-hygiene#taint, no-alloc) -- trailing
 ";
         let l = lex(src);
         let s = analyze(&l);
         assert!(s.bad_annotations.is_empty());
-        assert!(suppression(&s, "panic-freedom", None, 2).is_some());
-        assert!(suppression(&s, "panic-freedom", Some("index"), 3).is_some());
-        assert!(suppression(&s, "float-hygiene", None, 3).is_some());
+        assert!(suppression(&s, "float-hygiene", None, 2).is_some());
+        assert!(suppression(&s, "float-hygiene", Some("taint"), 3).is_some());
+        assert!(suppression(&s, "no-alloc", None, 3).is_some());
         // Plain allow covers sub-patterns; sub-allow does not cover plain.
-        assert!(suppression(&s, "panic-freedom", Some("index"), 2).is_some());
-        assert!(suppression(&s, "panic-freedom", None, 3).is_none());
+        assert!(suppression(&s, "float-hygiene", Some("taint"), 2).is_some());
+        assert!(suppression(&s, "float-hygiene", None, 3).is_none());
     }
 
     #[test]
     fn file_allow_and_bad_annotations() {
         let src = "\
-// dwv-lint: allow-file(determinism) -- lookup-only map
+// dwv-lint: allow-file(no-alloc) -- cold-start module
 // dwv-lint: allow(bogus) -- nope
-// dwv-lint: allow(panic-freedom)
+// dwv-lint: allow(float-hygiene)
 fn f() {}
 ";
         let l = lex(src);
         let s = analyze(&l);
-        assert!(suppression(&s, "determinism", None, 99).is_some());
+        assert!(suppression(&s, "no-alloc", None, 99).is_some());
         assert_eq!(s.bad_annotations.len(), 2);
         assert!(s.bad_annotations[0].1.contains("bogus"));
         assert!(s.bad_annotations[1].1.contains("reason"));

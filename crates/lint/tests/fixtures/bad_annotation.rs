@@ -1,9 +1,9 @@
 //! Annotation-hygiene fixture: malformed `dwv-lint:` comments are findings.
 
 /// Reason clause missing: flagged on line 4 (the annotation's line).
-// dwv-lint: allow(panic-freedom)
+// dwv-lint: allow(float-hygiene)
 pub fn no_reason(v: &[f64]) -> f64 {
-    v[0]
+    v.len() as f64
 }
 
 /// Unknown rule id: flagged on line 10 (the annotation's line).

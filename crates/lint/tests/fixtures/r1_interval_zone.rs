@@ -1,7 +1,7 @@
 //! R1 fixture for the float zones: linted as if at
-//! `crates/taylor/src/defect.rs`, where the float-hygiene zone, the
-//! rounding containment check, and the taylor crate's panic-freedom
-//! contract all apply at once.
+//! `crates/taylor/src/defect.rs`, where the float-hygiene zone and the
+//! rounding containment check apply at once; the audited exemption lands
+//! in the suppression trail.
 
 /// Trait-bound `+` is type syntax, not float arithmetic.
 pub fn bounded<C: Clone + ?Sized + Sync>(_c: &C) {}
@@ -24,9 +24,4 @@ pub fn nudge(x: f64) -> f64 {
 /// An audited exemption: the reason lands in the suppression trail.
 pub fn timestamp(t0: f64, delta: f64) -> f64 {
     t0 + delta // dwv-lint: allow(float-hygiene) -- step timestamps are display metadata
-}
-
-/// Indexing inside the reach crate's panic-freedom contract.
-pub fn first(v: &[f64]) -> f64 {
-    v[0]
 }

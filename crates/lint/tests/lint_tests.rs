@@ -66,9 +66,9 @@ fn r1_float_hygiene_fixture() {
 
 #[test]
 fn r1_float_zone_fixture() {
-    // Linted under the defect tape's path (float zone, panic-free taylor
-    // crate) the fixture must produce exactly these findings — and none for
-    // the trait-bound `+` tokens on line 7.
+    // Linted under the defect tape's path (float zone) the fixture must
+    // produce exactly these findings — and none for the trait-bound `+`
+    // tokens on line 7.
     let r = lint_fixture("r1_interval_zone.rs", "crates/taylor/src/defect.rs");
     let got: Vec<(Rule, Option<&str>, u32)> = r
         .findings
@@ -82,7 +82,6 @@ fn r1_float_zone_fixture() {
             (Rule::FloatHygiene, None, 11),             // `+ 0.5`
             (Rule::FloatHygiene, None, 16),             // `.sqrt()`
             (Rule::FloatHygiene, Some("rounding"), 21), // `next_up` outside the primitives
-            (Rule::PanicFreedom, Some("index"), 31),    // `v[0]` in the taylor crate
         ],
         "{:#?}",
         r.findings
@@ -92,26 +91,6 @@ fn r1_float_zone_fixture() {
     assert_eq!(r.suppressed[0].rule, Rule::FloatHygiene);
     assert_eq!(r.suppressed[0].line, 26);
     assert!(r.suppressed[0].reason.contains("display metadata"));
-}
-
-#[test]
-fn r2_panic_freedom_fixture() {
-    let r = lint_fixture("r2_violation.rs", "crates/reach/src/fixture.rs");
-    let pf: Vec<(u32, Option<&str>)> = r
-        .findings
-        .iter()
-        .filter(|f| f.rule == Rule::PanicFreedom)
-        .map(|f| (f.line, f.sub.as_deref()))
-        .collect();
-    assert_eq!(
-        pf,
-        vec![(5, None), (9, Some("index")), (14, None)],
-        "{:#?}",
-        r.findings
-    );
-    // `v[0]` behind the emptiness guard is annotated with the index sub-rule.
-    assert_eq!(r.suppressed.len(), 1);
-    assert_eq!(r.suppressed[0].line, 24);
 }
 
 #[test]
@@ -137,56 +116,6 @@ fn r6_no_alloc_fixture() {
     // the zone: the same source produces exactly the `scale_into` finding.
     let s = lint_fixture("r6_violation.rs", "crates/poly/src/polynomial.rs");
     assert_eq!(lines_of(&s, Rule::NoAlloc), vec![24], "{:#?}", s.findings);
-}
-
-#[test]
-fn r2v2_panic_reachability_fixture() {
-    let r = lint_fixtures_engine(&[
-        ("reach_api.rs", "crates/reach/src/fixture_api.rs"),
-        ("reach_helpers.rs", "crates/reach/src/fixture_helpers.rs"),
-    ]);
-    let got: Vec<(Rule, Option<&str>, &str, u32)> = r
-        .findings
-        .iter()
-        .map(|f| (f.rule, f.sub.as_deref(), f.file.as_str(), f.line))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            // The public API reaches the seed through the intermediate hop…
-            (
-                Rule::PanicFreedom,
-                Some("reach"),
-                "crates/reach/src/fixture_api.rs",
-                6,
-            ),
-            // …and the seed site itself is a per-file finding.
-            (
-                Rule::PanicFreedom,
-                None,
-                "crates/reach/src/fixture_helpers.rs",
-                5,
-            ),
-        ],
-        "{:#?}",
-        r.findings
-    );
-    // The chain names every hop and the seed location.
-    let chain = &r.findings[0].message;
-    assert!(chain.contains("reach::enclose"), "{chain}");
-    assert!(chain.contains("reach::step"), "{chain}");
-    assert!(chain.contains("reach::risky_first"), "{chain}");
-    assert!(
-        chain.contains("`.unwrap()` at crates/reach/src/fixture_helpers.rs:5"),
-        "{chain}"
-    );
-    // The audited helper's excused seed is in the audit trail, and both
-    // annotations count as used (no annotation#unused findings above).
-    assert_eq!(r.suppressed.len(), 1, "{:#?}", r.suppressed);
-    assert_eq!(r.suppressed[0].line, 17);
-    // `width_of` and `first_or_default` are proved transitively panic-free.
-    let audit = r.audit.as_ref().expect("engine report carries the audit");
-    assert_eq!(audit.pub_fns_proved, 2, "{audit:#?}");
 }
 
 #[test]
@@ -246,8 +175,7 @@ fn engine_parallel_report_matches_serial() {
     // The whole fixture corpus through the engine in reversed input order
     // must be byte-identical to the report in the given order.
     let pairs = [
-        ("reach_api.rs", "crates/reach/src/fixture_api.rs"),
-        ("reach_helpers.rs", "crates/reach/src/fixture_helpers.rs"),
+        ("r1_interval_zone.rs", "crates/taylor/src/defect.rs"),
         ("taint_zone.rs", "crates/poly/src/bernstein.rs"),
         ("taint_helpers.rs", "crates/poly/src/tables.rs"),
         ("r6_violation.rs", "crates/poly/src/kernels.rs"),
@@ -265,17 +193,6 @@ fn engine_parallel_report_matches_serial() {
     let reversed: Vec<(String, String)> = sources.iter().rev().cloned().collect();
     let backward = lint_sources(&reversed, &zones).to_json(Rule::all());
     assert_eq!(forward, backward, "report depends on input order");
-}
-
-#[test]
-fn r3_determinism_fixture() {
-    let r = lint_fixture("r3_violation.rs", "crates/core/src/parallel.rs");
-    assert_eq!(
-        lines_of(&r, Rule::Determinism),
-        vec![4, 5, 7, 17, 21],
-        "{:#?}",
-        r.findings
-    );
 }
 
 #[test]
@@ -329,8 +246,8 @@ fn rounding_containment_waived_inside_primitives() {
 
 #[test]
 fn clean_fixture_has_no_findings_even_in_every_zone() {
-    // bernstein.rs sits in both the float and determinism zones and in a
-    // panic-free crate — the strictest possible location.
+    // bernstein.rs sits in the float zone — the strictest location the
+    // per-file rules know.
     let r = lint_fixture("clean.rs", "crates/poly/src/bernstein.rs");
     assert!(r.findings.is_empty(), "{:#?}", r.findings);
     assert!(r.suppressed.is_empty());
@@ -414,23 +331,8 @@ fn workspace_lint_is_clean() {
         r.to_text(Rule::all())
     );
     assert!(r.files_scanned > 40, "suspiciously few files scanned");
-    // The debt ceiling: the paydown must never regress past 30% below the
-    // recorded baseline.
-    let audit = r
-        .audit
-        .as_ref()
-        .expect("workspace report carries the audit");
-    let ceiling = audit.suppression_baseline * 7 / 10;
     assert!(
-        r.suppressed.len() <= ceiling,
-        "suppression debt regressed: {} > ceiling {ceiling}",
-        r.suppressed.len()
-    );
-    // The interprocedural passes actually ran: the proof crates' public
-    // surface is predominantly proved panic-free.
-    assert!(
-        audit.pub_fns_proved > 100,
-        "suspiciously few proved public fns: {}",
-        audit.pub_fns_proved
+        r.audit.is_some(),
+        "workspace report carries the suppression audit"
     );
 }

@@ -56,42 +56,6 @@ impl Activation {
         }
     }
 
-    /// A directed-rounding enclosure of the activation's derivative range
-    /// over `x`.
-    ///
-    /// For ReLU the enclosure is the Clarke generalized derivative:
-    /// `[1, 1]` on positive inputs, `[0, 0]` on negative ones, and `[0, 1]`
-    /// across the kink — so interval chain rules through ReLU networks
-    /// enclose every Clarke Jacobian, which is what mean-value enclosures
-    /// of piecewise-C¹ controllers require.
-    #[must_use]
-    pub fn derivative_interval(self, x: dwv_interval::Interval) -> dwv_interval::Interval {
-        use dwv_interval::Interval;
-        match self {
-            Activation::ReLU => {
-                if x.lo() > 0.0 {
-                    Interval::point(1.0)
-                } else if x.hi() <= 0.0 {
-                    Interval::ZERO
-                } else {
-                    Interval::new(0.0, 1.0)
-                }
-            }
-            // tanh' = 1 − tanh²: interval composition of sound enclosures.
-            Activation::Tanh => (Interval::point(1.0) - x.tanh().sqr())
-                .intersection(&Interval::new(0.0, 1.0))
-                .unwrap_or(Interval::new(0.0, 1.0)),
-            // σ' = σ(1 − σ), with the global range [0, 1/4].
-            Activation::Sigmoid => {
-                let s = x.sigmoid();
-                (s * (Interval::point(1.0) - s))
-                    .intersection(&Interval::new(0.0, 0.25))
-                    .unwrap_or(Interval::new(0.0, 0.25))
-            }
-            Activation::Identity => Interval::point(1.0),
-        }
-    }
-
     /// The derivative at `x` (ReLU uses the subgradient value 0 at 0).
     #[must_use]
     pub fn derivative(self, x: f64) -> f64 {

@@ -163,36 +163,6 @@ impl Layer {
         }
     }
 
-    /// Interval forward pass: a directed-rounding enclosure of the layer's
-    /// image of the input box, returned as `(activations, pre_activations)`
-    /// — the pre-activation boxes feed interval chain rules (Jacobian
-    /// enclosures need the derivative range at each neuron).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim`.
-    #[must_use]
-    pub fn forward_interval_parts(
-        &self,
-        x: &[dwv_interval::Interval],
-    ) -> (Vec<dwv_interval::Interval>, Vec<dwv_interval::Interval>) {
-        assert_eq!(x.len(), self.in_dim, "input dimension mismatch");
-        let pre: Vec<dwv_interval::Interval> = (0..self.out_dim)
-            .map(|o| {
-                let row = &self.weights[o * self.in_dim..(o + 1) * self.in_dim];
-                row.iter().zip(x).fold(
-                    dwv_interval::Interval::point(self.bias[o]),
-                    |acc, (&w, xi)| acc + *xi * w,
-                )
-            })
-            .collect();
-        let act = pre
-            .iter()
-            .map(|&z| self.activation.apply_interval(z))
-            .collect();
-        (act, pre)
-    }
-
     /// Backward pass.
     ///
     /// Given `d_out = ∂L/∂y` (gradient at the layer output), the cached

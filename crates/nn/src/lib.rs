@@ -31,6 +31,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// R2 for the verified crates' dependencies: no hard panics (DESIGN.md §4d).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod activation;
 pub mod arbitrary;

@@ -193,61 +193,6 @@ impl Network {
         pass.walk(0, 0, states, 0);
     }
 
-    /// An interval enclosure of the network's input Jacobian over a box:
-    /// `out[o][i] ⊇ {∂y_o/∂x_i(x) : x ∈ box}` (Clarke generalized Jacobian
-    /// for ReLU kinks).
-    ///
-    /// Forward-accumulated chain rule in outward-rounded interval
-    /// arithmetic: `J ← D_act(pre) · W · J` layer by layer, with the
-    /// derivative enclosures of [`crate::Activation::derivative_interval`].
-    /// Sound for mean-value/centered forms; widths grow with depth like the
-    /// plain interval forward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != in_dim()`.
-    #[must_use]
-    pub fn jacobian_interval(
-        &self,
-        x: &[dwv_interval::Interval],
-    ) -> Vec<Vec<dwv_interval::Interval>> {
-        use dwv_interval::Interval;
-        let n = self.in_dim();
-        assert_eq!(x.len(), n, "input dimension mismatch");
-        let mut j: Vec<Vec<Interval>> = (0..n)
-            .map(|r| {
-                (0..n)
-                    .map(|c| {
-                        if r == c {
-                            Interval::point(1.0)
-                        } else {
-                            Interval::ZERO
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let mut h = x.to_vec();
-        for layer in &self.layers {
-            let (act, pre) = layer.forward_interval_parts(&h);
-            j = (0..layer.out_dim())
-                .map(|o| {
-                    let d = layer.activation().derivative_interval(pre[o]);
-                    (0..n)
-                        .map(|c| {
-                            let lin = j.iter().enumerate().fold(Interval::ZERO, |acc, (i, row)| {
-                                acc + row[c] * layer.weight(o, i)
-                            });
-                            d * lin
-                        })
-                        .collect()
-                })
-                .collect();
-            h = act;
-        }
-        j
-    }
-
     /// The flat parameter vector `θ` (layer by layer, weights then bias).
     #[must_use]
     pub fn params(&self) -> Vec<f64> {
@@ -652,61 +597,5 @@ mod tests {
         let l1 = Layer::from_params(2, 3, vec![0.0; 6], vec![0.0; 3], Activation::ReLU);
         let l2 = Layer::from_params(4, 1, vec![0.0; 4], vec![0.0; 1], Activation::Tanh);
         let _ = Network::from_layers(vec![l1, l2]);
-    }
-
-    #[test]
-    fn interval_jacobian_encloses_pointwise_jacobians() {
-        use dwv_interval::Interval;
-        let n = Network::new(&[2, 6, 1], Activation::ReLU, Activation::Tanh, 13);
-        let box_lo = [-0.5, -0.2];
-        let box_hi = [0.3, 0.8];
-        let jenc = n.jacobian_interval(&[
-            Interval::new(box_lo[0], box_hi[0]),
-            Interval::new(box_lo[1], box_hi[1]),
-        ]);
-        assert_eq!(jenc.len(), 1);
-        assert_eq!(jenc[0].len(), 2);
-        for i in 0..=6 {
-            for j in 0..=6 {
-                let x = [
-                    box_lo[0] + (box_hi[0] - box_lo[0]) * i as f64 / 6.0,
-                    box_lo[1] + (box_hi[1] - box_lo[1]) * j as f64 / 6.0,
-                ];
-                let jp = n.input_jacobian(&x);
-                for c in 0..2 {
-                    assert!(
-                        jenc[0][c].contains_value(jp[0][c]),
-                        "∂y/∂x{c} at {x:?} = {} outside {}",
-                        jp[0][c],
-                        jenc[0][c]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn identity_network_jacobian_is_identity() {
-        use dwv_interval::Interval;
-        let n = Network::from_layers(vec![crate::Layer::from_params(
-            2,
-            2,
-            vec![1.0, 0.0, 0.0, 1.0],
-            vec![0.0, 0.0],
-            Activation::Identity,
-        )]);
-        let j = n.jacobian_interval(&[Interval::new(-1.0, 1.0), Interval::new(2.0, 3.0)]);
-        // Outward rounding may widen the exact values by a few ulps, but
-        // the enclosures must stay tight around the true Jacobian.
-        for (r, truth) in [(0, [1.0, 0.0]), (1, [0.0, 1.0])] {
-            for c in 0..2 {
-                assert!(
-                    j[r][c].contains_value(truth[c]),
-                    "J[{r}][{c}] = {}",
-                    j[r][c]
-                );
-                assert!(j[r][c].width() < 1e-12, "J[{r}][{c}] too wide: {}", j[r][c]);
-            }
-        }
     }
 }

@@ -247,6 +247,10 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the scan above admits only ASCII digits, signs, dots and exponents"
+        )]
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         text.parse::<f64>()
             .map(JsonValue::Number)

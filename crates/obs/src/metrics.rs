@@ -18,6 +18,11 @@
 //! the final sum (and hence the mean) may differ across interleavings by
 //! rounding error — document ~ulp-level, never structural.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "name-keyed instrument registry: lookups by name, and every snapshot sorts by name"
+)]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

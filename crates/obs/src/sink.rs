@@ -175,6 +175,9 @@ mod tests {
         assert_eq!(json_string("ab"), "\"ab\"");
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{1}"), "\"\\u0001\"");
+        assert_eq!(json_string("a\u{1}b"), "\"a\\u0001b\"");
+        assert_eq!(json_string("x\ny"), "\"x\\ny\"");
+        assert_eq!(json_string("\r\t"), "\"\\r\\t\"");
     }
 
     #[test]

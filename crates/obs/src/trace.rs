@@ -22,6 +22,11 @@
 //! additionally pays one clock read and a handful of relaxed atomic stores
 //! into the fixed ring — no locks, no allocation, no I/O.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "span timers: wall-clock stamps feed the trace stream and the latency histograms, never a result"
+)]
+
 use crate::{recorder, sink};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};

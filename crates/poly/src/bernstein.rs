@@ -1,5 +1,4 @@
 //! Bernstein forms: tight polynomial range enclosures and Bernstein
-// dwv-lint: allow-file(panic-freedom#index) -- tensor offsets derive from counts/strides computed in-function
 //! approximation of arbitrary functions.
 //!
 //! Two uses in the reproduction:
@@ -12,11 +11,19 @@
 //!   arbitrary continuous function on a box — how the ReachNN verifier
 //!   abstracts a neural-network controller (paper §3.1).
 
+#![expect(
+    clippy::indexing_slicing,
+    reason = "tensor offsets derive from counts/strides computed in-function"
+)]
+
 use crate::kernels;
 use crate::polynomial::for_each_combination;
 use crate::Polynomial;
 use dwv_interval::{grid_coordinate, Interval, IntervalBox};
-// dwv-lint: allow(determinism) -- content-keyed lookup-only cache; iteration order is never observed
+#[expect(
+    clippy::disallowed_types,
+    reason = "content-keyed lookup-only cache; iteration order is never observed"
+)]
 use std::collections::HashMap;
 
 /// Binomial coefficient `C(n, k)` as `f64`.
@@ -37,6 +44,10 @@ pub fn basis_polynomial(d: u32, k: u32) -> Polynomial {
     let mut p = Polynomial::zero(1);
     let c_dk = binomial(d, k); // dwv-lint: allow(float-hygiene#taint) -- Pascal-triangle additions are exact in f64 up to the packed degree cap; no rounding occurs
     for j in 0..=(d - k) {
+        #[expect(
+            clippy::integer_division_remainder_used,
+            reason = "parity test by the constant 2"
+        )]
         let sign = if j % 2 == 0 { 1.0 } else { -1.0 };
         // dwv-lint: allow(float-hygiene) -- exact small-integer binomial products (well under 2^53)
         let coeff = c_dk * binomial(d - k, j) * sign;
@@ -465,7 +476,10 @@ struct RangeKey {
 /// distributions stay homogeneous and hit rates high.
 #[derive(Debug, Default)]
 pub struct RangeCache {
-    // dwv-lint: allow(determinism) -- content-keyed lookup-only cache; iteration order is never observed
+    #[expect(
+        clippy::disallowed_types,
+        reason = "content-keyed lookup-only cache; iteration order is never observed"
+    )]
     map: HashMap<RangeKey, Interval>,
     hits: u64,
     misses: u64,

@@ -1,6 +1,5 @@
 //! Designated SIMD zone: chunked coefficient kernels for the flat-term
 //! storage.
-// dwv-lint: allow-file(panic-freedom#index) -- fixed-stride kernel loops; every offset is bounded by the chunk arithmetic directly above it, covered by the bitwise reference tests
 //!
 //! Every kernel here operates on plain `f64`/`u64` slices — the
 //! structure-of-arrays coefficient storage of [`crate::Polynomial`] — in a
@@ -16,6 +15,11 @@
 //! coefficient side (elementwise products/sums whose values are identical
 //! under any vector width) and fixed-order reductions whose chunked
 //! summation order is part of their documented contract.
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "fixed-stride kernel loops; every offset is bounded by the chunk arithmetic directly above it, covered by the bitwise reference tests"
+)]
 
 /// Lane count of the chunked reductions: the number of independent partial
 /// sums, which fixes their summation order (not the machine vector width).
@@ -111,6 +115,10 @@ pub fn axpy(dst: &mut [f64], a: f64, src: &[f64]) {
 #[must_use]
 pub fn dot_chunked(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "division by the nonzero constant LANES"
+    )]
     let chunks = a.len() / LANES;
     let split = chunks * LANES;
     let mut lane = [0.0f64; LANES];
@@ -127,6 +135,10 @@ pub fn dot_chunked(a: &[f64], b: &[f64]) -> f64 {
 /// [`dot_chunked`].
 #[must_use]
 pub fn abs_sum_chunked(xs: &[f64]) -> f64 {
+    #[expect(
+        clippy::integer_division_remainder_used,
+        reason = "division by the nonzero constant LANES"
+    )]
     let chunks = xs.len() / LANES;
     let split = chunks * LANES;
     let mut lane = [0.0f64; LANES];
@@ -163,6 +175,10 @@ fn add_tail_abs(mut acc: f64, xs: &[f64]) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::integer_division_remainder_used,
+    reason = "test data and the reference chunk counts divide by nonzero constants"
+)]
 mod tests {
     use super::*;
 

@@ -1,5 +1,4 @@
 //! Sparse multivariate polynomials on flat, sorted, stride-friendly storage.
-// dwv-lint: allow-file(panic-freedom#index) -- kernel offsets maintained by sorted-merge invariants, property-tested against the map reference
 //!
 //! Terms live in parallel arrays sorted by monomial, not in a `BTreeMap`:
 //! the ring operations that dominate Taylor-model arithmetic (`add`, `mul`,
@@ -27,6 +26,11 @@
 //! through those kernels: every interval endpoint is produced by the
 //! directed-rounding primitives in `dwv-interval`, one term at a time, in a
 //! fixed documented order (see [`Polynomial::eval_interval`]).
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "kernel offsets maintained by sorted-merge invariants, property-tested against the map reference"
+)]
 
 use crate::kernels;
 use crate::workspace::PolyWorkspace;
@@ -1311,7 +1315,10 @@ impl Polynomial {
         }
         match &mut self.repr {
             Repr::Packed(v) => v,
-            // dwv-lint: allow(panic-freedom) -- variant assigned unconditionally above; rustc cannot see through the reassignment
+            #[expect(
+                clippy::unreachable,
+                reason = "variant assigned unconditionally above; rustc cannot see through the reassignment"
+            )]
             Repr::Boxed(_) => unreachable!("just reset to packed"),
         }
     }
@@ -1673,12 +1680,16 @@ impl Polynomial {
 
     /// [`Polynomial::substitute_value`] on boxed keys, one monomial at a
     /// time.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "var < nvars asserted by the caller"
+    )]
     fn substitute_value_boxed(&self, var: usize, value: f64) -> Polynomial {
         let mut out = Polynomial::zero(self.nvars);
         for (exps, c) in self.iter() {
             let mut e = exps.to_vec();
-            let k = e[var]; // dwv-lint: allow(panic-freedom#index) -- var < nvars asserted by the caller
-            e[var] = 0; // dwv-lint: allow(panic-freedom#index) -- var < nvars asserted by the caller
+            let k = e[var];
+            e[var] = 0;
             let coeff = if k == 0 || value == 1.0 {
                 c
             } else {

@@ -8,8 +8,12 @@
 //! ([`bernstein_ratios`]) so repeated enclosures of same-degree polynomials
 //! — the common case inside a flowpipe loop — reuse one allocation.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "degree-keyed lookup-only memo tables; iteration order is never observed"
+)]
+
 use crate::Polynomial;
-// dwv-lint: allow-file(determinism) -- degree-keyed lookup-only memo tables; iteration order is never observed
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -18,17 +22,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// below this.
 const PASCAL_ROWS: usize = 65;
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "row n-1 pushed on the previous iteration; k < n bounds both rows by construction"
+)]
 fn pascal() -> &'static Vec<Vec<f64>> {
     static TRIANGLE: OnceLock<Vec<Vec<f64>>> = OnceLock::new();
     TRIANGLE.get_or_init(|| {
         let mut rows: Vec<Vec<f64>> = Vec::with_capacity(PASCAL_ROWS);
         rows.push(vec![1.0]);
         for n in 1..PASCAL_ROWS {
-            // dwv-lint: allow(panic-freedom#index) -- row n-1 pushed on the previous iteration
             let prev = &rows[n - 1];
             let mut row = vec![1.0; n + 1];
             for k in 1..n {
-                // dwv-lint: allow(panic-freedom#index) -- k < n bounds both rows by construction
                 row[k] = prev[k - 1] + prev[k];
             }
             rows.push(row);
@@ -42,12 +48,15 @@ fn pascal() -> &'static Vec<Vec<f64>> {
 /// Table lookup for `n < 65` (exact — within `f64` integer precision);
 /// multiplicative fallback above, rounded to the nearest integer.
 #[must_use]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the table lookup runs only after checking k <= n and n < PASCAL_ROWS"
+)]
 pub fn binomial(n: u32, k: u32) -> f64 {
     if k > n {
         return 0.0;
     }
     if (n as usize) < PASCAL_ROWS {
-        // dwv-lint: allow(panic-freedom#index) -- n < PASCAL_ROWS checked above, k <= n checked above
         return pascal()[n as usize][k as usize];
     }
     let k = k.min(n - k);

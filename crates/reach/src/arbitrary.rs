@@ -45,7 +45,15 @@ pub fn dissipative_rhs(
             }
             if quadratic {
                 assert!(n_state > 0, "quadratic term requires a state variable");
+                #[expect(
+                    clippy::integer_division_remainder_used,
+                    reason = "n_state > 0 is asserted above"
+                )]
                 let j = (next() as usize) % n_state;
+                #[expect(
+                    clippy::integer_division_remainder_used,
+                    reason = "n_state > 0 is asserted above"
+                )]
                 let l = (next() as usize) % n_state;
                 let exps: Vec<u32> = (0..nvars)
                     .map(|v| u32::from(v == j) + u32::from(v == l))

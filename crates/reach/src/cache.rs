@@ -20,7 +20,11 @@
 use crate::error::ReachError;
 use crate::flowpipe::Flowpipe;
 use dwv_interval::IntervalBox;
-use std::collections::HashMap; // dwv-lint: allow(determinism) -- content-keyed memo; retain/clear results are order-independent and iteration order is never otherwise observed
+#[expect(
+    clippy::disallowed_types,
+    reason = "content-keyed memo; retain/clear results are order-independent and iteration order is never otherwise observed"
+)]
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -97,7 +101,10 @@ pub struct ReachCache {
     // entries are inserted fully constructed and never mutated in place, so
     // the map is always internally consistent — lock acquisition recovers
     // from poisoning instead of cascading the panic across the worker pool.
-    // dwv-lint: allow(determinism) -- content-keyed memo; retain/clear results are order-independent and iteration order is never otherwise observed
+    #[expect(
+        clippy::disallowed_types,
+        reason = "content-keyed memo; retain/clear results are order-independent and iteration order is never otherwise observed"
+    )]
     map: Mutex<HashMap<(u64, u64), Result<Flowpipe, ReachError>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
@@ -267,7 +274,10 @@ impl ReachCache {
 /// cross-service hits even if two shards are ever merged or misrouted.
 #[derive(Debug, Default)]
 pub struct ShardedReachCache {
-    // dwv-lint: allow(determinism) -- tenant-keyed shard directory; lookups are by key and iteration order is only used for order-independent stats sums
+    #[expect(
+        clippy::disallowed_types,
+        reason = "tenant-keyed shard directory; lookups are by key and iteration order is only used for order-independent stats sums"
+    )]
     shards: Mutex<HashMap<u64, Arc<ReachCache>>>,
 }
 
@@ -403,6 +413,10 @@ mod tests {
         assert_eq!(cache.len(), 1);
         // Controller 2's entry survives and still hits.
         let before = cache.hits();
+        #[expect(
+            clippy::unreachable,
+            reason = "a cache hit must not run the compute closure"
+        )]
         let _ = cache.get_or_compute(2, 1, || unreachable!("must hit"));
         assert_eq!(cache.hits(), before + 1);
     }
@@ -423,6 +437,10 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
         // hit_rate is total-based and survives eviction.
         let _ = cache.get_or_compute(3, 3, || Ok(tiny_flowpipe(4.0)));
+        #[expect(
+            clippy::unreachable,
+            reason = "a cache hit must not run the compute closure"
+        )]
         let _ = cache.get_or_compute(3, 3, || unreachable!("must hit"));
         let s = cache.stats();
         assert_eq!(s.hits, 1);
@@ -491,6 +509,10 @@ mod tests {
         assert_eq!(family.stats().entries, 2);
         // Same tenant handle is shared, not re-created.
         let a2 = family.shard(1);
+        #[expect(
+            clippy::unreachable,
+            reason = "a cache hit must not run the compute closure"
+        )]
         let _ = a2.get_or_compute(key_a, 3, || unreachable!("must hit"));
         assert_eq!(family.stats().hits, 1);
         family.drop_tenant(1);

@@ -103,23 +103,25 @@ impl Flowpipe {
     /// The step covering the end of the horizon (`X_r[T]` — the set the
     /// Wasserstein metric is computed on).
     #[must_use]
+    #[expect(clippy::expect_used, reason = "constructor asserts non-emptiness")]
     pub fn final_step(&self) -> &StepEnclosure {
-        self.steps.last().expect("flowpipe is non-empty") // dwv-lint: allow(panic-freedom) -- constructor asserts non-emptiness
+        self.steps.last().expect("flowpipe is non-empty")
     }
 
     /// The state dimension.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "constructor asserts non-emptiness")]
     pub fn dim(&self) -> usize {
-        self.steps[0].enclosure.dim() // dwv-lint: allow(panic-freedom#index) -- constructor asserts non-emptiness
+        self.steps[0].enclosure.dim()
     }
 
     /// A box enclosing the entire flowpipe.
     #[must_use]
+    #[expect(clippy::indexing_slicing, reason = "constructor asserts non-emptiness")]
     pub fn bounding_box(&self) -> IntervalBox {
         self.steps
             .iter()
             .skip(1)
-            // dwv-lint: allow(panic-freedom#index) -- constructor asserts non-emptiness
             .fold(self.steps[0].enclosure.clone(), |acc, s| {
                 acc.hull(&s.enclosure)
             })

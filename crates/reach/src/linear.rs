@@ -231,15 +231,23 @@ impl crate::verifier::Verifier<LinearController> for LinearReach {
 fn vertex_box(vertices: &[Vec<f64>], n: usize) -> IntervalBox {
     (0..n)
         .map(|i| {
-            Interval::hull_of_values(vertices.iter().map(|v| v[i])) // dwv-lint: allow(panic-freedom#index) -- vertex coordinates are n-wide by construction
-                .expect("vertex cloud is non-empty") // dwv-lint: allow(panic-freedom) -- the box vertex enumeration is non-empty
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "vertex coordinates are n-wide by construction"
+            )]
+            #[expect(
+                clippy::expect_used,
+                reason = "the box vertex enumeration is non-empty"
+            )]
+            Interval::hull_of_values(vertices.iter().map(|v| v[i]))
+                .expect("vertex cloud is non-empty")
         })
         .collect()
 }
 
 fn instant_polygon(vertices: &[Vec<f64>], n: usize) -> Option<ConvexPolygon> {
     if n == 2 {
-        // dwv-lint: allow(panic-freedom#index) -- guarded by n == 2
+        #[expect(clippy::indexing_slicing, reason = "guarded by n == 2")]
         ConvexPolygon::from_points(vertices.iter().map(|v| Vec2::new(v[0], v[1])).collect()).ok()
     } else {
         None

@@ -32,7 +32,8 @@ fn activation_derivative_bound(act: Activation, k: usize) -> f64 {
         Activation::Identity | Activation::ReLU => 0.0,
         Activation::Tanh => {
             if k < TANH_DERIV_BOUNDS.len() {
-                TANH_DERIV_BOUNDS[k] // dwv-lint: allow(panic-freedom#index) -- guarded by the length check above
+                #[expect(clippy::indexing_slicing, reason = "guarded by the length check above")]
+                TANH_DERIV_BOUNDS[k]
             } else {
                 // tanh(x) = 2σ(2x) − 1 ⇒ |f⁽ᵏ⁾| ≤ 2ᵏ⁺¹·(k!/4) = 2ᵏ⁻¹·k!.
                 let mut b = 0.5f64;
@@ -233,6 +234,7 @@ impl NnAbstraction for TaylorAbstraction {
     /// [`LayerScratch`]: every model is built in place, so with a warm
     /// workspace whose previous output came back through
     /// [`TmWorkspace::reuse`] a call allocates nothing.
+    #[expect(clippy::indexing_slicing, reason = "o ranges over layer.out_dim()")]
     fn abstract_network_ws(
         &self,
         controller: &NnController,
@@ -266,7 +268,7 @@ impl NnAbstraction for TaylorAbstraction {
             target.resize_with(layer.out_dim(), TaylorModel::default);
             for (o, z) in target.iter_mut().enumerate() {
                 // Affine part is exact in TM arithmetic.
-                z.set_constant(nvars, layer.bias()[o]); // dwv-lint: allow(panic-freedom#index) -- o ranges over layer.out_dim()
+                z.set_constant(nvars, layer.bias()[o]);
                 for (i, hi) in inputs.iter().enumerate() {
                     let w = layer.weight(o, i);
                     if w != 0.0 {
@@ -686,6 +688,10 @@ fn check_controller(controller: &NnController, state: &TmVector) -> Result<(), R
 /// remainder usable on the 3-D benchmark. The Jacobian rows (row-major,
 /// `n` wide) and layer ranges are double-buffered in `jacobian` and
 /// `ranges`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "Jacobian rows are n-wide by construction"
+)]
 fn local_lipschitz_bound(
     net: &dwv_nn::Network,
     bx: &[Interval],
@@ -713,7 +719,8 @@ fn local_lipschitz_bound(
         new_h.clear();
         for o in 0..layer.out_dim() {
             // Pre-activation range z_o = Σ w h + b.
-            let mut z = Interval::point(layer.bias()[o]); // dwv-lint: allow(panic-freedom#index) -- o ranges over layer.out_dim()
+            #[expect(clippy::indexing_slicing, reason = "o ranges over layer.out_dim()")]
+            let mut z = Interval::point(layer.bias()[o]);
             for (k, hk) in h.iter().enumerate() {
                 z += *hk * layer.weight(o, k);
             }
@@ -721,7 +728,7 @@ fn local_lipschitz_bound(
             new_jac.extend((0..n).map(|i| {
                 let mut acc = Interval::ZERO;
                 for (k, jrow) in jac.chunks_exact(width).enumerate() {
-                    acc += jrow[i] * layer.weight(o, k); // dwv-lint: allow(panic-freedom#index) -- Jacobian rows are n-wide by construction
+                    acc += jrow[i] * layer.weight(o, k);
                 }
                 acc * dz
             }));

@@ -33,7 +33,11 @@ fn deriv_box_into(
     let n = a.nrows();
     out.clear();
     out.extend((0..n).map(|i| {
-        let mut acc = Interval::point(c[i]); // dwv-lint: allow(panic-freedom#index) -- i ranges over the system dimension
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "i ranges over the system dimension"
+        )]
+        let mut acc = Interval::point(c[i]);
         for j in 0..n {
             acc += s.interval(j) * a.get(i, j);
         }
@@ -67,8 +71,12 @@ pub(crate) fn affine_sweep_box(
         deriv_box_into(a, b, c, &s, u, &mut d);
         let mapped: IntervalBox = (0..n)
             .map(|i| {
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "deriv_box_into fills d with n entries"
+                )]
                 let reach =
-                    Interval::new((delta * d[i].lo()).min(0.0), (delta * d[i].hi()).max(0.0)); // dwv-lint: allow(panic-freedom#index) -- deriv_box_into fills d with n entries
+                    Interval::new((delta * d[i].lo()).min(0.0), (delta * d[i].hi()).max(0.0));
                 bt.interval(i) + reach
             })
             .collect();
@@ -88,7 +96,11 @@ pub(crate) fn affine_sweep_box(
     deriv_box_into(a, b, c, &s, u, &mut d);
     (0..n)
         .map(|i| {
-            let reach = Interval::new((delta * d[i].lo()).min(0.0), (delta * d[i].hi()).max(0.0)); // dwv-lint: allow(panic-freedom#index) -- deriv_box_into fills d with n entries
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "deriv_box_into fills d with n entries"
+            )]
+            let reach = Interval::new((delta * d[i].lo()).min(0.0), (delta * d[i].hi()).max(0.0));
             bt.interval(i) + reach
         })
         .collect()

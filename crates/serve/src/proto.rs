@@ -23,10 +23,21 @@
 //!
 //! # Panic freedom
 //!
-//! This module parses attacker-controlled bytes and sits in the dwv-lint R2
-//! panic-freedom zone: truncated, oversized, or garbage input must yield
-//! [`ProtoError`], never a panic. No indexing, no `unwrap`, and every
-//! length arithmetic is checked.
+//! This module parses attacker-controlled bytes, so it denies clippy's
+//! panic lints (R2, DESIGN.md §4d): truncated, oversized, or garbage input
+//! must yield [`ProtoError`], never a panic. No indexing, no `unwrap`, and
+//! every length arithmetic is checked.
+
+#![deny(
+    clippy::indexing_slicing,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::integer_division_remainder_used
+)]
 
 use std::fmt;
 

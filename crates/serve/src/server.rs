@@ -17,6 +17,11 @@
 //! cancelled through their [`CancelToken`]s (forced drain). [`Server::shutdown`]
 //! then stops the accept loop, wakes every waiter, and joins all threads.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "job deadlines and drain timeouts are wall-clock by design, and the job registry is only looked up by key"
+)]
+
 use crate::job::{self, JobError};
 use crate::proto::{
     error_code, Frame, FrameBuffer, JobEvent, JobSpec, JobState, RejectCode, VERSION,

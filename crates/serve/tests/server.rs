@@ -279,6 +279,10 @@ fn queued_jobs_can_be_cancelled() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test waits on a wall-clock deadline for the server's own deadline to fire"
+)]
 fn deadline_expiry_cancels_queued_jobs() {
     let server = start(ServeConfig {
         workers: 0,

@@ -148,6 +148,10 @@ impl DefectTape {
     /// `check_fixed_point` it also compares the candidate's next polynomial
     /// iterate with the candidate (see [`DefectTape::reproduces_candidate`]).
     #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "t_var is constructed by the caller as an index into dom_ext; i < nvars == max_exp.len by construction"
+    )]
     pub(crate) fn compile(
         &mut self,
         order: u32,
@@ -167,7 +171,7 @@ impl DefectTape {
         let n = rhs.n_state();
         let nargs = n + rhs.n_input();
         assert!(
-            dom_ext[t_var].lo() >= 0.0, // dwv-lint: allow(panic-freedom#index) -- t_var constructed by the caller as an index into dom_ext
+            dom_ext[t_var].lo() >= 0.0,
             "antiderivative requires a zero-based time domain"
         );
         assert_eq!(args.len(), nargs, "argument count mismatch");
@@ -193,7 +197,7 @@ impl DefectTape {
         for p in rhs.field() {
             for (exps, _) in p.iter() {
                 for (i, &e) in exps.iter().enumerate() {
-                    max_exp[i] = max_exp[i].max(e); // dwv-lint: allow(panic-freedom#index) -- i < nvars == max_exp.len by construction
+                    max_exp[i] = max_exp[i].max(e);
                 }
             }
         }
@@ -253,7 +257,8 @@ impl DefectTape {
                     if e == 0 {
                         continue;
                     }
-                    let pw = &mut pows[i][e as usize - 1]; // dwv-lint: allow(panic-freedom#index) -- max_exp[i] >= e by construction
+                    #[expect(clippy::indexing_slicing, reason = "max_exp[i] >= e by construction")]
+                    let pw = &mut pows[i][e as usize - 1];
                     if started {
                         let range_l = term.range(dom_ext, ws);
                         let range_r = pw.range(dom_ext, ws);
@@ -332,7 +337,7 @@ impl DefectTape {
         self.x0_rems.clear();
         self.x0_rems
             .extend(x0.components().iter().map(TaylorModel::remainder));
-        self.t_scale = Interval::new(0.0, dom_ext[t_var].hi()); // dwv-lint: allow(panic-freedom#index) -- t_var checked against dom_ext above
+        self.t_scale = Interval::new(0.0, dom_ext[t_var].hi());
         self.delta_pt = Interval::point(delta);
         self.fixed_point = fixed_point;
     }
@@ -349,6 +354,10 @@ impl DefectTape {
     /// Evaluates the defect map on trial state remainders into `out`: what
     /// the Picard operator maps `candidate` to, bit-identical to re-running
     /// the Taylor-model reference evaluation with these remainders.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot indices are tape invariants: n_state <= n_slots and the input slots are allocated at compile time"
+    )]
     pub(crate) fn replay(&mut self, candidate: &[Interval], out: &mut Vec<Interval>) {
         assert_eq!(
             candidate.len(),
@@ -358,16 +367,16 @@ impl DefectTape {
         let slots = &mut self.slots;
         slots.clear();
         slots.resize(self.n_slots, Interval::ZERO);
-        slots[..self.n_state].copy_from_slice(candidate); // dwv-lint: allow(panic-freedom#index) -- n_state ≤ n_slots by construction
-        slots[self.n_state..self.n_state + self.u_rems.len()].copy_from_slice(&self.u_rems); // dwv-lint: allow(panic-freedom#index) -- input slots allocated at compile time
+        slots[..self.n_state].copy_from_slice(candidate);
+        slots[self.n_state..self.n_state + self.u_rems.len()].copy_from_slice(&self.u_rems);
         for op in &self.ops {
             match *op {
                 TapeOp::Scale { dst, src, c, prune } => {
-                    let mut rem = slots[src as usize] * Interval::point(c); // dwv-lint: allow(float-hygiene, panic-freedom#index) -- Interval-typed operator on tape-invariant slot indices; directed rounding lives in the interval kernel
+                    let mut rem = slots[src as usize] * Interval::point(c);
                     if let Some(p) = prune {
                         rem += p;
                     }
-                    slots[dst as usize] = rem; // dwv-lint: allow(panic-freedom#index) -- slot indices are tape invariants
+                    slots[dst as usize] = rem;
                 }
                 TapeOp::Mul {
                     dst,
@@ -378,8 +387,8 @@ impl DefectTape {
                     overflow,
                     prune,
                 } => {
-                    let il = slots[l as usize]; // dwv-lint: allow(panic-freedom#index) -- slot indices are tape invariants
-                    let ir = slots[r as usize]; // dwv-lint: allow(panic-freedom#index) -- slot indices are tape invariants
+                    let il = slots[l as usize];
+                    let ir = slots[r as usize];
                     let mut rem = overflow;
                     // Identical exact-zero skips as `TaylorModel::mul_truncated`.
                     if ir != Interval::ZERO {
@@ -394,14 +403,14 @@ impl DefectTape {
                     if let Some(p) = prune {
                         rem += p;
                     }
-                    slots[dst as usize] = rem; // dwv-lint: allow(panic-freedom#index) -- slot indices are tape invariants
+                    slots[dst as usize] = rem;
                 }
                 TapeOp::Add { dst, src } => {
-                    let s = slots[src as usize]; // dwv-lint: allow(panic-freedom#index) -- slot indices are tape invariants
-                    slots[dst as usize] += s; // dwv-lint: allow(float-hygiene, panic-freedom#index) -- Interval-typed operator on tape-invariant slot indices; directed rounding lives in the interval kernel
+                    let s = slots[src as usize];
+                    slots[dst as usize] += s;
                 }
                 TapeOp::AddConst { dst, v } => {
-                    slots[dst as usize] += v; // dwv-lint: allow(float-hygiene, panic-freedom#index) -- Interval-typed operator on tape-invariant slot indices; directed rounding lives in the interval kernel
+                    slots[dst as usize] += v;
                 }
             }
         }
@@ -415,7 +424,7 @@ impl DefectTape {
                     // ∫: ×[0, sup t]; δ-scale: ×point(δ); + x0 remainder; +
                     // fixed polynomial defect — the exact op order of the
                     // reference.
-                    let fi = slots[s as usize]; // dwv-lint: allow(panic-freedom#index) -- slot indices are tape invariants
+                    let fi = slots[s as usize];
                     fi * t_scale * delta_pt + x0r + dr // dwv-lint: allow(float-hygiene) -- Interval-typed operator; directed rounding lives in the interval kernel
                 }),
         );

@@ -1,5 +1,9 @@
 //! Taylor-model arithmetic.
-// dwv-lint: allow-file(panic-freedom#index) -- variable/exponent/component indices are asserted or bounded by iteration over the same collection
+
+#![expect(
+    clippy::indexing_slicing,
+    reason = "variable/exponent/component indices are asserted or bounded by iteration over the same collection"
+)]
 
 use dwv_interval::{Interval, IntervalBox};
 use dwv_poly::bernstein::RangeCache;

@@ -3,17 +3,16 @@
 //! The stream is the one `dwv-obs` emits: one self-contained JSON object
 //! per line with the reserved fields `t_us` / `tid` / `kind` / `name`.
 //! Only three kinds matter to the analyzer — `span` (a closed span with
-//! identity and timing), `event`, and `snapshot` (whose counter totals
-//! are kept in [`TraceData::counters`]); any other kind is preserved in
-//! the line count but otherwise ignored, so the format can grow without
-//! breaking old analyzers.
+//! identity and timing), `event`, and `snapshot` (checked for its
+//! `metrics.counters` object); any other kind is preserved in the line
+//! count but otherwise ignored, so the format can grow without breaking
+//! old analyzers.
 //!
 //! Span lines are checked as they are parsed: a non-finite stamp, a
 //! negative or non-finite duration, or an id that is not a non-negative
 //! integer is an error, never a silently truncated value.
 
 use dwv_obs::json::{parse, JsonValue};
-use std::collections::BTreeMap;
 
 /// One `kind == "span"` line: a closed span with identity and timing.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,8 +54,6 @@ impl SpanRecord {
 pub struct TraceData {
     /// Span records in stream order (close order).
     pub spans: Vec<SpanRecord>,
-    /// Counter totals from the **last** `snapshot` line, by name.
-    pub counters: BTreeMap<String, f64>,
     /// `event` line names, in stream order.
     pub events: Vec<String>,
     /// Non-empty lines seen (parsed or skipped by kind).
@@ -67,7 +64,6 @@ pub struct TraceData {
 enum Parsed {
     Span(SpanRecord),
     Event(String),
-    Snapshot(BTreeMap<String, f64>),
     Other,
 }
 
@@ -128,18 +124,11 @@ fn parse_line(line: &str) -> Result<Parsed, String> {
             Ok(Parsed::Event(name.to_string()))
         }
         "snapshot" => {
-            let counters = v
-                .get("metrics")
+            v.get("metrics")
                 .and_then(|m| m.get("counters"))
                 .and_then(JsonValue::as_object)
                 .ok_or_else(|| "snapshot without metrics.counters".to_string())?;
-            let mut out = BTreeMap::new();
-            for (k, val) in counters {
-                if let Some(n) = val.as_number() {
-                    out.insert(k.clone(), n);
-                }
-            }
-            Ok(Parsed::Snapshot(out))
+            Ok(Parsed::Other)
         }
         _ => Ok(Parsed::Other),
     }
@@ -159,7 +148,6 @@ pub fn parse_trace(text: &str) -> Result<TraceData, String> {
         match parse_line(line).map_err(|e| format!("line {}: {e}", data.lines))? {
             Parsed::Span(s) => data.spans.push(s),
             Parsed::Event(name) => data.events.push(name),
-            Parsed::Snapshot(counters) => data.counters = counters,
             Parsed::Other => {}
         }
     }
@@ -187,7 +175,11 @@ mod tests {
         assert_eq!(data.spans[0].start_us(), 6.0);
         assert_eq!(data.spans[1].span_id, 1);
         assert_eq!(data.events, vec!["e".to_string()]);
-        assert_eq!(data.counters.get("x"), Some(&3.0));
+        let err = parse_trace(
+            "{\"t_us\":1,\"tid\":0,\"kind\":\"snapshot\",\"name\":\"metrics\",\"metrics\":{}}",
+        )
+        .expect_err("snapshot without counters");
+        assert!(err.contains("snapshot without metrics.counters"), "{err}");
     }
 
     #[test]

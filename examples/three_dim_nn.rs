@@ -5,6 +5,11 @@
 //! cargo run --release --example three_dim_nn
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the example reports wall-clock learning time"
+)]
+
 use design_while_verify::core::{
     AbstractionKind, Algorithm1, GradientEstimator, LearnConfig, MetricKind,
 };

@@ -26,12 +26,15 @@ run cargo fmt --check
 # Lint gate: warnings are errors across the whole workspace. Every library
 # and binary root forbids unsafe code and libraries warn on missing docs, so
 # the one unsafe code left (an allocator shim in a test) must carry
-# `// SAFETY:` comments.
+# `// SAFETY:` comments. Panic freedom (R2) is the `#![deny(clippy::...)]`
+# in the verified crate roots and the serve codec, determinism (R3) the
+# disallowed types and methods of clippy.toml; each exception is a reasoned
+# `#[expect(...)]`, which fails here once it no longer matches.
 run cargo clippy --workspace --all-targets --offline -- -D warnings -D clippy::undocumented_unsafe_blocks
 run cargo build --release --offline
-# Soundness/determinism static analysis: zero-dependency token-level scanner
-# over the library code (float hygiene, panic freedom, determinism, no-alloc
-# kernels). Every exemption must be a reasoned
+# Float-hygiene and no-alloc static analysis: zero-dependency token-level
+# scanner over the library code (R1 float hygiene with its interprocedural
+# float-taint pass, R6 no-alloc kernels). Every exemption must be a reasoned
 # `// dwv-lint: allow(...) -- <reason>` annotation; unannotated findings fail
 # the build via a per-rule exit-code bitmask.
 run cargo run --release --offline -p dwv-lint -- --workspace --deny all
@@ -69,9 +72,10 @@ if [[ "${1:-}" == "--all" ]]; then
   run cargo test -q --release --offline -p dwv-core parallel
   run cargo run --release --offline -p dwv-check -- --family simd --seed 2 --budget-cases 2000 --threads 2
   run cargo run --release --offline -p dwv-check -- --family simd --seed 4 --budget-cases 2000 --threads 4
-  # Lint-engine differential gate: random miniature workspaces through the
-  # interprocedural engine against the generator's ground-truth spans, with
-  # an input-order bit-identity oracle (see families/lintcheck).
+  # Lint-engine differential gate: random miniature workspaces (raw-float
+  # helpers, a call DAG of forwarders, float-zone consumers) through the
+  # interprocedural engine against the generator's float-taint ground truth,
+  # with an input-order bit-identity oracle (see families/lintcheck).
   run cargo run --release --offline -p dwv-check -- --family lintcheck --seed 0xD3C0DE --budget-cases 400
   # Optimal-transport gate: LAPJV against the reference Hungarian solver on
   # clouds of up to 64 points (totals bit-identical), the objective-only
