@@ -18,17 +18,30 @@
 //!   return the output models (term keys, coefficient bits, remainder bits)
 //!   of the retired [`crate::reference::bernstein_abstraction`], or refuse
 //!   where it refuses, on a fresh workspace and on one warmed by another
-//!   box.
+//!   box;
+//! * composition differential: `compose_parts_into` called directly on a
+//!   fit-shaped polynomial (1–4 variables, per-axis degree 1–3, some
+//!   coefficients at or below the `1e-14` pruning threshold) and arguments
+//!   `a + b·t_v` in distinct, permuted variables (constant absent, tiny or
+//!   ordinary; remainder zero, one subnormal quantum or `1e-3`-scale),
+//!   order 1–8, over a unit or a shifted domain, must return
+//!   [`crate::reference::compose_parts`]'s model bit for bit, on a fresh
+//!   workspace and on one warmed by another shape or by the same shape on
+//!   other argument values. One case in four makes
+//!   one argument quadratic, two-variable or a repeat of another's
+//!   variable, which takes the general path. Its draws come from a stream
+//!   of their own, so the checks above keep theirs.
 
 use super::{case_rng, CaseOutcome, Family};
 use crate::reference;
+use crate::rng::CheckRng;
 use dwv_dynamics::NnController;
 use dwv_interval::arbitrary::{f64_in, unit_f64};
 use dwv_interval::{Interval, IntervalBox};
 use dwv_nn::arbitrary::network;
 use dwv_poly::Polynomial;
 use dwv_reach::{BernsteinAbstraction, NnAbstraction, ReachError, TaylorAbstraction};
-use dwv_taylor::{unit_domain, TaylorModel, TmVector, TmWorkspace};
+use dwv_taylor::{compose_parts_into, unit_domain, TaylorModel, TmVector, TmWorkspace};
 
 /// NN output-set abstraction vs concrete forward evaluation, and the
 /// Bernstein fitting kernel vs its retired implementation.
@@ -45,10 +58,14 @@ impl Family for NnFamily {
 
     fn oracle(&self) -> &'static str {
         "concrete Network::forward at sampled points of the state box, and the \
-         retired Bernstein fit, remainder loop and whole abstraction, bit for bit"
+         retired Bernstein fit, remainder loop, whole abstraction and composition, \
+         bit for bit"
     }
 
     fn check(&self, seed: u64, size: u8) -> CaseOutcome {
+        if let Some(v) = composition(seed) {
+            return v;
+        }
         let mut rng = case_rng(self.id(), seed);
         let mut next = || rng.next_u64();
         let in_dim = 1 + (next() as usize) % 4;
@@ -273,4 +290,174 @@ fn terms(p: &Polynomial) -> String {
         .map(|(e, c)| format!("{:?}:{:#018x}", e.as_slice(), c.to_bits()))
         .collect();
     format!("[{}]", parts.join(" "))
+}
+
+/// The composition differential of one case (see the module doc): `None`
+/// when `compose_parts_into` returned the reference's model on a fresh and
+/// on a warm workspace.
+fn composition(seed: u64) -> Option<CaseOutcome> {
+    let mut rng = CheckRng::new(seed ^ 0xC0A7_05E0_0000_0000);
+    let mut next = || rng.next_u64();
+    let n = 1 + (next() % 4) as usize;
+    let nvars = n + (next() % 2) as usize;
+    let g = fit_shaped(&mut next, n);
+    let args = affine_args(&mut next, n, nvars);
+    let order = 1 + (next() % 8) as u32;
+    let domain = shifted_domain(&mut next, nvars);
+    let remainder = Interval::symmetric(1e-3 * unit_f64(next()));
+    // The warm-up: either another number of arguments with its own
+    // polynomial, domain and order, or this polynomial, domain and order
+    // on the arguments halved (a box re-initialised step after another).
+    let (warm_g, warm_args, warm_domain, warm_order) = if next().is_multiple_of(2) {
+        let warm_n = 1 + (n + 1 + (next() % 2) as usize) % 4;
+        let warm_vars = warm_n + (next() % 2) as usize;
+        (
+            fit_shaped(&mut next, warm_n),
+            affine_args(&mut next, warm_n, warm_vars),
+            shifted_domain(&mut next, warm_vars),
+            1 + (next() % 8) as u32,
+        )
+    } else {
+        let halved = args.iter().map(|a| a.scale(0.5)).collect();
+        (g.clone(), halved, domain.clone(), order)
+    };
+
+    let mut ws = TmWorkspace::new();
+    let want = reference::compose_parts(&g, remainder, &args, order, &domain, &mut ws);
+    let mut ws = TmWorkspace::new();
+    let mut got = TaylorModel::default();
+    compose_parts_into(&g, remainder, &args, order, &domain, &mut got, &mut ws);
+    let shape = || {
+        format!(
+            "g = {}, args = [{}], order {order}, domain {domain:?}",
+            terms(&g),
+            args.iter()
+                .map(|a| format!("{} + {:?}", terms(a.poly()), a.remainder()))
+                .collect::<Vec<_>>()
+                .join(", ")
+        )
+    };
+    if let Some(diff) = model_diff(&got, &want) {
+        return Some(CaseOutcome::Violation(format!(
+            "composition on a fresh workspace differs from the reference: {diff} ({})",
+            shape()
+        )));
+    }
+    let mut scratch = TaylorModel::default();
+    compose_parts_into(
+        &warm_g,
+        remainder,
+        &warm_args,
+        warm_order,
+        &warm_domain,
+        &mut scratch,
+        &mut ws,
+    );
+    compose_parts_into(&g, remainder, &args, order, &domain, &mut got, &mut ws);
+    model_diff(&got, &want).map(|diff| {
+        CaseOutcome::Violation(format!(
+            "composition on a warm workspace differs from the reference: {diff} ({})",
+            shape()
+        ))
+    })
+}
+
+/// A Bernstein-fit-shaped polynomial in `n` variables: every monomial up
+/// to a per-axis degree of 1–3 with probability 4/5, coefficients mostly
+/// ordinary, some at or below the `1e-14` pruning threshold.
+fn fit_shaped(next: &mut impl FnMut() -> u64, n: usize) -> Polynomial {
+    let degree = 1 + (next() % 3) as u32;
+    let mut terms = Vec::new();
+    let mut exps = vec![0u32; n];
+    loop {
+        if !next().is_multiple_of(5) {
+            let c = match next() % 10 {
+                0 => 1e-14,
+                1 => f64_in(next(), -1e-14, 1e-14),
+                _ => f64_in(next(), -4.0, 4.0),
+            };
+            terms.push((exps.clone(), c));
+        }
+        let Some(v) = (0..n).rev().find(|&v| exps[v] < degree) else {
+            break;
+        };
+        exps[v] += 1;
+        for e in &mut exps[v + 1..] {
+            *e = 0;
+        }
+    }
+    Polynomial::from_terms(n, terms)
+}
+
+/// `n` arguments over `nvars ≥ n` variables. Each is `a + b·t_v` in a
+/// variable of its own (a random injection), the constant absent, tiny
+/// (its powers' low terms fall below the pruning threshold) or ordinary,
+/// the remainder zero, one subnormal quantum each side (the outward
+/// rounding of `ZERO · point(1/r)`, what box re-initialisation produces)
+/// or `1e-3`-scale. One case in four makes one argument quadratic,
+/// two-variable or a second argument in an already used variable.
+fn affine_args(next: &mut impl FnMut() -> u64, n: usize, nvars: usize) -> Vec<TaylorModel> {
+    let mut vars: Vec<usize> = (0..nvars).collect();
+    for i in (1..nvars).rev() {
+        vars.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    let mut args: Vec<TaylorModel> = (0..n)
+        .map(|i| {
+            let a = match next() % 3 {
+                0 => 0.0,
+                1 => f64_in(next(), -1e-14, 1e-14),
+                _ => f64_in(next(), -0.5, 0.5),
+            };
+            let b = f64_in(next(), 0.2, 1.5) * if next().is_multiple_of(2) { 1.0 } else { -1.0 };
+            let rem = match next() % 3 {
+                0 => Interval::ZERO,
+                1 => Interval::ZERO * Interval::point(1.0 / b),
+                _ => Interval::symmetric(1e-3 * unit_f64(next())),
+            };
+            let mut p = Polynomial::zero(nvars);
+            p.set_affine(nvars, a, vars[i], b);
+            TaylorModel::new(p, rem)
+        })
+        .collect();
+    if next().is_multiple_of(4) {
+        let i = (next() as usize) % n;
+        let c = f64_in(next(), -0.5, 0.5);
+        let mut exps = vec![0u32; nvars];
+        match next() % 3 {
+            // `vars` is a permutation, so this is another variable.
+            1 if nvars > 1 => exps[vars[(i + 1) % nvars]] = 1,
+            2 if n > 1 => args[(i + 1) % n] = args[i].scale(0.5),
+            _ => exps[vars[i]] = 2,
+        }
+        if exps.iter().any(|&e| e > 0) {
+            let extra = Polynomial::from_terms(nvars, [(exps, c)]);
+            args[i] = args[i].add(&TaylorModel::new(extra, Interval::ZERO));
+        }
+    }
+    args
+}
+
+/// The unit domain over `nvars` variables, with one axis in three shifted
+/// to another bounded interval.
+fn shifted_domain(next: &mut impl FnMut() -> u64, nvars: usize) -> Vec<Interval> {
+    (0..nvars)
+        .map(|_| match next() % 3 {
+            0 => Interval::new(f64_in(next(), -2.0, -0.1), f64_in(next(), 0.1, 2.0)),
+            _ => Interval::new(-1.0, 1.0),
+        })
+        .collect()
+}
+
+/// The bit-level difference between two models, if any.
+fn model_diff(got: &TaylorModel, want: &TaylorModel) -> Option<String> {
+    let rem_bits = |t: &TaylorModel| (t.remainder().lo().to_bits(), t.remainder().hi().to_bits());
+    (!got.poly().bits_eq(want.poly()) || rem_bits(got) != rem_bits(want)).then(|| {
+        format!(
+            "{} + {:?} vs {} + {:?}",
+            terms(got.poly()),
+            got.remainder(),
+            terms(want.poly()),
+            want.remainder()
+        )
+    })
 }

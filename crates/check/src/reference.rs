@@ -20,7 +20,11 @@
 //!   [`compose_parts`] per output.
 //! * [`compose_parts`] — the Taylor-model composition that
 //!   `dwv_taylor::compose_parts_into` replaced: power tables of cloned
-//!   arguments, one freshly allocated model per chain product.
+//!   arguments, one freshly allocated model per chain product. The `nn`
+//!   family holds `compose_parts_into` to it directly, on affine arguments
+//!   (its dense path) and on others (its general path). That general path,
+//!   the in-place tables and chains this function once was, is itself an
+//!   oracle now: `dwv-taylor`'s unit tests hold the dense path to it.
 //! * [`flow_step`] — the validated Taylor-model step that
 //!   `OdeIntegrator::flow_step` replaced with degree-staged Picard
 //!   iterations and a compiled defect tape: `picard_iters` full-order

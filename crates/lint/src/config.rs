@@ -71,6 +71,7 @@ impl Default for ZoneConfig {
                 "crates/poly/src/polynomial.rs",
                 "crates/poly/src/workspace.rs",
                 "crates/taylor/src/model.rs",
+                "crates/taylor/src/affine.rs",
                 "crates/taylor/src/defect.rs",
             ]),
             // The rounding primitives themselves: one-ulp outward nudges and
@@ -91,6 +92,7 @@ impl Default for ZoneConfig {
             no_alloc_suffix_files: v(&[
                 "crates/poly/src/polynomial.rs",
                 "crates/taylor/src/model.rs",
+                "crates/taylor/src/affine.rs",
             ]),
             enclosure_types: v(&[
                 "Interval",

@@ -26,9 +26,6 @@ pub struct FnDef {
     pub name: String,
     /// The surrounding `impl`/`trait` self-type name, if any.
     pub owner: Option<String>,
-    /// The trait being implemented when the surrounding block is an
-    /// `impl Trait for Type`.
-    pub trait_name: Option<String>,
     /// 1-based line of the `fn` keyword.
     pub line: u32,
     /// Token index of the `fn` keyword.
@@ -137,7 +134,7 @@ pub fn parse(lexed: &Lexed) -> Parsed {
         },
     };
     let end = p.toks.len();
-    p.items(0, end, None, None);
+    p.items(0, end, None);
     p.out
 }
 
@@ -263,11 +260,11 @@ impl Parser<'_> {
 
     /// Parses the items in `[start, end)` with the given `impl`/`trait`
     /// context.
-    fn items(&mut self, start: usize, end: usize, owner: Option<&str>, trait_name: Option<&str>) {
+    fn items(&mut self, start: usize, end: usize, owner: Option<&str>) {
         let mut i = start;
         while i < end {
             match self.text(i) {
-                "fn" => i = self.item_fn(i, end, owner, trait_name),
+                "fn" => i = self.item_fn(i, end, owner),
                 "impl" => i = self.item_impl(i, end),
                 "trait" => i = self.item_trait(i, end),
                 "struct" => i = self.item_struct(i, end),
@@ -277,7 +274,7 @@ impl Parser<'_> {
                     // just advances.
                     if self.text(i + 2) == "{" {
                         let close = self.match_brace(i + 2);
-                        self.items(i + 3, close.min(end), None, None);
+                        self.items(i + 3, close.min(end), None);
                         i = close + 1;
                     } else {
                         i += 1;
@@ -327,13 +324,7 @@ impl Parser<'_> {
 
     /// Parses `fn name<G>(params) -> Ret where ... { body }` starting at
     /// the `fn` keyword index. Returns the index after the item.
-    fn item_fn(
-        &mut self,
-        fn_tok: usize,
-        end: usize,
-        owner: Option<&str>,
-        trait_name: Option<&str>,
-    ) -> usize {
+    fn item_fn(&mut self, fn_tok: usize, end: usize, owner: Option<&str>) -> usize {
         let name_at = fn_tok + 1;
         let Some(name_tok) = self.toks.get(name_at) else {
             return fn_tok + 1;
@@ -374,7 +365,6 @@ impl Parser<'_> {
         self.out.fns.push(FnDef {
             name,
             owner: owner.map(str::to_string),
-            trait_name: trait_name.map(str::to_string),
             line: self.toks[fn_tok].line,
             fn_tok,
             body,
@@ -384,7 +374,7 @@ impl Parser<'_> {
         if let Some((open, close)) = body {
             // Recurse into the body: nested fns, closures' let-ascriptions,
             // casts, and turbofish all get their type spans marked.
-            self.items(open + 1, close.min(end), owner, trait_name);
+            self.items(open + 1, close.min(end), owner);
             return close + 1;
         }
         i + 1
@@ -479,15 +469,9 @@ impl Parser<'_> {
         // `for`-part (or of the whole header when there is no `for`).
         let ty_start = for_at.map_or(header_start, |f| f + 1);
         let self_ty = self.last_path_segment(ty_start, open);
-        let trait_name = for_at.and_then(|f| self.last_path_segment(header_start, f));
         if self.text(open) == "{" {
             let close = self.match_brace(open);
-            self.items(
-                open + 1,
-                close.min(end),
-                self_ty.as_deref(),
-                trait_name.as_deref(),
-            );
+            self.items(open + 1, close.min(end), self_ty.as_deref());
             return close + 1;
         }
         open + 1
@@ -534,7 +518,7 @@ impl Parser<'_> {
         self.mark(trait_tok + 2, j);
         if self.text(j) == "{" {
             let close = self.match_brace(j);
-            self.items(j + 1, close.min(end), Some(&name), None);
+            self.items(j + 1, close.min(end), Some(&name));
             return close + 1;
         }
         j + 1
@@ -841,22 +825,19 @@ impl T for S {
 }
 ";
         let (_, p) = parse_src(src);
-        let names: Vec<(String, Option<String>, Option<String>)> = p
+        let names: Vec<(String, Option<String>)> = p
             .fns
             .iter()
-            .map(|f| (f.name.clone(), f.owner.clone(), f.trait_name.clone()))
+            .map(|f| (f.name.clone(), f.owner.clone()))
             .collect();
         assert_eq!(names.len(), 6, "{names:?}");
-        assert_eq!(names[0], ("free".into(), None, None));
-        assert_eq!(names[1], ("method".into(), Some("S".into()), None));
-        assert_eq!(names[2], ("private".into(), Some("S".into()), None));
-        assert_eq!(names[3], ("sig_only".into(), Some("T".into()), None));
+        assert_eq!(names[0], ("free".into(), None));
+        assert_eq!(names[1], ("method".into(), Some("S".into())));
+        assert_eq!(names[2], ("private".into(), Some("S".into())));
+        assert_eq!(names[3], ("sig_only".into(), Some("T".into())));
         assert!(p.fns[3].body.is_none(), "trait signature has no body");
         assert!(p.fns[4].body.is_some(), "default method has a body");
-        assert_eq!(
-            names[5],
-            ("sig_only".into(), Some("S".into()), Some("T".into()))
-        );
+        assert_eq!(names[5], ("sig_only".into(), Some("S".into())));
     }
 
     #[test]
@@ -982,7 +963,6 @@ fn f(v: &[f64]) -> f64 {
         let (_, p) = parse_src(src);
         let f = &p.fns[0];
         assert_eq!(f.owner.as_deref(), Some("IntervalReach"));
-        assert_eq!(f.trait_name.as_deref(), Some("Verifier"));
     }
 
     #[test]

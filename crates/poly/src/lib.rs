@@ -49,5 +49,8 @@ mod polynomial;
 pub mod tables;
 mod workspace;
 
-pub use polynomial::{Exponents, GridScratch, Polynomial, TermIter, PACK_MAX_EXP, PACK_VARS};
+pub use polynomial::{
+    packed_key, packed_mono_range, Exponents, GridScratch, Polynomial, TermIter, PACK_MAX_EXP,
+    PACK_VARS,
+};
 pub use workspace::{PolyWorkspace, PowersStats};

@@ -67,6 +67,15 @@ fn pack_exps(exps: &[u32]) -> Option<u64> {
     Some(key)
 }
 
+/// The packed key of the monomial `x^exps` (variable 0 in the most
+/// significant byte, so key order is lexicographic exponent order), or
+/// `None` beyond [`PACK_VARS`] variables or an exponent above
+/// [`PACK_MAX_EXP`].
+#[must_use]
+pub fn packed_key(exps: &[u32]) -> Option<u64> {
+    pack_exps(exps)
+}
+
 /// Exponent of variable `i` in a packed key.
 #[inline]
 fn key_exp(key: u64, i: usize) -> u32 {
@@ -1294,6 +1303,14 @@ impl Polynomial {
     // the property tests); only the allocation behaviour differs. Boxed
     // representations fall back to the functional ops.
 
+    /// Whether the terms use the packed `u64`-key representation (at most
+    /// [`PACK_VARS`] variables and exponents within [`PACK_MAX_EXP`]), the
+    /// one every in-place kernel runs on.
+    #[must_use]
+    pub fn is_packed(&self) -> bool {
+        matches!(self.repr, Repr::Packed(_))
+    }
+
     /// The packed term arrays `(keys, coefficients)`, when this polynomial
     /// uses the packed representation (used by the Bernstein range cache for
     /// content keys).
@@ -1320,6 +1337,36 @@ impl Polynomial {
                 reason = "variant assigned unconditionally above; rustc cannot see through the reassignment"
             )]
             Repr::Boxed(_) => unreachable!("just reset to packed"),
+        }
+    }
+
+    /// Overwrites `self` with the packed terms `terms` in `nvars`
+    /// variables, keeping its term storage: keys as [`packed_key`] builds
+    /// them, strictly ascending, coefficients non-zero (the invariants of
+    /// every packed polynomial, checked in debug builds). Lets a kernel
+    /// outside this crate that accumulates coefficients in its own layout
+    /// (the dense affine composition in `dwv-taylor`) emit them without
+    /// a sort or merge.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `nvars > PACK_VARS`.
+    pub fn set_packed_sorted<I>(&mut self, nvars: usize, terms: I)
+    where
+        I: IntoIterator<Item = (u64, f64)>,
+    {
+        assert!(
+            nvars <= PACK_VARS,
+            "packed terms need at most PACK_VARS variables"
+        );
+        let dst = self.packed_storage(nvars);
+        for (k, c) in terms {
+            debug_assert!(
+                dst.keys.last().is_none_or(|&last| last < k),
+                "keys not ascending"
+            );
+            debug_assert!(c != 0.0, "zero coefficient");
+            dst.push(k, c);
         }
     }
 
@@ -1912,9 +1959,11 @@ fn grid_walk(
 /// Interval power product `d₀^e₀ · d₁^e₁ · …` of one packed monomial over
 /// `domain`, accumulated left-to-right over the variables that occur
 /// (`None` for the constant monomial). Pure in `(key, domain)` — the
-/// workspace memo table stores exactly these values.
+/// workspace memo table stores exactly these values, and a term's range in
+/// [`Polynomial::eval_interval`] is `point(c)` times it.
 #[inline]
-pub(crate) fn packed_mono_range(key: u64, domain: &[Interval]) -> Option<Interval> {
+#[must_use]
+pub fn packed_mono_range(key: u64, domain: &[Interval]) -> Option<Interval> {
     let mut mono: Option<Interval> = None;
     for (i, iv) in domain.iter().enumerate() {
         let e = key_exp(key, i);

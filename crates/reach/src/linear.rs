@@ -154,11 +154,22 @@ impl LinearReach {
     ///
     /// # Errors
     ///
-    /// Returns [`ReachError::Diverged`] if the recursion produces non-finite
-    /// coordinates (an unstable closed loop blowing past f64 range).
+    /// Returns [`ReachError::Unsupported`] for a NaN gain, which has no
+    /// interval image, and [`ReachError::Diverged`] at step 1 for an
+    /// infinite one, or if the recursion produces non-finite coordinates (an
+    /// unstable closed loop blowing past f64 range).
     pub fn reach(&self, controller: &LinearController) -> Result<Flowpipe, ReachError> {
         let _run = dwv_obs::span("reach.run");
         let n = self.x0.dim();
+        let gains = (0..self.bd.ncols()).flat_map(|i| (0..n).map(move |j| controller.gain(i, j)));
+        if gains.clone().any(f64::is_nan) {
+            return Err(ReachError::Unsupported(
+                "controller gains must not be NaN".into(),
+            ));
+        }
+        if gains.clone().any(f64::is_infinite) {
+            return Err(diverged(1));
+        }
         let m = self.closed_loop_matrix(controller);
         let mut vertices: Vec<Vec<f64>> = self.x0.corners();
         let mut steps = Vec::with_capacity(self.steps + 1);
@@ -191,12 +202,7 @@ impl LinearReach {
                 })
                 .collect();
             if vertices.iter().any(|v| v.iter().any(|x| !x.is_finite())) {
-                return Err(ReachError::Diverged {
-                    step: t,
-                    source: dwv_taylor::FlowpipeError::Diverged {
-                        last_radius: f64::INFINITY,
-                    },
-                });
+                return Err(diverged(t));
             }
             let end_box = vertex_box(&vertices, n);
             let sweep = affine_sweep_box_chord(
@@ -225,6 +231,16 @@ impl crate::verifier::Verifier<LinearController> for LinearReach {
         controller: &LinearController,
     ) -> Result<Flowpipe, ReachError> {
         self.clone().with_initial_set(x0.clone()).reach(controller)
+    }
+}
+
+/// The recursion's divergence at control step `step`.
+fn diverged(step: usize) -> ReachError {
+    ReachError::Diverged {
+        step,
+        source: dwv_taylor::FlowpipeError::Diverged {
+            last_radius: f64::INFINITY,
+        },
     }
 }
 
@@ -314,6 +330,27 @@ mod tests {
             }
             Err(ReachError::Diverged { .. }) => {}
             Err(e) => panic!("unexpected error {e}"),
+        }
+    }
+
+    #[test]
+    fn non_finite_gains_are_typed_errors() {
+        use crate::verifier::Verifier;
+        let p = acc::reach_avoid_problem();
+        let v = LinearReach::for_problem(&p).unwrap();
+        let run = |gains: [f64; 2]| {
+            let k = LinearController::new(2, 1, gains.to_vec());
+            let from = Verifier::reach_from(&v, &p.x0, &k).map(|fp| fp.len());
+            (v.reach(&k).map(|fp| fp.len()), from)
+        };
+        let nan = ReachError::Unsupported("controller gains must not be NaN".into());
+        for gains in [[f64::NAN, 0.0], [0.0, f64::NAN]] {
+            assert_eq!(run(gains), (Err(nan.clone()), Err(nan.clone())));
+        }
+        // What the vertex recursion has always returned for these.
+        for (gains, step) in [([f64::INFINITY, -1.0], 1), ([1e300, -1e300], 2)] {
+            let want = Err(diverged(step));
+            assert_eq!(run(gains), (want.clone(), want), "{gains:?}");
         }
     }
 

@@ -304,8 +304,12 @@ pub struct BernsteinAbstraction {
     /// Sample-grid resolution per dimension for the remainder estimate.
     pub samples_per_dim: usize,
     /// Truncation order when composing the fitted polynomial with the state
-    /// Taylor models (only relevant for symbolic dependency tracking, where
-    /// state models are non-affine).
+    /// Taylor models. It bounds the composition under box re-initialisation
+    /// too: the normalized state models are affine there, so the
+    /// composition has the fit's total degree, `n · degree` (9 for the
+    /// default degree 3 on a 3-D state, above the default order 8), and the
+    /// terms above the order go to the remainder. Symbolic dependency
+    /// tracking composes with non-affine models and truncates more.
     pub compose_order: u32,
 }
 

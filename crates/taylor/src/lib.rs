@@ -45,6 +45,7 @@
     clippy::integer_division_remainder_used
 )]
 
+mod affine;
 pub mod arbitrary;
 mod defect;
 pub mod flowpipe;

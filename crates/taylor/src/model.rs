@@ -5,6 +5,7 @@
     reason = "variable/exponent/component indices are asserted or bounded by iteration over the same collection"
 )]
 
+use crate::affine::AffineScratch;
 use dwv_interval::{Interval, IntervalBox};
 use dwv_poly::bernstein::RangeCache;
 use dwv_poly::{PolyWorkspace, Polynomial};
@@ -115,9 +116,13 @@ impl fmt::Debug for Slot {
     }
 }
 
-/// Scratch of [`compose_parts_into`], laid out like [`ComposeScratch`].
+/// Scratch of [`compose_parts_into`]: the general path's tables, laid out
+/// like [`ComposeScratch`], and the dense path's buffers.
 #[derive(Debug, Default)]
 pub(crate) struct TmComposeScratch {
+    /// Power rows, exponent-box tables and the dense accumulator of the
+    /// affine-argument path.
+    pub(crate) affine: AffineScratch,
     /// Per-variable largest exponent of the composed polynomial.
     max_exp: Vec<u32>,
     /// `pows[i][e - 2] = args[i]^e` for `e ≥ 2`.
@@ -750,11 +755,20 @@ pub fn compose_parts_ws(
 /// product chain `((c·a_i^e)·a_j^f)…` over its variables in ascending order,
 /// added to `out` in term order; a constant term adds a constant model.
 ///
-/// The power tables and the product chain live in the workspace and the
-/// first power of every argument is the argument itself, borrowed: once the
-/// workspace and `out` have grown, a call allocates nothing. The warm
-/// ReachNN step composes its fits this way and makes 7 (Os) and 9 (3D)
-/// allocations in all, none of them here (`tests/no_alloc_step.rs`).
+/// When every argument is affine in a variable of its own, `a_i +
+/// b_i·t_{σ(i)}` — the normalized state models of a box-re-initialised
+/// ReachNN step — the products cannot collide and the composition runs on
+/// dense per-argument coefficient rows and a dense exponent-box accumulator
+/// instead (the `affine` module), replaying the same floating-point
+/// operations: the output is bit-identical either way. Any other argument
+/// shape takes the general path above.
+///
+/// The power tables, the product chain and the dense buffers live in the
+/// workspace and the first power of every argument is the argument itself,
+/// borrowed: once the workspace and `out` have grown, a call allocates
+/// nothing. The warm ReachNN step composes its fits this way and makes 7
+/// (Os) and 9 (3D) allocations in all, none of them here
+/// (`tests/no_alloc_step.rs`).
 ///
 /// # Panics
 ///
@@ -775,11 +789,36 @@ pub fn compose_parts_into(
         args.iter().all(|a| a.nvars() == out_vars),
         "argument models must share a variable count"
     );
+    let dense =
+        ws.tm_compose
+            .affine
+            .compose_into(poly, remainder, args, order, arg_domain, &mut out.poly);
+    match dense {
+        Some(rem) => out.remainder = rem,
+        None => compose_general_into(poly, remainder, args, order, arg_domain, out, ws),
+    }
+}
+
+/// The general path of [`compose_parts_into`], for any argument shape: the
+/// power tables and product chains of Taylor models. The `affine`
+/// module's unit tests hold the dense path to it, and the `nn` family of
+/// `dwv-check` holds both to `dwv_check::reference::compose_parts`.
+pub(crate) fn compose_general_into(
+    poly: &Polynomial,
+    remainder: Interval,
+    args: &[TaylorModel],
+    order: u32,
+    arg_domain: &[Interval],
+    out: &mut TaylorModel,
+    ws: &mut TmWorkspace,
+) {
+    let out_vars = args.first().map_or(0, TaylorModel::nvars);
     let TmComposeScratch {
         max_exp,
         pows,
         term,
         next,
+        ..
     } = &mut ws.tm_compose;
     let pws = &mut ws.poly;
     max_exp.clear();

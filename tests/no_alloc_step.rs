@@ -10,9 +10,11 @@
 //! for the Picard iterations, the defect tape, its replays, the network
 //! abstraction or the box re-initialisation: `2n + 3`, 7 on Os and 9 on 3D.
 //! The Bernstein abstraction fits, evaluates and composes in workspace
-//! buffers (the workspace's slot and the composition tables) and returns
-//! its models in the storage the previous step handed back, so it adds
-//! nothing to that bound either. The workspace's buffers grow until the largest
+//! buffers (the workspace's slot, and the composition's power rows and
+//! dense exponent-box accumulator: box re-initialised state models are
+//! affine, so the composition takes its dense path) and returns its models
+//! in the storage the previous step handed back, so it adds nothing to
+//! that bound either. The workspace's buffers grow until the largest
 //! polynomial they hold has appeared; on 3D(ReachNN) the flow step's last
 //! growth is at step 7 (the abstraction allocates nothing after its first
 //! call), so that run warms up for 8 steps.
