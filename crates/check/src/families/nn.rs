@@ -31,6 +31,13 @@
 //!   one argument quadratic, two-variable or a repeat of another's
 //!   variable, which takes the general path. Its draws come from a stream
 //!   of their own, so the checks above keep theirs.
+//! * controller-change differential: `abstract_network_ws` on a workspace
+//!   warmed by another controller of the same shape (its first layer, its
+//!   later layers or all its parameters redrawn) must return
+//!   [`crate::reference::bernstein_abstraction`]'s models bit for bit. It
+//!   holds the per-controller state the workspace keeps (the Lipschitz
+//!   bound's first-layer sums) to its key. Its draws come from a stream of
+//!   their own as well.
 
 use super::{case_rng, CaseOutcome, Family};
 use crate::reference;
@@ -64,6 +71,9 @@ impl Family for NnFamily {
 
     fn check(&self, seed: u64, size: u8) -> CaseOutcome {
         if let Some(v) = composition(seed) {
+            return v;
+        }
+        if let Some(v) = controller_change(seed) {
             return v;
         }
         let mut rng = case_rng(self.id(), seed);
@@ -290,6 +300,60 @@ fn terms(p: &Polynomial) -> String {
         .map(|(e, c)| format!("{:?}:{:#018x}", e.as_slice(), c.to_bits()))
         .collect();
     format!("[{}]", parts.join(" "))
+}
+
+/// The controller-change differential of one case (see the module doc):
+/// `None` when the abstraction on a workspace warmed by another controller
+/// of the same shape returned the reference's models.
+fn controller_change(seed: u64) -> Option<CaseOutcome> {
+    let mut rng = CheckRng::new(seed ^ 0x0C7B_C4A1_0000_0000);
+    let mut next = || rng.next_u64();
+    let in_dim = 1 + (next() as usize) % 4;
+    let out_dim = 1 + (next() as usize) % 2;
+    let net = network(&mut next, in_dim, out_dim, 2, 4);
+    let first_len = net.layers().first().map_or(0, dwv_nn::Layer::num_params);
+    // Redraw the first layer, the later layers or every parameter.
+    let redraw = next() % 3;
+    let params: Vec<f64> = net
+        .params()
+        .into_iter()
+        .enumerate()
+        .map(|(i, p)| match (redraw, i < first_len) {
+            (0, true) | (1, false) | (2, _) => f64_in(next(), -1.0, 1.0),
+            _ => p,
+        })
+        .collect();
+    let mut other = net.clone();
+    other.set_params(&params);
+    let scale = f64_in(next(), 0.5, 4.0);
+    let controller = NnController::with_output_scale(net, scale);
+    let other = NnController::with_output_scale(other, scale);
+    let center: Vec<f64> = (0..in_dim).map(|_| f64_in(next(), -0.5, 0.5)).collect();
+    let radius: Vec<f64> = (0..in_dim)
+        .map(|_| 0.05 + 0.25 * unit_f64(next()))
+        .collect();
+    let state_box = IntervalBox::from_center_radius(&center, &radius);
+    let abs = BernsteinAbstraction {
+        degree: 1 + (next() % 3) as u32,
+        samples_per_dim: 1 + (next() as usize) % 9,
+        compose_order: 1 + (next() % 8) as u32,
+    };
+    let state = TmVector::from_box(&state_box);
+    let domain = unit_domain(in_dim);
+    let want = reference::bernstein_abstraction(
+        &controller,
+        &state,
+        &domain,
+        abs.degree,
+        abs.samples_per_dim,
+        abs.compose_order,
+    );
+    let mut ws = TmWorkspace::new();
+    if let Ok(u) = abs.abstract_network_ws(&other, &state, &domain, &mut ws) {
+        ws.reuse(u);
+    }
+    let got = abs.abstract_network_ws(&controller, &state, &domain, &mut ws);
+    same_abstraction(&want, &got, "differently warmed", &state_box)
 }
 
 /// The composition differential of one case (see the module doc): `None`

@@ -41,21 +41,6 @@ impl Activation {
         }
     }
 
-    /// A directed-rounding enclosure of the activation's image of `x`.
-    ///
-    /// Every activation in the set is monotone, so the image of an interval
-    /// is an interval; the enclosures delegate to the outward-rounded
-    /// `dwv-interval` transcendental primitives (identity is exact).
-    #[must_use]
-    pub fn apply_interval(self, x: dwv_interval::Interval) -> dwv_interval::Interval {
-        match self {
-            Activation::ReLU => x.relu(),
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => x.sigmoid(),
-            Activation::Identity => x,
-        }
-    }
-
     /// The derivative at `x` (ReLU uses the subgradient value 0 at 0).
     #[must_use]
     pub fn derivative(self, x: f64) -> f64 {

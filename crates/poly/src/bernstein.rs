@@ -112,11 +112,15 @@ where
 }
 
 /// Buffers of [`approximate_into`]: the dense basis and substitution-power
-/// tables of every axis, the coefficient tensors in normalized and original
-/// coordinates, their shape and strides, and a multi-index. Every call
-/// clears and refills them.
+/// tables of every axis with the degrees and domain they were built for,
+/// the coefficient tensors in normalized and original coordinates, their
+/// shape and strides, and a multi-index. The tables, shape and strides are
+/// rebuilt only when the degrees or the domain's bits change; every other
+/// buffer is cleared and refilled by every call.
 #[derive(Debug, Default)]
 pub struct FitScratch {
+    /// The degrees and domain endpoint bits the tables were built for.
+    key: Vec<u64>,
     counts: Vec<usize>,
     stride: Vec<usize>,
     /// Start of every axis' `counts[i]²` table in `basis` and `pows`.
@@ -126,6 +130,60 @@ pub struct FitScratch {
     t_coeffs: Vec<f64>,
     x_coeffs: Vec<f64>,
     idx: Vec<usize>,
+}
+
+impl FitScratch {
+    /// Builds the basis and substitution-power tables of `degrees` over
+    /// `domain`, unless they are already built for the same degrees and
+    /// domain bits.
+    fn tables(&mut self, degrees: &[u32], domain: &[Interval]) {
+        let key = degrees.iter().map(|&d| u64::from(d)).chain(
+            domain
+                .iter()
+                .flat_map(|iv| [iv.lo().to_bits(), iv.hi().to_bits()]),
+        );
+        if self.key.len() == 3 * degrees.len() && self.key.iter().copied().eq(key.clone()) {
+            return;
+        }
+        self.key.clear();
+        self.key.extend(key);
+        let FitScratch {
+            counts,
+            stride,
+            table_at,
+            basis,
+            pows,
+            ..
+        } = self;
+        counts.clear();
+        counts.extend(degrees.iter().map(|&d| d as usize + 1));
+        strides_into(counts, stride);
+        // Dense univariate tables per dimension, rows of length counts[dim]:
+        // basis[dim][k][e] is the t^e coefficient of B_{k,d}, pows[dim][e][j]
+        // the x^j coefficient of (a + b·x)^e.
+        table_at.clear();
+        let mut at = 0;
+        for &c in counts.iter() {
+            table_at.push(at);
+            // dwv-lint: allow(float-hygiene) -- usize table offsets
+            at += c * c;
+        }
+        basis.clear();
+        basis.resize(at, 0.0);
+        pows.clear();
+        pows.resize(at, 0.0);
+        for (((&d, iv), &start), &len) in degrees
+            .iter()
+            .zip(domain)
+            .zip(table_at.iter())
+            .zip(counts.iter())
+        {
+            dense_basis_into(d, &mut basis[start..start + len * len]);
+            // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
+            let (a, b) = (-iv.lo() / iv.width(), 1.0 / iv.width());
+            substitution_powers_into(len, a, b, &mut pows[start..start + len * len]);
+        }
+    }
 }
 
 /// The Bernstein approximation of [`approximate`] from the function's
@@ -158,50 +216,24 @@ pub fn approximate_into(
     out: &mut Polynomial,
 ) {
     check_fit_domain(degrees, domain);
+    scratch.tables(degrees, domain);
     let FitScratch {
         counts,
-        stride,
         table_at,
         basis,
         pows,
+        stride,
         t_coeffs,
         x_coeffs,
         idx,
+        ..
     } = scratch;
-    counts.clear();
-    counts.extend(degrees.iter().map(|&d| d as usize + 1));
     let total = values.len();
     assert_eq!(
         counts.iter().try_fold(1usize, |t, &c| t.checked_mul(c)),
         Some(total),
         "one value per Bernstein node"
     );
-    strides_into(counts, stride);
-    // Dense univariate tables per dimension, rows of length counts[dim]:
-    // basis[dim][k][e] is the t^e coefficient of B_{k,d}, pows[dim][e][j] the
-    // x^j coefficient of (a + b·x)^e.
-    table_at.clear();
-    let mut at = 0;
-    for &c in counts.iter() {
-        table_at.push(at);
-        // dwv-lint: allow(float-hygiene) -- usize table offsets
-        at += c * c;
-    }
-    basis.clear();
-    basis.resize(at, 0.0);
-    pows.clear();
-    pows.resize(at, 0.0);
-    for (((&d, iv), &start), &len) in degrees
-        .iter()
-        .zip(domain)
-        .zip(table_at.iter())
-        .zip(counts.iter())
-    {
-        dense_basis_into(d, &mut basis[start..start + len * len]);
-        // dwv-lint: allow(float-hygiene) -- approximation operator, error bounded by sampling + Lipschitz inflation
-        let (a, b) = (-iv.lo() / iv.width(), 1.0 / iv.width());
-        substitution_powers_into(len, a, b, &mut pows[start..start + len * len]);
-    }
     let (counts, table_at) = (&*counts, &*table_at);
     let row = |table, dim, k| table_row(table, table_at[dim], counts[dim], k);
 
@@ -742,5 +774,36 @@ mod tests {
         let direct2 = range_enclosure(&p, &IntervalBox::new(dom2.to_vec()));
         assert_eq!(other.lo().to_bits(), direct2.lo().to_bits());
         assert_eq!(other.hi().to_bits(), direct2.hi().to_bits());
+    }
+
+    #[test]
+    fn warm_fit_scratch_matches_fresh_bitwise() {
+        // One scratch across degrees and domains that share a shape or a
+        // width: the kept tables must follow both.
+        use dwv_interval::Interval;
+        let cases: [(&[u32], &[_]); 5] = [
+            (&[2, 2], &[(-1.0, 1.0), (-1.0, 1.0)]),
+            (&[2, 2], &[(-1.0, 1.0), (0.0, 2.0)]),
+            (&[3, 1], &[(-1.0, 1.0), (0.0, 2.0)]),
+            (&[1, 3], &[(-1.0, 1.0), (0.0, 2.0)]),
+            (&[2, 2, 2], &[(-0.5, 0.5), (0.25, 0.75), (-1.0, 1.0)]),
+        ];
+        let mut warm = FitScratch::default();
+        for (degrees, bounds) in cases {
+            let domain: Vec<Interval> = bounds.iter().map(|&(l, h)| Interval::new(l, h)).collect();
+            let nodes: usize = degrees.iter().map(|&d| d as usize + 1).product();
+            let values: Vec<f64> = (0..nodes).map(|k| (k as f64 * 0.7).sin()).collect();
+            let n = degrees.len();
+            let (mut fresh, mut reused) = (Polynomial::zero(n), Polynomial::zero(n));
+            approximate_into(
+                &values,
+                degrees,
+                &domain,
+                &mut FitScratch::default(),
+                &mut fresh,
+            );
+            approximate_into(&values, degrees, &domain, &mut warm, &mut reused);
+            assert!(reused.bits_eq(&fresh), "{degrees:?} over {bounds:?}");
+        }
     }
 }

@@ -106,6 +106,67 @@ pub fn axpy(dst: &mut [f64], a: f64, src: &[f64]) {
     }
 }
 
+/// `dst ← src ⊗ p`: for every `src[i]` in order, the run `src[i] * p[j]`
+/// over the `len` entries of `p`, or `len` copies of `src[i]` when `p` is
+/// `None` (a power 0, which the product skips). Reuses `dst`'s buffer.
+pub fn outer_into(dst: &mut Vec<f64>, src: &[f64], p: Option<&[f64]>, len: usize) {
+    dst.clear();
+    dst.reserve(src.len() * len);
+    match p {
+        Some(p) => {
+            for &s in src {
+                dst.extend(p.iter().map(|&pj| s * pj));
+            }
+        }
+        None => {
+            for &s in src {
+                dst.extend(std::iter::repeat_n(s, len));
+            }
+        }
+    }
+}
+
+/// `acc[k·m + i] += row[i] * z[k]` for every `k < z.len()` and
+/// `i < m = row.len()`, or `+= row[i]` for every `k < rows` when `z` is
+/// `None`: one term's contribution to an accumulator whose rows are the
+/// last grid axis (separate multiply and add, never FMA-contracted).
+///
+/// # Panics
+///
+/// Panics if `acc.len() != rows · row.len()` or `z` is not `rows` long.
+pub fn add_outer_rows(acc: &mut [f64], row: &[f64], z: Option<&[f64]>, rows: usize) {
+    assert_eq!(acc.len(), rows * row.len(), "accumulator shape mismatch");
+    let m = row.len().max(1);
+    match z {
+        Some(z) => {
+            assert_eq!(z.len(), rows, "last-axis length mismatch");
+            for (a, &zk) in acc.chunks_exact_mut(m).zip(z) {
+                for (ai, &r) in a.iter_mut().zip(row) {
+                    *ai += r * zk;
+                }
+            }
+        }
+        None => {
+            for a in acc.chunks_exact_mut(m) {
+                for (ai, &r) in a.iter_mut().zip(row) {
+                    *ai += r;
+                }
+            }
+        }
+    }
+}
+
+/// `dst ← srcᵀ`: `src` holds `rows` rows of `src.len() / rows` values;
+/// `dst` receives column after column. Reuses `dst`'s buffer.
+pub fn transpose_into(dst: &mut Vec<f64>, src: &[f64], rows: usize) {
+    dst.clear();
+    let cols = src.len().checked_div(rows).unwrap_or(0);
+    dst.reserve(src.len());
+    for i in 0..cols {
+        dst.extend((0..rows).map(|k| src[k * cols + i]));
+    }
+}
+
 /// Chunked dot product with the documented 4-lane reduction order.
 ///
 /// Semantics:
@@ -275,5 +336,45 @@ mod tests {
         let mut dst = Vec::new();
         offset_keys_into(&mut dst, &src, 1 << 24);
         assert_eq!(dst, src.iter().map(|k| k + (1 << 24)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn grid_row_kernels_match_elementwise_bitwise() {
+        for (m, rows) in [(1, 1), (1, 5), (3, 1), (4, 9), (9, 9), (81, 9)] {
+            let src = data(m);
+            let z = data(rows + 2)[2..].to_vec();
+            // outer_into: every src entry times every p entry, or repeated.
+            let mut dst = Vec::new();
+            outer_into(&mut dst, &src, Some(&z), rows);
+            let mut copies = Vec::new();
+            outer_into(&mut copies, &src, None, rows);
+            let products = src.iter().flat_map(|&s| z.iter().map(move |&zk| s * zk));
+            let repeated = src.iter().flat_map(|&s| std::iter::repeat_n(s, rows));
+            assert!(dst
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(products.map(f64::to_bits)));
+            assert!(copies
+                .iter()
+                .map(|v| v.to_bits())
+                .eq(repeated.map(f64::to_bits)));
+            // add_outer_rows: acc[k·m + i] += row[i] * z[k], or += row[i].
+            let start: Vec<f64> = data(rows * m).iter().map(|x| x * 0.25).collect();
+            let (mut scaled, mut plain) = (start.clone(), start.clone());
+            add_outer_rows(&mut scaled, &src, Some(&z), rows);
+            add_outer_rows(&mut plain, &src, None, rows);
+            for (at, &a) in start.iter().enumerate() {
+                let (k, i) = (at / m, at % m);
+                assert_eq!(scaled[at].to_bits(), (a + src[i] * z[k]).to_bits());
+                assert_eq!(plain[at].to_bits(), (a + src[i]).to_bits());
+            }
+            // transpose_into: column after column.
+            let mut t = Vec::new();
+            transpose_into(&mut t, &scaled, rows);
+            for (at, &v) in t.iter().enumerate() {
+                let (i, k) = (at / rows, at % rows);
+                assert_eq!(v.to_bits(), scaled[k * m + i].to_bits());
+            }
+        }
     }
 }

@@ -682,91 +682,93 @@ impl Polynomial {
         }
     }
 
-    /// Evaluates at every point of the tensor grid `axes[0] × axes[1] × …`,
-    /// in mixed-radix order (last axis fastest), passing each point's axis
-    /// indices and value to `visit`.
+    /// Evaluates at every point of the tensor grid `axes[0] × axes[1] × …`
+    /// and returns the values in mixed-radix order (last axis fastest), in a
+    /// slice of `scratch`.
     ///
     /// Every value equals [`Polynomial::eval`] at the same point, bit for
     /// bit: each term's power product is still accumulated over the
     /// variables in ascending order and the terms are still summed in term
-    /// order, from the same starting value. Only the work is shared: powers
-    /// are tabulated once per axis coordinate, each term's partial products
-    /// over the outer axes are recomputed only when an outer index changes,
-    /// and the sums of one inner-axis row advance side by side. The tables,
-    /// partial products and row sums live in `scratch`, so for packed
-    /// polynomials a call allocates nothing once the scratch has grown to
-    /// the grid.
+    /// order, from the same starting value. Only the work is shared. Powers
+    /// are tabulated once per axis coordinate. Per term, the product over
+    /// the outer axes is formed once per outer point, as one row, and the
+    /// last axis then runs over that whole row: `acc[k][·] += row · z_kᵉ`,
+    /// or `+= row` for `e = 0`. The accumulator holds one row per last-axis
+    /// coordinate and is read back in mixed-radix order. The tables, rows
+    /// and accumulator live in `scratch`, so for packed polynomials a call
+    /// allocates nothing once the scratch has grown to the grid, and the
+    /// tables are kept while the coordinates and exponents repeat.
     ///
     /// # Panics
     ///
     /// Panics if `axes.len() != self.nvars()`.
-    pub fn eval_grid<F>(&self, axes: &[Vec<f64>], scratch: &mut GridScratch, mut visit: F)
-    where
-        F: FnMut(&[usize], f64),
-    {
+    pub fn eval_grid<'s>(&self, axes: &[Vec<f64>], scratch: &'s mut GridScratch) -> &'s [f64] {
         assert_eq!(axes.len(), self.nvars, "grid dimension mismatch");
-        if axes.iter().any(Vec::is_empty) {
-            return;
-        }
         let GridScratch {
             pows,
-            partial,
-            row,
-            idx,
+            outer: row,
+            spare,
+            acc,
+            values,
         } = scratch;
-        idx.clear();
-        let v = match &self.repr {
-            Repr::Packed(v) if self.nvars > 0 => v,
-            // Boxed terms and the one point of a 0-variable grid: plain
-            // evaluation.
-            _ => {
-                let points: Vec<Vec<(usize, f64)>> = axes
-                    .iter()
-                    .map(|axis| axis.iter().copied().enumerate().collect())
-                    .collect();
-                let mut x = Vec::with_capacity(self.nvars);
-                for_each_combination(&points, &mut Vec::with_capacity(self.nvars), &mut |p| {
-                    idx.clear();
-                    idx.extend(p.iter().map(|&&(j, _)| j));
-                    x.clear();
-                    x.extend(p.iter().map(|&&(_, xj)| xj));
-                    visit(idx, self.eval(&x));
-                });
-                return;
-            }
+        values.clear();
+        if axes.iter().any(Vec::is_empty) {
+            return values;
+        }
+        // Boxed terms and the one point of a 0-variable grid: plain
+        // evaluation.
+        let (Repr::Packed(v), Some((last_axis, outer_axes))) = (&self.repr, axes.split_last())
+        else {
+            let mut x = Vec::with_capacity(self.nvars);
+            for_each_combination(axes, &mut Vec::with_capacity(self.nvars), &mut |p| {
+                x.clear();
+                x.extend(p.iter().map(|&&xj| xj));
+                values.push(self.eval(&x));
+            });
+            return values;
         };
         // Per axis, the powers x^e (e = 0..=m, m the largest exponent of the
-        // variable, x^0 = 1 unused) of its coordinates: rows by coordinate
-        // on the outer axes, rows by exponent on the last one.
-        let last = self.nvars - 1;
+        // variable, x^0 = 1 unused) of its coordinates, in rows by exponent;
+        // kept while the coordinates' bits and the exponent stay the same.
         if pows.len() < self.nvars {
             pows.resize_with(self.nvars, Default::default);
         }
-        for (d, (axis, (row_len, table))) in axes.iter().zip(pows.iter_mut()).enumerate() {
+        for (d, (axis, (key, table))) in axes.iter().zip(pows.iter_mut()).enumerate() {
             let m = v.keys.iter().map(|&k| key_exp(k, d)).max().unwrap_or(0);
+            let bits = std::iter::once(u64::from(m)).chain(axis.iter().map(|x| x.to_bits()));
+            if key.iter().copied().eq(bits.clone()) {
+                continue;
+            }
+            key.clear();
+            key.extend(bits);
             // dwv-lint: allow(float-hygiene) -- point evaluation, not an enclosure (interval callers use eval_interval)
             let power = |x: f64, e: u32| if e == 0 { 1.0 } else { x.powi(e as i32) };
             table.clear();
-            if d == last {
-                *row_len = axis.len();
-                table.extend((0..=m).flat_map(|e| axis.iter().map(move |&x| power(x, e))));
-            } else {
-                *row_len = m as usize + 1;
-                table.extend(axis.iter().flat_map(|&x| (0..=m).map(move |e| power(x, e))));
+            table.extend((0..=m).flat_map(|e| axis.iter().map(move |&x| power(x, e))));
+        }
+        let powers = |d: usize, len: usize, e: u32| match e {
+            0 => None,
+            e => pows.get(d)?.1.chunks_exact(len).nth(e as usize),
+        };
+        let rows = last_axis.len();
+        let cols: usize = outer_axes.iter().map(Vec::len).product();
+        let last = outer_axes.len();
+        acc.clear();
+        acc.resize(rows * cols, std::iter::empty::<f64>().sum());
+        for (&k, &c) in v.keys.iter().zip(&v.coeffs) {
+            // The term's product over the outer axes at every outer point,
+            // its variables multiplied in ascending order.
+            row.clear();
+            row.push(c);
+            for (d, axis) in outer_axes.iter().enumerate() {
+                let len = axis.len();
+                kernels::outer_into(spare, row, powers(d, len, key_exp(k, d)), len);
+                std::mem::swap(row, spare);
             }
+            kernels::add_outer_rows(acc, row, powers(last, rows, key_exp(k, last)), rows);
         }
-        // Per outer axis: every term's partial product up to that axis.
-        if partial.len() < last {
-            partial.resize_with(last, Vec::new);
-        }
-        grid_walk(
-            (&v.keys, &v.coeffs),
-            &pows[..self.nvars],
-            &mut partial[..last],
-            row,
-            idx,
-            &mut visit,
-        );
+        kernels::transpose_into(values, acc, rows);
+        values
     }
 
     /// Conservative interval enclosure of the range over the box `domain`.
@@ -1865,15 +1867,19 @@ impl Polynomial {
     }
 }
 
-/// Buffers of [`Polynomial::eval_grid`]: per-axis power tables, the
-/// partial products of the outer axes, the sums of one last-axis row and the
-/// point's axis indices. Every call clears and refills them.
+/// Buffers of [`Polynomial::eval_grid`]: per-axis power tables with the
+/// exponent and coordinate bits they were built for, a term's product row
+/// over the outer axes (and the next axis's row), the accumulator with one
+/// row per last-axis coordinate, and the values in mixed-radix order. A
+/// power table is rebuilt when its key changes; every other buffer is
+/// cleared and refilled by every call.
 #[derive(Debug, Default)]
 pub struct GridScratch {
-    pows: Vec<(usize, Vec<f64>)>,
-    partial: Vec<Vec<f64>>,
-    row: Vec<f64>,
-    idx: Vec<usize>,
+    pows: Vec<(Vec<u64>, Vec<f64>)>,
+    outer: Vec<f64>,
+    spare: Vec<f64>,
+    acc: Vec<f64>,
+    values: Vec<f64>,
 }
 
 /// Calls `visit` with one item of every list, for every combination, in
@@ -1892,67 +1898,6 @@ pub(crate) fn for_each_combination<'a, T>(
         picked.push(item);
         for_each_combination(rest, picked, visit);
         picked.pop();
-    }
-}
-
-/// The packed walk of [`Polynomial::eval_grid`] from the axis `idx.len()`
-/// on. `terms` pairs every term's key with its coefficient times its powers
-/// of the variables before that axis; `pows` and `partial` hold the power
-/// tables (row length, rows) and partial-product buffers of the remaining
-/// axes, `row` the sums of one last-axis row.
-fn grid_walk(
-    (keys, below): (&[u64], &[f64]),
-    pows: &[(usize, Vec<f64>)],
-    partial: &mut [Vec<f64>],
-    row: &mut Vec<f64>,
-    idx: &mut Vec<usize>,
-    visit: &mut impl FnMut(&[usize], f64),
-) {
-    let Some(((row_len, table), pows)) = pows.split_first() else {
-        return;
-    };
-    let d = idx.len();
-    let rows = table.chunks_exact(*row_len);
-    if let Some((products, partial)) = partial.split_first_mut() {
-        // An outer axis, one coordinate at a time: extend each term's
-        // product by its power of that coordinate.
-        for (j, powers) in rows.enumerate() {
-            products.clear();
-            products.extend(
-                below
-                    .iter()
-                    .zip(keys)
-                    .map(|(&m, &k)| match key_exp(k, d) as usize {
-                        0 => m,
-                        e => powers.get(e).map_or(m, |&p| m * p),
-                    }),
-            );
-            idx.push(j);
-            grid_walk((keys, products), pows, partial, row, idx, visit);
-            idx.pop();
-        }
-        return;
-    }
-    // The last axis: one pass over the terms advances the sums of the
-    // whole row side by side, each from `Iterator::sum`'s starting value.
-    row.clear();
-    row.resize(*row_len, std::iter::empty::<f64>().sum());
-    for (&m, &k) in below.iter().zip(keys) {
-        match key_exp(k, d) as usize {
-            // dwv-lint: allow(float-hygiene) -- point evaluation, not an enclosure (interval callers use eval_interval)
-            0 => row.iter_mut().for_each(|r| *r += m),
-            e => {
-                for (r, &p) in row.iter_mut().zip(rows.clone().nth(e).unwrap_or_default()) {
-                    // dwv-lint: allow(float-hygiene) -- point evaluation, not an enclosure (interval callers use eval_interval)
-                    *r += m * p;
-                }
-            }
-        }
-    }
-    for (j, &value) in row.iter().enumerate() {
-        idx.push(j);
-        visit(idx, value);
-        idx.pop();
     }
 }
 

@@ -297,8 +297,9 @@ fn stream(seed: u64) -> impl FnMut() -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// `eval_grid` visits every grid point once, in mixed-radix order, with
-    /// `eval`'s bits — over 0–4 packed variables and 9 boxed ones, signed
+    /// `eval_grid` returns every grid point's value once, in mixed-radix
+    /// order, with `eval`'s bits — over 0–4 packed variables and 9 boxed
+    /// ones, axes of unequal lengths, last-axis exponents up to 6, signed
     /// zeros, and coefficients and coordinates whose products underflow to
     /// zero or overflow to infinity.
     #[test]
@@ -306,12 +307,30 @@ proptest! {
         let mut next = stream(seed);
         let nvars = [0, 1, 2, 3, 4, 9][(next() % 6) as usize];
         let mag = [1.0, 1e-200, 1e200][(next() % 3) as usize];
-        let p = dwv_poly::arbitrary::polynomial(&mut next, nvars, 6, 12, mag);
+        let mut p = dwv_poly::arbitrary::polynomial(&mut next, nvars, 6, 12, mag);
+        if nvars > 0 && next().is_multiple_of(2) {
+            // Terms of degree 3–6 in the last variable, which the degree
+            // budget above rarely gives it.
+            let high = (0..1 + next() % 3).map(|_| {
+                let mut exps = vec![0u32; nvars];
+                exps[(next() as usize) % nvars] = (next() % 2) as u32;
+                exps[nvars - 1] = 3 + (next() % 4) as u32;
+                (exps, dwv_interval::arbitrary::f64_in(next(), -mag, mag))
+            });
+            p += Polynomial::from_terms(nvars, high);
+        }
         let special = [0.0, -0.0, 1.0, -1.0, 1e-200, -3e-170, 1e150, 7.25];
-        let max_len = if nvars > 4 { 2 } else { 5 };
+        let max_len = if nvars > 4 { 2 } else { 6 };
+        // Every axis its own length, or lengths drawn independently.
+        let distinct = next().is_multiple_of(2);
+        let offset = next() as usize;
         let axes: Vec<Vec<f64>> = (0..nvars)
-            .map(|_| {
-                let len = 1 + (next() % max_len) as usize;
+            .map(|d| {
+                let len = if distinct {
+                    1 + (offset + d) % max_len
+                } else {
+                    1 + (next() as usize) % max_len
+                };
                 (0..len)
                     .map(|_| match next() % 3 {
                         0 => special[(next() % 8) as usize],
@@ -320,15 +339,24 @@ proptest! {
                     .collect()
             })
             .collect();
-        let mut visited: Vec<(Vec<usize>, u64)> = Vec::new();
-        p.eval_grid(&axes, &mut GridScratch::default(), |idx, v| {
-            visited.push((idx.to_vec(), v.to_bits()));
-        });
+        // A scratch warmed on a larger grid (every axis twice as long), then
+        // by another polynomial on this grid: no stale power table or row
+        // may leak into the values.
+        let mut scratch = GridScratch::default();
+        let doubled: Vec<Vec<f64>> = axes.iter().map(|a| a.repeat(2)).collect();
+        let _ = p.eval_grid(&doubled, &mut scratch);
+        let q = dwv_poly::arbitrary::polynomial(&mut next, nvars, 2, 4, 1.0);
+        let _ = q.eval_grid(&axes, &mut scratch);
+        let got: Vec<u64> = p
+            .eval_grid(&axes, &mut scratch)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
         let mut expected = Vec::new();
         let mut idx = vec![0usize; nvars];
         'points: loop {
             let point: Vec<f64> = idx.iter().zip(&axes).map(|(&j, axis)| axis[j]).collect();
-            expected.push((idx.clone(), p.eval(&point).to_bits()));
+            expected.push(p.eval(&point).to_bits());
             for d in (0..nvars).rev() {
                 idx[d] += 1;
                 if idx[d] < axes[d].len() {
@@ -338,6 +366,6 @@ proptest! {
             }
             break;
         }
-        prop_assert_eq!(visited, expected);
+        prop_assert_eq!(got, expected);
     }
 }

@@ -144,7 +144,12 @@ impl TaylorAbstraction {
         coeffs: &mut Vec<f64>,
         recurrence: &mut [Vec<f64>; 3],
         ws: &mut TmWorkspace,
-    ) {
+    ) -> Result<(), ReachError> {
+        // Huge finite weights can overflow the affine part; a NaN
+        // coefficient has no range.
+        if z.poly().coeff_l1_norm().is_nan() {
+            return Err(overflow("pre-activation model has a NaN coefficient"));
+        }
         let range = if self.bernstein_ranges {
             z.range_bernstein_cached(domain, &mut ws.bern)
         } else {
@@ -180,6 +185,9 @@ impl TaylorAbstraction {
                 }
                 let lagrange =
                     activation_derivative_bound(act, order + 1) * r.powi(order as i32 + 1) / fact;
+                if lagrange.is_nan() {
+                    return Err(overflow("pre-activation range has no finite radius"));
+                }
                 // The series in `z − c`.
                 z.add_constant_assign(-c, ws);
                 z.series_in_place(coeffs, self.order, domain, ws);
@@ -189,7 +197,13 @@ impl TaylorAbstraction {
                 clamp_in_place(z, act, domain);
             }
         }
+        Ok(())
     }
+}
+
+/// The error for a POLAR enclosure that huge weights have overflowed.
+fn overflow(what: &str) -> ReachError {
+    ReachError::Unsupported(format!("POLAR abstraction overflowed: {what}"))
 }
 
 /// Tightens a model's enclosure against the activation's global output range
@@ -261,25 +275,35 @@ impl NnAbstraction for TaylorAbstraction {
             }
         }
         let last = net.layers().len().saturating_sub(1);
-        for (li, layer) in net.layers().iter().enumerate() {
-            // The first layer reads the state models directly (no copy).
-            let inputs: &[TaylorModel] = if li == 0 { state.components() } else { current };
-            let target = if li == last { &mut out } else { &mut *next };
-            target.resize_with(layer.out_dim(), TaylorModel::default);
-            for (o, z) in target.iter_mut().enumerate() {
-                // Affine part is exact in TM arithmetic.
-                z.set_constant(nvars, layer.bias()[o]);
-                for (i, hi) in inputs.iter().enumerate() {
-                    let w = layer.weight(o, i);
-                    if w != 0.0 {
-                        z.add_scaled_assign(hi, w, ws);
+        let mut propagate = || {
+            for (li, layer) in net.layers().iter().enumerate() {
+                // The first layer reads the state models directly (no copy).
+                let inputs: &[TaylorModel] = if li == 0 { state.components() } else { current };
+                let target = if li == last { &mut out } else { &mut *next };
+                target.resize_with(layer.out_dim(), TaylorModel::default);
+                for (o, z) in target.iter_mut().enumerate() {
+                    // Affine part is exact in TM arithmetic.
+                    z.set_constant(nvars, layer.bias()[o]);
+                    for (i, hi) in inputs.iter().enumerate() {
+                        let w = layer.weight(o, i);
+                        if w != 0.0 {
+                            z.add_scaled_assign(hi, w, ws);
+                        }
                     }
+                    let act = layer.activation();
+                    self.activation_in_place(act, z, domain, coeffs, recurrence, ws)?;
                 }
-                self.activation_in_place(layer.activation(), z, domain, coeffs, recurrence, ws);
+                if li != last {
+                    std::mem::swap(current, next);
+                }
             }
-            if li != last {
-                std::mem::swap(current, next);
-            }
+            Ok(())
+        };
+        if let Err(e) = propagate() {
+            // Hand the output storage back with the rest of the scratch.
+            *output = out;
+            ws.layers = scratch;
+            return Err(e);
         }
         ws.layers = scratch;
         let scale = controller.output_scale();
@@ -344,10 +368,12 @@ impl BernsteinAbstraction {
     ///
     /// One batched pass ([`dwv_nn::Network::forward_grid`]) evaluates every
     /// output at every grid point and a second one at every Bernstein node;
-    /// `g` is evaluated on the grid through [`Polynomial::eval_grid`]. These
-    /// evaluate exactly as [`dwv_nn::Network::forward`] and
-    /// [`Polynomial::eval`] do, and a maximum does not depend on the order
-    /// it visits points in. This wrapper allocates its buffers afresh; the
+    /// [`Polynomial::eval_grid`] writes `g`'s values on the grid into a
+    /// slice in the same mixed-radix order, and the error folds the two
+    /// slices together. These evaluate exactly as
+    /// [`dwv_nn::Network::forward`] and [`Polynomial::eval`] do, and a
+    /// maximum does not depend on the order it reads values in. This
+    /// wrapper allocates its buffers afresh; the
     /// abstraction keeps them in the workspace's slot
     /// ([`TmWorkspace::take_slot`]), where a warm fit allocates nothing: a
     /// warm ReachNN step makes 7 (Os) and 9 (3D) allocations in all, the
@@ -360,7 +386,9 @@ impl BernsteinAbstraction {
     /// [`ReachError::Unsupported`] when the box does not match the network
     /// input, `samples_per_dim` is 0, or the node values or grid values
     /// (one per point and output) would exceed 2²⁴, checked before any
-    /// buffer is sized.
+    /// buffer is sized; and when a network value at a node or grid point,
+    /// or a fit value on the grid, is not finite (huge weights overflow),
+    /// which a maximum would otherwise drop as NaN.
     pub fn fit(
         &self,
         controller: &NnController,
@@ -415,6 +443,16 @@ impl BernsteinAbstraction {
         for v in &mut s.node_values {
             *v *= scale;
         }
+        // Huge finite weights can overflow a layer: a non-finite value has
+        // no fit, and a maximum would drop a NaN error.
+        if !s
+            .grid_values
+            .iter()
+            .chain(&s.node_values)
+            .all(|v| v.is_finite())
+        {
+            return Err(not_finite("network"));
+        }
         s.fits.resize_with(outputs, Polynomial::default);
         s.errors.clear();
         let by_output = s
@@ -423,17 +461,26 @@ impl BernsteinAbstraction {
             .zip(s.grid_values.chunks_exact(sizes.points));
         for (g, (nodes, values)) in s.fits.iter_mut().zip(by_output) {
             dwv_poly::bernstein::approximate_into(nodes, &s.degrees, &s.unit, &mut s.fit, g);
-            let mut points = values.iter();
-            let mut err = 0.0f64;
-            g.eval_grid(&s.grid_axes, &mut s.grid, |_, gv| {
-                if let Some(fv) = points.next() {
-                    err = err.max((fv - gv).abs());
-                }
-            });
+            let fit_values = g.eval_grid(&s.grid_axes, &mut s.grid);
+            if !fit_values.iter().all(|v| v.is_finite()) {
+                return Err(not_finite("fit"));
+            }
+            let err = values
+                .iter()
+                .zip(fit_values)
+                .fold(0.0f64, |err, (fv, gv)| err.max((fv - gv).abs()));
             s.errors.push(err);
         }
         Ok(())
     }
+}
+
+/// The error for a Bernstein fit whose `what` values (network or fit) are
+/// not all finite.
+fn not_finite(what: &str) -> ReachError {
+    ReachError::Unsupported(format!(
+        "Bernstein fit needs finite {what} values, got an overflow"
+    ))
 }
 
 /// Buffers of the Bernstein abstraction, kept in the workspace's slot
@@ -471,6 +518,8 @@ struct BernsteinScratch {
     fits: Vec<Polynomial>,
     /// The largest sampled error of every output's fit.
     errors: Vec<f64>,
+    /// The Lipschitz bound's first-layer sums, kept across calls.
+    first_layer: FirstLayerSums,
     /// Running interval Jacobian of the Lipschitz bound and its next layer.
     jacobian: (Vec<Interval>, Vec<Interval>),
     /// Layer output ranges of the Lipschitz bound and its next layer.
@@ -632,17 +681,23 @@ impl BernsteinAbstraction {
         let lip_f = local_lipschitz_bound(
             controller.network(),
             &s.bounds,
+            &mut s.first_layer,
             &mut s.jacobian,
             &mut s.ranges,
         ) * controller.output_scale().abs()
             * s.radii.iter().fold(0.0f64, |m, &r| m.max(r));
+        if lip_f.is_nan() {
+            return Err(ReachError::Unsupported(
+                "Bernstein abstraction needs a finite Lipschitz term".into(),
+            ));
+        }
         let grid_h = 2.0 / (self.samples_per_dim.max(2) - 1) as f64;
         let mut out = std::mem::take(&mut ws.layers.output);
         out.resize_with(s.fits.len(), TaylorModel::default);
         for ((o, g), &sampled) in out.iter_mut().zip(&s.fits).zip(&s.errors) {
             // Sampled remainder + Lipschitz inflation over grid gaps.
             let mut eps = sampled;
-            let lip_g = gradient_bound(g, &s.unit, &mut s.derivative);
+            let lip_g = gradient_bound(g, &s.unit, &mut s.derivative, &mut ws.poly);
             eps += 0.5 * (lip_f + lip_g) * grid_h * (n as f64).sqrt();
             compose_parts_into(
                 g,
@@ -684,14 +739,65 @@ fn check_controller(controller: &NnController, state: &TmVector) -> Result<(), R
     }
 }
 
+/// The first layer's share of the Lipschitz bound's interval Jacobian:
+/// `Σ_k I[k][i]·w[o,k]` for every unit `o` and input `i` (row-major, `n`
+/// wide), the identity Jacobian times the weights, with the
+/// `Interval::ZERO · w` products included. It depends only on the weights,
+/// so a reach run forms it once per controller: it is keyed by the input
+/// count and the bits of the first layer's weights.
+#[derive(Debug, Default)]
+struct FirstLayerSums {
+    /// The input count the sums were formed for.
+    n: usize,
+    /// The bits of the first layer's weights the sums were formed for.
+    weights: Vec<u64>,
+    /// The sums, one row of `n` per unit.
+    sums: Vec<Interval>,
+}
+
+impl FirstLayerSums {
+    /// The sums of `layer` over `n` inputs, formed afresh unless the key
+    /// matches.
+    fn of(&mut self, layer: &dwv_nn::Layer, n: usize) -> &[Interval] {
+        let w = layer.weights();
+        let same = self.n == n
+            && self.weights.len() == w.len()
+            && self.weights.iter().zip(w).all(|(&b, w)| b == w.to_bits());
+        if !same {
+            self.n = n;
+            self.weights.clear();
+            self.weights.extend(w.iter().map(|w| w.to_bits()));
+            self.sums.clear();
+            let identity = |k: usize, i: usize| {
+                if k == i {
+                    Interval::ONE
+                } else {
+                    Interval::ZERO
+                }
+            };
+            for o in 0..layer.out_dim() {
+                self.sums.extend((0..n).map(|i| {
+                    let mut acc = Interval::ZERO;
+                    for k in 0..n {
+                        acc += identity(k, i) * layer.weight(o, k);
+                    }
+                    acc
+                }));
+            }
+        }
+        &self.sums
+    }
+}
+
 /// A bound on the network's local Lipschitz constant over a box, via an
 /// interval Jacobian: activation-derivative ranges are chained through the
 /// layers with interval matrix products. Far tighter than the global
 /// product-of-norms bound on small boxes (ReLU units that are provably
 /// inactive contribute zero), which is what makes the sampled Bernstein
-/// remainder usable on the 3-D benchmark. The Jacobian rows (row-major,
-/// `n` wide) and layer ranges are double-buffered in `jacobian` and
-/// `ranges`.
+/// remainder usable on the 3-D benchmark. The first layer's Jacobian is
+/// its cached weight sums ([`FirstLayerSums`]) times the derivative
+/// ranges; the later rows (row-major, `n` wide) and layer ranges are
+/// double-buffered in `jacobian` and `ranges`.
 #[expect(
     clippy::indexing_slicing,
     reason = "Jacobian rows are n-wide by construction"
@@ -699,36 +805,32 @@ fn check_controller(controller: &NnController, state: &TmVector) -> Result<(), R
 fn local_lipschitz_bound(
     net: &dwv_nn::Network,
     bx: &[Interval],
+    first: &mut FirstLayerSums,
     (jac, new_jac): &mut (Vec<Interval>, Vec<Interval>),
     (h, new_h): &mut (Vec<Interval>, Vec<Interval>),
 ) -> f64 {
     let n = bx.len();
     // Rows of `n` (at least one, so an empty box chunks into no rows).
     let width = n.max(1);
-    // Running interval Jacobian (rows: current layer units, cols: inputs).
+    let Some((first_layer, rest)) = net.layers().split_first() else {
+        // No layers: the identity map, whose rows have norm 1.
+        return if n == 0 { 0.0 } else { 1.0 };
+    };
+    // Running interval Jacobian (rows: current layer units, cols: inputs)
+    // and layer output ranges, the first layer's from its cached sums.
     jac.clear();
-    jac.extend((0..n).flat_map(|i| {
-        (0..n).map(move |j| {
-            if i == j {
-                Interval::ONE
-            } else {
-                Interval::ZERO
-            }
-        })
-    }));
     h.clear();
-    h.extend_from_slice(bx);
-    for layer in net.layers() {
+    let sums = first.of(first_layer, n);
+    for o in 0..first_layer.out_dim() {
+        let (z, dz) = pre_activation(first_layer, o, bx);
+        jac.extend(sums[o * n..(o + 1) * n].iter().map(|&acc| acc * dz));
+        h.push(activation_range(first_layer.activation(), z));
+    }
+    for layer in rest {
         new_jac.clear();
         new_h.clear();
         for o in 0..layer.out_dim() {
-            // Pre-activation range z_o = Σ w h + b.
-            #[expect(clippy::indexing_slicing, reason = "o ranges over layer.out_dim()")]
-            let mut z = Interval::point(layer.bias()[o]);
-            for (k, hk) in h.iter().enumerate() {
-                z += *hk * layer.weight(o, k);
-            }
-            let dz = activation_derivative_range(layer.activation(), z);
+            let (z, dz) = pre_activation(layer, o, h);
             new_jac.extend((0..n).map(|i| {
                 let mut acc = Interval::ZERO;
                 for (k, jrow) in jac.chunks_exact(width).enumerate() {
@@ -744,6 +846,16 @@ fn local_lipschitz_bound(
     jac.chunks_exact(width)
         .map(|row| row.iter().map(|iv| iv.mag().powi(2)).sum::<f64>().sqrt())
         .fold(0.0, f64::max)
+}
+
+/// Unit `o`'s pre-activation range `z = Σ w h + b` over the input ranges
+/// `h`, and the range of its activation's derivative over `z`.
+fn pre_activation(layer: &dwv_nn::Layer, o: usize, h: &[Interval]) -> (Interval, Interval) {
+    let mut z = Interval::point(layer.bias().get(o).copied().unwrap_or_default());
+    for (k, hk) in h.iter().enumerate() {
+        z += *hk * layer.weight(o, k);
+    }
+    (z, activation_derivative_range(layer.activation(), z))
 }
 
 /// Range of an activation over a pre-activation interval.
@@ -790,12 +902,18 @@ fn activation_derivative_range(act: Activation, z: Interval) -> Interval {
 }
 
 /// A bound on `‖∇g‖₂` over the box via interval evaluation of the partials,
-/// each built in `d`.
-fn gradient_bound(g: &Polynomial, bx: &[Interval], d: &mut Polynomial) -> f64 {
+/// each built in `d`, with the monomial ranges served from `memo`'s table
+/// ([`Polynomial::eval_interval_ws`], bit-identical to `eval_interval`).
+fn gradient_bound(
+    g: &Polynomial,
+    bx: &[Interval],
+    d: &mut Polynomial,
+    memo: &mut dwv_poly::PolyWorkspace,
+) -> f64 {
     (0..g.nvars())
         .map(|i| {
             g.partial_derivative_into(i, d);
-            d.eval_interval(bx).mag().powi(2)
+            d.eval_interval_ws(bx, memo).mag().powi(2)
         })
         .sum::<f64>()
         .sqrt()
@@ -920,6 +1038,90 @@ mod tests {
             matches!(taylor, Err(ReachError::Unsupported(_))),
             "{taylor:?}"
         );
+    }
+
+    /// `[2, 8, 1]` ReLU/Tanh nets with every third parameter scaled by
+    /// 1e150–1e300: finite weights that overflow the layers.
+    fn huge_weight_draws() -> impl Iterator<Item = (u64, f64, NnController)> {
+        (0..200u64).flat_map(|seed| {
+            [1e150, 1e155, 1e200, 1e250, 1e300].map(|mult| {
+                let mut net = Network::new(&[2, 8, 1], Activation::ReLU, Activation::Tanh, seed);
+                let theta: Vec<f64> = net
+                    .params()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &p)| if i.is_multiple_of(3) { p * mult } else { p })
+                    .collect();
+                net.set_params(&theta);
+                (seed, mult, NnController::new(net))
+            })
+        })
+    }
+
+    #[test]
+    fn huge_weights_are_typed_errors() {
+        // Both abstractions panicked on some of these draws (NaN node and
+        // grid values, NaN pre-activation coefficients and a NaN Lagrange
+        // radius), and `fit` returned NaN coefficients with an error of 0.
+        let bx = IntervalBox::from_bounds(&[(0.0, 0.1), (0.2, 0.3)]);
+        let state = TmVector::from_box(&bx);
+        let dom = unit_domain(2);
+        let (mut bern_refused, mut taylor_refused) = (0, 0);
+        // One workspace through every draw, refusals included.
+        let mut ws = TmWorkspace::new();
+        for (seed, mult, ctrl) in huge_weight_draws() {
+            let draw = format!("seed {seed} x{mult:e}");
+            let no_nan = |u: &TmVector| {
+                let nan = u
+                    .components()
+                    .iter()
+                    .any(|t| t.poly().coeff_l1_norm().is_nan());
+                assert!(!nan, "{draw}: a NaN coefficient");
+            };
+            match BernsteinAbstraction::default().abstract_network_ws(&ctrl, &state, &dom, &mut ws)
+            {
+                Ok(u) => no_nan(&u),
+                Err(ReachError::Unsupported(_)) => bern_refused += 1,
+                Err(e) => panic!("{draw}: {e}"),
+            }
+            match BernsteinAbstraction::default().fit(&ctrl, &bx.center(), &bx.radii()) {
+                Ok(fits) => {
+                    for (g, err) in fits {
+                        assert!(g.iter().all(|(_, c)| c.is_finite()), "{draw}");
+                        assert!(!err.is_nan(), "{draw}");
+                    }
+                }
+                Err(ReachError::Unsupported(_)) => {}
+                Err(e) => panic!("{draw}: {e}"),
+            }
+            match TaylorAbstraction::default().abstract_network_ws(&ctrl, &state, &dom, &mut ws) {
+                Ok(u) => no_nan(&u),
+                Err(ReachError::Unsupported(_)) => taylor_refused += 1,
+                Err(e) => panic!("{draw}: {e}"),
+            }
+        }
+        assert!(bern_refused > 0 && taylor_refused > 0);
+        // A refusal leaves the workspace fit for the next call.
+        let ctrl = small_net(29);
+        let same = |a: &TmVector, b: &TmVector| {
+            a.components().iter().zip(b.components()).all(|(f, w)| {
+                f.poly().bits_eq(w.poly())
+                    && f.remainder().lo().to_bits() == w.remainder().lo().to_bits()
+                    && f.remainder().hi().to_bits() == w.remainder().hi().to_bits()
+            })
+        };
+        let bern = BernsteinAbstraction::default();
+        let fresh = bern.abstract_network(&ctrl, &state, &dom).unwrap();
+        let warm = bern
+            .abstract_network_ws(&ctrl, &state, &dom, &mut ws)
+            .unwrap();
+        assert!(same(&fresh, &warm));
+        let polar = TaylorAbstraction::default();
+        let fresh = polar.abstract_network(&ctrl, &state, &dom).unwrap();
+        let warm = polar
+            .abstract_network_ws(&ctrl, &state, &dom, &mut ws)
+            .unwrap();
+        assert!(same(&fresh, &warm));
     }
 
     #[test]
