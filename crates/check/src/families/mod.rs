@@ -93,6 +93,12 @@ pub(crate) fn case_rng(family_id: u8, seed: u64) -> crate::rng::CheckRng {
     crate::rng::CheckRng::new(seed ^ (u64::from(family_id) << 56))
 }
 
+/// Whether two intervals have the same endpoint bits (`-0.0 ≠ +0.0`).
+#[must_use]
+pub(crate) fn bits_eq(a: dwv_interval::Interval, b: dwv_interval::Interval) -> bool {
+    a.lo().to_bits() == b.lo().to_bits() && a.hi().to_bits() == b.hi().to_bits()
+}
+
 /// A relative tolerance absorbing f64 rounding on the *oracle's* side of a
 /// comparison (the enclosures themselves must be outward-rounded and get no
 /// slack beyond this).

@@ -12,14 +12,32 @@
 //! bit: end-state polynomials and remainders, step box, or the error. It is
 //! run twice, on a fresh workspace and on one whose monomial-range memo
 //! already holds entries for other domains.
+//!
+//! Each case also runs a reused-verifier differential on a stream of its
+//! own draws. `TaylorReach::reach_from` keeps its workspace per thread,
+//! across calls. On one thread, a run of controller A on the oscillator or
+//! the 3-D system is followed by a run of controller B on the other system;
+//! B's flowpipe (every step's enclosure and end box, or the error) must
+//! equal, bit for bit, B's run on a new thread, whose workspace is fresh.
+//! Each controller draws its network, output scale, abstraction (POLAR
+//! order 1–3 or Bernstein degree 1–3), dependency tracking, integrator
+//! order 2–4, Bernstein ranges, a sub-box of the initial set and 1–4
+//! steps; one controller in four has a large output scale.
 
-use super::{case_rng, CaseOutcome, Family};
+use super::{bits_eq, case_rng, CaseOutcome, Family};
 use crate::reference;
-use dwv_interval::arbitrary::{f64_in, index, narrow_box};
-use dwv_interval::Interval;
+use crate::rng::CheckRng;
+use dwv_dynamics::{oscillator, three_dim, NnController, ReachAvoidProblem};
+use dwv_interval::arbitrary::{f64_in, index, narrow_box, unit_f64};
+use dwv_interval::{Interval, IntervalBox};
+use dwv_nn::arbitrary::network;
 use dwv_poly::arbitrary::polynomial;
 use dwv_poly::Polynomial;
 use dwv_reach::arbitrary::dissipative_rhs;
+use dwv_reach::{
+    BernsteinAbstraction, DependencyTracking, Flowpipe, NnAbstraction, ReachError,
+    TaylorAbstraction, TaylorReach, TaylorReachConfig,
+};
 use dwv_taylor::arbitrary::taylor_model;
 use dwv_taylor::{
     FlowpipeError, OdeIntegrator, OdeRhs, StepFlow, TaylorModel, TmVector, TmWorkspace,
@@ -87,8 +105,12 @@ fn outcome(r: &Result<StepFlow, FlowpipeError>) -> String {
     }
 }
 
-fn bits_eq(a: Interval, b: Interval) -> bool {
-    a.lo().to_bits() == b.lo().to_bits() && a.hi().to_bits() == b.hi().to_bits()
+fn boxes_eq(a: &IntervalBox, b: &IntervalBox) -> bool {
+    a.dim() == b.dim()
+        && a.intervals()
+            .iter()
+            .zip(b.intervals())
+            .all(|(x, y)| bits_eq(*x, *y))
 }
 
 /// A field of `dissipative_rhs` plus, per component, a random polynomial of
@@ -145,6 +167,9 @@ impl Family for PicardFamily {
     }
 
     fn check(&self, seed: u64, size: u8) -> CaseOutcome {
+        if let Some(v) = reused_verifier(seed) {
+            return v;
+        }
         let mut rng = case_rng(self.id(), seed);
         let mut next = || rng.next_u64();
         let order = 1 + (next() % 5) as u32;
@@ -225,4 +250,146 @@ impl Family for PicardFamily {
         }
         CaseOutcome::Pass
     }
+}
+
+/// The network abstraction of a [`Run`].
+enum Abstraction {
+    /// POLAR at this order.
+    Polar(u32),
+    /// ReachNN at this Bernstein degree.
+    Bernstein(u32),
+}
+
+/// One verifier run of the reused-verifier differential.
+struct Run {
+    problem: ReachAvoidProblem,
+    controller: NnController,
+    abstraction: Abstraction,
+    config: TaylorReachConfig,
+    x0: IntervalBox,
+}
+
+impl Run {
+    fn draw(next: &mut impl FnMut() -> u64, problem: ReachAvoidProblem) -> Self {
+        let n = problem.n_state();
+        let net = network(next, n, 1, 2, 8);
+        // One controller in four has a large output scale, which drives
+        // many runs into divergence.
+        let scale = if next().is_multiple_of(4) {
+            f64_in(next(), 20.0, 200.0)
+        } else {
+            f64_in(next(), 0.2, 4.0)
+        };
+        let controller = NnController::with_output_scale(net, scale);
+        let degree = 1 + index(next(), 3) as u32;
+        let abstraction = if next().is_multiple_of(2) {
+            Abstraction::Polar(degree)
+        } else {
+            Abstraction::Bernstein(degree)
+        };
+        let bernstein_ranges = next().is_multiple_of(2);
+        let config = TaylorReachConfig {
+            integrator: OdeIntegrator {
+                bernstein_ranges,
+                ..OdeIntegrator::with_order(2 + index(next(), 3) as u32)
+            },
+            dependency: if next().is_multiple_of(2) {
+                DependencyTracking::Symbolic
+            } else {
+                DependencyTracking::BoxReinit
+            },
+            bernstein_ranges,
+        };
+        // A sub-box of the initial set, 30–100% of its width per side.
+        let x0 = IntervalBox::new(
+            problem
+                .x0
+                .intervals()
+                .iter()
+                .map(|iv| {
+                    let r = iv.rad() * (0.3 + 0.7 * unit_f64(next()));
+                    let c = iv.mid() + (iv.rad() - r) * f64_in(next(), -1.0, 1.0);
+                    Interval::new(c - r, c + r)
+                })
+                .collect(),
+        );
+        let mut problem = problem;
+        problem.horizon_steps = 1 + index(next(), 4);
+        Self {
+            problem,
+            controller,
+            abstraction,
+            config,
+            x0,
+        }
+    }
+
+    fn reach(&self) -> Result<Flowpipe, ReachError> {
+        fn run<A: NnAbstraction>(r: &Run, abstraction: A) -> Result<Flowpipe, ReachError> {
+            TaylorReach::new(&r.problem, abstraction, r.config.clone())
+                .reach_from(&r.x0, &r.controller)
+        }
+        match self.abstraction {
+            Abstraction::Polar(order) => run(self, TaylorAbstraction::with_order(order)),
+            Abstraction::Bernstein(degree) => run(self, BernsteinAbstraction::with_degree(degree)),
+        }
+    }
+}
+
+/// The reused-verifier differential of one case (see the module doc):
+/// `None` when B's run after A's on one thread equals B's run on a new
+/// thread.
+fn reused_verifier(seed: u64) -> Option<CaseOutcome> {
+    let mut rng = CheckRng::new(seed ^ 0x7E05_ED00_0000_0000);
+    let mut next = || rng.next_u64();
+    let (first, second) = if next().is_multiple_of(2) {
+        (
+            oscillator::reach_avoid_problem(),
+            three_dim::reach_avoid_problem(),
+        )
+    } else {
+        (
+            three_dim::reach_avoid_problem(),
+            oscillator::reach_avoid_problem(),
+        )
+    };
+    let a = Run::draw(&mut next, first);
+    let b = Run::draw(&mut next, second);
+    // Each side runs on a thread of its own, so the workspace A leaves is
+    // the only one B's reused run sees.
+    let (reused, fresh) = std::thread::scope(|s| {
+        let reused = s.spawn(|| {
+            let _ = a.reach();
+            b.reach()
+        });
+        let fresh = s.spawn(|| b.reach());
+        (reused.join(), fresh.join())
+    });
+    let (Ok(reused), Ok(fresh)) = (reused, fresh) else {
+        return Some(CaseOutcome::Violation("a reach run panicked".to_owned()));
+    };
+    let same = match (&reused, &fresh) {
+        (Ok(r), Ok(f)) => {
+            r.len() == f.len()
+                && r.steps().iter().zip(f.steps()).all(|(x, y)| {
+                    boxes_eq(&x.enclosure, &y.enclosure) && boxes_eq(&x.end_box, &y.end_box)
+                })
+        }
+        // Debug prints every f64 round-trip exact, radius included.
+        (Err(r), Err(f)) => format!("{r:?}") == format!("{f:?}"),
+        _ => false,
+    };
+    (!same).then(|| {
+        let outcome = |r: &Result<Flowpipe, ReachError>| match r {
+            Ok(fp) => format!("{} steps, final {}", fp.len(), fp.final_step().end_box),
+            Err(e) => format!("Err({e:?})"),
+        };
+        CaseOutcome::Violation(format!(
+            "{}-state run after a {}-state run: {} vs fresh workspace {}",
+            b.problem.n_state(),
+            a.problem.n_state(),
+            outcome(&reused),
+            outcome(&fresh)
+        ))
+    })
 }

@@ -814,7 +814,7 @@ impl Polynomial {
                 ws.powers.sync(domain);
                 v.iter()
                     .map(|(k, c)| match ws.powers.mono(k, domain) {
-                        Some(m) => Interval::point(c) * m,
+                        Some(m) => m * c, // dwv-lint: allow(float-hygiene) -- Interval-typed product (`Interval * f64`, outward rounded)
                         None => Interval::point(c),
                     })
                     .sum()
@@ -1505,7 +1505,7 @@ impl Polynomial {
                         dst.push(k, c);
                     } else {
                         overflow += match ws.powers.mono(k, domain) {
-                            Some(m) => Interval::point(c) * m,
+                            Some(m) => m * c, // dwv-lint: allow(float-hygiene) -- Interval-typed product (`Interval * f64`, outward rounded)
                             None => Interval::point(c),
                         };
                     }
@@ -1905,7 +1905,7 @@ pub(crate) fn for_each_combination<'a, T>(
 /// `domain`, accumulated left-to-right over the variables that occur
 /// (`None` for the constant monomial). Pure in `(key, domain)` — the
 /// workspace memo table stores exactly these values, and a term's range in
-/// [`Polynomial::eval_interval`] is `point(c)` times it.
+/// [`Polynomial::eval_interval`] is it times `c`.
 #[inline]
 #[must_use]
 pub fn packed_mono_range(key: u64, domain: &[Interval]) -> Option<Interval> {
@@ -1938,11 +1938,13 @@ fn substituted_coeff(k: u64, c: f64, var: usize, value: f64) -> f64 {
 }
 
 /// Interval range of one packed term over `domain` — the per-term evaluation
-/// [`Polynomial::eval_interval`] performs: `point(c) · mono(key, domain)`.
+/// [`Polynomial::eval_interval`] performs: `mono(key, domain) · c`, two
+/// endpoint products that give the bits of `point(c) · mono` (see
+/// `Interval`'s `Mul<f64>`).
 #[inline]
 fn packed_term_range(key: u64, c: f64, domain: &[Interval]) -> Interval {
     match packed_mono_range(key, domain) {
-        Some(m) => Interval::point(c) * m,
+        Some(m) => m * c, // dwv-lint: allow(float-hygiene) -- Interval-typed product (`Interval * f64`, outward rounded)
         None => Interval::point(c),
     }
 }
@@ -1962,7 +1964,7 @@ fn boxed_term_range(exps: &[u32], c: f64, domain: &[Interval]) -> Interval {
         }
     }
     match mono {
-        Some(m) => Interval::point(c) * m,
+        Some(m) => m * c, // dwv-lint: allow(float-hygiene) -- Interval-typed product (`Interval * f64`, outward rounded)
         None => Interval::point(c),
     }
 }

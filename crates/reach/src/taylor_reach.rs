@@ -19,6 +19,13 @@ use crate::nn_abstraction::NnAbstraction;
 use dwv_dynamics::{NnController, ReachAvoidProblem};
 use dwv_interval::Interval;
 use dwv_taylor::{OdeIntegrator, OdeRhs, StepFlow, TmVector, TmWorkspace};
+use std::cell::Cell;
+
+thread_local! {
+    /// The workspace of every [`TaylorReach::reach_from`] on this thread,
+    /// taken for a run and put back after it.
+    static WORKSPACE: Cell<TmWorkspace> = Cell::new(TmWorkspace::new());
+}
 
 /// How state enclosures carry dependency information between control steps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -160,13 +167,19 @@ impl<A: NnAbstraction> TaylorReach<A> {
     /// verifier untouched — the Algorithm-2 initial-set sweep verifies many
     /// sub-boxes of `X₀` with one verifier instead of cloning it per cell.
     ///
-    /// One [`TmWorkspace`] is created per call and threaded through every
-    /// abstraction and flow step of the run, and shares one Bernstein range
-    /// memo across steps. Once it is warm, a POLAR or ReachNN step with box
-    /// re-initialisation makes `2n + 3` allocations (7 on Os and 9 on 3D,
-    /// against 254 and 309 under POLAR and 164 and 335 under ReachNN before
-    /// the workspace held the step's buffers): the end-state models, the
-    /// step box and the end box it records (`tests/no_alloc_step.rs`).
+    /// The run threads one [`TmWorkspace`] through every abstraction and
+    /// flow step. The workspace belongs to the calling thread and outlives
+    /// the call: the run takes it and puts it back when it returns, so the
+    /// next run on the thread starts with its buffers grown and its memos
+    /// (monomial ranges, Bernstein ranges, fit tables, the Lipschitz
+    /// bound's first-layer sums) warm. Every memo in it is keyed by
+    /// content — domain bits, weight bits, degrees or exact polynomial
+    /// content — so a warm run returns the bits of a cold one. Once it is
+    /// warm, a POLAR or ReachNN step with box re-initialisation makes
+    /// `2n + 3` allocations (7 on Os and 9 on 3D, against 254 and 309 under
+    /// POLAR and 164 and 335 under ReachNN before the workspace held the
+    /// step's buffers): the end-state models, the step box and the end box
+    /// it records (`tests/no_alloc_step.rs`).
     ///
     /// # Errors
     ///
@@ -179,7 +192,8 @@ impl<A: NnAbstraction> TaylorReach<A> {
         let _run = dwv_obs::span("reach.run");
         let n = x0.dim();
         let domain = dwv_taylor::unit_domain(n);
-        let mut ws = TmWorkspace::new();
+        let mut ws = WORKSPACE.try_with(Cell::take).unwrap_or_default();
+        let (bern_before, powers_before) = (ws.bern.stats(), ws.poly.powers_stats());
         let mut state = TmVector::from_box(x0);
         let mut steps = Vec::with_capacity(self.steps + 1);
         steps.push(StepEnclosure {
@@ -242,20 +256,20 @@ impl<A: NnAbstraction> TaylorReach<A> {
             Ok(Flowpipe::new(steps))
         })();
         if dwv_obs::enabled() {
-            // The Bernstein range memo and the monomial-range memo live and
-            // die with this run's workspace; fold their counters into the
-            // process-wide metrics so the aggregate hit rates survive the
-            // workspace.
-            let s = ws.bern.stats();
-            dwv_obs::counter("poly.range_cache.hits").add(s.hits);
-            dwv_obs::counter("poly.range_cache.misses").add(s.misses);
-            dwv_obs::counter("poly.range_cache.evictions").add(s.evictions);
-            let p = ws.poly.powers_stats();
-            dwv_obs::counter("poly.powers.hits").add(p.hits);
-            dwv_obs::counter("poly.powers.misses").add(p.misses);
+            // The workspace's memos count over its lifetime, which spans
+            // many runs: fold this run's share of their counters into the
+            // process-wide metrics.
+            let (s, p) = (ws.bern.stats(), ws.poly.powers_stats());
+            dwv_obs::counter("poly.range_cache.hits").add(s.hits - bern_before.hits);
+            dwv_obs::counter("poly.range_cache.misses").add(s.misses - bern_before.misses);
+            dwv_obs::counter("poly.range_cache.evictions").add(s.evictions - bern_before.evictions);
+            dwv_obs::counter("poly.powers.hits").add(p.hits - powers_before.hits);
+            dwv_obs::counter("poly.powers.misses").add(p.misses - powers_before.misses);
             // Registered at zero, so every trace reports the count.
             dwv_obs::counter("picard.staged_fallbacks").add(0);
         }
+        // A thread tearing down its locals drops the workspace instead.
+        let _ = WORKSPACE.try_with(|w| w.set(ws));
         result
     }
 

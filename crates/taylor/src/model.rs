@@ -17,8 +17,9 @@ use std::fmt;
 /// Bundles the polynomial kernel scratch buffers, a per-call-site Bernstein
 /// range memo, and the polynomials, models and vectors the flow step, its
 /// defect tape and the network abstraction clear and refill from call to
-/// call. One workspace created per reachability run and threaded through
-/// every step makes a warm POLAR or ReachNN reach step with box
+/// call. One workspace per thread, threaded through every step of every
+/// reachability run on it (`TaylorReach::reach_from` takes it and puts it
+/// back), makes a warm POLAR or ReachNN reach step with box
 /// re-initialisation allocate only the end-state models it returns and the
 /// boxes the flowpipe records (`tests/no_alloc_step.rs` counts them), and
 /// lets repeated Bernstein enclosures of unchanged polynomial parts —

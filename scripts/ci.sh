@@ -96,9 +96,17 @@ if [[ "${1:-}" == "--all" ]]; then
   # Flow-step gate: OdeIntegrator::flow_step (degree-staged Picard
   # iterations, fixed point confirmed by the defect tape) bit for bit
   # against the retired unstaged step in check::reference, on random fields,
-  # symbolic initial models and inputs with remainders, orders 1-5 (see
-  # families/picard).
+  # symbolic initial models and inputs with remainders, orders 1-5; and
+  # TaylorReach::reach_from for a controller on one system after a run on
+  # the other, on the same thread's workspace, bit for bit against a fresh
+  # thread's run (see families/picard).
   run cargo run --release --offline -p dwv-check -- --family picard --seed 0xD3C0DE --budget-cases 3000
+  # Range-memo gate: eval_interval_ws bit for bit against eval_interval,
+  # and mul_truncated_into's kept terms and overflow against the split
+  # product and its eval_interval, on 1-5 variables with exponents on both
+  # sides of the memo's direct index, on a fresh workspace, a warm one and
+  # one warmed on other domains (see families/poly).
+  run cargo run --release --offline -p dwv-check -- --family poly --seed 0xD3C0DE --budget-cases 3000
   # Odd-power gate: the interval family's cubes in expressions and its
   # `x^n` draws (n = 3, 5, 7) against a double-double oracle with no
   # tolerance beyond the oracle's error (see families/interval).

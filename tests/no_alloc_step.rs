@@ -26,8 +26,12 @@
 //! multiplies by (`&pw.clone()` in `compose_parts_into`) puts the ReachNN
 //! steps over the bound.
 //!
-//! The counting allocator is process-wide, so this file holds a single test:
-//! no other test thread allocates while it measures.
+//! The workspace belongs to the thread and outlives a run, so a second run
+//! on the thread needs no warm-up: its first steps allocate as little as
+//! its last (`second_reach_needs_no_warm_up`).
+//!
+//! The counting allocator counts each thread's allocations apart, so the
+//! tests may run in parallel.
 
 use design_while_verify::dynamics::{oscillator, three_dim, NnController, ReachAvoidProblem};
 use design_while_verify::nn::{Activation, Network};
@@ -36,17 +40,27 @@ use design_while_verify::reach::{
     TaylorReachConfig,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct Counting;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    /// Allocations this thread has made. A constant-initialised `Cell`
+    /// needs no allocation and no destructor, so the allocator may use it.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Allocations the calling thread has made so far.
+fn allocations() -> usize {
+    ALLOCATIONS.with(Cell::get)
+}
 
 // SAFETY: forwards every call to the system allocator unchanged; the
-// counter is a plain atomic with no effect on the allocation itself.
+// counter is a thread-local integer with no effect on the allocation
+// itself.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -79,9 +93,9 @@ fn run_allocations<A: NnAbstraction + Clone>(
         },
     )
     .with_steps(steps);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let fp = verifier.reach(ctrl);
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let after = allocations();
     assert_eq!(fp.expect("the flowpipe stays bounded").len(), steps + 1);
     after - before
 }
@@ -146,4 +160,44 @@ fn warm_reach_steps_allocate_only_what_they_record() {
         over.is_empty(),
         "warm reach steps over their bound: {over:?}"
     );
+}
+
+#[test]
+fn second_reach_needs_no_warm_up() {
+    // Runs of two controllers under either abstraction, twice over on this
+    // thread. The first round grows the workspace to what these runs need;
+    // in the second, every run allocates only what it returns or records:
+    // per step the end-state models, the step box and the end box (the
+    // warm-step bound above), and once per run the flowpipe's step vector,
+    // step 0's two boxes, the initial state models, the box
+    // re-initialisation's first box and the unit domain.
+    for problem in [
+        oscillator::reach_avoid_problem(),
+        three_dim::reach_avoid_problem(),
+    ] {
+        let n = problem.n_state();
+        let steps = 6;
+        let bound = steps * (2 * n + 3) + 1 + 2 + (2 * n + 1) + 1 + 1;
+        let controllers = [7, 8].map(|seed| {
+            let net = Network::new(&[n, 8, 1], Activation::ReLU, Activation::Tanh, seed);
+            NnController::with_output_scale(net, 1.0)
+        });
+        let polar = TaylorAbstraction::with_order(2);
+        let reachnn = BernsteinAbstraction::with_degree(2);
+        let round = || {
+            controllers.iter().flat_map(|c| {
+                [
+                    run_allocations(&problem, &polar, c, steps),
+                    run_allocations(&problem, &reachnn, c, steps),
+                ]
+            })
+        };
+        let first: Vec<usize> = round().collect();
+        let second: Vec<usize> = round().collect();
+        eprintln!("n = {n}: first round {first:?}, second round {second:?} (bound {bound})");
+        assert!(
+            second.iter().all(|&a| a <= bound),
+            "n = {n}: a second run allocated {second:?}, over {bound}"
+        );
+    }
 }

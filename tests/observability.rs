@@ -15,7 +15,10 @@ use design_while_verify::dynamics::{acc, oscillator, Controller, LinearControlle
 use design_while_verify::interval::IntervalBox;
 use design_while_verify::nn::{Activation, Network};
 use design_while_verify::obs;
-use design_while_verify::reach::{Flowpipe, LinearReach, TaylorAbstraction, TaylorReach};
+use design_while_verify::reach::{
+    DependencyTracking, Flowpipe, LinearReach, TaylorAbstraction, TaylorReach, TaylorReachConfig,
+};
+use design_while_verify::taylor::OdeIntegrator;
 use std::sync::{Mutex, MutexGuard};
 
 /// Serializes tests that flip the global enabled flag or install a sink.
@@ -161,6 +164,66 @@ fn picard_counters_follow_the_degree_schedule() {
         "monomial-range memo missed {misses} of {} lookups",
         hits + misses
     );
+}
+
+#[test]
+fn memo_counters_count_each_runs_lookups() {
+    let _g = obs_lock();
+    obs::shutdown();
+    // A verifier that ranges with Bernstein forms, so both memos serve it.
+    let problem = oscillator::reach_avoid_problem();
+    let verifier = TaylorReach::new(
+        &problem,
+        TaylorAbstraction::with_order(2),
+        TaylorReachConfig {
+            integrator: OdeIntegrator {
+                bernstein_ranges: true,
+                ..OdeIntegrator::with_order(3)
+            },
+            dependency: DependencyTracking::BoxReinit,
+            bernstein_ranges: true,
+        },
+    )
+    .with_steps(6);
+    let run = |seed: u64| {
+        let net = Network::new(&[2, 8, 1], Activation::Tanh, Activation::Tanh, seed);
+        let _ = verifier.reach(&NnController::with_output_scale(net, 0.5));
+    };
+    // Two traced runs on one thread, where the second finds the workspace
+    // the first left, or each on a new thread with a fresh workspace:
+    // powers hits, misses, range-cache hits, misses.
+    let counts = |fresh: bool| {
+        obs::reset();
+        obs::init_jsonl_writer(Box::new(NullSink));
+        for seed in [3, 4] {
+            if fresh {
+                std::thread::scope(|s| s.spawn(|| run(seed)).join()).expect("run");
+            } else {
+                run(seed);
+            }
+        }
+        obs::shutdown();
+        let snap = obs::snapshot();
+        [
+            "poly.powers.hits",
+            "poly.powers.misses",
+            "poly.range_cache.hits",
+            "poly.range_cache.misses",
+        ]
+        .map(|c| snap.counter(c).unwrap_or(0))
+    };
+    let warm = counts(false);
+    let fresh = counts(true);
+    // Warmth changes which lookups hit, never how many there are: the
+    // workspace outlives each run, and each run reports its own share.
+    assert_eq!(warm[0] + warm[1], fresh[0] + fresh[1], "powers lookups");
+    assert_eq!(
+        warm[2] + warm[3],
+        fresh[2] + fresh[3],
+        "range-cache lookups"
+    );
+    assert!(fresh[2] + fresh[3] > 0, "the range cache was never asked");
+    assert!(warm[1] < fresh[1], "the second run found no warm table");
 }
 
 #[test]
