@@ -8,7 +8,7 @@
 
 use crate::algorithm2::InitialSetSearch;
 use crate::counterexample::{find_counterexample, Counterexample};
-use crate::verdict::{judge, Verdict};
+use crate::verdict::{flowpipe_is_reach_avoid, simulated_verdict, Verdict};
 use crate::Algorithm2;
 use dwv_dynamics::{eval::rates, eval::RateReport, Controller, ReachAvoidProblem};
 use dwv_interval::IntervalBox;
@@ -139,6 +139,10 @@ impl fmt::Display for VerificationReport {
 /// search over the flowpipe oracle, 500-rollout rates and counterexample
 /// search.
 ///
+/// The verdict is [`judge`](crate::judge)'s with 500 samples, but the
+/// rollouts run once: the rates that fill the report also decide between
+/// `Unsafe` and `Unknown` when the flowpipe proves nothing.
+///
 /// `verify(cell)` must compute the controller's flowpipe from the initial
 /// set `cell` (as in [`Algorithm2::search`]); the whole-`X₀` flowpipe is
 /// `verify(&problem.x0)`.
@@ -152,30 +156,30 @@ where
     C: Controller + ?Sized,
     V: FnMut(&IntervalBox) -> Result<Flowpipe, ReachError>,
 {
-    let (verdict, initial_set) = {
+    let (reach_avoid, initial_set) = {
         let _s = dwv_obs::span("verify");
-        let attempt = verify(&problem.x0);
-        let verdict = judge(problem, controller, &attempt, 500, 0x0A55E55);
-        let initial_set = if verdict.is_reach_avoid() {
-            Some(
-                Algorithm2::new(problem)
-                    .with_max_rounds(4)
-                    .search(|cell| verify(cell)),
-            )
-        } else {
-            None
-        };
-        (verdict, initial_set)
+        let reach_avoid = flowpipe_is_reach_avoid(problem, &verify(&problem.x0));
+        let initial_set = reach_avoid.then(|| {
+            Algorithm2::new(problem)
+                .with_max_rounds(4)
+                .search(|cell| verify(cell))
+        });
+        (reach_avoid, initial_set)
     };
-    let (rates, counterexample) = {
+    let (verdict, rates, counterexample) = {
         let _s = dwv_obs::span("simulate");
         let rates = rates(problem, controller, 500, 0x0A55E55);
+        let verdict = if reach_avoid {
+            Verdict::ReachAvoid
+        } else {
+            simulated_verdict(&rates)
+        };
         let counterexample = if rates.is_perfect() {
             None
         } else {
             find_counterexample(problem, controller, 200, 0x0A55E55)
         };
-        (rates, counterexample)
+        (verdict, rates, counterexample)
     };
     let snapshot = dwv_obs::snapshot();
     VerificationReport {
@@ -236,6 +240,72 @@ mod tests {
         let c = assess(&p, &zeros, acc_oracle(&p, &zeros)).to_csv();
         assert!(c.contains("counterexample,kind,"), "{c}");
         assert!(c.contains("counterexample,x0,"), "{c}");
+    }
+
+    /// `assess` as composed before its rollouts were shared: `judge`
+    /// simulates its own 500 rollouts, then the report simulates them again.
+    fn assess_judging_separately<V>(
+        problem: &ReachAvoidProblem,
+        controller: &LinearController,
+        mut verify: V,
+    ) -> VerificationReport
+    where
+        V: FnMut(&IntervalBox) -> Result<Flowpipe, ReachError>,
+    {
+        let attempt = verify(&problem.x0);
+        let verdict = crate::judge(problem, controller, &attempt, 500, 0x0A55E55);
+        let initial_set = verdict.is_reach_avoid().then(|| {
+            Algorithm2::new(problem)
+                .with_max_rounds(4)
+                .search(|cell| verify(cell))
+        });
+        let rates = rates(problem, controller, 500, 0x0A55E55);
+        let counterexample = if rates.is_perfect() {
+            None
+        } else {
+            find_counterexample(problem, controller, 200, 0x0A55E55)
+        };
+        VerificationReport {
+            verdict,
+            initial_set,
+            rates,
+            counterexample,
+            metrics: None,
+        }
+    }
+
+    #[test]
+    fn shared_rollouts_give_the_separately_judged_report() {
+        let p = acc::reach_avoid_problem();
+        let verified = LinearController::new(2, 1, vec![0.5867, -2.0]);
+        let uncontrolled = LinearController::zeros(2, 1);
+        let diverged = |_: &IntervalBox| -> Result<Flowpipe, ReachError> {
+            Err(ReachError::Diverged {
+                step: 3,
+                source: dwv_taylor::FlowpipeError::Diverged { last_radius: 1.0 },
+            })
+        };
+        let cases = [
+            (
+                assess(&p, &verified, acc_oracle(&p, &verified)),
+                assess_judging_separately(&p, &verified, acc_oracle(&p, &verified)),
+                Verdict::ReachAvoid,
+            ),
+            (
+                assess(&p, &uncontrolled, acc_oracle(&p, &uncontrolled)),
+                assess_judging_separately(&p, &uncontrolled, acc_oracle(&p, &uncontrolled)),
+                Verdict::Unsafe,
+            ),
+            (
+                assess(&p, &verified, diverged),
+                assess_judging_separately(&p, &verified, diverged),
+                Verdict::Unknown,
+            ),
+        ];
+        for (shared, separate, verdict) in cases {
+            assert_eq!(shared.verdict, verdict, "{shared}");
+            assert_eq!(shared.to_csv(), separate.to_csv());
+        }
     }
 
     #[test]

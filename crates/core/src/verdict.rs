@@ -1,6 +1,6 @@
 //! The verified-result column of Table 1.
 
-use dwv_dynamics::{eval::rates, Controller, ReachAvoidProblem};
+use dwv_dynamics::{eval::rates, eval::RateReport, Controller, ReachAvoidProblem};
 use dwv_metrics::GeometricMetric;
 use dwv_reach::{Flowpipe, ReachError};
 use std::fmt;
@@ -56,13 +56,27 @@ pub fn judge<C: Controller + ?Sized>(
     counterexample_samples: usize,
     seed: u64,
 ) -> Verdict {
-    if let Ok(fp) = attempt {
-        let metric = GeometricMetric::for_problem(problem);
-        if metric.evaluate(fp).is_reach_avoid() {
-            return Verdict::ReachAvoid;
-        }
+    if flowpipe_is_reach_avoid(problem, attempt) {
+        return Verdict::ReachAvoid;
     }
-    let r = rates(problem, controller, counterexample_samples, seed);
+    simulated_verdict(&rates(problem, controller, counterexample_samples, seed))
+}
+
+/// Step 1 of [`judge`]: whether the flowpipe alone proves reach-avoid.
+pub(crate) fn flowpipe_is_reach_avoid(
+    problem: &ReachAvoidProblem,
+    attempt: &Result<Flowpipe, ReachError>,
+) -> bool {
+    attempt.as_ref().is_ok_and(|fp| {
+        GeometricMetric::for_problem(problem)
+            .evaluate(fp)
+            .is_reach_avoid()
+    })
+}
+
+/// Steps 2 and 3 of [`judge`]: the verdict on a controller whose flowpipe
+/// proved nothing, from its simulated rates.
+pub(crate) fn simulated_verdict(r: &RateReport) -> Verdict {
     if r.safe_rate < 1.0 || r.goal_rate < 1.0 {
         Verdict::Unsafe
     } else {

@@ -1,21 +1,24 @@
 //! A small blocking client for the `dwv-serve` protocol.
 //!
 //! Used by the binary's `--smoke`/`--drain` modes, the parity tests, and
-//! the `serve` dwv-check family. One connection, synchronous
-//! request/response; [`Client::stream_result`] collects a job's full event
-//! stream and reassembles it into a [`JobOutput`] for byte-exact
-//! comparison against batch runs.
+//! the `serve` dwv-check family. One connection, read through one buffer
+//! for its whole life, synchronous request/response;
+//! [`Client::stream_result`] collects a job's full event stream and
+//! reassembles it into a [`JobOutput`] for byte-exact comparison against
+//! batch runs.
 
 use crate::job::{JobOutput, SegmentData};
 use crate::proto::{read_frame, write_frame, Frame, JobEvent, JobSpec, JobState, VERSION};
-use std::io;
+use std::io::{self, BufReader};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 /// A connected, handshaken client.
 #[derive(Debug)]
 pub struct Client {
-    stream: TcpStream,
+    /// Reads go through the buffer, so a batch of frames costs one read;
+    /// writes go straight to the socket through `get_mut`.
+    stream: BufReader<TcpStream>,
 }
 
 fn bad_data(msg: String) -> io::Error {
@@ -34,8 +37,10 @@ impl Client {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(Duration::from_secs(60)))?;
         stream.set_write_timeout(Some(Duration::from_secs(10)))?;
-        let mut client = Self { stream };
-        write_frame(&mut client.stream, &Frame::Hello { version: VERSION })?;
+        let mut client = Self {
+            stream: BufReader::new(stream),
+        };
+        write_frame(client.stream.get_mut(), &Frame::Hello { version: VERSION })?;
         match read_frame(&mut client.stream)? {
             Frame::HelloAck { .. } => Ok(client),
             Frame::Error { code, message } => {
@@ -58,7 +63,7 @@ impl Client {
         spec: JobSpec,
     ) -> io::Result<Frame> {
         write_frame(
-            &mut self.stream,
+            self.stream.get_mut(),
             &Frame::Submit {
                 tenant,
                 job_id,
@@ -78,7 +83,7 @@ impl Client {
     ///
     /// Transport errors, or `InvalidData` on an unexpected reply.
     pub fn poll(&mut self, tenant: u64, job_id: u64) -> io::Result<JobState> {
-        write_frame(&mut self.stream, &Frame::Poll { tenant, job_id })?;
+        write_frame(self.stream.get_mut(), &Frame::Poll { tenant, job_id })?;
         match read_frame(&mut self.stream)? {
             Frame::Status { state, .. } => Ok(state),
             other => Err(bad_data(format!("unexpected poll reply: {other:?}"))),
@@ -91,7 +96,7 @@ impl Client {
     ///
     /// Transport errors, or `InvalidData` on an unexpected reply.
     pub fn cancel(&mut self, tenant: u64, job_id: u64) -> io::Result<JobState> {
-        write_frame(&mut self.stream, &Frame::Cancel { tenant, job_id })?;
+        write_frame(self.stream.get_mut(), &Frame::Cancel { tenant, job_id })?;
         match read_frame(&mut self.stream)? {
             Frame::Status { state, .. } => Ok(state),
             other => Err(bad_data(format!("unexpected cancel reply: {other:?}"))),
@@ -105,7 +110,7 @@ impl Client {
     ///
     /// Transport errors, or `InvalidData` on an unexpected reply.
     pub fn drain(&mut self) -> io::Result<(u32, u32)> {
-        write_frame(&mut self.stream, &Frame::Drain)?;
+        write_frame(self.stream.get_mut(), &Frame::Drain)?;
         match read_frame(&mut self.stream)? {
             Frame::DrainAck { queued, running } => Ok((queued, running)),
             other => Err(bad_data(format!("unexpected drain reply: {other:?}"))),
@@ -119,7 +124,7 @@ impl Client {
     ///
     /// Transport errors, or `InvalidData` for unknown jobs/replies.
     pub fn stream_events(&mut self, tenant: u64, job_id: u64) -> io::Result<Vec<JobEvent>> {
-        write_frame(&mut self.stream, &Frame::Stream { tenant, job_id })?;
+        write_frame(self.stream.get_mut(), &Frame::Stream { tenant, job_id })?;
         let mut events = Vec::new();
         loop {
             match read_frame(&mut self.stream)? {
@@ -157,8 +162,9 @@ impl Client {
     /// Transport errors.
     pub fn send_raw(&mut self, bytes: &[u8]) -> io::Result<()> {
         use io::Write;
-        self.stream.write_all(bytes)?;
-        self.stream.flush()
+        let stream = self.stream.get_mut();
+        stream.write_all(bytes)?;
+        stream.flush()
     }
 }
 
@@ -206,4 +212,72 @@ pub fn reassemble(events: &[JobEvent]) -> Result<JobOutput, String> {
             report_csv,
         })
         .ok_or_else(|| "stream completed without a verdict".to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    fn events() -> Vec<JobEvent> {
+        let mut events = vec![JobEvent::Verdict("reach-avoid".to_string())];
+        events.extend((0..3).map(|index| JobEvent::Segment {
+            index,
+            t0: f64::from(index) * 0.1,
+            t1: f64::from(index + 1) * 0.1,
+            bounds: vec![-0.0, 1.5, f64::MIN_POSITIVE, 3.0],
+        }));
+        events.push(JobEvent::Report(b"section,key,value\n".to_vec()));
+        events.push(JobEvent::Done);
+        events
+    }
+
+    /// Serves one client that streams job 1: answers `Hello` and `Stream`
+    /// with `events()`, writing each of `chunks(bytes)` separately.
+    fn serve_once(
+        chunks: fn(Vec<u8>) -> Vec<Vec<u8>>,
+    ) -> (std::net::SocketAddr, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let addr = listener.local_addr().expect("address");
+        let handle = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().expect("accept");
+            peer.set_nodelay(true).expect("nodelay");
+            assert_eq!(
+                read_frame(&mut peer).expect("hello"),
+                Frame::Hello { version: VERSION }
+            );
+            let mut bytes = Frame::HelloAck { version: VERSION }.encode();
+            for event in events() {
+                bytes.extend(Frame::Event { job_id: 1, event }.encode());
+            }
+            for chunk in chunks(bytes) {
+                peer.write_all(&chunk).expect("send");
+            }
+            assert_eq!(
+                read_frame(&mut peer).expect("stream request"),
+                Frame::Stream {
+                    tenant: 1,
+                    job_id: 1
+                }
+            );
+        });
+        (addr, handle)
+    }
+
+    #[test]
+    fn frames_merged_into_one_segment_come_out_whole_and_in_order() {
+        let (addr, server) = serve_once(|bytes| vec![bytes]);
+        let mut client = Client::connect(addr).expect("handshake");
+        assert_eq!(client.stream_events(1, 1).expect("stream"), events());
+        server.join().expect("fake server");
+    }
+
+    #[test]
+    fn frames_split_at_every_byte_come_out_whole_and_in_order() {
+        let (addr, server) = serve_once(|bytes| bytes.into_iter().map(|b| vec![b]).collect());
+        let mut client = Client::connect(addr).expect("handshake");
+        assert_eq!(client.stream_events(1, 1).expect("stream"), events());
+        server.join().expect("fake server");
+    }
 }

@@ -11,7 +11,7 @@
 //! shard memoizes flowpipes keyed by tenant-qualified controller hashes
 //! ([`hash_params_tenant`]), so warm hits change latency, never bytes.
 
-use crate::proto::{JobKind, JobSpec, ProblemId};
+use crate::proto::{JobEvent, JobKind, JobSpec, ProblemId};
 use dwv_core::parallel::CancelToken;
 use dwv_core::{assess, design_while_verify_linear, judge, LearnConfig, WorkerPool};
 use dwv_dynamics::{acc, oscillator, three_dim, LinearController, NnController, ReachAvoidProblem};
@@ -75,6 +75,26 @@ pub struct JobOutput {
     /// Canonical report CSV ([`dwv_core::VerificationReport::to_csv`]),
     /// for kinds that assemble a full report.
     pub report_csv: Option<Vec<u8>>,
+}
+
+impl JobOutput {
+    /// The events a served job streams for this output, in wire order:
+    /// the verdict, the segments, the report if any, then `Done`.
+    /// [`reassemble`](crate::reassemble) inverts it.
+    #[must_use]
+    pub fn into_events(self) -> Vec<JobEvent> {
+        let mut events = Vec::with_capacity(self.segments.len() + 3);
+        events.push(JobEvent::Verdict(self.verdict));
+        events.extend(self.segments.into_iter().map(|seg| JobEvent::Segment {
+            index: seg.index,
+            t0: seg.t0,
+            t1: seg.t1,
+            bounds: seg.bounds,
+        }));
+        events.extend(self.report_csv.map(JobEvent::Report));
+        events.push(JobEvent::Done);
+        events
+    }
 }
 
 /// Instantiates the benchmark problem a spec names.

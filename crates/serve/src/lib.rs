@@ -24,7 +24,8 @@
 //!   binary's `--smoke`/`--drain` modes
 //!
 //! Observability: `serve.accept`, `serve.submitted`, `serve.queue_depth`,
-//! `serve.rejections[.reason]`, `serve.drain`, plus
+//! `serve.rejections[.reason]`, `serve.drain`, `serve.stream.writes` (one
+//! per batch of streamed events), plus
 //! `serve.conn`/`serve.job`/`serve.drain` spans — all through [`dwv_obs`],
 //! feeding the existing `dwv-trace` analyzer.
 //!

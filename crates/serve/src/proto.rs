@@ -417,13 +417,13 @@ const TAG_DRAIN: u8 = 0x0B;
 const TAG_DRAIN_ACK: u8 = 0x0C;
 const TAG_ERROR: u8 = 0x0D;
 
-/// Little-endian byte writer for frame bodies.
-#[derive(Debug, Default)]
-struct Writer {
-    buf: Vec<u8>,
+/// Little-endian byte writer appending frame bodies to a buffer.
+#[derive(Debug)]
+struct Writer<'a> {
+    buf: &'a mut Vec<u8>,
 }
 
-impl Writer {
+impl Writer<'_> {
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -564,7 +564,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn encode_spec(w: &mut Writer, spec: &JobSpec) {
+fn encode_spec(w: &mut Writer<'_>, spec: &JobSpec) {
     w.u8(spec.problem.tag());
     w.u8(spec.kind.tag());
     match &spec.kind {
@@ -622,7 +622,7 @@ fn decode_spec(r: &mut Reader<'_>) -> Result<JobSpec, ProtoError> {
     Ok(JobSpec { problem, kind })
 }
 
-fn encode_event(w: &mut Writer, event: &JobEvent) {
+fn encode_event(w: &mut Writer<'_>, event: &JobEvent) {
     w.u8(event.tag());
     match event {
         JobEvent::Verdict(s) => w.string(s),
@@ -660,11 +660,41 @@ fn decode_event(r: &mut Reader<'_>) -> Result<JobEvent, ProtoError> {
     }
 }
 
+/// The body of `Frame::Event { job_id, event }`.
+fn encode_event_frame(w: &mut Writer<'_>, job_id: u64, event: &JobEvent) {
+    w.u8(TAG_EVENT);
+    w.u64(job_id);
+    encode_event(w, event);
+}
+
+/// Appends a length prefix and the body `body` writes to `out`.
+fn append_framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Writer<'_>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(&mut Writer { buf: out });
+    // A body beyond u32 saturates, and the peer's frame cap rejects it.
+    let len = u32::try_from(out.len().saturating_sub(start).saturating_sub(4)).unwrap_or(u32::MAX);
+    if let Some(prefix) = out.get_mut(start..start.saturating_add(4)) {
+        prefix.copy_from_slice(&len.to_le_bytes());
+    }
+}
+
+/// Appends the wire form of `Frame::Event { job_id, event }` to `out`:
+/// the bytes [`Frame::encode`] gives, without cloning `event` into a frame.
+pub fn append_event_frame(out: &mut Vec<u8>, job_id: u64, event: &JobEvent) {
+    append_framed(out, |w| encode_event_frame(w, job_id, event));
+}
+
 impl Frame {
     /// Encodes the frame body (tag + payload), without the length prefix.
     #[must_use]
     pub fn encode_body(&self) -> Vec<u8> {
-        let mut w = Writer::default();
+        let mut buf = Vec::new();
+        self.write_body(&mut Writer { buf: &mut buf });
+        buf
+    }
+
+    fn write_body(&self, w: &mut Writer<'_>) {
         match self {
             Self::Hello { version } => {
                 w.u8(TAG_HELLO);
@@ -685,7 +715,7 @@ impl Frame {
                 w.u64(*tenant);
                 w.u64(*job_id);
                 w.u32(*deadline_ms);
-                encode_spec(&mut w, spec);
+                encode_spec(w, spec);
             }
             Self::Accepted { job_id } => {
                 w.u8(TAG_ACCEPTED);
@@ -716,11 +746,7 @@ impl Frame {
                 w.u64(*tenant);
                 w.u64(*job_id);
             }
-            Self::Event { job_id, event } => {
-                w.u8(TAG_EVENT);
-                w.u64(*job_id);
-                encode_event(&mut w, event);
-            }
+            Self::Event { job_id, event } => encode_event_frame(w, *job_id, event),
             Self::Cancel { tenant, job_id } => {
                 w.u8(TAG_CANCEL);
                 w.u64(*tenant);
@@ -738,18 +764,19 @@ impl Frame {
                 w.string(message);
             }
         }
-        w.buf
     }
 
     /// Encodes the full wire form: length prefix + body.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let len = u32::try_from(body.len()).unwrap_or(u32::MAX);
-        let mut out = Vec::with_capacity(body.len().saturating_add(4));
-        out.extend_from_slice(&len.to_le_bytes());
-        out.extend_from_slice(&body);
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
         out
+    }
+
+    /// Appends the full wire form ([`Frame::encode`]) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        append_framed(out, |w| self.write_body(w));
     }
 
     /// Decodes one frame body (tag + payload, no length prefix).

@@ -3,11 +3,15 @@
 //!
 //! # Threading model
 //!
-//! One nonblocking accept loop, one handler thread per connection, a
+//! One blocking accept loop, one handler thread per connection, a
 //! thread-per-core worker pack draining the [`AdmissionQueue`], and a 20 ms
 //! deadline timer. Workers run whole jobs; each job's *internal* fan-out
 //! (gradient probes, cell sweeps) runs on a [`WorkerPool`], so results are
 //! bit-identical to batch runs at any width.
+//!
+//! A handler encodes every reply into one buffer it owns. A `Stream`
+//! request sends all the events a job has so far in one write, encoded
+//! straight from the job table, and then one write per later batch.
 //!
 //! # Drain semantics
 //!
@@ -15,7 +19,8 @@
 //! submissions are rejected with `Rejected{Draining}`, queued and running
 //! jobs finish normally. After `force_after`, still-unfinished jobs are
 //! cancelled through their [`CancelToken`]s (forced drain). [`Server::shutdown`]
-//! then stops the accept loop, wakes every waiter, and joins all threads.
+//! then sets the shutdown flag, wakes the blocked accept with one loopback
+//! connection of its own, wakes every waiter, and joins all threads.
 
 #![expect(
     clippy::disallowed_types,
@@ -24,15 +29,16 @@
 
 use crate::job::{self, JobError};
 use crate::proto::{
-    error_code, Frame, FrameBuffer, JobEvent, JobSpec, JobState, RejectCode, VERSION,
+    append_event_frame, error_code, Frame, FrameBuffer, JobEvent, JobSpec, JobState, RejectCode,
+    VERSION,
 };
 use crate::queue::{AdmissionQueue, JobKey};
 use dwv_core::parallel::CancelToken;
 use dwv_core::WorkerPool;
 use dwv_reach::ShardedReachCache;
 use std::collections::HashMap;
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -164,7 +170,6 @@ impl Server {
     /// Propagates bind errors.
     pub fn start(cfg: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let workers = cfg.workers;
         let shared = Arc::new(Shared {
@@ -281,6 +286,16 @@ impl Server {
     pub fn shutdown(mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.draining.store(true, Ordering::Release);
+        // The accept loop blocks in `accept`; one connection of our own
+        // returns it, and it sees the flag before serving the connection.
+        let mut wake = self.local_addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        drop(TcpStream::connect(wake));
         self.shared.queue.notify_all();
         self.shared.jobs_cv.notify_all();
         for t in self.threads.drain(..) {
@@ -312,10 +327,11 @@ impl Server {
 
 fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
     loop {
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _peer)) => {
                 if dwv_obs::enabled() {
                     dwv_obs::counter("serve.accept").inc();
@@ -330,9 +346,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .push(handle);
             }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            // Out of descriptors and the like: back off, then try again.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -377,19 +391,7 @@ fn run_one(shared: &Arc<Shared>, pool: &WorkerPool, key: JobKey) {
     if let Some(entry) = jobs.entries.get_mut(&key) {
         match result {
             Ok(output) => {
-                entry.events.push(JobEvent::Verdict(output.verdict));
-                for seg in output.segments {
-                    entry.events.push(JobEvent::Segment {
-                        index: seg.index,
-                        t0: seg.t0,
-                        t1: seg.t1,
-                        bounds: seg.bounds,
-                    });
-                }
-                if let Some(csv) = output.report_csv {
-                    entry.events.push(JobEvent::Report(csv));
-                }
-                entry.events.push(JobEvent::Done);
+                entry.events.extend(output.into_events());
                 entry.state = JobState::Done;
             }
             Err(JobError::Cancelled) => {
@@ -448,15 +450,30 @@ fn deadline_loop(shared: &Arc<Shared>) {
     }
 }
 
-fn write_frame(stream: &mut TcpStream, frame: &Frame) -> std::io::Result<()> {
-    crate::proto::write_frame(stream, frame)
+/// A connection's socket and the buffer its replies are encoded into.
+struct Conn {
+    stream: TcpStream,
+    out: Vec<u8>,
 }
 
-fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Result<()> {
+impl Conn {
+    /// Sends one frame.
+    fn send(&mut self, frame: &Frame) -> std::io::Result<()> {
+        self.out.clear();
+        frame.encode_into(&mut self.out);
+        self.stream.write_all(&self.out)
+    }
+}
+
+fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) -> std::io::Result<()> {
     let _span = dwv_obs::span("serve.conn");
     stream.set_read_timeout(Some(shared.cfg.read_timeout))?;
     stream.set_write_timeout(Some(Duration::from_secs(10)))?;
     stream.set_nodelay(true).ok();
+    let mut conn = Conn {
+        stream,
+        out: Vec::new(),
+    };
     let mut buf = FrameBuffer::new();
     let mut scratch = [0u8; 4096];
     // Handshake: the first frame must be a well-formed Hello at our version.
@@ -464,7 +481,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Re
         if shared.shutdown.load(Ordering::Acquire) {
             return Ok(());
         }
-        match stream.read(&mut scratch) {
+        match conn.stream.read(&mut scratch) {
             Ok(0) => return Ok(()),
             Ok(n) => {
                 buf.feed(scratch.get(..n).unwrap_or_default());
@@ -472,13 +489,10 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Re
                     Ok(Some(frame)) => break frame,
                     Ok(None) => {}
                     Err(e) => {
-                        let _ = write_frame(
-                            &mut stream,
-                            &Frame::Error {
-                                code: error_code::BAD_HANDSHAKE,
-                                message: e.to_string(),
-                            },
-                        );
+                        let _ = conn.send(&Frame::Error {
+                            code: error_code::BAD_HANDSHAKE,
+                            message: e.to_string(),
+                        });
                         return Ok(());
                     }
                 }
@@ -491,29 +505,21 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Re
     };
     match hello {
         Frame::Hello { version } if version == VERSION => {
-            write_frame(&mut stream, &Frame::HelloAck { version: VERSION })?;
+            conn.send(&Frame::HelloAck { version: VERSION })?;
         }
         Frame::Hello { version } => {
             // Exact bytes pinned by tests/protocol.rs fixtures.
-            let _ = write_frame(
-                &mut stream,
-                &Frame::Error {
-                    code: error_code::VERSION_MISMATCH,
-                    message: format!(
-                        "unsupported protocol version {version}; server speaks {VERSION}"
-                    ),
-                },
-            );
+            let _ = conn.send(&Frame::Error {
+                code: error_code::VERSION_MISMATCH,
+                message: format!("unsupported protocol version {version}; server speaks {VERSION}"),
+            });
             return Ok(());
         }
         _ => {
-            let _ = write_frame(
-                &mut stream,
-                &Frame::Error {
-                    code: error_code::BAD_HANDSHAKE,
-                    message: "expected Hello".to_string(),
-                },
-            );
+            let _ = conn.send(&Frame::Error {
+                code: error_code::BAD_HANDSHAKE,
+                message: "expected Hello".to_string(),
+            });
             return Ok(());
         }
     }
@@ -522,22 +528,19 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Re
         if shared.shutdown.load(Ordering::Acquire) {
             return Ok(());
         }
-        match stream.read(&mut scratch) {
+        match conn.stream.read(&mut scratch) {
             Ok(0) => return Ok(()),
             Ok(n) => {
                 buf.feed(scratch.get(..n).unwrap_or_default());
                 loop {
                     match buf.next_frame() {
-                        Ok(Some(frame)) => dispatch(shared, &mut stream, frame)?,
+                        Ok(Some(frame)) => dispatch(shared, &mut conn, frame)?,
                         Ok(None) => break,
                         Err(e) => {
-                            let _ = write_frame(
-                                &mut stream,
-                                &Frame::Error {
-                                    code: error_code::BAD_FRAME,
-                                    message: e.to_string(),
-                                },
-                            );
+                            let _ = conn.send(&Frame::Error {
+                                code: error_code::BAD_FRAME,
+                                message: e.to_string(),
+                            });
                             return Ok(());
                         }
                     }
@@ -551,7 +554,7 @@ fn handle_connection(shared: &Arc<Shared>, mut stream: TcpStream) -> std::io::Re
     }
 }
 
-fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: Frame) -> std::io::Result<()> {
+fn dispatch(shared: &Arc<Shared>, conn: &mut Conn, frame: Frame) -> std::io::Result<()> {
     match frame {
         Frame::Submit {
             tenant,
@@ -560,17 +563,17 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: Frame) -> std::
             spec,
         } => {
             let reply = admit(shared, tenant, job_id, deadline_ms, spec);
-            write_frame(stream, &reply)
+            conn.send(&reply)
         }
         Frame::Poll { tenant, job_id } => {
             let state = job_state(shared, (tenant, job_id));
-            write_frame(stream, &Frame::Status { job_id, state })
+            conn.send(&Frame::Status { job_id, state })
         }
         Frame::Cancel { tenant, job_id } => {
             let state = cancel_job(shared, (tenant, job_id));
-            write_frame(stream, &Frame::Status { job_id, state })
+            conn.send(&Frame::Status { job_id, state })
         }
-        Frame::Stream { tenant, job_id } => stream_job(shared, stream, (tenant, job_id)),
+        Frame::Stream { tenant, job_id } => stream_job(shared, conn, (tenant, job_id)),
         Frame::Drain => {
             shared.draining.store(true, Ordering::Release);
             if dwv_obs::enabled() {
@@ -582,15 +585,12 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, frame: Frame) -> std::
                 queued: u32::try_from(queued).unwrap_or(u32::MAX),
                 running: u32::try_from(running).unwrap_or(u32::MAX),
             };
-            write_frame(stream, &ack)
+            conn.send(&ack)
         }
-        _ => write_frame(
-            stream,
-            &Frame::Error {
-                code: error_code::BAD_FRAME,
-                message: "unexpected frame direction".to_string(),
-            },
-        ),
+        _ => conn.send(&Frame::Error {
+            code: error_code::BAD_FRAME,
+            message: "unexpected frame direction".to_string(),
+        }),
     }
 }
 
@@ -701,57 +701,60 @@ fn cancel_job(shared: &Arc<Shared>, key: JobKey) -> JobState {
     state
 }
 
-fn stream_job(shared: &Arc<Shared>, stream: &mut TcpStream, key: JobKey) -> std::io::Result<()> {
+/// Streams a job's events until its terminal one. Each batch of pending
+/// events is encoded into the connection's buffer under the job-table
+/// lock and sent with one write once the lock is dropped.
+fn stream_job(shared: &Arc<Shared>, conn: &mut Conn, key: JobKey) -> std::io::Result<()> {
     let (_, job_id) = key;
-    {
-        let jobs = shared
-            .jobs
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if !jobs.entries.contains_key(&key) {
-            drop(jobs);
-            return write_frame(
-                stream,
-                &Frame::Status {
-                    job_id,
-                    state: JobState::Unknown,
-                },
-            );
-        }
+    let mut jobs = shared
+        .jobs
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    if !jobs.entries.contains_key(&key) {
+        drop(jobs);
+        return conn.send(&Frame::Status {
+            job_id,
+            state: JobState::Unknown,
+        });
     }
     let mut cursor = 0usize;
     loop {
-        let (pending, done): (Vec<JobEvent>, bool) = {
-            let jobs = shared
-                .jobs
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let Some(entry) = jobs.entries.get(&key) else {
-                return Ok(());
-            };
-            let pending: Vec<JobEvent> = entry.events.get(cursor..).unwrap_or_default().to_vec();
-            let done = entry.events.last().is_some_and(JobEvent::is_terminal);
-            if pending.is_empty() && !done {
-                // Wait for the workers to append, bounded so shutdown is
-                // always observed.
-                let _ = shared
-                    .jobs_cv
-                    .wait_timeout(jobs, Duration::from_millis(50))
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return Ok(());
-                }
-                continue;
-            }
-            (pending, done)
+        let Some(entry) = jobs.entries.get(&key) else {
+            return Ok(());
         };
-        cursor += pending.len();
-        for event in pending {
-            write_frame(stream, &Frame::Event { job_id, event })?;
+        let pending = entry.events.get(cursor..).unwrap_or_default();
+        let done = entry.events.last().is_some_and(JobEvent::is_terminal);
+        if pending.is_empty() && !done {
+            // Wait for the workers to append, bounded so shutdown is
+            // always observed.
+            jobs = shared
+                .jobs_cv
+                .wait_timeout(jobs, Duration::from_millis(50))
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .0;
+            if shared.shutdown.load(Ordering::Acquire) {
+                return Ok(());
+            }
+            continue;
         }
+        conn.out.clear();
+        for event in pending {
+            append_event_frame(&mut conn.out, job_id, event);
+        }
+        cursor += pending.len();
+        drop(jobs);
+        // Counted before the write, so a peer that has read the bytes sees it.
+        if dwv_obs::enabled() {
+            dwv_obs::counter("serve.stream.writes").inc();
+        }
+        conn.stream.write_all(&conn.out)?;
         if done {
             return Ok(());
         }
+        jobs = shared
+            .jobs
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
     }
 }
 
@@ -775,6 +778,29 @@ mod tests {
             cancel: CancelToken::new(),
             deadline: None,
         }
+    }
+
+    #[test]
+    fn a_finished_job_streams_in_one_write() {
+        // The only test of this crate's unit tests that streams, so the
+        // process-wide counter moves for this job alone.
+        dwv_obs::set_enabled(true);
+        let server = Server::start(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("bind loopback");
+        let mut client = crate::Client::connect(server.addr()).expect("connect");
+        client.submit(1, 1, 0, queued_entry().spec).expect("submit");
+        while client.poll(1, 1).expect("poll") != JobState::Done {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let writes = dwv_obs::counter("serve.stream.writes");
+        let before = writes.get();
+        let events = client.stream_events(1, 1).expect("stream");
+        assert!(events.len() > 2, "{events:?}");
+        assert_eq!(writes.get() - before, 1);
+        server.shutdown();
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! rejection without panics, and exact-byte handshake fixtures.
 
 use dwv_serve::proto::{
-    error_code, read_frame, Frame, FrameBuffer, ProtoError, MAX_FRAME, VERSION,
+    append_event_frame, error_code, read_frame, Frame, FrameBuffer, ProtoError, MAX_FRAME, VERSION,
 };
 use dwv_serve::{
     Client, JobEvent, JobKind, JobSpec, JobState, ProblemId, RejectCode, ServeConfig, Server,
@@ -166,6 +166,22 @@ fn every_frame_round_trips() {
             assert_eq!(fb.pending(), 0);
         }
     }
+}
+
+#[test]
+fn appending_to_a_buffer_gives_the_encoded_bytes() {
+    let mut rng = Rng(0xA99E);
+    let mut out = b"bytes already queued".to_vec();
+    let mut expected = out.clone();
+    for frame in sample_frames(&mut rng) {
+        frame.encode_into(&mut out);
+        expected.extend(frame.encode());
+        if let Frame::Event { job_id, event } = &frame {
+            append_event_frame(&mut out, *job_id, event);
+            expected.extend(frame.encode());
+        }
+    }
+    assert_eq!(out, expected);
 }
 
 #[test]

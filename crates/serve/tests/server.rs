@@ -4,10 +4,13 @@
 
 use dwv_core::parallel::{CancelToken, WorkerPool};
 use dwv_reach::ReachCache;
+use dwv_serve::proto::read_frame;
 use dwv_serve::{
-    run_job, Client, Frame, JobError, JobKind, JobSpec, JobState, ProblemId, RejectCode,
-    ServeConfig, Server,
+    run_job, Client, Frame, JobError, JobEvent, JobKind, JobSpec, JobState, ProblemId, RejectCode,
+    ServeConfig, Server, VERSION,
 };
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -379,4 +382,106 @@ fn concurrent_clients_all_complete() {
         .collect();
     assert!(verdicts.windows(2).all(|w| w[0] == w[1]), "{verdicts:?}");
     server.shutdown();
+}
+
+/// Sends `frame` over a raw socket and reads one reply frame.
+fn request(raw: &mut TcpStream, frame: &Frame) -> Frame {
+    raw.write_all(&frame.encode()).expect("send");
+    read_frame(raw).expect("reply")
+}
+
+#[test]
+fn stream_reply_is_the_event_frames_of_the_in_process_run() {
+    let server = start(ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let spec = acc_verify_spec();
+    let mut raw = TcpStream::connect(server.addr()).expect("connect");
+    raw.set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    assert_eq!(
+        request(&mut raw, &Frame::Hello { version: VERSION }),
+        Frame::HelloAck { version: VERSION }
+    );
+    let submit = Frame::Submit {
+        tenant: 7,
+        job_id: 1,
+        deadline_ms: 0,
+        spec: spec.clone(),
+    };
+    assert_eq!(request(&mut raw, &submit), Frame::Accepted { job_id: 1 });
+    let poll = Frame::Poll {
+        tenant: 7,
+        job_id: 1,
+    };
+    while request(&mut raw, &poll)
+        != (Frame::Status {
+            job_id: 1,
+            state: JobState::Done,
+        })
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let batch = run_job(
+        &spec,
+        7,
+        &WorkerPool::new(2),
+        &Arc::new(ReachCache::new()),
+        &CancelToken::new(),
+    )
+    .expect("batch run");
+    assert!(batch.report_csv.is_none());
+    let mut events = vec![JobEvent::Verdict(batch.verdict)];
+    events.extend(batch.segments.into_iter().map(|seg| JobEvent::Segment {
+        index: seg.index,
+        t0: seg.t0,
+        t1: seg.t1,
+        bounds: seg.bounds,
+    }));
+    events.push(JobEvent::Done);
+    let expected: Vec<u8> = events
+        .into_iter()
+        .flat_map(|event| Frame::Event { job_id: 1, event }.encode())
+        .collect();
+
+    let stream = Frame::Stream {
+        tenant: 7,
+        job_id: 1,
+    };
+    raw.write_all(&stream.encode()).expect("send");
+    let mut wire = vec![0u8; expected.len()];
+    raw.read_exact(&mut wire).expect("stream reply");
+    assert!(
+        wire == expected,
+        "the streamed bytes differ from the batch run's frames"
+    );
+    // Nothing follows the terminal event.
+    raw.set_read_timeout(Some(Duration::from_millis(100)))
+        .expect("timeout");
+    let mut extra = [0u8; 1];
+    assert!(raw.read(&mut extra).is_err(), "bytes after Done");
+    server.shutdown();
+}
+
+#[test]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the test times how long shutdown takes"
+)]
+fn shutdown_returns_promptly_with_or_without_idle_clients() {
+    let server = start(ServeConfig::default());
+    let t = std::time::Instant::now();
+    server.shutdown();
+    assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
+
+    let server = start(ServeConfig::default());
+    let idle: Vec<Client> = (0..2)
+        .map(|_| Client::connect(server.addr()).expect("connect"))
+        .collect();
+    let t = std::time::Instant::now();
+    server.shutdown();
+    assert!(t.elapsed() < Duration::from_secs(1), "{:?}", t.elapsed());
+    drop(idle);
 }
